@@ -12,7 +12,7 @@ q-power map on E.
 
 from . import zmat
 from .dual_graph import chain_decomposition, fibral_lattice_membership, h1_basis
-from .finite_field import INF, discrete_log, element_of_order, embed
+from .finite_field import INF, element_of_order, embed, residue_symbol
 from .torus import principal_decomposition, NotPrincipal
 from .zmat import gcd, poly_eval_int
 
@@ -302,12 +302,13 @@ class FrameComponent:
             self._eta = self.fiber.mu_generator(self.order)
         return self._eta
 
-    def mu_log(self, value):
-        """Discrete log of a mu-group member against the stored generator."""
+    def mu_log(self, value, g):
+        """Logarithm mod g (g dividing the order) of a mu-group member against
+        the stored generator: its residue symbol."""
         if value ** self.order != self.fiber.E.one():
             raise DescentError(
                 "evaluation left the mu group; check divisor rationality")
-        return discrete_log(value, self.eta, self.order)
+        return residue_symbol(value, self.eta, self.order, g)
 
 
 class TorusFrame:
@@ -374,7 +375,7 @@ def gamma_class(divisor, component, r):
     g = gcd(r, n)
     if g == 1:
         return GammaClass(0, 1, value)
-    return GammaClass(component.mu_log(value) % g, g, value)
+    return GammaClass(component.mu_log(value, g), g, value)
 
 
 class PhiGenerator:

@@ -20,9 +20,9 @@ from .descent import (PhiGenerator, SpecialFiber, SpecializedDivisor,
                       divisibility_verdict, torsion_structure, DIVISIBLE,
                       UNDETERMINED)
 from .dual_graph import DualGraph, component_group, principal_cycle_generators
-from .finite_field import (INF, Poly, discrete_log, element_of_order, embed,
-                           extension, factor, norm_to_subfield, power_residue,
-                           roots, roots_in_extension)
+from .finite_field import (INF, Poly, element_of_order, embed, extension,
+                           factor, norm_to_subfield, power_residue,
+                           residue_symbol, roots, roots_in_extension)
 from .zmat import gcd, group_invariants, lcm
 
 
@@ -54,11 +54,15 @@ class CharTooSmall(FamilyError):
     pass
 
 
+class UnexpectedRootCount(FamilyError):
+    pass
+
+
 def _power_class_subgroup_order(values, r):
     """Order of the subgroup generated by the values in k^x / (k^x)^r.
 
     k^x is cyclic, so the quotient is Z/gcd(r, q-1) and the subgroup order is
-    computed from discrete logs against a fixed generator."""
+    computed from residue symbols against a fixed generator."""
     if not values:
         return 1
     field = values[0].field
@@ -69,7 +73,7 @@ def _power_class_subgroup_order(values, r):
     zeta = element_of_order(field, n)
     acc = g
     for v in values:
-        acc = gcd(acc, discrete_log(v, zeta, n) % g)
+        acc = gcd(acc, residue_symbol(v, zeta, n, g))
     return g // acc
 
 
@@ -123,12 +127,17 @@ def validate_hyperelliptic(k, gbar, hbar, r=2, qp_mode=False):
 
 
 def _gbar_factor_data(inp):
-    """Factorization bookkeeping: list of (irreducible factor, degree),
-    plus the sorted rational roots."""
-    facs = factor(inp.g)
-    assert all(mult == 1 for _, mult in facs)
-    rational = roots(inp.g)
-    return [f for f, _ in facs], rational
+    """The irreducible factors of the reduction of g, plus its rational roots
+    in ascending encoding; factored once per input."""
+    if not hasattr(inp, "_gbar_factors"):
+        facs = factor(inp.g)
+        if any(mult != 1 for _, mult in facs):
+            raise NotSeparableReduction("reduction of g has a repeated factor")
+        factors = [f for f, _ in facs]
+        rational = sorted((-f.coeffs[0] for f in factors if f.degree == 1),
+                          key=lambda r: r.to_int())
+        inp._gbar_factors = factors, rational
+    return inp._gbar_factors
 
 
 def theta_bd(inp, alpha0_rank=0):
@@ -156,7 +165,7 @@ def theta_bd(inp, alpha0_rank=0):
         s = fac.degree
         big = extension(k, s)
         emb = embed(k, big)
-        alpha_i = roots_in_extension(fac, s)[0]
+        alpha_i = -fac.coeffs[0] if s == 1 else roots_in_extension(fac, s)[0]
         value = emb(h_alpha0) * inp.h.map_coeffs(emb, big)(alpha_i)
         norm = norm_to_subfield(value, k.m)
         if not power_residue(norm, 2):
@@ -220,13 +229,15 @@ def hyperelliptic_fiber(inp):
     descent generators for the generic engine."""
     k = inp.k
     s = 1
-    for f, _mult in factor(inp.g):
+    for f in _gbar_factor_data(inp)[0]:
         s = lcm(s, f.degree)
     for f, _mult in factor(inp.h):
         s = lcm(s, f.degree)
     E = extension(k, s)
     g_roots = roots_in_extension(inp.g, s)
-    assert len(g_roots) == inp.d
+    if len(g_roots) != inp.d:
+        raise UnexpectedRootCount(
+            f"found {len(g_roots)} of the {inp.d} nodes in {E}")
     edges = [(0, 1, rho.to_int()) for rho in g_roots]
     key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
     perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
@@ -352,6 +363,8 @@ class Genus4Input:
         self.r = r
         self.qp_mode = qp_mode
         self.i_in_k = (k.q % 4 == 1)
+        #: (k(i), i): the square root of -1 that every table uses
+        self.sqrt_minus_one = _sqrt_of_minus_one(k)
         self.warnings = []
         if qp_mode:
             self.warnings.append(
@@ -368,9 +381,9 @@ def _sqrt_of_minus_one(k):
         field = k
     else:
         field = extension(k, 2)
-    x2p1 = Poly(field, [1, 0, 1])
-    rs = roots(x2p1)
-    assert len(rs) == 2
+    rs = roots(Poly(field, [1, 0, 1]))
+    if len(rs) != 2:
+        raise UnexpectedRootCount(f"x^2 + 1 has {len(rs)} roots in {field}, not 2")
     return field, rs[0]
 
 
@@ -381,7 +394,8 @@ def validate_genus4(k, eps, r=2, qp_mode=False):
         raise CharTooSmall(f"residue characteristic must be at least 5, got {k.p}")
     if r not in (2, 3):
         raise FamilyError("supported divisibility targets are r = 2 and r = 3")
-    field, i = _sqrt_of_minus_one(k)
+    inp = Genus4Input(k, eps, r=r, qp_mode=qp_mode)
+    field, i = inp.sqrt_minus_one
     emb = embed(k, field) if field != k else None
     one = field.one()
 
@@ -399,7 +413,7 @@ def validate_genus4(k, eps, r=2, qp_mode=False):
     for name, point in tests:
         if eps.evaluate(point, emb=(lift if emb else None)).is_zero():
             raise EpsVanishesAtNode(f"cubic vanishes at the node {name}")
-    return Genus4Input(k, eps, r=r, qp_mode=qp_mode)
+    return inp
 
 
 ROW_NAMES = [
@@ -419,7 +433,7 @@ def genus4_table_eval(inp):
     minus sign is forced by the product over the six intersection points.
     """
     k = inp.k
-    field, i = _sqrt_of_minus_one(k)
+    field, i = inp.sqrt_minus_one
     emb = embed(k, field) if field != k else None
 
     def lift(v):
@@ -456,6 +470,13 @@ def genus4_table_eval(inp):
         "div((Z+W)^2/(Z-W))": ratio(prod(row_mzw, row_mzw), row_zw),
     }
     return field, i, rows
+
+
+def _genus4_rows(inp):
+    """genus4_table_eval, computed once per input."""
+    if not hasattr(inp, "_table"):
+        inp._table = genus4_table_eval(inp)
+    return inp._table
 
 
 # -- direct route through the local functions (independent of the closed forms)
@@ -557,7 +578,7 @@ def genus4_direct_table(inp):
     points for div(X+Y), symmetric-function products over the six
     intersection points for div(Z-W) and div(Z+W)."""
     k = inp.k
-    field, i = _sqrt_of_minus_one(k)
+    field, i = inp.sqrt_minus_one
     emb = embed(k, field) if field != k else None
 
     def liftpoly(p):
@@ -631,7 +652,7 @@ def _row_subgroup(inp, field, rows, name):
 def genus4_theta(inp):
     """Rational theta characteristic iff one of the four candidate rows
     generates only squares."""
-    field, _i, rows = genus4_table_eval(inp)
+    field, _i, rows = _genus4_rows(inp)
     names = ["div(X+Y)", "div(Z-W)", "div(Z+W)", "div((Z^2-W^2)/(X+Y))"]
     for name in names:
         gens = _row_subgroup(inp, field, rows, name)
@@ -650,7 +671,7 @@ def genus4_cuberoot(inp):
     always works and the answer is yes for every admissible cubic.
     """
     k = inp.k
-    field, _i, rows = genus4_table_eval(inp)
+    field, _i, rows = _genus4_rows(inp)
     names = ["div(Z-W)", "div(Z+W)", "div((Z+W)^2/(Z-W))"]
     for name in names:
         row = rows[name]
@@ -672,7 +693,7 @@ def genus4_torsion(inp):
     two-case closed form."""
     k = inp.k
     q = k.q
-    field, i, rows = genus4_table_eval(inp)
+    field, i, rows = _genus4_rows(inp)
     if inp.i_in_k:
         h1 = list(rows["div((Z-W)/(Z+W))"])
         h2 = list(rows["div((X+Y)/(Z+W))"])
@@ -732,7 +753,7 @@ def genus4_fiber(inp):
         s = lcm(s, 1)
     E = extension(k, s)
     emb = embed(k, E)
-    ifield, i_small = _sqrt_of_minus_one(k)
+    ifield, i_small = inp.sqrt_minus_one
     iE = embed(ifield, E)(i_small)  # same square root of -1 as the closed forms
     one = E.one()
     zero = E.zero()
@@ -778,7 +799,8 @@ def genus4_fiber(inp):
     # specializations of the three sections
     zw_roots = roots_in_extension(h_zw, s)
     mzw_roots = roots_in_extension(h_mzw, s)
-    assert len(zw_roots) == 6 and len(mzw_roots) == 6
+    if len(zw_roots) != 6 or len(mzw_roots) != 6:
+        raise UnexpectedRootCount("a section does not meet its line in six points")
     div_zw = SpecializedDivisor(fiber, [(1, rho, 1) for rho in zw_roots])
     div_mzw = SpecializedDivisor(fiber, [(2, rho, 1) for rho in mzw_roots])
     div_xy = SpecializedDivisor(fiber, [
@@ -941,7 +963,7 @@ def genus4_report(inp, engine_check=True):
 
     k = inp.k
     q = k.q
-    field, i, rows = genus4_table_eval(inp)
+    field, i, rows = _genus4_rows(inp)
     theta = genus4_theta(inp)
     cube = genus4_cuberoot(inp)
     torsion = genus4_torsion(inp)

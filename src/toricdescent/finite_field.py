@@ -10,6 +10,14 @@ coefficients; this makes every derived quantity reproducible across runs.
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
 the smallest root of the subfield modulus in the big field.
 
+Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
+equal-degree splitting), and every root search goes through the same
+deterministic equal-degree splitter (see _shifts).  Together with the
+modulus search, which skips the binomials x^m + c whenever none of them can
+be irreducible, and residue symbols in place of discrete logarithms, every
+operation the closed forms use costs time polynomial in log q: nothing loops
+over the elements of GF(p).
+
 The field-size limit guards user-facing construction via make_field;
 evaluation towers built internally (which never enumerate their field) are
 exempt, as is roots_in_extension, whose algorithms are polynomial time.
@@ -52,6 +60,22 @@ class ZeroElement(FieldError):
 
 
 class ZeroPolynomial(FieldError):
+    pass
+
+
+class MixedFields(FieldError):
+    pass
+
+
+class ConjugatesNotDistinct(FieldError):
+    pass
+
+
+class OrderDoesNotDivide(FieldError):
+    pass
+
+
+class NotInSubgroup(FieldError):
     pass
 
 
@@ -137,13 +161,26 @@ def _is_irreducible_p(f, p):
     return True
 
 
+def _binomials_can_be_irreducible(p, m):
+    """Whether some x^m + c is irreducible over GF(p), m >= 2 (Lidl-Niederreiter,
+    Thm 3.75): every prime factor of m divides p - 1, and p = 1 mod 4 when
+    4 | m."""
+    if any((p - 1) % ell for ell in factorize(m)):
+        return False
+    return m % 4 != 0 or p % 4 == 1
+
+
 @lru_cache(maxsize=None)
 def _smallest_irreducible(p, m):
     """Monic irreducible of degree m over GF(p), smallest integer encoding of
-    the non-leading coefficients.  Low coefficients first, leading 1 included."""
+    the non-leading coefficients.  Low coefficients first, leading 1 included.
+
+    The encodings below p are the binomials x^m + c; the search starts past
+    them when none can be irreducible, which leaves the result unchanged and
+    saves ~p candidates (p = 2 mod 3 and m = 3, for instance)."""
     if m == 1:
         return (0, 1)
-    n = 0
+    n = 0 if _binomials_can_be_irreducible(p, m) else p
     while True:
         coeffs = []
         t = n
@@ -222,7 +259,7 @@ class FiniteField:
     def __call__(self, value):
         if isinstance(value, FieldElement):
             if value.field != self:
-                raise FieldError(f"element of {value.field} used in {self}")
+                raise MixedFields(f"element of {value.field} used in {self}")
             return value
         if isinstance(value, (int, np.integer)):
             return self.from_coeffs([int(value)])
@@ -298,7 +335,7 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
-                raise FieldError(f"mixed fields {self.field} and {other.field}")
+                raise MixedFields(f"mixed fields {self.field} and {other.field}")
             return other
         if isinstance(other, (int, np.integer)):
             return self.field.from_coeffs([int(other)])
@@ -698,32 +735,49 @@ def _distinct_degree(f):
     return out
 
 
-def _equal_degree_split(f, d):
-    """Irreducible factors of f when all have degree d; deterministic
-    splitting elements from a fixed counter."""
+def _shifts(field):
+    """The splitting polynomials, in a fixed order: poly_from_int(field, n) + t
+    for n = q, q + 1, ..., where t = field.gen() (t = 0 when m = 1).
+
+    Roots that are conjugate over a subfield have the same character under
+    every shift with coefficients in that subfield, so a counter whose first
+    ~p shifts lie in GF(p) costs time linear in p.  t generates the field and
+    lies in no proper subfield, so the first shifts x + t + c already
+    separate such roots.  Translation by t permutes the polynomials of degree
+    >= 1, so the sequence still reaches every one of them; by the Chinese
+    remainder theorem one of those tells any two irreducible factors apart,
+    so splitting always terminates."""
+    theta = Poly(field, [field.gen()])
+    n = field.q
+    while True:
+        yield poly_from_int(field, n) + theta
+        n += 1
+
+
+def _split(f, d, h):
+    """The factor of f, all of whose irreducible factors have degree d, on
+    which h^((q^d-1)/2) is 1 (odd p) or the trace of h is 0 (p = 2)."""
     field = f.field
+    if field.p == 2:
+        t = h % f
+        acc = t
+        for _ in range(d * field.m - 1):
+            t = (t * t) % f
+            acc = (acc + t) % f
+        return f.gcd(acc)
+    s = h.pow_mod((field.q ** d - 1) // 2, f)
+    return f.gcd(s - Poly(field, [1]))
+
+
+def _equal_degree_split(f, d):
+    """Irreducible factors of f when all have degree d, split by the shifts
+    of _shifts in order."""
     if f.degree == d:
         return [f.monic()]
-    q = field.q
-    counter = q  # first candidates of degree >= 1
-    while True:
-        h = poly_from_int(field, counter)
-        counter += 1
-        if h.degree < 1:
-            continue
-        if field.p == 2:
-            bits = d * field.m
-            t = h % f
-            acc = t
-            for _ in range(bits - 1):
-                t = (t * t) % f
-                acc = (acc + t) % f
-            g = f.gcd(acc)
-        else:
-            s = h.pow_mod((q ** d - 1) // 2, f)
-            g = f.gcd(s - Poly(field, [1]))
+    for h in _shifts(f.field):
+        g = _split(f, d, h)
         if 0 < g.degree < f.degree:
-            return (_equal_degree_split(g.monic(), d)
+            return (_equal_degree_split(g, d)
                     + _equal_degree_split((f // g).monic(), d))
 
 
@@ -762,41 +816,17 @@ def roots(f):
 # embeddings and roots in extensions
 
 
-def _one_root_in_subfield(f, sub_pdeg, big):
-    """One root of f (over `big`, all roots lying in the subfield of
-    GF(p)-degree sub_pdeg), by deterministic equal-degree splitting.
-
-    Splitting shifts are cofactor projections of a deterministic element
-    sequence into the subfield's unit group: conjugate roots only separate
-    under shifts that leave the smaller subfields, so additive traces of
-    small elements (often stuck in the prime field) are not good enough."""
+def _one_root(f):
+    """One root of f, a squarefree polynomial with all its roots in its own
+    field: the splitter of _equal_degree_split at d = 1, keeping the smaller
+    side of each split."""
     work = f.monic()
-    sub_size = big.p ** sub_pdeg
-    cofactor = (big.q - 1) // (sub_size - 1)
-    counter = 2
-    x = Poly(big, [0, 1])
+    shifts = _shifts(work.field)
     while work.degree > 1:
-        w = big.from_int(counter)
-        counter += 1
-        if w.is_zero():
-            continue
-        z = w ** cofactor
-        if big.p == 2:
-            # trace of z*x: conjugate roots separate only under varying
-            # multipliers, never under additive shifts
-            t = Poly(big, [big.zero(), z]) % work
-            acc = t
-            for _ in range(sub_pdeg - 1):
-                t = (t * t) % work
-                acc = (acc + t) % work
-            g = work.gcd(acc)
-        else:
-            shifted = x + Poly(big, [z])
-            s = shifted.pow_mod((sub_size - 1) // 2, work)
-            g = work.gcd(s - Poly(big, [1]))
+        g = _split(work, 1, next(shifts))
         if 0 < g.degree < work.degree:
-            work = g.monic() if g.degree <= work.degree - g.degree else (work // g).monic()
-    return -work.monic().coeffs[0]
+            work = g if g.degree <= work.degree - g.degree else (work // g).monic()
+    return -work.coeffs[0]
 
 
 class Embedding:
@@ -810,8 +840,7 @@ class Embedding:
         if sub.m == 1:
             self._mat = None
         else:
-            f = Poly(big, [big(c) for c in sub.modulus])
-            rho = _one_root_in_subfield(f, sub.m, big)
+            rho = _one_root(Poly(big, [big(c) for c in sub.modulus]))
             # smallest conjugate (p-power orbit) fixes the embedding
             conj = [rho]
             for _ in range(sub.m - 1):
@@ -826,14 +855,16 @@ class Embedding:
             self._mat = np.array(rows, dtype=np.int64)
 
     def __call__(self, x):
-        assert x.field == self.sub
+        if x.field != self.sub:
+            raise MixedFields(f"element of {x.field} passed to an embedding of {self.sub}")
         if self._mat is None:
             return self.big.from_coeffs([int(x.coeffs[0])])
         return FieldElement(self.big, (x.coeffs @ self._mat) % self.big.p)
 
     def section(self, y):
         """Preimage of y; raises NotASubfield if y is not in the image."""
-        assert y.field == self.big
+        if y.field != self.big:
+            raise MixedFields(f"element of {y.field} passed to a section onto {self.big}")
         if self._mat is None:
             if any(y.coeffs[1:]):
                 raise NotASubfield(f"{y} is not in the prime subfield")
@@ -902,14 +933,15 @@ def roots_in_extension(f, s):
             continue
         if s % d != 0:
             continue
-        gE = g.map_coeffs(emb, big)
-        rho = _one_root_in_subfield(gE, d * base.m, big)
+        rho = _one_root(g.map_coeffs(emb, big))
         conj = [rho]
         cur = rho
         for _ in range(d - 1):
             cur = cur.frob(base.m)  # q-power Frobenius
             conj.append(cur)
-        assert len({c.to_int() for c in conj}) == d
+        if len({c.to_int() for c in conj}) != d:
+            raise ConjugatesNotDistinct(
+                f"a root of the irreducible {g} has fewer than {d} conjugates")
         found.extend((c, mult) for c in conj)
     found.sort(key=lambda pair: pair[0].to_int())
     out = []
@@ -946,13 +978,19 @@ def norm_to_subfield(x, s):
 
 @lru_cache(maxsize=None)
 def element_of_order(field, n):
-    """Deterministic element of exact multiplicative order n (cached)."""
-    assert (field.q - 1) % n == 0, "order must divide q - 1"
+    """Deterministic element of exact multiplicative order n (cached): the
+    first w^((q-1)/n) of exact order n, w running through the encodings from 2.
+
+    The encodings below p are the prime field; when no power of GF(p)^x has
+    order n the search starts at p, which leaves the result unchanged."""
+    if (field.q - 1) % n != 0:
+        raise OrderDoesNotDivide(f"order {n} does not divide {field.q - 1}")
     if n == 1:
         return field.one()
     primes = list(factorize(n))
     cof = (field.q - 1) // n
-    counter = 2
+    p = field.p
+    counter = 2 if ((p - 1) // gcd(p - 1, cof)) % n == 0 else p
     while True:
         w = field.from_int(counter)
         counter += 1
@@ -965,28 +1003,18 @@ def element_of_order(field, n):
             return eta
 
 
-def discrete_log(value, base, order):
-    """x in [0, order) with base^x = value, where base has the given order.
-    Baby-step giant-step; ValueError if value is outside <base>."""
-    field = value.field
-    one = field.one()
-    if value == one:
-        return 0
-    m = 1
-    while m * m < order:
-        m += 1
-    table = {}
-    cur = one
-    for j in range(m):
-        table.setdefault(cur.to_int(), j)
-        cur = cur * base
-    giant = (base ** m).inverse()
-    gamma = value
-    for i in range(m + 1):
-        j = table.get(gamma.to_int())
-        if j is not None:
-            x = (i * m + j) % order
-            if base ** x == value:
-                return x
-        gamma = gamma * giant
-    raise ValueError("value is not in the cyclic group generated by base")
+def residue_symbol(value, base, order, g):
+    """x mod g, where base^x = value, base has the given order and g divides
+    it: the class of value in <base> / <base>^g.  value^(order/g) is looked up
+    among the g powers of base^(order/g), with O(log order + g)
+    multiplications.  NotInSubgroup if value lies outside <base>."""
+    if order % g:
+        raise OrderDoesNotDivide(f"{g} does not divide the order {order}")
+    target = value ** (order // g)
+    step = base ** (order // g)
+    cur = value.field.one()
+    for x in range(g):
+        if cur == target:
+            return x
+        cur = cur * step
+    raise NotInSubgroup(f"{value} is not in the cyclic group generated by {base}")

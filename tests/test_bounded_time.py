@@ -1,0 +1,104 @@
+"""Closed forms stay polynomial in log p up to the 2^20 field limit.
+
+Each test times inputs whose cost used to grow linearly with p (splitting
+shifts taken from GF(p), the binomial scan of the modulus search).  The
+bounds are 5-50 times the times measured on a 2 GHz core; a linear-in-p
+cost at p ~ 10^6 overshoots them by orders of magnitude.
+"""
+
+import io
+import json
+import time
+
+import pytest
+
+from toricdescent import cli, families
+from toricdescent.finite_field import Embedding, _cached_field, make_field
+
+PRIMES = [10007, 1000003]
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    value = fn()
+    return value, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sqrt_of_minus_one_in_quadratic_extension(p):
+    assert p % 4 == 3  # -1 is a non-square in GF(p): i lives in GF(p^2)
+    (field, i), dt = _timed(lambda: families._sqrt_of_minus_one(make_field(p)))
+    assert field.m == 2 and (i * i + 1).is_zero()
+    assert dt < 5.0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_embedding_of_quadratic_into_quartic_extension(p):
+    sub, big = _cached_field(p, 2), _cached_field(p, 4)
+    emb, dt = _timed(lambda: Embedding(sub, big))
+    theta = sub.gen()
+    assert emb(theta * theta + theta) == emb(theta) * emb(theta) + emb(theta)
+    assert emb.section(emb(theta)) == theta
+    assert dt < 5.0
+
+
+def _run(line):
+    out = io.StringIO()
+    code, dt = _timed(lambda: cli.run_line(line.split(), stream=out))
+    return code, out.getvalue(), dt
+
+
+@pytest.mark.parametrize("p", [1013, 10007, 1000003])
+def test_genus4_cli_with_engine_check(p):
+    code, text, dt = _run(f"genus4 --p {p} --eps X^3+Y^3+W*Z^2 --json")
+    report = json.loads(text)
+    assert code == 0 and report["engine_check"]["agree"] is True
+    assert dt < 10.0
+
+
+def test_genus4_cli_report_at_1013_is_unchanged():
+    """The report as the former linear-in-p splitter computed it, in about
+    90 s on a 2 GHz core."""
+    code, text, _dt = _run("genus4 --p 1013 --eps X^3+Y^3+W*Z^2 --json")
+    assert code == 0
+    assert text == GENUS4_1013
+
+
+def test_hyperelliptic_cli_irreducible_cubic_at_10007():
+    code, text, dt = _run("hyperelliptic --p 10007 --g x^3-x-1 --h x+2 --json")
+    report = json.loads(text)
+    assert code == 0 and report["dual_graph"]["node_orbit_degrees"] == [3]
+    assert report["engine_check"]["agree"] is True
+    assert dt < 5.0
+
+
+def test_hyperelliptic_cli_quintic_at_65537():
+    # g = (quadratic)(cubic) over GF(65537): reducible with no rational node,
+    # so the verdicts are undetermined (exit 4), but promptly
+    code, text, dt = _run("hyperelliptic --p 65537 --g x^5-x-1 --h x^7+3 --json")
+    report = json.loads(text)
+    assert code == cli.EXIT_UNDETERMINED
+    assert report["dual_graph"]["node_orbit_degrees"] == [2, 3]
+    assert dt < 10.0
+
+
+GENUS4_1013 = (
+    '{"dual_graph":{"node_orbit_degrees":[1,1,1,1,1,1],"nodes":6,"vertices"'
+    ':3},"engine_check":{"agree":true,"cube_root":true,"table":true,"theta"'
+    ':true,"torsion":true},"family":"genus4","input":{"base_field":"Q_p","e'
+    'ps_vector":[1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,1,0,0],"p":1013,"q":1013'
+    ',"r":2},"phi":[2,6],"schema_version":1,"tables":{"field":"GF(1013)","i'
+    '":45,"rows":{"div((X+Y)/(Z+W))":[1012,1,89,922],"div((Z+W)^2/(Z-W))":['
+    '338,1,727,124],"div((Z-W)/(X+Y))":[1010,1012,135,878],"div((Z-W)/(Z+W)'
+    ')":[3,1012,872,129],"div((Z^2-W^2)/(X+Y))":[1010,1,148,256],"div(X+Y)"'
+    ':[1012,1012,968,45],"div(Z+W)":[1,1012,819,801],"div(Z-W)":[3,1,3,3]}}'
+    ',"torsion":[1012,1012,2024,6072],"torus":{"char_poly":"x^4-4*x^3+6*x^2'
+    '-4*x+1","decomposition":[{"kind":"split","order":1012,"rank":1},{"kind'
+    '":"split","order":1012,"rank":1},{"kind":"split","order":1012,"rank":1'
+    '},{"kind":"split","order":1012,"rank":1}],"order":1048870932736},"unde'
+    'termined_reasons":[],"valid":true,"verdicts":{"cube_root":true,"theta"'
+    ':false},"warnings":["base field Q_p: reported torsion is the '
+    'prime-to-p part; it is the full rational torsion when the component '
+    'group has no p-torsion (automatic here: the component group has order '
+    '12 and p >= 5)"]}'
+    "\n")

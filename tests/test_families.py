@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import random_genus4, random_hyperelliptic, rng_for
-from toricdescent import descent
+from toricdescent import descent, families
 from toricdescent.families import (
     CharDividesTwoD, CommonFactorGH, CubicForm, DegreeTooLarge,
     EpsVanishesAtNode, CharTooSmall, FamilyError, ROW_NAMES,
@@ -287,3 +287,47 @@ def test_reports_are_json_ready():
     assert rep["phi"] == [2, 6]
     assert rep["engine_check"]["agree"] is True
     json.dumps(rep)
+
+
+# -- typed errors on internal invariants (kept under python -O) ----------------
+
+
+def test_repeated_factor_of_g_is_a_typed_error():
+    k = make_field(7)
+    # (x - 1)^2 (x - 2), past validation: the factor bookkeeping refuses it
+    g = Poly(k, [-1, 1]) * Poly(k, [-1, 1]) * Poly(k, [-2, 1])
+    inp = families.HyperellipticInput(k, g, Poly(k, [3]))
+    with pytest.raises(NotSeparableReduction):
+        theta_bd(inp)
+
+
+def test_sqrt_of_minus_one_root_count_is_checked(monkeypatch):
+    monkeypatch.setattr(families, "roots", lambda f: [])
+    with pytest.raises(families.UnexpectedRootCount):
+        families._sqrt_of_minus_one(make_field(7))
+
+
+def test_hyperelliptic_fiber_root_count_is_checked(monkeypatch):
+    inp = hyp(7, (0, -1, 0, 1), (2, 1))
+    monkeypatch.setattr(families, "roots_in_extension", lambda f, s: [])
+    with pytest.raises(families.UnexpectedRootCount):
+        families.hyperelliptic_fiber(inp)
+
+
+def test_genus4_fiber_root_count_is_checked(monkeypatch):
+    inp = validate_genus4(make_field(7), eps0(make_field(7)))
+    monkeypatch.setattr(families, "roots_in_extension", lambda f, s: [])
+    with pytest.raises(families.UnexpectedRootCount):
+        families.genus4_fiber(inp)
+
+
+def test_typed_errors_keep_their_exit_code_under_optimization():
+    import subprocess
+    import sys
+    code = ("import sys\n"
+            "from toricdescent import cli, families\n"
+            "families.roots = lambda f: []\n"
+            "sys.exit(cli.run_line(['genus4', '--p', '7', '--eps', 'X^3+Y^3+W*Z^2']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert "hypothesis violated" in proc.stderr

@@ -1,11 +1,13 @@
 import pytest
 
 from conftest import rng_for
+from toricdescent import finite_field
 from toricdescent.finite_field import (
-    FieldError, NotASubfield, NotPrime, Poly, SizeLimitExceeded,
-    ZeroElement, ZeroPolynomial, coprimality_check, discrete_log,
+    ConjugatesNotDistinct, FieldError, MixedFields, NotASubfield,
+    NotInSubgroup, NotPrime, OrderDoesNotDivide, Poly, SizeLimitExceeded,
+    ZeroElement, ZeroPolynomial, _smallest_irreducible, coprimality_check,
     element_of_order, embed, extension, factor, make_field, norm_to_subfield,
-    poly_from_int, power_residue, roots_in_extension)
+    poly_from_int, power_residue, residue_symbol, roots_in_extension)
 
 
 def brute_irreducible(p, m):
@@ -180,7 +182,7 @@ def test_embedding_is_field_homomorphism():
         embed(make_field(3, 2), make_field(3, 3))
 
 
-def test_discrete_log_and_element_of_order():
+def test_residue_symbol_and_element_of_order():
     E = extension(make_field(7), 4)
     for n in (2, 3, 6, 16, 25, 400):
         assert (E.q - 1) % n == 0
@@ -192,7 +194,38 @@ def test_discrete_log_and_element_of_order():
         rng = rng_for(f"dlog-{n}")
         for _ in range(10):
             a = rng.randrange(n)
-            assert discrete_log(eta ** a, eta, n) == a
+            for g in (d for d in range(1, n + 1) if n % d == 0 and d <= 50):
+                assert residue_symbol(eta ** a, eta, n, g) == a % g
+
+
+def test_residue_symbol_matches_enumeration():
+    for p, m in [(7, 1), (13, 1), (3, 2), (5, 2), (7, 2)]:
+        K = make_field(p, m)
+        n = K.q - 1
+        zeta = element_of_order(K, n)
+        log = {}
+        cur = K.one()
+        for a in range(n):
+            log[cur.to_int()] = a
+            cur = cur * zeta
+        for g in (d for d in range(1, n + 1) if n % d == 0):
+            for x in K.elements():
+                if not x.is_zero():
+                    assert residue_symbol(x, zeta, n, g) == log[x.to_int()] % g
+        # a proper subgroup: members get their log mod g, the rest are refused
+        sub = n // 2
+        eta = element_of_order(K, sub)
+        members = {(eta ** a).to_int(): a for a in range(sub)}
+        for x in K.elements():
+            if x.is_zero():
+                continue
+            if x.to_int() in members:
+                assert residue_symbol(x, eta, sub, sub) == members[x.to_int()]
+            else:
+                with pytest.raises(NotInSubgroup):
+                    residue_symbol(x, eta, sub, sub)
+    with pytest.raises(OrderDoesNotDivide):
+        residue_symbol(K.one(), zeta, n, n + 1)
 
 
 def test_field_arithmetic_basics():
@@ -204,3 +237,113 @@ def test_field_arithmetic_basics():
         K.zero().inverse()
     with pytest.raises(FieldError):
         K.one() + make_field(5).one()
+
+
+# -- brute-force equivalence of the modulus search and the splitter --------------
+
+
+def _brute_is_irreducible(f, p, divisors):
+    """No monic divisor of degree at most deg(f)/2 (int lists, low first)."""
+    for div in divisors:
+        if 2 * (len(div) - 1) > len(f) - 1:
+            break
+        r = list(f)
+        for i in range(len(r) - 1, len(div) - 2, -1):
+            c = r[i]
+            if c:
+                for j, dv in enumerate(div):
+                    r[i - len(div) + 1 + j] = (r[i - len(div) + 1 + j] - c * dv) % p
+        if not any(r[:len(div) - 1]):
+            return False
+    return True
+
+
+def _brute_first_irreducible(p, m):
+    divisors = [[(n // p ** i) % p for i in range(d)] + [1]
+                for d in range(1, m // 2 + 1) for n in range(p ** d)]
+    n = 0
+    while True:
+        cand = [(n // p ** i) % p for i in range(m)] + [1]
+        n += 1
+        if cand[0] and _brute_is_irreducible(cand, p, divisors):
+            return tuple(cand)
+
+
+def test_smallest_irreducible_matches_brute_force():
+    for p in (5, 7, 11, 13, 17):
+        for m in (2, 3, 4, 6):
+            assert _smallest_irreducible(p, m) == _brute_first_irreducible(p, m), (p, m)
+
+
+def test_factor_of_frobenius_conjugates_matches_brute_force():
+    """Products of Frobenius-conjugate irreducibles have coefficients in the
+    prime field: the case a counter of shifts in GF(p) cannot split."""
+    rng = rng_for("conjugate-factor")
+    for p, m in [(3, 2), (5, 2), (3, 3), (7, 2), (11, 2)]:
+        K = make_field(p, m)
+        for _ in range(3):
+            # the Frobenius orbit of a linear and of a quadratic irreducible
+            while True:
+                a = K.from_int(rng.randrange(K.q))
+                if len({(a.frob(j)).to_int() for j in range(m)}) == m:
+                    break
+            while True:
+                quad = Poly(K, [K.from_int(rng.randrange(K.q)),
+                                K.from_int(rng.randrange(K.q)), 1])
+                conj = [quad.map_coeffs(lambda c, j=j: c.frob(j), K) for j in range(m)]
+                if (len({c.encoding() for c in conj}) == m
+                        and not any(quad(x).is_zero() for x in K.elements())):
+                    break
+            F = Poly(K, [1])
+            for j in range(m):
+                F = F * Poly(K, [-a.frob(j), 1]) * conj[j]
+            F = F * Poly(K, [-1, 1]) * Poly(K, [-1, 1])  # a rational double root
+            facs = factor(F)
+            prod = Poly(K, [1])
+            for g, mult in facs:
+                for _ in range(mult):
+                    prod = prod * g
+            assert prod == F
+            linear = sorted((-g.coeffs[0]).to_int() for g, mult in facs
+                            if g.degree == 1 for _ in range(mult))
+            brute = sorted(x.to_int() for x in K.elements() if F(x).is_zero())
+            assert sorted(set(linear)) == brute
+            assert linear.count(1) == 2
+            quadratics = [g for g, _ in facs if g.degree == 2]
+            assert sorted(g.encoding() for g in quadratics) == \
+                sorted(c.encoding() for c in conj)
+            for g in quadratics:
+                assert not any(g(x).is_zero() for x in K.elements())
+
+
+# -- typed errors on reachable paths ---------------------------------------------
+
+
+def test_embedding_refuses_elements_of_other_fields():
+    e = embed(make_field(3, 2), make_field(3, 4))
+    with pytest.raises(MixedFields):
+        e(make_field(3).one())
+    with pytest.raises(MixedFields):
+        e.section(make_field(3, 2).one())
+
+
+def test_conjugate_count_is_checked(monkeypatch):
+    # a splitter that returned a root of the wrong field would repeat conjugates
+    monkeypatch.setattr(finite_field, "_one_root", lambda f: f.field.one())
+    with pytest.raises(ConjugatesNotDistinct):
+        roots_in_extension(Poly(make_field(3), [1, 0, 1]), 2)
+
+
+def test_element_of_order_refuses_non_divisors():
+    with pytest.raises(OrderDoesNotDivide):
+        element_of_order(make_field(7), 4)
+
+
+def test_element_of_order_skips_the_prime_field():
+    # no element of GF(p) has order p^2 - 1: the search starts past GF(p)
+    # and finds the element the full counter would find
+    for p in (7, 11):
+        K = make_field(p, 2)
+        eta = element_of_order(K, K.q - 1)
+        assert eta == next(w for w in (K.from_int(c) for c in range(2, K.q))
+                           if w.multiplicative_order() == K.q - 1)

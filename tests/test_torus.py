@@ -145,8 +145,8 @@ def test_norm_map_bijective_on_power_classes():
 
 
 def _power_class(x, r):
-    from toricdescent.finite_field import discrete_log, element_of_order
+    from toricdescent.finite_field import element_of_order, residue_symbol
     field = x.field
     n = field.q - 1
     zeta = element_of_order(field, n)
-    return discrete_log(x, zeta, n) % zmat.gcd(r, n)
+    return residue_symbol(x, zeta, n, zmat.gcd(r, n))
