@@ -3,10 +3,13 @@
 Exit codes: 0 success; 2 invalid input syntax; 3 hypothesis violated by the
 input; 4 undetermined verdict.  Reports go to stdout as text or, with
 --json, as canonical JSON (sorted keys, no whitespace), so identical inputs
-produce byte-identical output.
+produce byte-identical output.  `batch` writes exactly one line per request
+line: the report, or an error record naming the line.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import shlex
@@ -17,7 +20,7 @@ from .dual_graph import component_group, phi_torsion_representatives, GraphError
 from .families import (CubicForm, FamilyError, genus4_report,
                        hyperelliptic_report, validate_genus4,
                        validate_hyperelliptic)
-from .finite_field import (FieldError, Poly, make_field, INF)
+from .finite_field import FieldError, Poly, make_field
 from .parsing import ParseError, format_univariate, parse_cubic_form, parse_univariate
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
                     frobenius_char_poly, mu_group, torus_order,
@@ -28,6 +31,21 @@ EXIT_OK = 0
 EXIT_SYNTAX = 2
 EXIT_HYPOTHESIS = 3
 EXIT_UNDETERMINED = 4
+#: a batch line that raised an unexpected exception: the status a Python
+#: process exits with on an uncaught exception
+EXIT_INTERNAL = 1
+
+#: typed refusals: (exception classes, kind, exit code, message prefix).
+#: Other engine and oracle errors are internal-consistency failures, not
+#: refusals of the input.
+REFUSALS = [
+    ((ParseError,), "syntax", EXIT_SYNTAX, "syntax error"),
+    ((FamilyError, descent.UnsupportedTorus, descent.DivisorMeetsNode),
+     "hypothesis", EXIT_HYPOTHESIS, "hypothesis violated"),
+    ((FieldError, TorusError, GraphError, EnumerationLimitExceeded,
+      oracle.TooLarge), "invalid-input", EXIT_SYNTAX, "invalid input"),
+]
+REFUSAL_TYPES = tuple(cls for classes, *_ in REFUSALS for cls in classes)
 
 
 def build_parser():
@@ -198,15 +216,14 @@ def run_oracle(args):
     g = _poly_from_text(k, args.g)
     h = _poly_from_text(k, args.h)
     inp = validate_hyperelliptic(k, g, h, r=args.r)
-    fiber, frame, phi, gens, matrix, _ = families.hyperelliptic_fiber(inp)
-    torus = oracle.enumerate_torus(fiber)
-    lifts = oracle.nu_lift_vectors(fiber, torus, phi, gens, args.r)
+    fiber, frame, phi, gens, matrix = families.hyperelliptic_fiber(inp)
+    degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, args.r)
     rng = random.Random(args.seed)
     agreements = 0
     for _ in range(args.trials):
-        div = _random_stable_divisor(fiber, args.r, rng)
+        div = oracle.random_divisor(fiber, args.r, rng, degree)
         verdict = descent.divisibility_verdict(div, args.r, frame, phi, gens, matrix)
-        truth = oracle.exhaustive_divisibility(div, args.r, fiber, torus, lifts)
+        truth = oracle.exhaustive_divisibility(div, args.r, ofiber, torus, lifts)
         if (verdict.outcome == descent.DIVISIBLE) == truth:
             agreements += 1
     report = {
@@ -221,41 +238,6 @@ def run_oracle(args):
     }
     code = EXIT_OK if agreements == args.trials else 1
     return code, report
-
-
-def _random_stable_divisor(fiber, r, rng):
-    """Galois-stable node-avoiding divisor with r-divisible multidegree."""
-    from .finite_field import embed, _cached_field
-    E = fiber.E
-    k = fiber.k
-    pts = []
-    for comp in range(fiber.graph.num_vertices):
-        nodes = {c.to_int() for c in fiber.component_node_coords(comp)
-                 if c is not INF}
-        for _ in range(rng.randrange(0, 3)):
-            t = rng.choice([1, 2])
-            if E.m % (k.m * t):
-                continue
-            sub = _cached_field(k.p, k.m * t)
-            x0 = embed(sub, E)(sub.from_int(rng.randrange(sub.q)))
-            orbit = {x0.to_int()}
-            cur = x0
-            for _ in range(t * k.m):
-                cur = cur.frob(1)
-                orbit.add(cur.to_int())
-            if any(v in nodes for v in orbit):
-                continue
-            mult = rng.choice([-2, -1, 1, 2])
-            pts.extend((comp, E.from_int(v), mult) for v in orbit)
-    div = descent.SpecializedDivisor(fiber, pts)
-    fix = []
-    for comp, dcomp in enumerate(div.multidegree):
-        rem = (-dcomp) % r
-        if rem:
-            fix.append((comp, fiber.standard_point(comp), rem))
-    div = div + descent.SpecializedDivisor(fiber, fix)
-    assert div.is_galois_stable()
-    return div
 
 
 def _render_text(report):
@@ -308,35 +290,76 @@ def run_line(argv, stream=None):
     return dispatch(args, stream=stream)
 
 
+def _refusal(exc):
+    """(kind, exit code, message prefix) of a typed refusal."""
+    for classes, kind, code, prefix in REFUSALS:
+        if isinstance(exc, classes):
+            return kind, code, prefix
+    raise TypeError(f"{type(exc).__name__} is not a refusal")
+
+
 def dispatch(args, stream=None):
     if args.command == "batch":
-        worst = EXIT_OK
-        with open(args.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                argv = shlex.split(line)
-                if argv and argv[0] != "batch":
-                    if "--json" not in argv and argv[0] in RUNNERS:
-                        argv.append("--json")
-                    code = run_line(argv, stream=stream)
-                    worst = max(worst, code)
-        return worst
+        return run_batch(args.path, stream=stream)
     runner = RUNNERS[args.command]
     try:
         code, report = runner(args)
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except (FamilyError, descent.UnsupportedTorus) as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (FieldError, TorusError, GraphError, EnumerationLimitExceeded,
-            oracle.TooLarge) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+    except REFUSAL_TYPES as exc:
+        _kind, code, prefix = _refusal(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return _emit(code, report, getattr(args, "json", False), stream=stream)
+
+
+def run_batch(path, stream=None):
+    """One request per line of the file; blank lines and lines starting with
+    # are skipped.  Writes exactly one JSON line per request line, the report
+    or an error record, and returns the largest exit code of the lines."""
+    stream = stream or sys.stdout
+    worst = EXIT_OK
+    with open(path) as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            worst = max(worst, _batch_line(number, line, stream))
+    return worst
+
+
+def _batch_line(number, line, stream):
+    def error(kind, code, message):
+        print(f"line {number}: {message}", file=sys.stderr)
+        record = {"schema_version": 1, "line": number,
+                  "error": {"kind": kind, "exit_code": code, "message": message}}
+        return _emit(code, record, True, stream=stream)
+
+    try:
+        argv = shlex.split(line)
+    except ValueError as exc:
+        return error("syntax", EXIT_SYNTAX, f"syntax error: {exc}")
+    if argv[0] == "batch":
+        return error("syntax", EXIT_SYNTAX, "syntax error: batch requests do not nest")
+    if "--json" not in argv and argv[0] in RUNNERS:
+        argv.append("--json")
+    captured = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(captured), contextlib.redirect_stdout(captured):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        lines = captured.getvalue().strip().splitlines()
+        return error("syntax", EXIT_SYNTAX,
+                     lines[-1] if lines else "syntax error: not a request")
+    try:
+        code, report = RUNNERS[args.command](args)
+    except REFUSAL_TYPES as exc:
+        kind, code, prefix = _refusal(exc)
+        return error(kind, code, f"{prefix}: {exc}")
+    except Exception as exc:  # contained per line; the other lines still run
+        import traceback  # only here: importing it costs startup time
+        traceback.print_exc()
+        return error("internal", EXIT_INTERNAL,
+                     f"internal error: {type(exc).__name__}: {exc}")
+    return _emit(code, report, True, stream=stream)
 
 
 def main(argv=None):

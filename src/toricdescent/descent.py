@@ -5,14 +5,21 @@ assembly of the prime-to-p rational torsion.
 
 A special fiber here is a dual graph whose components are projective lines
 with an affine coordinate; every node carries its coordinate on each incident
-component.  All coordinates and divisor points live in one evaluation field E
-(an extension of the residue field k), and the arithmetic Frobenius is the
+component.  The node coordinates live in the evaluation field E, the field
+of the nodes over the residue field k, and the arithmetic Frobenius is the
 q-power map on E.
+
+A divisor is a sum of Galois orbits: an entry (component, H, multiplicity)
+stands for the roots of a monic H over k, and (component, INF, multiplicity)
+for the point at infinity, so every divisor is rational by construction and
+its points never need to be found.  A degree-1 local function
+s (t - a)/(t - b) multiplies over the roots of H to s^n H(a)/H(b) (see
+MobiusFactor.over_roots), so evaluation only needs H at the nodes, in E.
 """
 
 from . import zmat
 from .dual_graph import chain_decomposition, fibral_lattice_membership, h1_basis
-from .finite_field import INF, element_of_order, embed, residue_symbol
+from .finite_field import INF, FieldElement, Poly, element_of_order, embed, residue_symbol
 from .torus import principal_decomposition, NotPrincipal
 from .zmat import gcd, poly_eval_int
 
@@ -45,6 +52,11 @@ class UnsupportedTorus(DescentError):
     pass
 
 
+class NotAnOrbit(DescentError):
+    """A divisor entry that is neither INF, an element of k, nor a
+    polynomial of positive degree over k."""
+
+
 # verdict outcomes
 DIVISIBLE = "Divisible"
 NOT_DIVISIBLE = "NotDivisible"
@@ -67,8 +79,26 @@ class SpecialFiber:
         if len(node_coords) != graph.num_edges:
             raise MissingNodeCoordinates("need one coordinate pair per node")
         self.node_coords = [tuple(pair) for pair in node_coords]
+        self._component_coords = []
+        for comp in range(graph.num_vertices):
+            coords = []
+            for i, (t, h, _) in enumerate(graph.edges):
+                if t == comp:
+                    coords.append(self.node_coords[i][0])
+                if h == comp:
+                    coords.append(self.node_coords[i][1])
+            self._component_coords.append(tuple(coords))
         self._validate()
         self._mu_generators = {}
+        # finite node coordinates, once each, the values of orbit polynomials
+        # there and whether an orbit meets a component's nodes
+        self._finite_nodes = {}
+        for pair in self.node_coords:
+            for c in pair:
+                if c is not INF:
+                    self._finite_nodes.setdefault(c.to_int(), c)
+        self._node_values = {}
+        self._meets = {}
 
     def frobq(self, x):
         """Arithmetic Frobenius of E over the residue field."""
@@ -84,13 +114,7 @@ class SpecialFiber:
             f"edge {edge_index} does not meet component {component}")
 
     def component_node_coords(self, component):
-        out = []
-        for i, (t, h, _) in enumerate(self.graph.edges):
-            if t == component:
-                out.append(self.node_coords[i][0])
-            if h == component:
-                out.append(self.node_coords[i][1])
-        return out
+        return self._component_coords[component]
 
     def _validate(self):
         for comp in range(self.graph.num_vertices):
@@ -114,14 +138,41 @@ class SpecialFiber:
                 raise MissingNodeCoordinates(
                     f"node coordinates are not Galois-equivariant at edge {i}")
 
+    def node_values(self, H):
+        """{encoding of a finite node coordinate c: H(c)} for a polynomial H
+        over k, its coefficients embedded into E (cached per H)."""
+        values = self._node_values.get(H)
+        if values is None:
+            lifted = H.map_coeffs(self.embed, self.E)
+            values = {key: lifted(c) for key, c in self._finite_nodes.items()}
+            self._node_values[H] = values
+        return values
+
+    def meets_nodes(self, component, H):
+        """Whether the orbit entry H (a polynomial over k, or INF) contains a
+        node of the component (cached)."""
+        key = (component, H)
+        meets = self._meets.get(key)
+        if meets is None:
+            coords = self.component_node_coords(component)
+            if H is INF:
+                meets = INF in coords
+            else:
+                values = self.node_values(H)
+                meets = any(values[c.to_int()].is_zero()
+                            for c in coords if c is not INF)
+            self._meets[key] = meets
+        return meets
+
     def rational_coordinates(self, component, avoid=(), limit=None):
-        """k-rational coordinates on the component, smallest first, then INF,
-        skipping the avoided values."""
+        """k-rational coordinates on the component, as elements of k,
+        smallest first, then INF, skipping the avoided values (elements of E
+        or INF)."""
         avoided = {c if c is INF else c.to_int() for c in avoid}
         count = 0
         for n in range(self.k.q):
-            x = self.embed(self.k.from_int(n))
-            if x.to_int() not in avoided:
+            x = self.k.from_int(n)
+            if self.embed(x).to_int() not in avoided:
                 yield x
                 count += 1
                 if limit is not None and count >= limit:
@@ -130,10 +181,17 @@ class SpecialFiber:
             yield INF
 
     def standard_point(self, component, extra_avoid=()):
-        """Deterministic node-avoiding rational point on the component."""
-        avoid = list(self.component_node_coords(component)) + list(extra_avoid)
-        for x in self.rational_coordinates(component, avoid):
-            return x
+        """Deterministic rational point on the component (an element of k, or
+        INF) that avoids the nodes and the orbits in extra_avoid (polynomials
+        over k, or INF)."""
+        polys = [H for H in extra_avoid if H is not INF]
+        for x in self.rational_coordinates(component,
+                                           self.component_node_coords(component)):
+            if x is INF:
+                if INF not in extra_avoid:
+                    return x
+            elif all(not H(x).is_zero() for H in polys):
+                return x
         raise NoRationalBasePoint(f"component {component} has no free rational point")
 
     def mu_generator(self, n):
@@ -143,41 +201,47 @@ class SpecialFiber:
         return self._mu_generators[n]
 
 
-class SpecializedDivisor:
-    """Formal sum of node-avoiding points with component labels."""
+def _as_orbit(k, H):
+    """A divisor entry as INF or a monic polynomial over k of degree >= 1;
+    an element x of k stands for the orbit of the point x, that is t - x."""
+    if H is INF:
+        return INF
+    if isinstance(H, FieldElement) and H.field == k:
+        return Poly(k, [-H, k.one()])
+    if isinstance(H, Poly) and H.field == k and H.degree >= 1:
+        return H if H.lead() == k.one() else H.monic()
+    raise NotAnOrbit(f"divisor entry {H!r} is not INF, an element of {k} or a "
+                     f"polynomial of positive degree over {k}")
 
-    def __init__(self, fiber, points):
+
+class SpecializedDivisor:
+    """Formal sum of node-avoiding Galois orbits with component labels.
+
+    Entries are (component, H, multiplicity) with H a monic polynomial over k
+    (the orbit of its roots, with multiplicity) or INF.  Equal entries merge;
+    entries whose polynomials share roots stay apart, which evaluation does
+    not mind."""
+
+    def __init__(self, fiber, entries):
         self.fiber = fiber
         merged = {}
-        for comp, point, mult in points:
-            key = (comp, "inf") if point is INF else (comp, point.to_int())
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + mult)
-            else:
-                merged[key] = (point, mult)
-        cleaned = []
-        for (comp, _), (point, mult) in merged.items():
-            if mult != 0:
-                cleaned.append((comp, point, mult))
+        for comp, H, mult in entries:
+            key = (comp, _as_orbit(fiber.k, H))
+            merged[key] = merged.get(key, 0) + mult
+        cleaned = [(comp, H, mult) for (comp, H), mult in merged.items() if mult]
         cleaned.sort(key=lambda it: (it[0], it[1] is INF,
-                                     0 if it[1] is INF else it[1].to_int()))
-        self.points = tuple(cleaned)
-        for _, point, _ in self.points:
-            assert point is INF or point.field == fiber.E, "points must live in the evaluation field"
-        for comp, point, _ in self.points:
-            node_keys = {c if c is INF else c.to_int()
-                         for c in fiber.component_node_coords(comp)}
-            key = point if point is INF else point.to_int()
-            if key in node_keys:
-                raise DivisorMeetsNode(
-                    f"point on component {comp} coincides with a node")
+                                     0 if it[1] is INF else it[1].encoding()))
+        self.entries = tuple(cleaned)
         deg = [0] * fiber.graph.num_vertices
-        for comp, _, mult in self.points:
-            deg[comp] += mult
+        for comp, H, mult in self.entries:
+            if fiber.meets_nodes(comp, H):
+                raise DivisorMeetsNode(
+                    f"an orbit on component {comp} contains a node")
+            deg[comp] += mult * (1 if H is INF else H.degree)
         self.multidegree = tuple(deg)
 
     def __add__(self, other):
-        return SpecializedDivisor(self.fiber, list(self.points) + list(other.points))
+        return SpecializedDivisor(self.fiber, self.entries + other.entries)
 
     def __neg__(self):
         return self.scale(-1)
@@ -187,33 +251,35 @@ class SpecializedDivisor:
 
     def scale(self, k):
         return SpecializedDivisor(self.fiber,
-                                  [(c, pt, m * k) for c, pt, m in self.points])
-
-    def total_degree(self):
-        return sum(self.multidegree)
-
-    def is_galois_stable(self):
-        image = []
-        g = self.fiber.graph
-        for comp, point, mult in self.points:
-            image.append((g.vertex_perm[comp], self.fiber.frobq(point), mult))
-        return SpecializedDivisor(self.fiber, image).points == self.points
+                                  [(c, H, m * k) for c, H, m in self.entries])
 
     def __repr__(self):
-        body = ", ".join(f"C{c}:{'oo' if p is INF else p.to_int()}^{m}"
-                         for c, p, m in self.points)
+        body = ", ".join(
+            f"C{c}:{'oo' if H is INF else [x.to_int() for x in H.coeffs]}^{m}"
+            for c, H, m in self.entries)
         return f"Divisor({body})"
 
 
 class MobiusFactor:
-    """Degree-1 local parameter on one occurrence of a component: vanishes at
-    the entering node, has its pole at the leaving node, scaled so that the
-    value at the base point is 1."""
+    """The degree-1 function s (t - a)/(t - b) on one occurrence of a
+    component: zero at the entering node a, pole at the leaving node b.  At
+    an infinite node the factor is s/(t - b) (a = INF) or s (t - a)
+    (b = INF).  The scale s is kept as a fraction num/den, so that products
+    of factors need a single inverse at the end."""
 
-    def __init__(self, fiber, component, enter, leave, base_rank=0):
+    def __init__(self, component, enter, leave, scale_num, scale_den):
         self.component = component
         self.enter = enter
         self.leave = leave
+        self.scale_num = scale_num
+        self.scale_den = scale_den
+        self.enter_key = enter if enter is INF else enter.to_int()
+        self.leave_key = leave if leave is INF else leave.to_int()
+
+    @classmethod
+    def normalized(cls, fiber, component, enter, leave, base_rank=0):
+        """The factor scaled to the value 1 at the base point: the
+        base_rank-th rational coordinate that avoids both nodes."""
         candidates = fiber.rational_coordinates(component, avoid=[enter, leave])
         base = None
         for rank, cand in enumerate(candidates):
@@ -223,31 +289,69 @@ class MobiusFactor:
         if base is None:
             raise NoRationalBasePoint(
                 f"not enough rational points on component {component}")
-        self.base = base
-        raw = self._raw_value(base, fiber)
-        if raw is None or raw.is_zero():
-            raise NoRationalBasePoint("base point meets the support of the parameter")
-        self.scale = raw.inverse()
+        one = fiber.E.one()
+        if base is INF:
+            if enter is INF or leave is INF:
+                raise NoRationalBasePoint("base point meets the support of the parameter")
+            return cls(component, enter, leave, one, one)
+        x = fiber.embed(base)
+        # s is the inverse of the unscaled value at the base point
+        if enter is INF:
+            return cls(component, enter, leave, x - leave, one)
+        if leave is INF:
+            return cls(component, enter, leave, one, x - enter)
+        return cls(component, enter, leave, x - leave, x - enter)
 
-    def _raw_value(self, point, fiber=None):
-        a, b = self.enter, self.leave
-        if point is INF:
-            if a is INF or b is INF:
-                return None  # zero or pole at infinity
-            return self.leave.field.one() if b is not INF else None
-        if a is INF:
-            return (point - b).inverse() if point != b else None
-        if b is INF:
-            return point - a
-        if point == b:
-            return None
-        return (point - a) / (point - b)
+    def over_roots(self, n, h_enter, h_leave):
+        """Product of the factor over the n roots of a monic H, with
+        multiplicity, as (numerator, denominator); h_enter = H(a) and
+        h_leave = H(b) (unused at an infinite node).
 
-    def value(self, point):
-        raw = self._raw_value(point)
-        if raw is None or raw.is_zero():
+        Both products over the roots carry the sign (-1)^n, so finite nodes
+        give s^n H(a)/H(b); the product of 1/(t - b) is (-1)^n/H(b) and the
+        product of t - a is (-1)^n H(a)."""
+        num = self.scale_num if n == 1 else self.scale_num ** n
+        den = self.scale_den if n == 1 else self.scale_den ** n
+        if self.enter is INF:
+            num = -num if n % 2 else num
+            return num, den * h_leave
+        if self.leave is INF:
+            num = num * h_enter
+            return (-num if n % 2 else num), den
+        return num * h_enter, den * h_leave
+
+    def at_infinity(self):
+        """The factor at t = INF, as (numerator, denominator): s when both
+        nodes are finite."""
+        if self.enter is INF or self.leave is INF:
             raise DivisorMeetsNode("evaluation at a zero or pole of the parameter")
-        return self.scale * raw
+        return self.scale_num, self.scale_den
+
+
+def product_of_factors(factors, entries, one, values_of):
+    """Product of the factors over the orbit entries (component, H, mult),
+    multiplicities as exponents, with one inverse.  values_of(H) maps the
+    encoding of a finite node coordinate to H there."""
+    num = den = one
+    for factor in factors:
+        for comp, H, mult in entries:
+            if comp != factor.component:
+                continue
+            if H is INF:
+                x, y = factor.at_infinity()
+            else:
+                values = values_of(H)
+                x, y = factor.over_roots(H.degree, values.get(factor.enter_key),
+                                         values.get(factor.leave_key))
+            if mult < 0:
+                x, y, mult = y, x, -mult
+            if mult != 1:
+                x, y = x ** mult, y ** mult
+            num = num * x
+            den = den * y
+    if num.is_zero() or den.is_zero():
+        raise DivisorMeetsNode("an orbit meets a zero or pole of a local function")
+    return num / den
 
 
 class LocalFunctionSystem:
@@ -262,26 +366,19 @@ class LocalFunctionSystem:
             for comp, enter_edge, leave_edge in walk:
                 enter = fiber.node_coordinate(enter_edge, comp)
                 leave = fiber.node_coordinate(leave_edge, comp)
-                self.factors.append(MobiusFactor(fiber, comp, enter, leave,
-                                                 base_rank=base_rank))
+                self.factors.append(MobiusFactor.normalized(
+                    fiber, comp, enter, leave, base_rank=base_rank))
 
     def evaluate(self, divisor):
-        """Product of the parameters over the divisor points, multiplicities
-        as exponents."""
-        acc = self.fiber.E.one()
-        for factor in self.factors:
-            for comp, point, mult in divisor.points:
-                if comp == factor.component:
-                    acc = acc * factor.value(point) ** mult
-        return acc
+        """Product of the parameters over the divisor's orbits, multiplicities
+        as exponents: resultants at the nodes, one inverse."""
+        fiber = self.fiber
+        return product_of_factors(self.factors, divisor.entries, fiber.E.one(),
+                                  fiber.node_values)
 
 
 def build_local_function_system(cycle, fiber, base_rank=0):
     return LocalFunctionSystem(cycle, fiber, base_rank=base_rank)
-
-
-def evaluate_cycle(system, divisor):
-    return system.evaluate(divisor)
 
 
 class FrameComponent:
@@ -292,7 +389,9 @@ class FrameComponent:
         self.cycle = cycle
         self.char_poly = char_poly
         self.order = poly_eval_int(char_poly, fiber.k.q)
-        assert self.order > 0
+        if self.order <= 0:
+            raise UnsupportedTorus(
+                f"characteristic polynomial {char_poly} gives order {self.order} at q")
         self.system = LocalFunctionSystem(cycle, fiber, base_rank=base_rank)
         self._eta = None
 
@@ -334,16 +433,6 @@ class TorusFrame:
             out *= c.order
         return out
 
-    def is_split(self):
-        return all(c.char_poly == [-1, 1] for c in self.components)
-
-    def is_normal(self):
-        return all(c.char_poly == [-1] + [0] * (len(c.char_poly) - 2) + [1]
-                   for c in self.components)
-
-    def gamma_value(self, index, divisor):
-        return self.components[index].system.evaluate(divisor)
-
 
 class GammaClass:
     """Class of an evaluation in mu(T_i) / r mu(T_i), carried as a residue."""
@@ -364,18 +453,21 @@ class GammaClass:
         return f"GammaClass({self.residue} mod {self.modulus})"
 
 
+def _class_of_value(value, component, r):
+    n = component.order
+    g = gcd(r, n)
+    if g == 1:
+        return GammaClass(0, 1, value)
+    return GammaClass(component.mu_log(value, g), g, value)
+
+
 def gamma_class(divisor, component, r):
     """Evaluate the component's cycle on a divisor whose multidegree is
     divisible by r; reduce modulo r-th powers of the mu group."""
     if any(d % r for d in divisor.multidegree):
         raise NotDivRDivisor(
             f"multidegree {divisor.multidegree} is not divisible by {r}")
-    value = component.system.evaluate(divisor)
-    n = component.order
-    g = gcd(r, n)
-    if g == 1:
-        return GammaClass(0, 1, value)
-    return GammaClass(component.mu_log(value, g), g, value)
+    return _class_of_value(component.system.evaluate(divisor), component, r)
 
 
 class PhiGenerator:
@@ -405,14 +497,16 @@ def compute_nu(rep_multidegree, f_divisor, frame, r):
 
 
 def phi_r_table(phi, generators, r, fiber):
-    """For every element of Phi[r], a compensating principal divisor built as
-    a power product of the generators' functions.
+    """Every element of Phi[r] with its compensating principal divisor, given
+    as the exponents of the generators' functions.
 
-    Returns a list of (element, combined function divisor, representative
-    multidegree)."""
+    Returns a list of (element, powers, representative multidegree); the
+    compensating divisor is compensating_divisor(generators, powers, fiber).
+    The element with coefficient a_t = k * order_t / gcd(r, order_t) on
+    generator t takes the power a_t * r / order_t = k * r / gcd(r, order_t)."""
     if not generators:
         zero = tuple([0] * fiber.graph.num_vertices)
-        return [(phi.identity(), SpecializedDivisor(fiber, []), zero)]
+        return [(phi.identity(), (), zero)]
     entries = []
     choice_lists = []
     for gen in generators:
@@ -423,16 +517,15 @@ def phi_r_table(phi, generators, r, fiber):
     while True:
         coeffs = [choice_lists[t][idx[t]] for t in range(len(generators))]
         element = phi.identity()
-        fdiv = SpecializedDivisor(fiber, [])
+        powers = []
         rep = [0] * fiber.graph.num_vertices
         for t, gen in enumerate(generators):
             a = coeffs[t]
+            powers.append(a * r // gen.order)
             if a:
                 element = phi.add(element, phi.scale(gen.element, a))
-                power = a * r // gen.order
-                fdiv = fdiv + gen.f_divisor.scale(power)
                 rep = [u + a * v for u, v in zip(rep, gen.rep_multidegree)]
-        entries.append((element, fdiv, tuple(rep)))
+        entries.append((element, tuple(powers), tuple(rep)))
         t = len(generators) - 1
         while t >= 0:
             idx[t] += 1
@@ -445,13 +538,20 @@ def phi_r_table(phi, generators, r, fiber):
     return entries
 
 
+def compensating_divisor(generators, powers, fiber):
+    """Sum of powers[t] times the function divisor of generator t."""
+    out = SpecializedDivisor(fiber, [])
+    for gen, power in zip(generators, powers):
+        if power:
+            out = out + gen.f_divisor.scale(power)
+    return out
+
+
 class DescentVerdict:
-    def __init__(self, outcome, witness=None, failure_table=None, path="per-component",
-                 reason=None):
+    def __init__(self, outcome, witness=None, failure_table=None, reason=None):
         self.outcome = outcome
         self.witness = witness
         self.failure_table = failure_table
-        self.path = path
         self.reason = reason
 
     def __repr__(self):
@@ -462,10 +562,14 @@ class DescentVerdict:
 def divisibility_verdict(divisor, r, frame, phi, generators, matrix):
     """Decide whether the class of the divisor is divisible by r.
 
-    The divisor must be Galois-stable (its class rational).  The geometric
-    obstruction is checked first; then the divisor is shifted into the
-    r-divisible-multidegree range using the generators' principal functions,
-    and the arithmetic criterion is tested against every element of Phi[r].
+    The divisor's class must be rational, which every orbit divisor is.  The
+    geometric obstruction is checked first; then the divisor is shifted into
+    the r-divisible-multidegree range using the generators' principal
+    functions, and the arithmetic criterion is tested against every element
+    of Phi[r].  The classes are additive, gamma(D + sum_t c_t u_t) =
+    gamma(D) + sum_t c_t gamma(u_t) with u_t = (r / gcd(r, order_t)) f_t,
+    so D and each u_t are evaluated once per frame component and the rows of
+    the table combine residues.
     """
     fiber = divisor.fiber
     if r < 1:
@@ -484,16 +588,27 @@ def divisibility_verdict(divisor, r, frame, phi, generators, matrix):
             return DescentVerdict(
                 UNDETERMINED,
                 reason="no available principal function reaches an r-divisible multidegree")
-    path = "norm" if frame.is_normal() and (fiber.k.q - 1) % r == 0 else "per-component"
     table = phi_r_table(phi, generators, r, fiber)
+    base = [gamma_class(divisor, comp, r) for comp in frame.components]
+    # a generator with gcd(r, order) = 1 only ever takes the power 0
+    units = [r // gcd(r, gen.order) for gen in generators]
+    steps = [None if unit == r else
+             [_class_of_value(comp.system.evaluate(gen.f_divisor) ** unit,
+                              comp, r).residue for comp in frame.components]
+             for gen, unit in zip(generators, units)]
     failures = {}
-    for element, fdiv, _rep in table:
-        shifted = divisor + fdiv
-        classes = [gamma_class(shifted, comp, r) for comp in frame.components]
-        if all(c.is_trivial() for c in classes):
-            return DescentVerdict(DIVISIBLE, witness=element, path=path)
-        failures[element] = tuple(c.residue for c in classes)
-    return DescentVerdict(NOT_DIVISIBLE, failure_table=failures, path=path)
+    for element, powers, _rep in table:
+        residues = []
+        for i, cls in enumerate(base):
+            acc = cls.residue
+            for power, unit, step in zip(powers, units, steps):
+                if power:
+                    acc += (power // unit) * step[i]
+            residues.append(acc % cls.modulus if cls.modulus else 0)
+        if not any(residues):
+            return DescentVerdict(DIVISIBLE, witness=element)
+        failures[element] = tuple(residues)
+    return DescentVerdict(NOT_DIVISIBLE, failure_table=failures)
 
 
 def _shift_to_div_r(divisor, r, generators):
@@ -509,11 +624,11 @@ def _shift_to_div_r(divisor, r, generators):
     sol = zmat.solve_mod(A, b, r)
     if sol is None:
         return None
-    out = divisor
-    for t, s in enumerate(sol):
-        if s:
-            out = out + generators[t].f_divisor.scale(s)
-    assert all(d % r == 0 for d in out.multidegree)
+    out = divisor + compensating_divisor(generators, sol, fiber)
+    if any(d % r for d in out.multidegree):
+        raise NotDivRDivisor(
+            f"the compensating shift left multidegree {out.multidegree}, "
+            f"not divisible by {r}")
     return out
 
 
@@ -570,7 +685,7 @@ def translate_to_degree_zero(divisor, r):
     shift = []
     for comp, d in enumerate(divisor.multidegree):
         if d:
-            support = [pt for c, pt, _ in divisor.points if c == comp]
+            support = [H for c, H, _ in divisor.entries if c == comp]
             point = fiber.standard_point(comp, extra_avoid=support)
             shift.append((comp, point, -d))
     return divisor + SpecializedDivisor(fiber, shift)

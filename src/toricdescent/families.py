@@ -16,8 +16,9 @@ Verdicts that the underlying theory does not cover are reported as
 import itertools
 
 from . import descent, dual_graph
-from .descent import (PhiGenerator, SpecialFiber, SpecializedDivisor,
-                      divisibility_verdict, torsion_structure, DIVISIBLE,
+from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
+                      SpecializedDivisor, divisibility_verdict,
+                      product_of_factors, torsion_structure, DIVISIBLE,
                       UNDETERMINED)
 from .dual_graph import DualGraph, component_group, principal_cycle_generators
 from .finite_field import (INF, Poly, element_of_order, embed, extension,
@@ -56,6 +57,18 @@ class CharTooSmall(FamilyError):
 
 class UnexpectedRootCount(FamilyError):
     pass
+
+
+class WrongCoefficientCount(FamilyError):
+    pass
+
+
+class NotMobius(FamilyError):
+    """A genus-4 local function that is not of degree 1 on its line."""
+
+
+class ComponentGroupMismatch(FamilyError):
+    """The genus-4 component-group generators do not split the group."""
 
 
 def _power_class_subgroup_order(values, r):
@@ -185,9 +198,12 @@ def torsion_bd(inp):
         alphas = rational
         h0 = inp.h(alphas[0])
         ratios = [inp.h(a) / h0 for a in alphas[1:]]
+        # the ratios generate a subgroup of order n in k^x / (k^x)^d, which
+        # is cyclic of order gcd(d, q - 1); the Smith form of the extension
+        # leaves the cyclic factors d (q - 1) / m and m
         n = _power_class_subgroup_order(ratios, inp.d)
-        m = inp.d // n
-        parts = [q - 1] * (inp.d - 2) + [n * (q - 1), m]
+        m = gcd(inp.d, q - 1) // n
+        parts = [q - 1] * (inp.d - 2) + [inp.d * (q - 1) // m, m]
         return group_invariants(parts)
     if inp.d == 3:
         ell = extension(k, 2)
@@ -226,15 +242,18 @@ def torsion_bd(inp):
 
 def hyperelliptic_fiber(inp):
     """Build the two-line special fiber, torus frame, component group, and
-    descent generators for the generic engine."""
+    descent generators for the generic engine.
+
+    The evaluation field is the splitting field of the reduction of g, the
+    field of the nodes; the zeros of h enter div(y - g) as one orbit entry
+    and are never found."""
     k = inp.k
+    factors = _gbar_factor_data(inp)[0]
     s = 1
-    for f in _gbar_factor_data(inp)[0]:
-        s = lcm(s, f.degree)
-    for f, _mult in factor(inp.h):
+    for f in factors:
         s = lcm(s, f.degree)
     E = extension(k, s)
-    g_roots = roots_in_extension(inp.g, s)
+    g_roots = roots_in_extension(inp.g, s, factors=[(f, 1) for f in factors])
     if len(g_roots) != inp.d:
         raise UnexpectedRootCount(
             f"found {len(g_roots)} of the {inp.d} nodes in {E}")
@@ -250,25 +269,27 @@ def hyperelliptic_fiber(inp):
     d = inp.d
     matrix = [[-d, d], [d, -d]]
     phi = component_group(matrix)
-    # div(y - g): the h-roots on the first line, the rest at the two points
-    # at infinity
-    h_roots = roots_in_extension(inp.h, s)
+    # div(y - g): the zeros of h on the first line, the rest at the two
+    # points at infinity
     fdiv = SpecializedDivisor(
-        fiber,
-        [(0, rho, 1) for rho in h_roots]
-        + [(0, INF, d - inp.e), (1, INF, -d)])
+        fiber, _h_zeros(inp) + [(0, INF, d - inp.e), (1, INF, -d)])
     delta = phi.project((-1, 1))
     generators = [PhiGenerator(delta, d, (-1, 1), fdiv)]
-    return fiber, frame, phi, generators, matrix, h_roots
+    return fiber, frame, phi, generators, matrix
 
 
-def hyperelliptic_canonical_divisor(inp, fiber, h_roots):
+def _h_zeros(inp):
+    """The zeros of the reduction of h on the first line, as one orbit entry
+    (the monic h; its leading coefficient moves no zero)."""
+    return [(0, inp.h, 1)] if inp.e > 0 else []
+
+
+def hyperelliptic_canonical_divisor(inp, fiber):
     """Specialization of a canonical representative with even multidegree:
-    the h-roots on the first line plus corrections at infinity."""
+    the zeros of h on the first line plus corrections at infinity."""
     return SpecializedDivisor(
         fiber,
-        [(0, rho, 1) for rho in h_roots]
-        + [(0, INF, 2 * inp.genus - inp.e), (1, INF, -2)])
+        _h_zeros(inp) + [(0, INF, 2 * inp.genus - inp.e), (1, INF, -2)])
 
 
 def _hyperelliptic_data(inp):
@@ -280,10 +301,10 @@ def _hyperelliptic_data(inp):
 def theta_bd_engine(inp):
     """Theta verdict through the generic descent engine."""
     try:
-        fiber, frame, phi, generators, matrix, h_roots = _hyperelliptic_data(inp)
+        fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
     except dual_graph.NotSupported:
         return UNDETERMINED
-    L = hyperelliptic_canonical_divisor(inp, fiber, h_roots)
+    L = hyperelliptic_canonical_divisor(inp, fiber)
     verdict = divisibility_verdict(L, 2, frame, phi, generators, matrix)
     if verdict.outcome == UNDETERMINED:
         return UNDETERMINED
@@ -292,7 +313,7 @@ def theta_bd_engine(inp):
 
 def torsion_bd_engine(inp):
     try:
-        fiber, frame, phi, generators, matrix, _ = _hyperelliptic_data(inp)
+        fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
     except dual_graph.NotSupported as exc:
         raise descent.UnsupportedTorus(str(exc)) from exc
     return torsion_structure(frame, phi, generators)
@@ -321,7 +342,9 @@ class CubicForm:
 
     @classmethod
     def from_vector(cls, field, vec):
-        assert len(vec) == len(MONOMIALS)
+        if len(vec) != len(MONOMIALS):
+            raise WrongCoefficientCount(
+                f"a cubic form has {len(MONOMIALS)} coefficients, got {len(vec)}")
         return cls(field, dict(zip(MONOMIALS, vec)))
 
     def vector(self):
@@ -452,14 +475,19 @@ def genus4_table_eval(inp):
     row_xy = (-one, -one, -i, i)
     row_zw = (-e1111 / em11, e1000 / e0100, e1111 / e0100, e1111 / e0100)
     row_mzw = (one, -e0100 / e1000, i * e0100 / ei, -i * e0100 / emi)
+    return field, i, _table_rows(row_xy, row_zw, row_mzw)
 
+
+def _table_rows(row_xy, row_zw, row_mzw):
+    """The eight rows from the three sections' rows: derived rows are
+    entrywise products and ratios."""
     def ratio(a, b):
         return tuple(x / y for x, y in zip(a, b))
 
     def prod(a, b):
         return tuple(x * y for x, y in zip(a, b))
 
-    rows = {
+    return {
         "div(X+Y)": row_xy,
         "div(Z-W)": row_zw,
         "div(Z+W)": row_mzw,
@@ -469,7 +497,6 @@ def genus4_table_eval(inp):
         "div((Z^2-W^2)/(X+Y))": ratio(prod(row_zw, row_mzw), row_xy),
         "div((Z+W)^2/(Z-W))": ratio(prod(row_mzw, row_mzw), row_zw),
     }
-    return field, i, rows
 
 
 def _genus4_rows(inp):
@@ -480,55 +507,6 @@ def _genus4_rows(inp):
 
 
 # -- direct route through the local functions (independent of the closed forms)
-
-
-class _RationalFunctionT:
-    """Reduced ratio of two polynomials in the line coordinate t."""
-
-    def __init__(self, num, den):
-        g = num.gcd(den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        self.num = num
-        self.den = den
-
-    def value(self, t):
-        if t is INF:
-            dn, dd = self.num.degree, self.den.degree
-            if dn != dd:
-                raise descent.DivisorMeetsNode("zero or pole at infinity")
-            return self.num.lead() / self.den.lead()
-        nv = self.num(t)
-        dv = self.den(t)
-        if nv.is_zero() or dv.is_zero():
-            raise descent.DivisorMeetsNode("zero or pole of a local function")
-        return nv / dv
-
-    def product_over_roots(self, poly):
-        """Product of the function's values over all roots of the given
-        polynomial (with multiplicity), via symmetric functions: the roots of
-        the numerator and denominator must be rational over the coefficient
-        field, which holds for local functions supported at the nodes."""
-        def part(f):
-            acc = f.lead() ** poly.degree
-            if poly.degree % 2 and f.degree % 2:
-                acc = -acc
-            rest = f.monic()
-            while rest.degree > 0:
-                root = next((r for (r,) in _linear_roots(rest)), None)
-                assert root is not None, "local function has a non-nodal zero"
-                acc = acc * poly(root) / poly.lead()
-                rest = rest // Poly(rest.field, [-root, rest.field.one()])
-            return acc
-
-        return part(self.num) / part(self.den)
-
-
-def _linear_roots(f):
-    for g, mult in factor(f):
-        if g.degree == 1:
-            for _ in range(mult):
-                yield (-g.coeffs[0],)
 
 
 # restriction of a linear form a*X + b*Y + c*Z + d*W to each component's
@@ -545,38 +523,58 @@ def _restrict_linear(field, form, component):
     return Poly(field, [-b, d - c, a])
 
 
+def _local_function(field, component, num_form, den_form):
+    """The ratio of two linear forms on a component, reduced, as the Mobius
+    factor c (t - a)/(t - b); a or b is INF when the reduced numerator or
+    denominator is constant."""
+    num = _restrict_linear(field, num_form, component)
+    den = _restrict_linear(field, den_form, component)
+    common = num.gcd(den)
+    if common.degree > 0:
+        num, den = num // common, den // common
+    if num.degree > 1 or den.degree > 1 or num.degree + den.degree < 1:
+        raise NotMobius(f"local function on component {component} has degrees "
+                        f"{num.degree}/{den.degree}")
+    if num.degree == 0:
+        return MobiusFactor(component, INF, -den[0] / den[1], num[0], den[1])
+    if den.degree == 0:
+        return MobiusFactor(component, -num[0] / num[1], INF, num[1], den[0])
+    return MobiusFactor(component, -num[0] / num[1], -den[0] / den[1],
+                        num[1], den[1])
+
+
 def _genus4_local_functions(field, i):
-    """The table of local functions per loop and component, as reduced
-    rational functions of the line coordinate; loops 3 and 4 differ by the
-    substitution i -> -i."""
+    """The local functions per loop, as Mobius factors on the components;
+    loops 3 and 4 differ by the substitution i -> -i."""
     one = field.one()
     zero = field.zero()
 
-    def rf(component, numf, denf):
-        return _RationalFunctionT(_restrict_linear(field, numf, component),
-                                  _restrict_linear(field, denf, component))
+    def lf(component, numf, denf):
+        return _local_function(field, component, numf, denf)
 
     def gamma3(ii):
-        return {
-            0: rf(0, (-ii, zero, one, zero), (-one, zero, one, zero)),  # (Z-iX)/(Z-X)
-            1: rf(1, (zero, -one, one, zero), (zero, zero, one, zero)),  # (Z-Y)/Z
-            2: rf(2, (one, zero, zero, zero), (-ii, zero, one, zero)),  # X/(Z-iX)
-        }
+        return [
+            lf(0, (-ii, zero, one, zero), (-one, zero, one, zero)),  # (Z-iX)/(Z-X)
+            lf(1, (zero, -one, one, zero), (zero, zero, one, zero)),  # (Z-Y)/Z
+            lf(2, (one, zero, zero, zero), (-ii, zero, one, zero)),  # X/(Z-iX)
+        ]
 
     return {
-        1: {0: rf(0, (one, zero, one, zero), (-one, zero, one, zero)),   # (Z+X)/(Z-X)
-            1: rf(1, (-one, zero, one, zero), (one, zero, one, zero))},  # (Z-X)/(Z+X)
-        2: {1: rf(1, (zero, -one, one, zero), (-one, zero, one, zero)),  # (Z-Y)/(Z-X)
-            2: rf(2, (-one, zero, one, zero), (zero, one, one, zero))},  # (Z-X)/(Z+Y)
+        1: [lf(0, (one, zero, one, zero), (-one, zero, one, zero)),   # (Z+X)/(Z-X)
+            lf(1, (-one, zero, one, zero), (one, zero, one, zero))],  # (Z-X)/(Z+X)
+        2: [lf(1, (zero, -one, one, zero), (-one, zero, one, zero)),  # (Z-Y)/(Z-X)
+            lf(2, (-one, zero, one, zero), (zero, one, one, zero))],  # (Z-X)/(Z+Y)
         3: gamma3(i),
         4: gamma3(-i),
     }
 
 
 def genus4_direct_table(inp):
-    """The same eight rows computed through the local functions: explicit
-    points for div(X+Y), symmetric-function products over the six
-    intersection points for div(Z-W) and div(Z+W)."""
+    """The same eight rows computed through the local functions: each
+    section is a divisor of orbits, the zeros of the restricted form on every
+    component plus infinity for a degree deficit, and each loop is the
+    product of its Mobius factors over them, by resultants at the known
+    node coordinates (MobiusFactor.over_roots)."""
     k = inp.k
     field, i = inp.sqrt_minus_one
     emb = embed(k, field) if field != k else None
@@ -585,54 +583,32 @@ def genus4_direct_table(inp):
         return p.map_coeffs(emb, field) if emb else p
 
     funcs = _genus4_local_functions(field, i)
-    h_zw = liftpoly(inp.eps.restrict_zw())
-    h_mzw = liftpoly(inp.eps.restrict_mzw())
-
-    # points of div(X+Y) on each component: roots of the restricted form,
-    # plus infinity with the degree deficit (every section has two points
-    # per component)
-    xy_points = {}
+    one = field.one()
+    xy_form = (one, one, field.zero(), field.zero())
+    # every section meets each component in two points, X + Y partly at
+    # infinity
+    xy = []
     for comp in range(3):
-        restricted = _restrict_linear(field, (field.one(), field.one(),
-                                              field.zero(), field.zero()), comp)
-        pts = list(roots(restricted))
-        pts += [INF] * (2 - restricted.degree)
-        xy_points[comp] = pts
+        restricted = _restrict_linear(field, xy_form, comp)
+        xy.append((comp, restricted.monic(), 1))
+        xy += [(comp, INF, 1)] * (2 - restricted.degree)
+    zw = [(1, liftpoly(inp.eps.restrict_zw()).monic(), 1)]
+    mzw = [(2, liftpoly(inp.eps.restrict_mzw()).monic(), 1)]
 
-    def eval_row_xy(gamma):
-        acc = field.one()
-        for comp, func in funcs[gamma].items():
-            for pt in xy_points[comp]:
-                acc = acc * func.value(pt)
-        return acc
+    nodes = {x.to_int(): x for factors in funcs.values() for f in factors
+             for x in (f.enter, f.leave) if x is not INF}
+    values = {}
 
-    def eval_row_section(gamma, component, section_poly):
-        func = funcs[gamma].get(component)
-        if func is None:
-            return field.one()
-        return func.product_over_roots(section_poly)
+    def values_at_nodes(H):
+        if H not in values:
+            values[H] = {key: H(x) for key, x in nodes.items()}
+        return values[H]
 
-    row_xy = tuple(eval_row_xy(g) for g in (1, 2, 3, 4))
-    row_zw = tuple(eval_row_section(g, 1, h_zw) for g in (1, 2, 3, 4))
-    row_mzw = tuple(eval_row_section(g, 2, h_mzw) for g in (1, 2, 3, 4))
+    def row(entries):
+        return tuple(product_of_factors(funcs[gamma], entries, one, values_at_nodes)
+                     for gamma in (1, 2, 3, 4))
 
-    def ratio(a, b):
-        return tuple(x / y for x, y in zip(a, b))
-
-    def prod(a, b):
-        return tuple(x * y for x, y in zip(a, b))
-
-    rows = {
-        "div(X+Y)": row_xy,
-        "div(Z-W)": row_zw,
-        "div(Z+W)": row_mzw,
-        "div((Z-W)/(Z+W))": ratio(row_zw, row_mzw),
-        "div((X+Y)/(Z+W))": ratio(row_xy, row_mzw),
-        "div((Z-W)/(X+Y))": ratio(row_zw, row_xy),
-        "div((Z^2-W^2)/(X+Y))": ratio(prod(row_zw, row_mzw), row_xy),
-        "div((Z+W)^2/(Z-W))": ratio(prod(row_mzw, row_mzw), row_zw),
-    }
-    return field, i, rows
+    return field, i, _table_rows(row(xy), row(zw), row(mzw))
 
 
 def _row_subgroup(inp, field, rows, name):
@@ -740,21 +716,12 @@ GENUS4_MATRIX = [[-4, 2, 2], [2, -4, 2], [2, 2, -4]]
 def genus4_fiber(inp):
     """Special fiber of the degenerate genus-4 curve: three lines on the
     quadric in a triangle, two nodes per pair, with the torus frame and
-    component-group generators for the engine."""
+    component-group generators for the engine.
+
+    The evaluation field is k(i), the field of the nodes, with the square
+    root of -1 the closed forms use; the sections enter as orbit entries."""
     k = inp.k
-    s = 2 if not inp.i_in_k else 1
-    h_zw = inp.eps.restrict_zw()
-    h_mzw = inp.eps.restrict_mzw()
-    for f, _ in factor(h_zw):
-        s = lcm(s, f.degree)
-    for f, _ in factor(h_mzw):
-        s = lcm(s, f.degree)
-    if inp.i_in_k:
-        s = lcm(s, 1)
-    E = extension(k, s)
-    emb = embed(k, E)
-    ifield, i_small = inp.sqrt_minus_one
-    iE = embed(ifield, E)(i_small)  # same square root of -1 as the closed forms
+    E, i = inp.sqrt_minus_one
     one = E.one()
     zero = E.zero()
     # components: 0 = X=Y line pair, 1 = Z=W, 2 = Z=-W
@@ -770,8 +737,8 @@ def genus4_fiber(inp):
     coords = [
         (one, one),
         (-one, -one),
-        (iE, iE),
-        (-iE, -iE),
+        (i, i),
+        (-i, -i),
         (INF, INF),
         (zero, zero),
     ]
@@ -797,23 +764,25 @@ def genus4_fiber(inp):
     phi = component_group(GENUS4_MATRIX)
 
     # specializations of the three sections
-    zw_roots = roots_in_extension(h_zw, s)
-    mzw_roots = roots_in_extension(h_mzw, s)
-    if len(zw_roots) != 6 or len(mzw_roots) != 6:
-        raise UnexpectedRootCount("a section does not meet its line in six points")
-    div_zw = SpecializedDivisor(fiber, [(1, rho, 1) for rho in zw_roots])
-    div_mzw = SpecializedDivisor(fiber, [(2, rho, 1) for rho in mzw_roots])
+    h_zw = inp.eps.restrict_zw()
+    h_mzw = inp.eps.restrict_mzw()
+    if h_zw.degree != 6 or h_mzw.degree != 6:
+        raise UnexpectedRootCount("a section does not meet its line in six finite points")
+    div_zw = SpecializedDivisor(fiber, [(1, h_zw, 1)])
+    div_mzw = SpecializedDivisor(fiber, [(2, h_mzw, 1)])
+    t = Poly(k, [0, 1])
     div_xy = SpecializedDivisor(fiber, [
-        (0, zero, 1), (0, INF, 1),
-        (1, iE, 1), (1, -iE, 1),
-        (2, emb(k.one()), 1), (2, -emb(k.one()), 1),
+        (0, t, 1), (0, INF, 1),
+        (1, Poly(k, [1, 0, 1]), 1),
+        (2, Poly(k, [-1, 0, 1]), 1),
     ])
     delta1 = phi.project((0, 1, -1))
     delta2 = phi.project((-1, -1, 2))
-    assert phi.element_order(delta1) == 6 and phi.element_order(delta2) == 2
     span = {phi.add(phi.scale(delta1, a), phi.scale(delta2, b))
             for a in range(6) for b in range(2)}
-    assert len(span) == 12
+    if (phi.element_order(delta1), phi.element_order(delta2), len(span)) != (6, 2, 12):
+        raise ComponentGroupMismatch(
+            "the generators of orders 6 and 2 do not span the component group")
     generators = [
         PhiGenerator(delta1, 6, (0, 1, -1), div_mzw - div_zw),
         PhiGenerator(delta2, 2, (-1, -1, 2), div_xy - div_mzw),

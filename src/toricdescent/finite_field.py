@@ -38,6 +38,13 @@ _LIMIT_ENV = "TORICDESCENT_FIELD_LIMIT"
 #: Marker for the point at infinity on a projective-line coordinate.
 INF = "oo"
 
+#: Bounds of the caches keyed by the user's prime, so that one process
+#: answering many primes stays bounded.  A run of the small-q benchmark
+#: workload touches about 21 fields and moduli, 19 embeddings and 16
+#: (field, order) pairs; the bounds leave several times that.
+FIELD_CACHE_SIZE = 128
+DERIVED_CACHE_SIZE = 256
+
 
 class FieldError(Exception):
     pass
@@ -170,7 +177,7 @@ def _binomials_can_be_irreducible(p, m):
     return m % 4 != 0 or p % 4 == 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _smallest_irreducible(p, m):
     """Monic irreducible of degree m over GF(p), smallest integer encoding of
     the non-leading coefficients.  Low coefficients first, leading 1 included.
@@ -295,7 +302,7 @@ class FiniteField:
         return hash((self.p, self.m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _cached_field(p, m):
     return FiniteField(p, m)
 
@@ -502,7 +509,7 @@ class Poly:
     The zero polynomial has degree -1.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field, coeffs):
         cs = [c if isinstance(c, FieldElement) else field(c) for c in coeffs]
@@ -510,6 +517,7 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+        self._hash = None
 
     @property
     def degree(self):
@@ -531,8 +539,10 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m,
-                     tuple(c.to_int() for c in self.coeffs)))
+        if self._hash is None:
+            self._hash = hash((self.field.p, self.field.m,
+                               tuple(c.to_int() for c in self.coeffs)))
+        return self._hash
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -875,7 +885,7 @@ class Embedding:
         return self.sub.from_coeffs(sol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DERIVED_CACHE_SIZE)
 def _cached_embedding(p, msub, mbig):
     return Embedding(_cached_field(p, msub), _cached_field(p, mbig))
 
@@ -884,6 +894,23 @@ def embed(sub, big):
     if big.p != sub.p or big.m % sub.m != 0:
         raise NotASubfield(f"{sub} is not a subfield of {big}")
     return _cached_embedding(sub.p, sub.m, big.m)
+
+
+def embed_over(base, sub, big):
+    """An embedding of sub into big that restricts to embed(base, big) on the
+    common subfield base.  embed picks each embedding on its own, so
+    embed(sub, big) after embed(base, sub) can differ from embed(base, big)
+    by an automorphism; this is the Frobenius twist of embed(sub, big) that
+    agrees on the generator of base (the identity when sub is big)."""
+    if sub == big:
+        return lambda x: x
+    emb = embed(sub, big)
+    target = embed(base, big)(base.gen())
+    image = emb(embed(base, sub)(base.gen()))
+    for j in range(big.m):
+        if image.frob(j) == target:
+            return lambda x: emb(x).frob(j)
+    raise NotASubfield(f"{base} is not a common subfield of {sub} and {big}")
 
 
 def _solve_gfp(A, b, p):
@@ -917,16 +944,18 @@ def _solve_gfp(A, b, p):
     return x
 
 
-def roots_in_extension(f, s):
+def roots_in_extension(f, s, factors=None):
     """All roots of f (a Poly over GF(q)) lying in GF(q^s), with multiplicity,
-    sorted by encoding.  The returned elements live in extension(f.field, s)."""
+    sorted by encoding.  The returned elements live in extension(f.field, s).
+    factors is f's factorization as factor returns it, when the caller
+    already has it."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     base = f.field
     big = extension(base, s)
     emb = embed(base, big)
     found = []
-    for g, mult in factor(f):
+    for g, mult in (factor(f) if factors is None else factors):
         d = g.degree
         if d == 1:
             found.append((emb(-g.coeffs[0]), mult))
@@ -976,7 +1005,7 @@ def norm_to_subfield(x, s):
     return embed(sub, field).section(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DERIVED_CACHE_SIZE)
 def element_of_order(field, n):
     """Deterministic element of exact multiplicative order n (cached): the
     first w^((q-1)/n) of exact order n, w running through the encodings from 2.

@@ -7,13 +7,23 @@ Only the field layer and the combinatorial graph plumbing are shared with
 the engine; evaluation and membership are re-derived from first principles.
 The connecting-map lifts are shared input (the compensating-function recipe
 is the only route to them), and agreement claims are scoped accordingly.
+
+The engine's divisors are Galois orbits given by polynomials over k.  The
+oracle works with points: it lifts the fiber into a field that holds every
+point it needs (lift_fiber, field_degree) and finds the roots of each orbit
+there (divisor_points), which is affordable only at its tiny q.  The random
+divisors both are checked on come from random_divisor.
 """
 
-from .descent import (DivisorMeetsNode, phi_r_table, translate_to_degree_zero)
+from functools import lru_cache
+
+from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
+                      phi_r_table, translate_to_degree_zero)
 from .dual_graph import chain_decomposition, h1_basis, principal_cycle_generators
-from .finite_field import INF
+from .finite_field import (INF, Poly, embed, embed_over, extension, factor,
+                           roots_in_extension)
 from .torus import principal_component, _solve_rational
-from .zmat import poly_eval_int
+from .zmat import lcm, poly_eval_int
 
 
 class OracleError(Exception):
@@ -28,7 +38,160 @@ class NonzeroMultidegree(OracleError):
     pass
 
 
+class PointsOutsideField(OracleError):
+    pass
+
+
+class NotATorusPoint(OracleError):
+    pass
+
+
 ENUMERATION_LIMIT = 10 ** 6
+
+
+def field_degree(fiber, divisors):
+    """Degree over k of the field of the nodes and of every point of the
+    given orbit divisors: the least common multiple of the nodes' degree and
+    the degrees of the irreducible factors of every orbit polynomial."""
+    s = fiber.E.m // fiber.k.m
+    for divisor in divisors:
+        for _comp, H, _mult in divisor.entries:
+            if H is not INF:
+                for f, _ in factor(H):
+                    s = lcm(s, f.degree)
+    return s
+
+
+def generator_degree(fiber, generators):
+    """Degree over k of the oracle's field for a fiber: it holds the nodes
+    and the points of the generators' function divisors (the zeros of h).
+    random_divisor draws its points from the subfields of this field."""
+    return field_degree(fiber, [gen.f_divisor for gen in generators])
+
+
+def prepare(fiber, phi, generators, r):
+    """Everything exhaustive_divisibility needs for one fiber and target r:
+    (degree, lifted fiber, enumerated torus, connecting-map lifts), with
+    degree as in generator_degree."""
+    degree = generator_degree(fiber, generators)
+    ofiber = lift_fiber(fiber, degree)
+    torus = enumerate_torus(ofiber)
+    lifts = nu_lift_vectors(ofiber, torus, phi, generators, r)
+    return degree, ofiber, torus, lifts
+
+
+def lift_fiber(fiber, degree):
+    """The same fiber over GF(q^s), s = lcm(degree of the nodes, degree):
+    same graph, node coordinates embedded over k.  The fiber itself when its
+    field is already large enough."""
+    k = fiber.k
+    s = lcm(fiber.E.m // k.m, degree)
+    big = extension(k, s)
+    if big == fiber.E:
+        return fiber
+    emb = embed_over(k, fiber.E, big)
+    coords = [tuple(c if c is INF else emb(c) for c in pair)
+              for pair in fiber.node_coords]
+    return SpecialFiber(fiber.graph, k, big, coords)
+
+
+def divisor_points(divisor, fiber):
+    """The points of an orbit divisor, as (component, point, multiplicity)
+    with the points in the fiber's field: the roots of every orbit
+    polynomial, found there, with multiplicity."""
+    s = fiber.E.m // fiber.k.m
+    out = []
+    for comp, H, mult in divisor.entries:
+        if H is INF:
+            out.append((comp, INF, mult))
+            continue
+        points = _orbit_roots(H, s)
+        if len(points) != H.degree:
+            raise PointsOutsideField(
+                f"{len(points)} of the {H.degree} roots of an orbit lie in {fiber.E}")
+        out.extend((comp, point, mult) for point in points)
+    return out
+
+
+@lru_cache(maxsize=512)
+def _orbit_roots(H, s):
+    """The roots of a monic orbit polynomial in GF(q^s); cached, since the
+    random divisors of one fiber draw the same orbits again and again."""
+    if H.degree == 1:
+        return (embed(H.field, extension(H.field, s))(-H.coeffs[0]),)
+    return tuple(roots_in_extension(H, s))
+
+
+def _multidegree(points, fiber):
+    deg = [0] * fiber.graph.num_vertices
+    for comp, _point, mult in points:
+        deg[comp] += mult
+    return tuple(deg)
+
+
+def _frobenius_orbit(x, step):
+    """x, x^(p^step), x^(p^(2 step)), ... up to the first repetition."""
+    orbit = [x]
+    nxt = x.frob(step)
+    while nxt != x:
+        orbit.append(nxt)
+        nxt = nxt.frob(step)
+    return orbit
+
+
+def _conjugate_orbits(x, k):
+    """The minimal polynomials over k of the conjugates of x over GF(p),
+    each once: the Frobenius orbit of x over the prime field, grouped into
+    its orbits over k."""
+    field = x.field
+    if field == k:
+        # every conjugate is a point of k
+        return list({c.to_int(): Poly(k, [-c, k.one()])
+                     for c in _frobenius_orbit(x, 1)}.values())
+    emb = embed(k, field)
+    seen = set()
+    out = []
+    cur = x
+    for _ in range(k.m):
+        if cur.to_int() not in seen:
+            orbit = _frobenius_orbit(cur, k.m)
+            seen.update(y.to_int() for y in orbit)
+            H = Poly(field, [1])
+            for y in orbit:
+                H = H * Poly(field, [-y, field.one()])
+            out.append(Poly(k, [emb.section(c) for c in H.coeffs]))
+        cur = cur.frob(1)
+    return out
+
+
+def random_divisor(fiber, r, rng, degree):
+    """Random node-avoiding orbit divisor with multidegree in r*Z^v.
+
+    On every component, up to two draws: an element x of
+    GF(q^t), t in {1, 2} dividing `degree` (draws with t not dividing it are
+    skipped), whose conjugates over GF(p) enter with one random multiplicity
+    unless one of them is a node.  A multiple of the standard point of each
+    component then makes the multidegree divisible by r."""
+    k = fiber.k
+    entries = []
+    for comp in range(fiber.graph.num_vertices):
+        for _ in range(rng.randrange(0, 3)):
+            t = rng.choice([1, 2])
+            if degree % t:
+                continue
+            sub = extension(k, t)
+            orbits = _conjugate_orbits(sub.from_int(rng.randrange(sub.q)), k)
+            if any(fiber.meets_nodes(comp, H) for H in orbits):
+                continue
+            mult = rng.choice([-2, -1, 1, 2])
+            entries.extend((comp, H, mult) for H in orbits)
+    div = SpecializedDivisor(fiber, entries)
+    fix = []
+    for comp, dcomp in enumerate(div.multidegree):
+        rem = (-dcomp) % r
+        if rem:
+            fix.append((comp, fiber.standard_point(comp), rem))
+    return div + SpecializedDivisor(fiber, fix)
 
 
 def orbit_cycle_basis(graph):
@@ -172,22 +335,24 @@ def _plain_parameter_value(fiber, comp, enter_edge, leave_edge, point):
     return out
 
 
-def plain_cycle_value(cycle, divisor, fiber):
-    """Product of the unnormalized chain parameters over the divisor: the
-    scale-free companion of the engine's normalized evaluation, used for the
-    connecting-map lifts (whose coherence across an orbit matters)."""
+def plain_cycle_value(cycle, points, fiber):
+    """Product of the unnormalized chain parameters over the divisor's
+    points: the scale-free companion of the engine's normalized evaluation,
+    used for the connecting-map lifts (whose coherence across an orbit
+    matters)."""
     acc = fiber.E.one()
     for walk in chain_decomposition(cycle):
         for comp, enter_edge, leave_edge in walk:
-            for c, point, mult in divisor.points:
+            for c, point, mult in points:
                 if c == comp:
                     acc = acc * _plain_parameter_value(
                         fiber, comp, enter_edge, leave_edge, point) ** mult
     return acc
 
 
-def chain_evaluate(cycle, divisor, fiber):
-    """Evaluation through the chain-of-ratios construction.
+def chain_evaluate(cycle, points, fiber):
+    """Evaluation through the chain-of-ratios construction, on the points of
+    a divisor (see divisor_points).
 
     For each occurrence of a component, form the auxiliary product
     f(z) = prod over divisor points y of (t(z) - t(y))^mult, where t is the
@@ -196,9 +361,10 @@ def chain_evaluate(cycle, divisor, fiber):
     occurrences.  At its own pole node each f tends to 1 because the
     exponents on every component sum to zero, which is why the divisor must
     have zero multidegree."""
-    if any(divisor.multidegree):
+    deg = _multidegree(points, fiber)
+    if any(deg):
         raise NonzeroMultidegree(
-            f"chain evaluation needs zero multidegree, got {divisor.multidegree}")
+            f"chain evaluation needs zero multidegree, got {deg}")
     E = fiber.E
     total = E.one()
     for walk in chain_decomposition(cycle):
@@ -209,7 +375,7 @@ def chain_evaluate(cycle, divisor, fiber):
             # f_next evaluated where t_next vanishes (the shared node), times
             # 1/f_current at its pole (which is 1)
             acc = E.one()
-            for c, point, mult in divisor.points:
+            for c, point, mult in points:
                 if c == comp:
                     t_y = _plain_parameter_value(fiber, comp, enter_edge,
                                                  walk[nxt][2], point)
@@ -221,24 +387,29 @@ def chain_evaluate(cycle, divisor, fiber):
 def nu_lift_vectors(fiber, torus, phi, generators, r):
     """Value tuples, along the orbit basis, of the compensating principal
     divisors for every element of the r-torsion of the component group."""
+    gen_points = [divisor_points(gen.f_divisor, fiber) for gen in generators]
     out = []
-    for element, fdiv, _rep in phi_r_table(phi, generators, r, fiber):
-        vec = tuple(plain_cycle_value(cyc, fdiv, fiber) for cyc in torus.cycles)
+    for element, powers, _rep in phi_r_table(phi, generators, r, fiber):
+        points = [(c, pt, m * power) for power, pts in zip(powers, gen_points)
+                  if power for c, pt, m in pts]
+        vec = tuple(plain_cycle_value(cyc, points, fiber) for cyc in torus.cycles)
         out.append((element, vec))
     return out
 
 
 def exhaustive_divisibility(divisor, r, fiber, torus, lifts):
-    """Literal membership test: translate the divisor to multidegree zero,
-    read its torus point off by chain evaluation, and check membership in the
-    subgroup generated by r-th powers and the connecting-map lifts."""
+    """Literal membership test: translate the orbit divisor to multidegree
+    zero, read its torus point off by chain evaluation on its points in the
+    oracle's fiber, and check membership in the subgroup generated by r-th
+    powers and the connecting-map lifts."""
     if r == 1:
         return True
     if any(d % r for d in divisor.multidegree):
         raise NonzeroMultidegree("the oracle needs an r-divisible multidegree")
-    d0 = translate_to_degree_zero(divisor, r)
-    x = tuple(chain_evaluate(cyc, d0, fiber) for cyc in torus.cycles)
-    assert x in torus, "evaluation vector is not a rational torus point"
+    points = divisor_points(translate_to_degree_zero(divisor, r), fiber)
+    x = tuple(chain_evaluate(cyc, points, fiber) for cyc in torus.cycles)
+    if x not in torus:
+        raise NotATorusPoint("evaluation vector is not a rational torus point")
     generators = [torus.power(pt, r) for pt in torus.component_generators]
     generators += [vec for _el, vec in lifts]
     subgroup = {torus.key(torus.identity())}

@@ -2,9 +2,8 @@
 
 import random
 
-from toricdescent import descent, families
-from toricdescent.descent import SpecializedDivisor
-from toricdescent.finite_field import INF, Poly, embed, _cached_field
+from toricdescent import families, oracle
+from toricdescent.finite_field import Poly
 
 
 def random_hyperelliptic(k, d, rng):
@@ -29,38 +28,10 @@ def random_genus4(k, rng, r=2):
             continue
 
 
-def random_stable_divisor(fiber, r, rng, max_orbits=3):
-    """Galois-stable node-avoiding divisor with multidegree in r*Z^v."""
-    E = fiber.E
-    k = fiber.k
-    pts = []
-    for comp in range(fiber.graph.num_vertices):
-        nodes = {c.to_int() for c in fiber.component_node_coords(comp)
-                 if c is not INF}
-        for _ in range(rng.randrange(0, max_orbits)):
-            t = rng.choice([1, 2])
-            if E.m % (k.m * t):
-                continue
-            sub = _cached_field(k.p, k.m * t)
-            x0 = embed(sub, E)(sub.from_int(rng.randrange(sub.q)))
-            orbit = {x0.to_int()}
-            cur = x0
-            for _ in range(t * k.m):
-                cur = cur.frob(1)
-                orbit.add(cur.to_int())
-            if any(v in nodes for v in orbit):
-                continue
-            mult = rng.choice([-2, -1, 1, 2])
-            pts.extend((comp, E.from_int(v), mult) for v in orbit)
-    div = SpecializedDivisor(fiber, pts)
-    fix = []
-    for comp, dcomp in enumerate(div.multidegree):
-        rem = (-dcomp) % r
-        if rem:
-            fix.append((comp, fiber.standard_point(comp), rem))
-    div = div + SpecializedDivisor(fiber, fix)
-    assert div.is_galois_stable()
-    return div
+def random_divisor(fiber, gens, r, rng):
+    """A random orbit divisor (oracle.random_divisor) keyed, as the oracle
+    command keys it, to the field of the nodes and of the zeros of h."""
+    return oracle.random_divisor(fiber, r, rng, oracle.generator_degree(fiber, gens))
 
 
 def rng_for(name):

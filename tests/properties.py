@@ -1,11 +1,11 @@
 """Reusable property suites, parametrized by case count: module tests run
 them small, the acceptance suite runs them at full scale."""
 
-from conftest import random_hyperelliptic, random_stable_divisor, rng_for
+from conftest import random_divisor, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, zmat
 from toricdescent.descent import (SpecializedDivisor, build_local_function_system,
-                                  compute_nu, divisibility_verdict, gamma_class,
-                                  phi_r_table)
+                                  compensating_divisor, compute_nu,
+                                  divisibility_verdict, gamma_class, phi_r_table)
 from toricdescent.finite_field import INF, make_field
 
 
@@ -20,11 +20,11 @@ def run_base_point_independence(cases):
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M, _ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         r = rng.choice([2, 3])
-        D = random_stable_divisor(fiber, r, rng)
+        D = random_divisor(fiber, gens, r, rng)
         for comp in frame.components:
             c0 = gamma_class(D, comp, r)
             alt = descent.FrameComponent(fiber, comp.cycle, comp.char_poly,
@@ -46,15 +46,15 @@ def run_principal_triviality(cases):
             continue
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M, _ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         nodes = {c.to_int() for c in fiber.component_node_coords(0)}
         pts = []
         total = 0
         for _ in range(rng.randrange(1, 4)):
-            c = fiber.embed(k.from_int(rng.randrange(q)))
-            if c.to_int() in nodes:
+            c = k.from_int(rng.randrange(q))
+            if fiber.embed(c).to_int() in nodes:
                 continue
             mult = rng.choice([-2, -1, 1, 2])
             pts.extend([(0, c, mult), (1, c, mult),
@@ -78,12 +78,13 @@ def run_nu_additivity(cases):
         k = make_field(q)
         inp = random_hyperelliptic(k, 3, rng)
         try:
-            fiber, frame, phi, gens, M, _ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         r = 3
         rows = {}
-        for element, fdiv, rep in phi_r_table(phi, gens, r, fiber):
+        for element, powers, rep in phi_r_table(phi, gens, r, fiber):
+            fdiv = compensating_divisor(gens, powers, fiber)
             rows[element] = compute_nu(rep, fdiv, frame, r)
         for el1 in rows:
             for el2 in rows:
@@ -106,10 +107,10 @@ def run_orientation_flip(cases):
             continue
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M, _ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
-        D = random_stable_divisor(fiber, 2, rng)
+        D = random_divisor(fiber, gens, 2, rng)
         for comp in frame.components:
             flipped = build_local_function_system(-comp.cycle, fiber)
             v = comp.system.evaluate(D)

@@ -8,14 +8,14 @@ import time
 
 import properties
 
-from conftest import random_genus4, random_hyperelliptic, random_stable_divisor, rng_for
+from conftest import random_genus4, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, oracle
 from toricdescent.descent import DIVISIBLE, divisibility_verdict, translate_to_degree_zero
 from toricdescent.dual_graph import component_group
 from toricdescent.families import (
     ROW_NAMES, genus4_cuberoot, genus4_direct_table, genus4_table_eval,
     theta_bd, torsion_bd, validate_hyperelliptic)
-from toricdescent.finite_field import Poly, is_prime, make_field, roots
+from toricdescent.finite_field import Poly, embed_over, is_prime, make_field, roots
 from toricdescent.torus import (CharacterLattice, enumerate_rational_points,
                                 norm_lattice, principal_component,
                                 split_lattice, torus_order)
@@ -197,14 +197,13 @@ def test_criterion_7_oracle_agreement():
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M, _ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
-        torus = oracle.enumerate_torus(fiber)
-        lifts = oracle.nu_lift_vectors(fiber, torus, phi, gens, r)
-        D = random_stable_divisor(fiber, r, rng)
+        degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, r)
+        D = oracle.random_divisor(fiber, r, rng, degree)
         engine = divisibility_verdict(D, r, frame, phi, gens, M)
-        truth = oracle.exhaustive_divisibility(D, r, fiber, torus, lifts)
+        truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, lifts)
         assert (engine.outcome == DIVISIBLE) == truth
         instances += 1
         verdicts += 1
@@ -218,14 +217,18 @@ def test_criterion_7_oracle_agreement():
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, *_ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
+        degree = oracle.generator_degree(fiber, gens)
+        ofiber = oracle.lift_fiber(fiber, degree)
+        emb = embed_over(fiber.k, fiber.E, ofiber.E)
         for _ in range(5):
-            D0 = translate_to_degree_zero(random_stable_divisor(fiber, 1, rng), 1)
+            D0 = translate_to_degree_zero(oracle.random_divisor(fiber, 1, rng, degree), 1)
+            points = oracle.divisor_points(D0, ofiber)
             for comp in frame.components:
-                assert oracle.chain_evaluate(comp.cycle, D0, fiber) == \
-                    comp.system.evaluate(D0)
+                assert oracle.chain_evaluate(comp.cycle, points, ofiber) == \
+                    emb(comp.system.evaluate(D0))
                 comparisons += 1
     dt = time.time() - t0
     assert dt < 300.0

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from toricdescent import cli
+from toricdescent import cli, descent, oracle
 from toricdescent.parsing import (ParseError, format_univariate,
                                   parse_cubic_form, parse_univariate)
 
@@ -149,3 +149,73 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["phi"] == [3]
+
+
+def test_batch_keeps_one_line_per_request(tmp_path, capsys):
+    path = tmp_path / "requests.txt"
+    path.write_text(
+        "hyperelliptic --p 23 --g x^3-x --h x+2 --no-engine-check\n"
+        "hyperelliptic --p 3 --g x^3-x --h x+2\n"
+        "\n"
+        "# comments and blank lines are not requests\n"
+        "hyperelliptic --p 23 --g x**3 --h 1\n"
+        "component-group --matrix [[-3,3],[3,-3]]\n")
+    out = io.StringIO()
+    code = cli.run_line(["batch", str(path)], stream=out)
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(lines) == 4
+    assert lines[0]["verdicts"]["theta"] is True
+    assert lines[1] == {"schema_version": 1, "line": 2, "error": {
+        "kind": "hypothesis", "exit_code": cli.EXIT_HYPOTHESIS,
+        "message": lines[1]["error"]["message"]}}
+    assert lines[1]["error"]["message"].startswith("hypothesis violated")
+    assert lines[2]["line"] == 5 and lines[2]["error"]["kind"] == "syntax"
+    assert lines[2]["error"]["exit_code"] == cli.EXIT_SYNTAX
+    assert lines[3]["phi"] == [3]
+    assert code == cli.EXIT_HYPOTHESIS
+    assert "line 2:" in capsys.readouterr().err
+
+
+def test_batch_contains_unexpected_errors(tmp_path, monkeypatch):
+    path = tmp_path / "requests.txt"
+    path.write_text("component-group --matrix [[-3,3],[3,-3]]\n"
+                    "batch other.txt\n"
+                    "no-such-command --x 1\n"
+                    "torus --lattice {\"rank\":1,\"frobenius\":[[1]]} --q 7\n")
+
+    def crash(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "torus", crash)
+    out = io.StringIO()
+    code = cli.run_line(["batch", str(path)], stream=out)
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [line.get("error", {}).get("kind") for line in lines] == \
+        [None, "syntax", "syntax", "internal"]
+    assert lines[3]["error"] == {"kind": "internal", "exit_code": cli.EXIT_INTERNAL,
+                                 "message": "internal error: ZeroDivisionError: boom"}
+    assert code == cli.EXIT_SYNTAX
+
+
+@pytest.mark.parametrize("exc, kind, code", [
+    (descent.DivisorMeetsNode("h vanishes at a node"), "hypothesis", cli.EXIT_HYPOTHESIS),
+    (descent.UnsupportedTorus("not principal"), "hypothesis", cli.EXIT_HYPOTHESIS),
+    (oracle.TooLarge("too many points"), "invalid-input", cli.EXIT_SYNTAX),
+    # the engine or the oracle disagreeing with itself is not bad input
+    (oracle.NotATorusPoint("off the torus"), "internal", cli.EXIT_INTERNAL),
+    (oracle.PointsOutsideField("roots elsewhere"), "internal", cli.EXIT_INTERNAL),
+    (descent.DescentError("evaluation left the mu group"), "internal", cli.EXIT_INTERNAL),
+])
+def test_batch_error_kinds(tmp_path, monkeypatch, capsys, exc, kind, code):
+    path = tmp_path / "requests.txt"
+    path.write_text("torus --lattice {\"rank\":1,\"frobenius\":[[1]]} --q 7\n")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "torus", fail)
+    out = io.StringIO()
+    assert cli.run_line(["batch", str(path)], stream=out) == code
+    record = json.loads(out.getvalue())
+    assert (record["error"]["kind"], record["error"]["exit_code"]) == (kind, code)
+    capsys.readouterr()

@@ -162,6 +162,50 @@ def test_torsion_order_identity_split():
         count += 1
 
 
+def test_split_quartic_torsion_three_mod_four():
+    # the closed form for split g holds for every d, not only d | q - 1:
+    # gcd(d, q - 1) = 2 here
+    inp = hyp(27, (2, 1, 1, 0, 1), (0, 1), m=3, p=3)
+    assert torsion_bd(inp) == [26, 26, 104] == torsion_bd_engine(inp)
+    rng = rng_for("split-quartic-3mod4")
+    count = 0
+    while count < 24:
+        q = rng.choice([7, 11, 19, 27])
+        p, m = (3, 3) if q == 27 else (q, 1)
+        k = make_field(p, m)
+        alphas = rng.sample(range(q), 4)
+        g = Poly(k, [1])
+        for a in alphas:
+            g = g * Poly(k, [-k.from_int(a), k.one()])
+        e = rng.randrange(0, 9)
+        h = Poly(k, [k.from_int(rng.randrange(q)) for _ in range(e)]
+                 + [k.from_int(rng.randrange(1, q))])
+        try:
+            inp = validate_hyperelliptic(k, g, h)
+        except FamilyError:
+            continue
+        assert torsion_bd(inp) == torsion_bd_engine(inp), (q, g, h)
+        count += 1
+
+
+def test_engine_field_is_the_node_field():
+    # irreducible quintic g with a sextic h over GF(11): the nodes need
+    # GF(11^5); the zeros of h would have needed GF(11^30)
+    k = make_field(11)
+    g = next(f for f in _monic_polys_without_rational_roots(k, 5)
+             if len(factor(f)) == 1)
+    h = next(f for f in _monic_polys_without_rational_roots(k, 6)
+             if len(factor(f)) == 1 and g.gcd(f).degree == 0)
+    inp = validate_hyperelliptic(k, g, h)
+    fiber = families.hyperelliptic_fiber(inp)[0]
+    assert fiber.E.m == 5
+    assert theta_bd(inp) == theta_bd_engine(inp)
+    assert torsion_bd(inp) == torsion_bd_engine(inp)
+    # genus 4 at q = 3 mod 4: the nodes +-i need k(i) = GF(49)
+    k7 = make_field(7)
+    assert families.genus4_fiber(validate_genus4(k7, eps0(k7)))[0].E.m == 2
+
+
 @pytest.mark.slow
 def test_hyperelliptic_closed_vs_engine_500():
     rng = rng_for("bd-cross-check")
@@ -309,16 +353,35 @@ def test_sqrt_of_minus_one_root_count_is_checked(monkeypatch):
 
 def test_hyperelliptic_fiber_root_count_is_checked(monkeypatch):
     inp = hyp(7, (0, -1, 0, 1), (2, 1))
-    monkeypatch.setattr(families, "roots_in_extension", lambda f, s: [])
+    monkeypatch.setattr(families, "roots_in_extension", lambda f, s, factors=None: [])
     with pytest.raises(families.UnexpectedRootCount):
         families.hyperelliptic_fiber(inp)
 
 
-def test_genus4_fiber_root_count_is_checked(monkeypatch):
-    inp = validate_genus4(make_field(7), eps0(make_field(7)))
-    monkeypatch.setattr(families, "roots_in_extension", lambda f, s: [])
+def test_genus4_fiber_section_degree_is_checked():
+    # past validation: without X^3 the section along Z = W has degree 5, one
+    # of its points at the node at infinity
+    k = make_field(7)
+    eps = CubicForm(k, {(0, 3, 0, 0): 1, (0, 0, 2, 1): 1, (1, 1, 1, 0): 1})
     with pytest.raises(families.UnexpectedRootCount):
-        families.genus4_fiber(inp)
+        families.genus4_fiber(families.Genus4Input(k, eps))
+
+
+def test_cubic_form_coefficient_count_is_checked():
+    with pytest.raises(families.WrongCoefficientCount):
+        CubicForm.from_vector(make_field(7), [1] * 19)
+
+
+def test_genus4_generator_check_is_a_typed_error(monkeypatch):
+    from toricdescent import cli
+    # a triangle with three nodes per pair has component group Z/3 + Z/9:
+    # the generators of orders 6 and 2 no longer split it
+    monkeypatch.setattr(families, "GENUS4_MATRIX", [[-6, 3, 3], [3, -6, 3], [3, 3, -6]])
+    k = make_field(7)
+    with pytest.raises(families.ComponentGroupMismatch):
+        families.genus4_fiber(validate_genus4(k, eps0(k)))
+    assert cli.run_line(["genus4", "--q", "7", "--eps", "X^3+Y^3+W*Z^2"]) == \
+        cli.EXIT_HYPOTHESIS
 
 
 def test_typed_errors_keep_their_exit_code_under_optimization():

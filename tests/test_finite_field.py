@@ -347,3 +347,30 @@ def test_element_of_order_skips_the_prime_field():
         eta = element_of_order(K, K.q - 1)
         assert eta == next(w for w in (K.from_int(c) for c in range(2, K.q))
                            if w.multiplicative_order() == K.q - 1)
+
+
+def test_prime_keyed_caches_stay_bounded():
+    import io
+
+    from toricdescent import cli, finite_field
+
+    caches = [finite_field._smallest_irreducible, finite_field._cached_field,
+              finite_field._cached_embedding, finite_field.element_of_order]
+    primes = [p for p in range(1000, 4000) if finite_field.is_prime(p)][:300]
+
+    def report(p):
+        out = io.StringIO()
+        cli.run_line(["hyperelliptic", "--p", str(p), "--g", "x^3-x-1", "--h", "x+2",
+                      "--no-engine-check", "--json"], stream=out)
+        return out.getvalue()
+
+    first = report(primes[0])
+    for p in primes[1:]:
+        report(p)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    # the fields of the first prime were evicted and come back unchanged
+    assert finite_field._cached_field.cache_info().currsize == \
+        finite_field.FIELD_CACHE_SIZE
+    assert report(primes[0]) == first

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import random_hyperelliptic, random_stable_divisor, rng_for
+from conftest import random_divisor, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, oracle
 from toricdescent.descent import DIVISIBLE, SpecializedDivisor, divisibility_verdict
-from toricdescent.finite_field import Poly, make_field
+from toricdescent.finite_field import Poly, embed_over, make_field
 
 
 def build(q, gcoeffs, hcoeffs):
@@ -63,7 +63,7 @@ def test_chain_evaluate_hand_example():
     D = SpecializedDivisor(fiber, [(0, E(2), 1), (0, E(3), -1)])
     loop = next(c for c in frame.components
                 if c.cycle.vector in ((-1, 1, 0), (1, -1, 0)))
-    value = oracle.chain_evaluate(loop.cycle, D, fiber)
+    value = oracle.chain_evaluate(loop.cycle, oracle.divisor_points(D, fiber), fiber)
     direct = loop.system.evaluate(D)
     assert value == direct
     assert value.to_int() in (3, 2)  # 4/3 = 3, or its inverse for the flip
@@ -73,7 +73,8 @@ def test_chain_requires_zero_multidegree():
     _, (fiber, frame, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
     D = SpecializedDivisor(fiber, [(0, fiber.standard_point(0), 2)])
     with pytest.raises(oracle.NonzeroMultidegree):
-        oracle.chain_evaluate(frame.components[0].cycle, D, fiber)
+        oracle.chain_evaluate(frame.components[0].cycle,
+                              oracle.divisor_points(D, fiber), fiber)
 
 
 def test_chain_equals_system_on_random_divisors():
@@ -87,14 +88,19 @@ def test_chain_equals_system_on_random_divisors():
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, *_ = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
-        D = random_stable_divisor(fiber, 1, rng)
+        D = random_divisor(fiber, gens, 1, rng)
         D0 = descent.translate_to_degree_zero(D, 1)
+        # the oracle evaluates on points in a field that holds them, the
+        # engine by resultants in the field of the nodes
+        ofiber = oracle.lift_fiber(fiber, oracle.field_degree(fiber, [D0]))
+        points = oracle.divisor_points(D0, ofiber)
+        emb = embed_over(fiber.k, fiber.E, ofiber.E)
         for comp in frame.components:
-            assert oracle.chain_evaluate(comp.cycle, D0, fiber) == \
-                comp.system.evaluate(D0)
+            assert oracle.chain_evaluate(comp.cycle, points, ofiber) == \
+                emb(comp.system.evaluate(D0))
             checks += 1
     assert checks >= 300
 
@@ -112,15 +118,14 @@ def test_exhaustive_agreement_smoke():
                     continue
                 inp = random_hyperelliptic(k, d, rng)
                 try:
-                    fiber, frame, phi, gens, M, _ = families.hyperelliptic_fiber(inp)
+                    fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
                 except dual_graph.NotSupported:
                     continue
-                torus = oracle.enumerate_torus(fiber)
-                lifts = oracle.nu_lift_vectors(fiber, torus, phi, gens, r)
+                degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, r)
                 for _ in range(4):
-                    D = random_stable_divisor(fiber, r, rng)
+                    D = oracle.random_divisor(fiber, r, rng, degree)
                     engine = divisibility_verdict(D, r, frame, phi, gens, M)
-                    truth = oracle.exhaustive_divisibility(D, r, fiber, torus, lifts)
+                    truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, lifts)
                     total += 1
                     agree += ((engine.outcome == DIVISIBLE) == truth)
     assert total >= 20 and agree == total
@@ -157,9 +162,32 @@ def test_enumerated_structure_matches_lattice_enumeration():
 
 
 def test_identity_and_r1_trivially_divisible():
-    _, (fiber, frame, phi, gens, M, _) = build(5, (0, -1, 0, 1), (3, 1))
-    torus = oracle.enumerate_torus(fiber)
-    lifts = oracle.nu_lift_vectors(fiber, torus, phi, gens, 2)
+    _, (fiber, frame, phi, gens, M) = build(5, (0, -1, 0, 1), (3, 1))
+    _degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, 2)
     empty = SpecializedDivisor(fiber, [])
-    assert oracle.exhaustive_divisibility(empty, 2, fiber, torus, lifts)
-    assert oracle.exhaustive_divisibility(empty, 1, fiber, torus, lifts)
+    assert oracle.exhaustive_divisibility(empty, 2, ofiber, torus, lifts)
+    assert oracle.exhaustive_divisibility(empty, 1, ofiber, torus, lifts)
+
+
+def test_lift_over_a_tower_keeps_the_nodes_on_g():
+    # over GF(25), g irreducible of degree 3 with a coefficient outside GF(5)
+    # and h = x^2 - c irreducible: the nodes lie in GF(25^3), the zeros of h
+    # in GF(25^2), and the oracle lifts the fiber into GF(25^6); the lifted
+    # nodes must still be roots of g under k's own embedding there
+    from toricdescent.finite_field import embed, factor, power_residue
+    k = make_field(5, 2)
+    g = next(f for f in (Poly(k, [k.from_int(c), k.gen(), 0, 1]) for c in range(1, 25))
+             if len(factor(f)) == 1)
+    c = next(k.from_int(n) for n in range(1, 25) if not power_residue(k.from_int(n), 2))
+    inp = families.validate_hyperelliptic(k, g, Poly(k, [-c, 0, 1]))
+    fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+    degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, 2)
+    assert (fiber.E.m, ofiber.E.m) == (6, 12)
+    g_big = g.map_coeffs(embed(k, ofiber.E), ofiber.E)
+    assert all(g_big(a).is_zero() for a, _b in ofiber.node_coords)
+    rng = rng_for("oracle-tower")
+    for _ in range(4):
+        D = oracle.random_divisor(fiber, 2, rng, degree)
+        engine = divisibility_verdict(D, 2, frame, phi, gens, M)
+        assert (engine.outcome == DIVISIBLE) == \
+            oracle.exhaustive_divisibility(D, 2, ofiber, torus, lifts)
