@@ -217,13 +217,13 @@ def run_oracle(args):
     h = _poly_from_text(k, args.h)
     inp = validate_hyperelliptic(k, g, h, r=args.r)
     fiber, frame, phi, gens, matrix = families.hyperelliptic_fiber(inp)
-    degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, args.r)
+    degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, args.r)
     rng = random.Random(args.seed)
     agreements = 0
     for _ in range(args.trials):
         div = oracle.random_divisor(fiber, args.r, rng, degree)
         verdict = descent.divisibility_verdict(div, args.r, frame, phi, gens, matrix)
-        truth = oracle.exhaustive_divisibility(div, args.r, ofiber, torus, lifts)
+        truth = oracle.exhaustive_divisibility(div, args.r, ofiber, torus, subgroup)
         if (verdict.outcome == descent.DIVISIBLE) == truth:
             agreements += 1
     report = {

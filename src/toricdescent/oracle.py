@@ -3,6 +3,11 @@ streamlined engine: torus points by direct enumeration of equivariant
 homomorphisms, cycle evaluation through the chain-of-ratios construction,
 and divisibility by literal subgroup closure.
 
+Cost, per request: prepare enumerates the torus (every point is checked for
+equivariance) and closes the subgroup that r-th powers and the
+connecting-map lifts generate, once for the fiber and r.  Each trial then
+pays for one chain evaluation on the divisor's points and a set lookup.
+
 Only the field layer and the combinatorial graph plumbing are shared with
 the engine; evaluation and membership are re-derived from first principles.
 The connecting-map lifts are shared input (the compensating-function recipe
@@ -46,6 +51,10 @@ class NotATorusPoint(OracleError):
     pass
 
 
+class NotEquivariant(OracleError):
+    pass
+
+
 ENUMERATION_LIMIT = 10 ** 6
 
 
@@ -71,13 +80,32 @@ def generator_degree(fiber, generators):
 
 def prepare(fiber, phi, generators, r):
     """Everything exhaustive_divisibility needs for one fiber and target r:
-    (degree, lifted fiber, enumerated torus, connecting-map lifts), with
-    degree as in generator_degree."""
+    (degree, lifted fiber, enumerated torus, subgroup), with degree as in
+    generator_degree.  The subgroup is the frozenset of the keys
+    (EnumeratedTorus.key) of the torus points that r-th powers and the
+    connecting-map lifts generate, found by literal closure."""
     degree = generator_degree(fiber, generators)
     ofiber = lift_fiber(fiber, degree)
     torus = enumerate_torus(ofiber)
-    lifts = nu_lift_vectors(ofiber, torus, phi, generators, r)
-    return degree, ofiber, torus, lifts
+    powers = [torus.power(pt, r) for pt in torus.component_generators]
+    lifts = [vec for _el, vec in nu_lift_vectors(ofiber, torus, phi, generators, r)]
+    unique = {torus.key(pt): pt for pt in powers + lifts}
+    return degree, ofiber, torus, _closure(torus, list(unique.values()))
+
+
+def _closure(torus, generators):
+    """Keys of the subgroup of the torus that the given points generate."""
+    subgroup = {torus.key(torus.identity())}
+    frontier = [torus.identity()]
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = torus.mul(cur, g)
+            key = torus.key(nxt)
+            if key not in subgroup:
+                subgroup.add(key)
+                frontier.append(nxt)
+    return frozenset(subgroup)
 
 
 def lift_fiber(fiber, degree):
@@ -251,10 +279,12 @@ class EnumeratedTorus:
 def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
     """All rational torus points: choose a root of unity of the right order
     for each orbit generator and spread it along the orbit by the q-power
-    rule.  Every tuple is verified to be equivariant for the Galois action on
-    the cycle lattice."""
+    rule, applied as the q-th power Frobenius.  Every tuple is verified to be
+    equivariant for the Galois action on the cycle lattice, with q-th powers
+    taken literally."""
     graph = fiber.graph
     q = fiber.k.q
+    m = fiber.k.m
     cycles, layout = orbit_cycle_basis(graph)
     total = 1
     for _start, _rank, fpoly in layout:
@@ -275,7 +305,7 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
             spread = cur
             for _ in range(rank):
                 block.append(spread)
-                spread = spread ** q
+                spread = spread.frob(m)
             values.append(tuple(block))
             cur = cur * eta
         blocks.append(values)
@@ -287,7 +317,8 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
     points = [()]
     for values in blocks:
         points = [head + block for head in points for block in values]
-    assert len(points) == total
+    if len(points) != total:
+        raise NotATorusPoint(f"enumerated {len(points)} points, the torus has {total}")
     torus = EnumeratedTorus(fiber, cycles, layout, points, component_generators)
     _verify_equivariance(torus)
     return torus
@@ -303,7 +334,9 @@ def _verify_equivariance(torus):
     for cyc in torus.cycles:
         img = list(coords(graph.sigma_cycle(cyc)))
         sol = _solve_rational(orbit_coords, img)
-        assert sol is not None and all(c.denominator == 1 for c in sol)
+        if sol is None or any(c.denominator != 1 for c in sol):
+            raise NotEquivariant("Frobenius does not map the orbit basis into "
+                                 "its integer span")
         sigma_in_basis.append([int(c) for c in sol])
     for point in torus.points:
         for j in range(len(torus.cycles)):
@@ -311,7 +344,8 @@ def _verify_equivariance(torus):
             for c, v in zip(sigma_in_basis[j], point):
                 if c:
                     value = value * v ** c
-            assert value == point[j] ** q, "enumerated point is not equivariant"
+            if value != point[j] ** q:
+                raise NotEquivariant("enumerated point is not equivariant")
 
 
 def _plain_parameter_value(fiber, comp, enter_edge, leave_edge, point):
@@ -397,11 +431,11 @@ def nu_lift_vectors(fiber, torus, phi, generators, r):
     return out
 
 
-def exhaustive_divisibility(divisor, r, fiber, torus, lifts):
+def exhaustive_divisibility(divisor, r, fiber, torus, subgroup):
     """Literal membership test: translate the orbit divisor to multidegree
     zero, read its torus point off by chain evaluation on its points in the
-    oracle's fiber, and check membership in the subgroup generated by r-th
-    powers and the connecting-map lifts."""
+    oracle's fiber, and look it up in the subgroup generated by r-th powers
+    and the connecting-map lifts (see prepare)."""
     if r == 1:
         return True
     if any(d % r for d in divisor.multidegree):
@@ -410,16 +444,4 @@ def exhaustive_divisibility(divisor, r, fiber, torus, lifts):
     x = tuple(chain_evaluate(cyc, points, fiber) for cyc in torus.cycles)
     if x not in torus:
         raise NotATorusPoint("evaluation vector is not a rational torus point")
-    generators = [torus.power(pt, r) for pt in torus.component_generators]
-    generators += [vec for _el, vec in lifts]
-    subgroup = {torus.key(torus.identity())}
-    frontier = [torus.identity()]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = torus.mul(cur, g)
-            key = torus.key(nxt)
-            if key not in subgroup:
-                subgroup.add(key)
-                frontier.append(nxt)
     return torus.key(x) in subgroup

@@ -205,9 +205,6 @@ class MuGroup:
         self.host = host
         self.generator = generator
 
-    def contains(self, x):
-        return x ** self.order == self.host.one()
-
     def __repr__(self):
         return f"MuGroup(order={self.order}, host={self.host})"
 

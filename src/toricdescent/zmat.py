@@ -29,26 +29,6 @@ def mat_vec(A, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def mat_eq(A, B):
-    return A == B
-
-
-def mat_pow(A, k):
-    n = len(A)
-    out = identity(n)
-    base = mat_copy(A)
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def det(A):
     """Determinant by fraction-free Bareiss elimination."""
     n = len(A)
@@ -274,13 +254,6 @@ def gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-def gcd_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 def lcm(a, b):

@@ -200,10 +200,10 @@ def test_criterion_7_oracle_agreement():
             fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
-        degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, r)
+        degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, r)
         D = oracle.random_divisor(fiber, r, rng, degree)
         engine = divisibility_verdict(D, r, frame, phi, gens, M)
-        truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, lifts)
+        truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup)
         assert (engine.outcome == DIVISIBLE) == truth
         instances += 1
         verdicts += 1

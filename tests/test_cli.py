@@ -102,6 +102,19 @@ def test_oracle_command():
     assert rep["agreements"] == rep["trials"] == 4
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["oracle", "--q", "5", "--g", "x^3-x", "--h", "x+3", "--trials", "20"],
+     '{"agreements":20,"command":"oracle","q":5,"r":2,"schema_version":1,'
+     '"torus_order":16,"torus_points":16,"trials":20}\n'),
+    (["oracle", "--q", "7", "--g", "x^4-x", "--h", "x^3+2", "--r", "3", "--trials", "20"],
+     '{"agreements":20,"command":"oracle","q":7,"r":3,"schema_version":1,'
+     '"torus_order":216,"torus_points":216,"trials":20}\n'),
+])
+def test_oracle_report_is_pinned(argv, expected):
+    # reports as the oracle gave them when it closed the subgroup per trial
+    assert run_cli(argv + ["--json"]) == (0, expected)
+
+
 def test_exit_codes():
     code, _ = run_cli(["hyperelliptic", "--p", "3", "--g", "x^3-x", "--h", "x+2"])
     assert code == cli.EXIT_HYPOTHESIS

@@ -105,9 +105,10 @@ def test_chain_equals_system_on_random_divisors():
     assert checks >= 300
 
 
-def test_exhaustive_agreement_smoke():
+def smoke_cases():
+    """The smoke set: (fiber data, r, prepare's output, four random divisors)
+    for random curves over q in {3, 5, 7}, d in {3, 4} and r in {2, 3}."""
     rng = rng_for("oracle-smoke")
-    agree = total = 0
     for q in (3, 5, 7):
         k = make_field(q)
         for d in (3, 4):
@@ -118,17 +119,84 @@ def test_exhaustive_agreement_smoke():
                     continue
                 inp = random_hyperelliptic(k, d, rng)
                 try:
-                    fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+                    data = families.hyperelliptic_fiber(inp)
                 except dual_graph.NotSupported:
                     continue
-                degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, r)
-                for _ in range(4):
-                    D = oracle.random_divisor(fiber, r, rng, degree)
-                    engine = divisibility_verdict(D, r, frame, phi, gens, M)
-                    truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, lifts)
-                    total += 1
-                    agree += ((engine.outcome == DIVISIBLE) == truth)
+                fiber, _frame, phi, gens, _M = data
+                prepared = oracle.prepare(fiber, phi, gens, r)
+                divisors = [oracle.random_divisor(fiber, r, rng, prepared[0])
+                            for _ in range(4)]
+                yield data, r, prepared, divisors
+
+
+def test_exhaustive_agreement_smoke():
+    agree = total = 0
+    for (_fiber, frame, phi, gens, M), r, prepared, divisors in smoke_cases():
+        _degree, ofiber, torus, subgroup = prepared
+        for D in divisors:
+            engine = divisibility_verdict(D, r, frame, phi, gens, M)
+            truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup)
+            total += 1
+            agree += ((engine.outcome == DIVISIBLE) == truth)
     assert total >= 20 and agree == total
+
+
+def closure_per_trial(torus, lifts, r):
+    """The subgroup as the oracle once built it inside every trial: closure
+    from the identity under the r-th powers of the component generators and
+    every lift, duplicates included."""
+    generators = [torus.power(pt, r) for pt in torus.component_generators]
+    generators += [vec for _el, vec in lifts]
+    subgroup = {torus.key(torus.identity())}
+    frontier = [torus.identity()]
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = torus.mul(cur, g)
+            key = torus.key(nxt)
+            if key not in subgroup:
+                subgroup.add(key)
+                frontier.append(nxt)
+    return subgroup
+
+
+def test_subgroup_equals_per_trial_closure():
+    cases = 0
+    for (fiber, _frame, phi, gens, _M), r, prepared, divisors in smoke_cases():
+        _degree, ofiber, torus, subgroup = prepared
+        lifts = oracle.nu_lift_vectors(ofiber, torus, phi, gens, r)
+        reference = closure_per_trial(torus, lifts, r)
+        assert subgroup == reference
+        for D in divisors:
+            points = oracle.divisor_points(descent.translate_to_degree_zero(D, r), ofiber)
+            x = tuple(oracle.chain_evaluate(cyc, points, ofiber) for cyc in torus.cycles)
+            assert oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup) == \
+                (torus.key(x) in reference)
+        cases += 1
+    assert cases >= 5
+
+
+def test_one_closure_per_request(monkeypatch, capsys):
+    # every EnumeratedTorus.mul of a request belongs to the closure; a
+    # request with 20 trials makes exactly as many as one prepare does
+    from toricdescent import cli
+    calls = []
+    mul = oracle.EnumeratedTorus.mul
+    monkeypatch.setattr(oracle.EnumeratedTorus, "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    _, (fiber, _frame, phi, gens, _M) = build(5, (0, -1, 0, 1), (3, 1))
+    oracle.prepare(fiber, phi, gens, 2)
+    per_closure = len(calls)
+    calls.clear()
+    trials = []
+    exhaustive = oracle.exhaustive_divisibility
+    monkeypatch.setattr(oracle, "exhaustive_divisibility",
+                        lambda *args: trials.append(1) or exhaustive(*args))
+    assert cli.run_line(["oracle", "--q", "5", "--g", "x^3-x", "--h", "x+3",
+                         "--trials", "20", "--json"]) == 0
+    capsys.readouterr()
+    assert len(trials) == 20
+    assert per_closure > 0 and len(calls) == per_closure
 
 
 def test_enumerated_structure_matches_lattice_enumeration():
@@ -163,10 +231,10 @@ def test_enumerated_structure_matches_lattice_enumeration():
 
 def test_identity_and_r1_trivially_divisible():
     _, (fiber, frame, phi, gens, M) = build(5, (0, -1, 0, 1), (3, 1))
-    _degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, 2)
+    _degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, 2)
     empty = SpecializedDivisor(fiber, [])
-    assert oracle.exhaustive_divisibility(empty, 2, ofiber, torus, lifts)
-    assert oracle.exhaustive_divisibility(empty, 1, ofiber, torus, lifts)
+    assert oracle.exhaustive_divisibility(empty, 2, ofiber, torus, subgroup)
+    assert oracle.exhaustive_divisibility(empty, 1, ofiber, torus, subgroup)
 
 
 def test_lift_over_a_tower_keeps_the_nodes_on_g():
@@ -181,7 +249,7 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
     c = next(k.from_int(n) for n in range(1, 25) if not power_residue(k.from_int(n), 2))
     inp = families.validate_hyperelliptic(k, g, Poly(k, [-c, 0, 1]))
     fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
-    degree, ofiber, torus, lifts = oracle.prepare(fiber, phi, gens, 2)
+    degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, 2)
     assert (fiber.E.m, ofiber.E.m) == (6, 12)
     g_big = g.map_coeffs(embed(k, ofiber.E), ofiber.E)
     assert all(g_big(a).is_zero() for a, _b in ofiber.node_coords)
@@ -190,4 +258,24 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
         D = oracle.random_divisor(fiber, 2, rng, degree)
         engine = divisibility_verdict(D, 2, frame, phi, gens, M)
         assert (engine.outcome == DIVISIBLE) == \
-            oracle.exhaustive_divisibility(D, 2, ofiber, torus, lifts)
+            oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
+
+
+def test_verify_equivariance_survives_python_O():
+    # over GF(5) with g irreducible, Frobenius permutes the cycles, and a
+    # point with the same non-rational value on every cycle is not
+    # equivariant; the check must raise even with asserts stripped
+    import subprocess
+    import sys
+    code = ("from toricdescent import families, oracle\n"
+            "from toricdescent.finite_field import Poly, make_field\n"
+            "k = make_field(5)\n"
+            "inp = families.validate_hyperelliptic(k, Poly(k, [1, 1, 0, 1]), Poly(k, [3, 1]))\n"
+            "torus = oracle.enumerate_torus(families.hyperelliptic_fiber(inp)[0])\n"
+            "torus.points[-1] = (torus.fiber.E.gen(),) * len(torus.cycles)\n"
+            "try:\n"
+            "    oracle._verify_equivariance(torus)\n"
+            "except oracle.NotEquivariant:\n"
+            "    raise SystemExit(7)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
