@@ -23,7 +23,7 @@ from .families import (CubicForm, FamilyError, genus4_report,
 from .finite_field import FieldError, Poly, make_field
 from .parsing import ParseError, format_univariate, parse_cubic_form, parse_univariate
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
-                    frobenius_char_poly, mu_group, torus_order,
+                    frobenius_char_poly, mu_group, prime_power, torus_order,
                     principal_component, verify_principal_decomposition,
                     EnumerationLimitExceeded)
 
@@ -105,12 +105,23 @@ def build_parser():
     return parser
 
 
+#: the parser every request of this process is parsed with, built on first use
+_PARSER = None
+
+
+def _parser():
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _field_from_args(args):
     if getattr(args, "p", None):
         return make_field(args.p), True
     q = args.q
     from .zmat import factorize
-    fac = factorize(q)
+    fac = factorize(q) if q >= 2 else {}
     if len(fac) != 1:
         raise FieldError(f"{q} is not a prime power")
     [(p, m)] = fac.items()
@@ -165,6 +176,7 @@ def run_component_group(args):
 
 
 def run_torus(args):
+    prime_power(args.q)
     try:
         data = json.loads(args.lattice)
     except json.JSONDecodeError as exc:
@@ -282,9 +294,8 @@ RUNNERS = {
 
 
 def run_line(argv, stream=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_SYNTAX if exc.code else EXIT_OK
     return dispatch(args, stream=stream)
@@ -344,7 +355,7 @@ def _batch_line(number, line, stream):
     captured = io.StringIO()
     try:
         with contextlib.redirect_stderr(captured), contextlib.redirect_stdout(captured):
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit:
         lines = captured.getvalue().strip().splitlines()
         return error("syntax", EXIT_SYNTAX,
@@ -363,9 +374,8 @@ def _batch_line(number, line, stream):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         raise SystemExit(EXIT_SYNTAX if exc.code else EXIT_OK)
     raise SystemExit(dispatch(args))

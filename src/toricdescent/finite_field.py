@@ -1,11 +1,15 @@
 """Exact arithmetic in small finite fields GF(p^m) and univariate polynomial
 algebra over them.
 
-Elements are coefficient vectors over GF(p) with respect to the power basis of
-a fixed monic irreducible modulus.  The modulus for GF(p^m) is the
+Elements are tuples of m Python ints in [0, p): the coefficients over GF(p)
+with respect to the power basis of a fixed monic irreducible modulus.  At the
+field sizes used here (evaluation fields of degree a few over GF(p)), plain
+int arithmetic costs less than array machinery, so the module needs nothing
+beyond the standard library.  The modulus for GF(p^m) is the
 lexicographically smallest monic irreducible of degree m, where candidates are
 ordered by the integer encoding sum(c_i * p^i) of their non-leading
-coefficients; this makes every derived quantity reproducible across runs.
+coefficients; this makes every derived quantity reproducible across runs.  The
+search for it runs on Poly over GF(p), whose modulus x needs no search.
 
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
 the smallest root of the subfield modulus in the big field.
@@ -25,8 +29,6 @@ exempt, as is roots_in_extension, whose algorithms are polynomial time.
 
 import os
 from functools import lru_cache
-
-import numpy as np
 
 from .zmat import factorize, gcd
 
@@ -103,69 +105,29 @@ def is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# modulus search (runs before any field machinery exists)
+# modulus search (over GF(p), whose modulus x needs no search)
 
 
-def _mulmod_list(a, b, mod, p):
-    out = list(np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) % p)
-    dm = len(mod) - 1
-    for i in range(len(out) - 1, dm - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(dm):
-                out[i - dm + j] = (out[i - dm + j] - c * mod[j]) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return [int(v) for v in out]
-
-
-def _gcd_list_poly(a, b, p):
-    def trim(c):
-        c = [v % p for v in c]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b != [0]:
-        inv = pow(b[-1], -1, p)
-        r = a[:]
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            c = (r[i] * inv) % p
-            if c:
-                for j in range(len(b)):
-                    r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - c * b[j]) % p
-        a, b = b, trim(r)
-    return a
-
-
-def _is_irreducible_p(f, p):
-    """Monic int-list polynomial over GF(p): staged distinct-degree sieve."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    if f[0] == 0:
-        return False
-    xp = [0, 1]
-    for k in range(1, n // 2 + 1):
-        # raise xp to the p-th power mod f
-        e = p
-        acc = xp
-        result = [1]
-        while e:
-            if e & 1:
-                result = _mulmod_list(result, acc, f, p)
-            e >>= 1
-            if e:
-                acc = _mulmod_list(acc, acc, f, p)
-        xp = result
-        diff = xp + [0] * (2 - len(xp))
-        diff = diff[:]
-        diff[1] = (diff[1] - 1) % p
-        if len(_gcd_list_poly(diff, f, p)) > 1:
+def _is_irreducible_p(f):
+    """Monic f over GF(p) of degree >= 2: a staged distinct-degree sieve,
+    gcd(x^(p^k) - x, f) = 1 for every k <= deg f / 2."""
+    x = Poly(f.field, [0, 1])
+    xp = x
+    for _ in range(f.degree // 2):
+        xp = _pow_mod(xp, f.field.p, f)
+        if not _coprime_p(xp - x, f):
             return False
     return True
+
+
+def _coprime_p(a, b):
+    """Whether gcd(a, b) = 1 over GF(p): Euclid, each divisor made monic with
+    the integer inverse of its leading coefficient."""
+    p = a.field.p
+    while not a.is_zero():
+        a = a.scale(pow(a.lead().coeffs[0], -1, p))
+        a, b = b % a, a
+    return b.degree == 0
 
 
 def _binomials_can_be_irreducible(p, m):
@@ -187,16 +149,12 @@ def _smallest_irreducible(p, m):
     saves ~p candidates (p = 2 mod 3 and m = 3, for instance)."""
     if m == 1:
         return (0, 1)
+    prime = _cached_field(p, 1)
     n = 0 if _binomials_can_be_irreducible(p, m) else p
     while True:
-        coeffs = []
-        t = n
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        cand = coeffs + [1]
-        if cand[0] != 0 and _is_irreducible_p(cand, p):
-            return tuple(cand)
+        cand = poly_from_int(prime, p ** m + n)
+        if not cand.coeffs[0].is_zero() and _is_irreducible_p(cand):
+            return tuple(c.coeffs[0] for c in cand.coeffs)
         n += 1
 
 
@@ -216,60 +174,55 @@ class FiniteField:
         self.m = m
         self.q = p ** m
         self.modulus = _smallest_irreducible(p, m)
+        # row j of _red is x^(m+j) reduced mod the modulus
+        rows = []
         if m > 1:
-            # row j of _red is x^(m+j) reduced mod the modulus
-            rows = []
             xm = [(-c) % p for c in self.modulus[:m]]
             cur = xm
             for _ in range(m - 1):
-                rows.append(cur)
+                rows.append(tuple(cur))
                 top = cur[m - 1]
                 shifted = [0] + cur[: m - 1]
                 cur = [(a + top * b) % p for a, b in zip(shifted, xm)]
-            self._red = np.array(rows, dtype=np.int64)
-        else:
-            self._red = None
+        self._red = tuple(rows)
+        self._zero = FieldElement(self, (0,) * m)
+        self._one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._frob_mat = None
 
     # element constructors
 
     def zero(self):
-        return FieldElement(self, np.zeros(self.m, dtype=np.int64))
+        return self._zero
 
     def one(self):
-        c = np.zeros(self.m, dtype=np.int64)
-        c[0] = 1
-        return FieldElement(self, c)
+        return self._one
 
     def gen(self):
         """The class of x (a root of the modulus); equals 0 when m = 1."""
-        c = np.zeros(self.m, dtype=np.int64)
-        if self.m > 1:
-            c[1] = 1
-        return FieldElement(self, c)
+        return self.from_coeffs([0, 1] if self.m > 1 else [0])
 
     def from_int(self, n):
         """Element with encoding n: base-p digits, constant coefficient first."""
         n %= self.q
-        c = np.zeros(self.m, dtype=np.int64)
-        for i in range(self.m):
-            c[i] = n % self.p
-            n //= self.p
-        return FieldElement(self, c)
+        digits = []
+        for _ in range(self.m):
+            n, d = divmod(n, self.p)
+            digits.append(d)
+        return FieldElement(self, tuple(digits))
 
     def from_coeffs(self, seq):
-        c = np.zeros(self.m, dtype=np.int64)
-        for i, v in enumerate(seq):
-            c[i] = int(v) % self.p
-        return FieldElement(self, c)
+        c = [int(v) % self.p for v in seq]
+        if len(c) > self.m:
+            raise FieldError(f"{len(c)} coefficients for an element of {self}")
+        return FieldElement(self, tuple(c) + (0,) * (self.m - len(c)))
 
     def __call__(self, value):
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise MixedFields(f"element of {value.field} used in {self}")
             return value
-        if isinstance(value, (int, np.integer)):
-            return self.from_coeffs([int(value)])
+        if isinstance(value, int):
+            return self.from_coeffs([value])
         return self.from_coeffs(value)
 
     def elements(self):
@@ -278,7 +231,8 @@ class FiniteField:
             yield self.from_int(n)
 
     def frobenius_matrix(self):
-        """Matrix of x -> x^p on the power basis; rows are basis images."""
+        """Matrix of x -> x^p on the power basis: a tuple of rows, row i the
+        coefficients of x^(i p)."""
         if self._frob_mat is None:
             xp = self.gen() ** self.p
             rows = [self.one().coeffs]
@@ -286,14 +240,15 @@ class FiniteField:
             for _ in range(1, self.m):
                 acc = acc * xp
                 rows.append(acc.coeffs)
-            self._frob_mat = np.array(rows, dtype=np.int64)
+            self._frob_mat = tuple(rows)
         return self._frob_mat
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, FiniteField) and (self.p, self.m) == (other.p, other.m)
+        return self is other or (isinstance(other, FiniteField)
+                                 and (self.p, self.m) == (other.p, other.m))
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -329,14 +284,24 @@ def extension(field, s):
     return _cached_field(field.p, field.m * s)
 
 
+def _vec_mat(vec, rows, p):
+    """The row vector vec times the matrix given by its rows, mod p."""
+    out = [0] * len(rows[0])
+    for c, row in zip(vec, rows):
+        if c:
+            for j, v in enumerate(row):
+                out[j] += c * v
+    return tuple([v % p for v in out])
+
+
 class FieldElement:
-    """Immutable element of a FiniteField: a coefficient vector over GF(p)."""
+    """Immutable element of a FiniteField: the tuple of its m coefficients
+    over GF(p), ints in [0, p), constant coefficient first."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         self.field = field
-        coeffs.setflags(write=False)
         self.coeffs = coeffs
 
     def _coerce(self, other):
@@ -344,43 +309,62 @@ class FieldElement:
             if other.field != self.field:
                 raise MixedFields(f"mixed fields {self.field} and {other.field}")
             return other
-        if isinstance(other, (int, np.integer)):
-            return self.field.from_coeffs([int(other)])
+        if isinstance(other, int):
+            return self.field.from_coeffs([other])
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, (self.coeffs + o.coeffs) % self.field.p)
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        p = f.p
+        if f.m == 1:
+            return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % p,))
+        return FieldElement(f, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, (self.coeffs - o.coeffs) % self.field.p)
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        p = f.p
+        if f.m == 1:
+            return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % p,))
+        return FieldElement(f, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return FieldElement(self.field, (-self.coeffs) % self.field.p)
+        p = self.field.p
+        return FieldElement(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
         f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        p = f.p
         if f.m == 1:
-            return FieldElement(f, (self.coeffs * o.coeffs) % f.p)
-        conv = np.convolve(self.coeffs, o.coeffs)
-        low = conv[: f.m].copy()
-        high = conv[f.m:]
-        if high.size:
-            low = low + high @ f._red[: high.size]
-        return FieldElement(f, low % f.p)
+            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
+        m = f.m
+        prod = [0] * (2 * m - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs, i):
+                    prod[j] += a * b
+        low = prod[:m]
+        for c, row in zip(prod[m:], f._red):
+            if c:
+                for j, v in enumerate(row):
+                    low[j] += c * v
+        return FieldElement(f, tuple([v % p for v in low]))
 
     __rmul__ = __mul__
 
@@ -410,35 +394,26 @@ class FieldElement:
         if self.is_zero():
             raise ZeroElement("division by zero field element")
         f = self.field
-        if f.m == 1:
-            return FieldElement(f, np.array([pow(int(self.coeffs[0]), -1, f.p)],
-                                            dtype=np.int64))
         p = f.p
-        # extended Euclid against the modulus over GF(p)
+        if f.m == 1:
+            return FieldElement(f, (pow(self.coeffs[0], -1, p),))
+        # extended Euclid against the modulus over GF(p), on coefficient
+        # lists: s0 * self = r0 and s1 * self = r1 mod the modulus
         r0, s0 = list(f.modulus), [0]
-        r1, s1 = [int(v) for v in self.coeffs], [1]
-
-        def trim(c):
-            while len(c) > 1 and c[-1] == 0:
-                c.pop()
-            return c
-
-        r1 = trim(r1)
-        while r1 != [0]:
+        r1, s1 = _trim(list(self.coeffs)), [1]
+        while r1:
             inv = pow(r1[-1], -1, p)
-            r = r0[:]
-            quo = [0] * max(1, len(r0) - len(r1) + 1)
-            for i in range(len(r) - 1, len(r1) - 2, -1):
-                c = (r[i] * inv) % p
+            r, s = r0[:], s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
+            for shift in range(len(r0) - len(r1), -1, -1):
+                c = r[shift + len(r1) - 1] * inv % p
                 if c:
-                    quo[i - len(r1) + 1] = c
-                    for j in range(len(r1)):
-                        r[i - len(r1) + 1 + j] = (r[i - len(r1) + 1 + j] - c * r1[j]) % p
-            snew = _list_sub(s0, _list_mul(quo, s1, p), p)
-            r0, s0 = r1, s1
-            r1, s1 = trim(r), trim(snew)
-        lead_inv = pow(r0[-1], -1, p)
-        return f.from_coeffs([(v * lead_inv) % p for v in s0])
+                    for j, v in enumerate(r1, shift):
+                        r[j] = (r[j] - c * v) % p
+                    for j, v in enumerate(s1, shift):
+                        s[j] = (s[j] - c * v) % p
+            r0, s0, r1, s1 = r1, s1, _trim(r), _trim(s)
+        unit = pow(r0[0], -1, p)
+        return f.from_coeffs([v * unit for v in s0])
 
     def frob(self, k=1):
         """x -> x^(p^k) via the precomputed Frobenius matrix."""
@@ -448,16 +423,16 @@ class FieldElement:
         mat = f.frobenius_matrix()
         c = self.coeffs
         for _ in range(k % f.m):
-            c = (c @ mat) % f.p
-        return FieldElement(f, np.ascontiguousarray(c))
+            c = _vec_mat(c, mat, f.p)
+        return FieldElement(f, c)
 
     def is_zero(self):
-        return not self.coeffs.any()
+        return not any(self.coeffs)
 
     def to_int(self):
         n = 0
         for v in reversed(self.coeffs):
-            n = n * self.field.p + int(v)
+            n = n * self.field.p + v
         return n
 
     def multiplicative_order(self):
@@ -471,9 +446,9 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and np.array_equal(self.coeffs, other.coeffs)
-        if isinstance(other, (int, np.integer)):
-            return self == self.field(int(other))
+            return self.coeffs == other.coeffs and self.field == other.field
+        if isinstance(other, int):
+            return self == self.field(other)
         return NotImplemented
 
     def __hash__(self):
@@ -483,20 +458,11 @@ class FieldElement:
         return f"{self.field}({self.to_int()})"
 
 
-def _list_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] = (out[i + j] + av * bv) % p
-    return out
-
-
-def _list_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
+def _trim(c):
+    """c without its zero top coefficients (the zero polynomial is [])."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +478,8 @@ class Poly:
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field, coeffs):
-        cs = [c if isinstance(c, FieldElement) else field(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [c if c.__class__ is FieldElement else field(c) for c in coeffs]
+        while cs and not any(cs[-1].coeffs):
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -558,42 +524,12 @@ class Poly:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return Poly(self.field, [])
-        f = self.field
-        if (f.m > 1 and self.degree + other.degree > 1
-                and f.p ** 3 * f.m * f.m * (min(self.degree, other.degree) + 2) < 2 ** 62):
-            return self._mul_kronecker(other)
-        out = [f.zero()] * (self.degree + other.degree + 1)
+        out = [self.field.zero()] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            if any(a.coeffs):
+                for j, b in enumerate(other.coeffs, i):
+                    out[j] = out[j] + a * b
         return Poly(self.field, out)
-
-    def _mul_kronecker(self, other):
-        """One integer convolution for the whole product: coefficients are
-        packed into slots of width 2m-1 so cross terms cannot collide.  Slot
-        values stay below ~p^2 * m * deg, far inside int64."""
-        f = self.field
-        m = f.m
-        slot = 2 * m - 1
-        a = np.zeros(slot * len(self.coeffs), dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            a[i * slot: i * slot + m] = c.coeffs
-        b = np.zeros(slot * len(other.coeffs), dtype=np.int64)
-        for i, c in enumerate(other.coeffs):
-            b[i * slot: i * slot + m] = c.coeffs
-        conv = np.convolve(a, b)
-        out = []
-        n_out = self.degree + other.degree + 1
-        red = f._red
-        for k in range(n_out):
-            piece = conv[k * slot: k * slot + slot]
-            if piece.size < slot:
-                piece = np.concatenate([piece, np.zeros(slot - piece.size, dtype=np.int64)])
-            low = piece[:m] + piece[m:] @ red
-            out.append(FieldElement(f, low % f.p))
-        return Poly(f, out)
 
     def scale(self, c):
         return Poly(self.field, [a * c for a in self.coeffs])
@@ -605,14 +541,14 @@ class Poly:
         d = other.degree
         lead = other.lead()
         inv = None if lead == self.field.one() else lead.inverse()
+        low = other.coeffs[:d]
         quot = [self.field.zero()] * max(0, len(r) - d)
         for i in range(len(r) - 1, d - 1, -1):
             c = r[i] if inv is None else r[i] * inv
-            if not c.is_zero():
+            if any(c.coeffs):
                 quot[i - d] = c
-                for j in range(d):
-                    r[i - d + j] = r[i - d + j] - c * other.coeffs[j]
-                r[i] = self.field.zero()
+                for j, b in enumerate(low, i - d):
+                    r[j] = r[j] - c * b
         return Poly(self.field, quot), Poly(self.field, r[:d])
 
     def __mod__(self, other):
@@ -647,16 +583,8 @@ class Poly:
         return Poly(field, [fn(c) for c in self.coeffs])
 
     def pow_mod(self, e, modulus):
-        modulus = modulus.monic()  # scaling the divisor leaves residues unchanged
-        result = Poly(self.field, [1])
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            e >>= 1
-            if e:
-                base = (base * base) % modulus
-        return result
+        # scaling the divisor leaves residues unchanged
+        return _pow_mod(self, e, modulus.monic())
 
     def encoding(self):
         """Integer encoding of the coefficient vector, for stable ordering."""
@@ -667,6 +595,19 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field}, {[c.to_int() for c in self.coeffs]})"
+
+
+def _pow_mod(base, e, modulus):
+    """base^e mod a monic modulus, by repeated squaring."""
+    result = Poly(base.field, [1])
+    base = base % modulus
+    while e:
+        if e & 1:
+            result = (result * base) % modulus
+        e >>= 1
+        if e:
+            base = (base * base) % modulus
+    return result
 
 
 def poly_from_int(field, n):
@@ -862,14 +803,14 @@ class Embedding:
             for _ in range(1, sub.m):
                 acc = acc * rho
                 rows.append(acc.coeffs)
-            self._mat = np.array(rows, dtype=np.int64)
+            self._mat = tuple(rows)
 
     def __call__(self, x):
         if x.field != self.sub:
             raise MixedFields(f"element of {x.field} passed to an embedding of {self.sub}")
         if self._mat is None:
-            return self.big.from_coeffs([int(x.coeffs[0])])
-        return FieldElement(self.big, (x.coeffs @ self._mat) % self.big.p)
+            return self.big.from_coeffs(x.coeffs)
+        return FieldElement(self.big, _vec_mat(x.coeffs, self._mat, self.big.p))
 
     def section(self, y):
         """Preimage of y; raises NotASubfield if y is not in the image."""
@@ -878,8 +819,8 @@ class Embedding:
         if self._mat is None:
             if any(y.coeffs[1:]):
                 raise NotASubfield(f"{y} is not in the prime subfield")
-            return self.sub.from_coeffs([int(y.coeffs[0])])
-        sol = _solve_gfp(self._mat.T, y.coeffs, self.big.p)
+            return self.sub.from_coeffs(y.coeffs[:1])
+        sol = _solve_gfp(list(zip(*self._mat)), y.coeffs, self.big.p)
         if sol is None:
             raise NotASubfield(f"{y} is not in the image of {self.sub}")
         return self.sub.from_coeffs(sol)
@@ -914,33 +855,32 @@ def embed_over(base, sub, big):
 
 
 def _solve_gfp(A, b, p):
-    """One solution of A x = b over GF(p); A is numpy (n x k).  None if
+    """One solution of A x = b over GF(p), A given by its rows; None if
     inconsistent."""
-    A = A.astype(np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    n, k = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
+    aug = [[v % p for v in row] + [bv % p] for row, bv in zip(A, b)]
+    n, k = len(aug), len(A[0])
     piv_cols = []
     r = 0
     for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i, c] % p), None)
+        piv = next((i for i in range(r, n) if aug[i][c]), None)
         if piv is None:
             continue
-        aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = (aug[r] * pow(int(aug[r, c]), -1, p)) % p
+        aug[r], aug[piv] = aug[piv], aug[r]
+        unit = pow(aug[r][c], -1, p)
+        aug[r] = [v * unit % p for v in aug[r]]
         for i in range(n):
-            if i != r and aug[i, c]:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
+            t = aug[i][c]
+            if i != r and t:
+                aug[i] = [(v - t * w) % p for v, w in zip(aug[i], aug[r])]
         piv_cols.append(c)
         r += 1
         if r == n:
             break
-    for i in range(r, n):
-        if aug[i, k] % p:
-            return None
+    if any(aug[i][k] for i in range(r, n)):
+        return None
     x = [0] * k
     for i, c in enumerate(piv_cols):
-        x[c] = int(aug[i, k]) % p
+        x[c] = aug[i][k]
     return x
 
 

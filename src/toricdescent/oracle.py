@@ -226,8 +226,9 @@ def orbit_cycle_basis(graph):
     """Generator cycles of the principal decomposition together with their
     Galois iterates: a basis of the cycle lattice organized orbit by orbit.
 
-    Returns (flat cycle list, layout), layout entries being
-    (start index, orbit length, characteristic polynomial)."""
+    Returns (flat cycle list, layout, coords), layout entries being
+    (start index, orbit length, characteristic polynomial), and coords the
+    coordinate map of h1_basis."""
     basis, lattice, coords = h1_basis(graph)
     generators = principal_cycle_generators(graph, basis, lattice, coords)
     flat = []
@@ -240,17 +241,19 @@ def orbit_cycle_basis(graph):
             flat.append(cur)
             cur = graph.sigma_cycle(cur)
         layout.append((start, comp.rank, comp.char_poly))
-    return flat, layout
+    return flat, layout, coords
 
 
 class EnumeratedTorus:
     """Every equivariant homomorphism from the cycle lattice to the units of
-    the evaluation field, stored as value tuples along the orbit basis."""
+    the evaluation field, stored as value tuples along the orbit basis.
+    cycles, layout and coords are those of orbit_cycle_basis."""
 
-    def __init__(self, fiber, cycles, layout, points, component_generators):
+    def __init__(self, fiber, cycles, layout, coords, points, component_generators):
         self.fiber = fiber
         self.cycles = cycles
         self.layout = layout
+        self.coords = coords
         self.points = points
         self.component_generators = component_generators
         self._index = {self.key(pt) for pt in points}
@@ -285,7 +288,7 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
     graph = fiber.graph
     q = fiber.k.q
     m = fiber.k.m
-    cycles, layout = orbit_cycle_basis(graph)
+    cycles, layout, coords = orbit_cycle_basis(graph)
     total = 1
     for _start, _rank, fpoly in layout:
         total *= poly_eval_int(fpoly, q)
@@ -319,7 +322,7 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
         points = [head + block for head in points for block in values]
     if len(points) != total:
         raise NotATorusPoint(f"enumerated {len(points)} points, the torus has {total}")
-    torus = EnumeratedTorus(fiber, cycles, layout, points, component_generators)
+    torus = EnumeratedTorus(fiber, cycles, layout, coords, points, component_generators)
     _verify_equivariance(torus)
     return torus
 
@@ -328,7 +331,7 @@ def _verify_equivariance(torus):
     """Check e(sigma c) = e(c)^q on the whole orbit basis, for every point."""
     graph = torus.fiber.graph
     q = torus.fiber.k.q
-    _basis, _lattice, coords = h1_basis(graph)
+    coords = torus.coords
     orbit_coords = [list(coords(c)) for c in torus.cycles]
     sigma_in_basis = []
     for cyc in torus.cycles:

@@ -74,8 +74,15 @@ def frobenius_char_poly(lattice):
 
 def torus_order(lattice, q):
     """Number of rational points over GF(q): the char poly evaluated at q."""
-    value = poly_eval_int(frobenius_char_poly(lattice), q)
-    assert value > 0
+    return _order_at(frobenius_char_poly(lattice), q)
+
+
+def _order_at(char_poly, q):
+    """char_poly(q), the number of GF(q)-points of the torus it belongs to.
+    TorusError when it is not positive: q is then not a field size."""
+    value = poly_eval_int(char_poly, q)
+    if value <= 0:
+        raise TorusError(f"the torus order at q = {q} is {value}, not a point count")
     return value
 
 
@@ -90,9 +97,7 @@ class PrincipalComponent:
         self.rank = len(orbit)
 
     def order_over(self, q):
-        value = poly_eval_int(self.char_poly, q)
-        assert value > 0
-        return value
+        return _order_at(self.char_poly, q)
 
     def __repr__(self):
         return f"PrincipalComponent(generator={self.generator}, rank={self.rank})"
@@ -209,8 +214,9 @@ class MuGroup:
         return f"MuGroup(order={self.order}, host={self.host})"
 
 
-def _prime_power(q):
-    fac = factorize(q)
+def prime_power(q):
+    """(p, a) with q = p^a; TorusError unless q is a prime power >= 2."""
+    fac = factorize(q) if q >= 2 else {}
     if len(fac) != 1:
         raise TorusError(f"{q} is not a prime power")
     [(p, a)] = fac.items()
@@ -235,7 +241,7 @@ def mu_group(component, q):
     """MuGroup of order f_i(q) with an explicit generator in GF(q^s), where
     s is the multiplicative order of q modulo f_i(q)."""
     n = component.order_over(q)
-    p, a = _prime_power(q)
+    p, a = prime_power(q)
     s = multiplicative_order_mod(q, n)
     host = make_field(p, a * s)
     return MuGroup(n, host, element_of_order(host, n))
@@ -283,7 +289,7 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
     order = torus_order(lattice, q)
     if order > limit:
         raise EnumerationLimitExceeded(f"torus has {order} points, limit {limit}")
-    p, a = _prime_power(q)
+    p, a = prime_power(q)
     s = lattice.order
     host = make_field(p, a * s)
     n = host.q - 1

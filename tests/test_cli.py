@@ -232,3 +232,74 @@ def test_batch_error_kinds(tmp_path, monkeypatch, capsys, exc, kind, code):
     record = json.loads(out.getvalue())
     assert (record["error"]["kind"], record["error"]["exit_code"]) == (kind, code)
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_request_state():
+    argv = ["hyperelliptic", "--q", "7", "--g", "x^3-x", "--h", "x+2", "--json"]
+    first, second = io.StringIO(), io.StringIO()
+    assert cli.run_line(argv + ["--no-engine-check", "--r", "3"], stream=first) == 0
+    parser = cli._parser()
+    assert cli.run_line(argv, stream=second) == 0
+    assert cli._parser() is parser
+    one, two = json.loads(first.getvalue()), json.loads(second.getvalue())
+    assert (one["input"]["r"], one["engine_check"]) == (3, None)
+    # the second request gets its own defaults: r = 2 and the engine check
+    assert two["input"]["r"] == 2
+    assert two["engine_check"]["agree"] is True
+
+
+TORUS_RANK_ONE = ["torus", "--lattice", '{"rank":1,"frobenius":[[1]]}']
+
+
+@pytest.mark.parametrize("q", ["1", "0", "-3", "6"])
+def test_torus_refuses_q_that_is_not_a_prime_power(q, capsys):
+    argv = TORUS_RANK_ONE + ["--q", q, "--json"]
+    out = io.StringIO()
+    assert cli.run_line(argv, stream=out) == cli.EXIT_SYNTAX
+    assert cli.run_line(argv + ["--enumerate"], stream=out) == cli.EXIT_SYNTAX
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"invalid input: {q} is not a prime power"] * 2
+
+
+def test_torus_order_refuses_a_count_that_is_not_positive():
+    from toricdescent.torus import (CharacterLattice, TorusError, principal_component,
+                                    torus_order)
+    lattice = CharacterLattice([[1]])
+    for q in (1, 0, -3):
+        with pytest.raises(TorusError):
+            torus_order(lattice, q)
+        with pytest.raises(TorusError):
+            principal_component(lattice, [1]).order_over(q)
+
+
+def test_torus_refusals_survive_python_O():
+    code = ("import sys\n"
+            "from toricdescent import cli\n"
+            "from toricdescent.torus import CharacterLattice, TorusError, torus_order\n"
+            "try:\n"
+            "    torus_order(CharacterLattice([[1]]), 0)\n"
+            "except TorusError:\n"
+            "    raise SystemExit(cli.run_line(sys.argv[1:]))\n")
+    for q in ("0", "1", "6"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, *TORUS_RANK_ONE, "--q", q, "--json"],
+            capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_SYNTAX, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"invalid input: {q} is not a prime power\n"
+
+
+def test_cli_answers_without_numpy():
+    # a README example, answered by a process in which numpy cannot be imported
+    argv = ["hyperelliptic", "--p", "23", "--g", "x^3-x", "--h", "x+2", "--r", "2", "--json"]
+    expected = io.StringIO()
+    assert cli.run_line(argv, stream=expected) == 0
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from toricdescent import cli\n"
+            "raise SystemExit(cli.run_line(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.getvalue()

@@ -374,3 +374,44 @@ def test_prime_keyed_caches_stay_bounded():
     assert finite_field._cached_field.cache_info().currsize == \
         finite_field.FIELD_CACHE_SIZE
     assert report(primes[0]) == first
+
+
+# -- element arithmetic against polynomial arithmetic over GF(p) -------------
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (3, 3), (5, 2), (7, 1), (13, 6)])
+def test_element_arithmetic_matches_polynomials_over_the_prime_field(p, m):
+    K = make_field(p, m, limit=None)
+    k = make_field(p)
+    modulus = Poly(k, list(K.modulus))
+
+    def as_poly(x):
+        return Poly(k, list(x.coeffs))
+
+    rng = rng_for(f"element-arithmetic-{p}-{m}")
+    for _ in range(30):
+        a, b = K.from_int(rng.randrange(K.q)), K.from_int(rng.randrange(K.q))
+        assert as_poly(a * b) == (as_poly(a) * as_poly(b)) % modulus
+        assert as_poly(a + b) == as_poly(a) + as_poly(b)
+        for j in range(m + 1):
+            assert a.frob(j) == a ** (p ** j)
+        if not a.is_zero():
+            assert a * a.inverse() == K.one()
+            assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (3, 3), (5, 2), (7, 1), (13, 6)])
+def test_embedding_section_round_trips_and_refuses_off_the_image(p, m):
+    K = make_field(p, m, limit=None)
+    pairs = [(make_field(p, s), K) for s in range(1, m) if m % s == 0]
+    if m <= 3:
+        pairs.append((K, extension(K, 2)))
+    rng = rng_for(f"embedding-section-{p}-{m}")
+    for sub, big in pairs:
+        emb = embed(sub, big)
+        for _ in range(10):
+            x = sub.from_int(rng.randrange(sub.q))
+            assert emb.section(emb(x)) == x
+        # the generator of big generates it over GF(p): in no proper subfield
+        with pytest.raises(NotASubfield):
+            emb.section(big.gen())

@@ -100,3 +100,10 @@ def test_nonprimepower_q_rejected():
                               "--h", "x+2"])
     code = cli.dispatch(args, stream=out)
     assert code == cli.EXIT_SYNTAX
+    # q below 2 is refused the same way, for every command that takes --q
+    for argv in (["hyperelliptic", "--g", "x^3-x", "--h", "x+2"],
+                 ["genus4", "--eps", "X^3+Y^3+W*Z^2"],
+                 ["oracle", "--g", "x^3-x", "--h", "x+2"]):
+        for q in ("1", "0", "-3"):
+            assert cli.run_line(argv + ["--q", q], stream=out) == cli.EXIT_SYNTAX
+    assert out.getvalue() == ""
