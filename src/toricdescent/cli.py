@@ -16,11 +16,12 @@ import shlex
 import sys
 
 from . import descent, families, oracle
-from .dual_graph import component_group, phi_torsion_representatives, GraphError
+from .dual_graph import (GraphError, NotSupported, component_group,
+                         phi_torsion_representatives)
 from .families import (CubicForm, FamilyError, genus4_report,
                        hyperelliptic_report, validate_genus4,
                        validate_hyperelliptic)
-from .finite_field import FieldError, Poly, make_field
+from .finite_field import FieldError, Poly, SizeLimitExceeded, field_limit, make_field
 from .parsing import ParseError, format_univariate, parse_cubic_form, parse_univariate
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
                     frobenius_char_poly, mu_group, prime_power, torus_order,
@@ -35,13 +36,16 @@ EXIT_UNDETERMINED = 4
 #: process exits with on an uncaught exception
 EXIT_INTERNAL = 1
 
-#: typed refusals: (exception classes, kind, exit code, message prefix).
-#: Other engine and oracle errors are internal-consistency failures, not
-#: refusals of the input.
+#: typed refusals: (exception classes, kind, exit code, message prefix),
+#: the first matching row wins.  Other engine and oracle errors are
+#: internal-consistency failures, not refusals of the input.
 REFUSALS = [
     ((ParseError,), "syntax", EXIT_SYNTAX, "syntax error"),
     ((FamilyError, descent.UnsupportedTorus, descent.DivisorMeetsNode),
      "hypothesis", EXIT_HYPOTHESIS, "hypothesis violated"),
+    # a valid curve whose graph no decomposition rule covers (the oracle
+    # builds the engine's frame first): the same verdict as hyperelliptic's
+    ((NotSupported,), "undetermined", EXIT_UNDETERMINED, "undetermined"),
     ((FieldError, TorusError, GraphError, EnumerationLimitExceeded,
       oracle.TooLarge), "invalid-input", EXIT_SYNTAX, "invalid input"),
 ]
@@ -117,15 +121,16 @@ def _parser():
 
 
 def _field_from_args(args):
-    if getattr(args, "p", None):
-        return make_field(args.p), True
+    """The residue field of --p or --q; the size limit is checked before any
+    factoring or primality test."""
+    p = getattr(args, "p", None)
+    if p is not None:
+        return make_field(p), True
     q = args.q
-    from .zmat import factorize
-    fac = factorize(q) if q >= 2 else {}
-    if len(fac) != 1:
-        raise FieldError(f"{q} is not a prime power")
-    [(p, m)] = fac.items()
-    return make_field(p, m), False
+    bound = field_limit()
+    if q > bound:
+        raise SizeLimitExceeded(f"{q} exceeds the field-size limit {bound}")
+    return make_field(*prime_power(q)), False
 
 
 def _poly_from_text(field, text):

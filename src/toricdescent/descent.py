@@ -377,10 +377,6 @@ class LocalFunctionSystem:
                                   fiber.node_values)
 
 
-def build_local_function_system(cycle, fiber, base_rank=0):
-    return LocalFunctionSystem(cycle, fiber, base_rank=base_rank)
-
-
 class FrameComponent:
     """One principal summand with its generator cycle and mu-group data."""
 
@@ -441,9 +437,6 @@ class GammaClass:
         self.residue = residue % modulus if modulus else 0
         self.modulus = modulus
         self.value = value
-
-    def is_trivial(self):
-        return self.residue == 0
 
     def __eq__(self, other):
         return (isinstance(other, GammaClass)

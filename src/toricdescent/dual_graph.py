@@ -121,20 +121,6 @@ class DualGraph:
             orbits.append(orbit)
         return orbits
 
-    def to_json_dict(self):
-        return {
-            "vertices": self.num_vertices,
-            "edges": [[t, h, label] for (t, h, label) in self.edges],
-            "galois": {"vertex_perm": list(self.vertex_perm),
-                       "edge_perm": list(self.edge_perm)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        galois = data.get("galois") or {}
-        return cls(data["vertices"], data["edges"],
-                   galois.get("vertex_perm"), galois.get("edge_perm"))
-
 
 class Cycle:
     """Closed oriented 1-cycle: integer vector over the edges."""
@@ -260,35 +246,6 @@ def h1_basis(graph):
     return basis, lattice, coords
 
 
-def norm_cycle(cycle, graph):
-    """Sum of the Galois orbit of the cycle (orbit length = minimal period)."""
-    acc = cycle
-    cur = cycle
-    for _ in range(graph.galois_order):
-        cur = graph.sigma_cycle(cur)
-        if cur == cycle:
-            break
-        acc = acc + cur
-    out = acc
-    assert graph.sigma_cycle(out) == out
-    return out
-
-
-def intersection_matrix_of(graph):
-    """Intersection matrix: off-diagonal entries count connecting nodes,
-    diagonal entries make the rows sum to zero."""
-    v = graph.num_vertices
-    M = [[0] * v for _ in range(v)]
-    for t, h, _ in graph.edges:
-        if t == h:
-            raise NotSupported("self-nodes are outside the supported families")
-        M[t][h] += 1
-        M[h][t] += 1
-    for i in range(v):
-        M[i][i] = -sum(M[i])
-    return IntersectionMatrix(M)
-
-
 class IntersectionMatrix:
     """Symmetric integer matrix with zero row sums, nonnegative off-diagonal
     entries, and negative diagonal."""
@@ -350,13 +307,6 @@ class ComponentGroup:
             raise GraphError("projection needs total degree zero")
         y = mat_vec(self.U, deg[:-1])
         return tuple(y[i] % self.diag[i] for i in range(len(self.diag)))
-
-    def project_with_base(self, multidegree, base_index=0):
-        """Project a vector of arbitrary total degree after compensating the
-        degree at the chosen base component."""
-        deg = list(map(int, multidegree))
-        deg[base_index] -= sum(deg)
-        return self.project(deg)
 
     def identity(self):
         return tuple(0 for _ in self.diag)

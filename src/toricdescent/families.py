@@ -59,10 +59,6 @@ class UnexpectedRootCount(FamilyError):
     pass
 
 
-class WrongCoefficientCount(FamilyError):
-    pass
-
-
 class NotMobius(FamilyError):
     """A genus-4 local function that is not of degree 1 on its line."""
 
@@ -153,16 +149,30 @@ def _gbar_factor_data(inp):
     return inp._gbar_factors
 
 
+def _is_power_mod(f, r, g):
+    """Whether f is an r-th power in k[x]/(g), the field of one node orbit
+    (g monic irreducible of degree s over k): f^((q^s-1)/gcd(r, q^s-1)) = 1
+    mod g.  f must be prime to g.  Modulo a linear g that field is k itself,
+    and f is evaluated at the root."""
+    if g.degree == 1:
+        return power_residue(f(-g.coeffs[0]), r)
+    n = g.field.q ** g.degree - 1
+    e = gcd(r, n)
+    return e == 1 or f.pow_mod(n // e, g) == Poly(g.field, [1])
+
+
 def theta_bd(inp, alpha0_rank=0):
     """Rationality of a theta characteristic (square root of the canonical
     class), by the closed-form criterion.
 
     d even or irreducible reduction: always rational.  d odd with a rational
-    node alpha_0: rational iff the norm of h(alpha_0)h(alpha_i) is a square
-    for a root alpha_i of every other irreducible factor.  d odd, reducible,
-    no rational node: undetermined (outside the proved cases).
+    node alpha_0: rational iff h(alpha_0)h(alpha_i) is a square in k(alpha_i)
+    for a root alpha_i of every other irreducible factor g_i, that is iff
+    h(alpha_0) h is a square modulo g_i.  As q is odd, b^((q^s-1)/2) =
+    N(b)^((q-1)/2) for b in GF(q^s): the same test as on the norm down to k.
+    d odd, reducible, no rational node: undetermined (outside the proved
+    cases).
     """
-    k = inp.k
     if inp.d % 2 == 0:
         return True
     factors, rational = _gbar_factor_data(inp)
@@ -171,19 +181,9 @@ def theta_bd(inp, alpha0_rank=0):
     if not rational:
         return UNDETERMINED
     alpha0 = rational[alpha0_rank % len(rational)]
-    h_alpha0 = inp.h(alpha0)
-    for fac in factors:
-        if fac.degree == 1 and -fac.coeffs[0] == alpha0:
-            continue
-        s = fac.degree
-        big = extension(k, s)
-        emb = embed(k, big)
-        alpha_i = -fac.coeffs[0] if s == 1 else roots_in_extension(fac, s)[0]
-        value = emb(h_alpha0) * inp.h.map_coeffs(emb, big)(alpha_i)
-        norm = norm_to_subfield(value, k.m)
-        if not power_residue(norm, 2):
-            return False
-    return True
+    f = inp.h.scale(inp.h(alpha0))
+    return all(_is_power_mod(f, 2, fac) for fac in factors
+               if not (fac.degree == 1 and -fac.coeffs[0] == alpha0))
 
 
 def torsion_bd(inp):
@@ -191,8 +191,7 @@ def torsion_bd(inp):
 
     Closed forms cover the split case for every d and all three shapes for
     d = 3; other shapes fall back to the generic engine."""
-    k = inp.k
-    q = k.q
+    q = inp.k.q
     factors, rational = _gbar_factor_data(inp)
     if len(rational) == inp.d:
         alphas = rational
@@ -206,31 +205,17 @@ def torsion_bd(inp):
         parts = [q - 1] * (inp.d - 2) + [inp.d * (q - 1) // m, m]
         return group_invariants(parts)
     if inp.d == 3:
-        ell = extension(k, 2)
-        emb2 = embed(k, ell)
         if len(rational) == 1:
-            alpha0 = rational[0]
+            # h(alpha_0)^2 h(alpha_1) a cube in k(alpha_1): for q = 1 mod 3
+            # that is h(alpha_0)^2 / N(h(alpha_1)) a cube in k, for q = 2 mod 3
+            # h(alpha_0) is a cube in k(alpha_1) and drops out
             quad = next(f for f in factors if f.degree == 2)
-            alpha1 = roots_in_extension(quad, 2)[0]
-            h_ell = inp.h.map_coeffs(emb2, ell)
-            if q % 3 == 1:
-                nm = norm_to_subfield(h_ell(alpha1), k.m)
-                test = power_residue(inp.h(alpha0) ** 2 / nm, 3)
-            else:
-                test = h_ell(alpha1) ** ((q * q - 1) // 3) == ell.one()
-            if test:
+            if _is_power_mod(inp.h.scale(inp.h(rational[0]) ** 2), 3, quad):
                 return group_invariants([q * q - 1, 3])
             return group_invariants([3 * (q * q - 1)])
-        # irreducible cubic reduction
-        cubic = factors[0]
-        big = extension(k, 3)
-        alpha0 = roots_in_extension(cubic, 3)[0]
-        h_big = inp.h.map_coeffs(embed(k, big), big)
-        if q % 3 == 2:
-            test = True
-        else:
-            test = h_big(alpha0) ** ((q ** 3 - 1) // 3) == big.one()
-        if test:
+        # irreducible cubic reduction: h(alpha_0) a cube in k(alpha_0), which
+        # always holds when 3 does not divide q^3 - 1
+        if _is_power_mod(inp.h, 3, factors[0]):
             return group_invariants([q * q + q + 1, 3])
         return group_invariants([3 * (q * q + q + 1)])
     # non-split shapes beyond d = 3: delegate to the engine
@@ -340,26 +325,16 @@ class CubicForm:
             if not c.is_zero():
                 self.coeffs[tuple(expo)] = c
 
-    @classmethod
-    def from_vector(cls, field, vec):
-        if len(vec) != len(MONOMIALS):
-            raise WrongCoefficientCount(
-                f"a cubic form has {len(MONOMIALS)} coefficients, got {len(vec)}")
-        return cls(field, dict(zip(MONOMIALS, vec)))
-
     def vector(self):
         zero = self.field.zero()
         return [self.coeffs.get(m, zero) for m in MONOMIALS]
 
-    def evaluate(self, point, emb=None):
-        """Value at a 4-tuple of elements of an extension; emb maps the
-        coefficients into that extension (identity when None)."""
+    def evaluate(self, point):
+        """Value at a 4-tuple of elements of the coefficient field."""
         x, y, z, w = point
-        F = x.field
-        acc = F.zero()
+        acc = self.field.zero()
         for (a, b, c, d), coeff in self.coeffs.items():
-            cc = coeff if emb is None else emb(coeff)
-            acc = acc + cc * x ** a * y ** b * z ** c * w ** d
+            acc = acc + coeff * x ** a * y ** b * z ** c * w ** d
         return acc
 
     def restrict_zw(self):
@@ -388,6 +363,10 @@ class Genus4Input:
         self.i_in_k = (k.q % 4 == 1)
         #: (k(i), i): the square root of -1 that every table uses
         self.sqrt_minus_one = _sqrt_of_minus_one(k)
+        field = self.sqrt_minus_one[0]
+        #: k -> k(i), the identity when i is in k, and the cubic over k(i)
+        self.lift = (lambda v: v) if self.i_in_k else embed(k, field)
+        self.eps_i = CubicForm(field, {e: self.lift(c) for e, c in eps.coeffs.items()})
         self.warnings = []
         if qp_mode:
             self.warnings.append(
@@ -419,12 +398,7 @@ def validate_genus4(k, eps, r=2, qp_mode=False):
         raise FamilyError("supported divisibility targets are r = 2 and r = 3")
     inp = Genus4Input(k, eps, r=r, qp_mode=qp_mode)
     field, i = inp.sqrt_minus_one
-    emb = embed(k, field) if field != k else None
     one = field.one()
-
-    def lift(v):
-        return emb(v) if emb else v
-
     tests = [
         ("[1:1:1:1]", (one, one, one, one)),
         ("[-1:-1:1:1]", (-one, -one, one, one)),
@@ -434,7 +408,7 @@ def validate_genus4(k, eps, r=2, qp_mode=False):
         ("[0:1:0:0]", (field.zero(), one, field.zero(), field.zero())),
     ]
     for name, point in tests:
-        if eps.evaluate(point, emb=(lift if emb else None)).is_zero():
+        if inp.eps_i.evaluate(point).is_zero():
             raise EpsVanishesAtNode(f"cubic vanishes at the node {name}")
     return inp
 
@@ -455,22 +429,16 @@ def genus4_table_eval(inp):
     first loop's value on div(Z-W) is -eps(1,1,1,1)/eps(-1,-1,1,1): the
     minus sign is forced by the product over the six intersection points.
     """
-    k = inp.k
     field, i = inp.sqrt_minus_one
-    emb = embed(k, field) if field != k else None
-
-    def lift(v):
-        return emb(v) if emb else v
-
     one = field.one()
     zero = field.zero()
-    lift_fn = lift if emb else None
-    e1111 = inp.eps.evaluate((one, one, one, one), lift_fn)
-    em11 = inp.eps.evaluate((-one, -one, one, one), lift_fn)
-    e1000 = inp.eps.evaluate((one, zero, zero, zero), lift_fn)
-    e0100 = inp.eps.evaluate((zero, one, zero, zero), lift_fn)
-    ei = inp.eps.evaluate((i, i, -one, one), lift_fn)
-    emi = inp.eps.evaluate((-i, -i, -one, one), lift_fn)
+    eps = inp.eps_i
+    e1111 = eps.evaluate((one, one, one, one))
+    em11 = eps.evaluate((-one, -one, one, one))
+    e1000 = eps.evaluate((one, zero, zero, zero))
+    e0100 = eps.evaluate((zero, one, zero, zero))
+    ei = eps.evaluate((i, i, -one, one))
+    emi = eps.evaluate((-i, -i, -one, one))
 
     row_xy = (-one, -one, -i, i)
     row_zw = (-e1111 / em11, e1000 / e0100, e1111 / e0100, e1111 / e0100)
@@ -575,13 +543,7 @@ def genus4_direct_table(inp):
     component plus infinity for a degree deficit, and each loop is the
     product of its Mobius factors over them, by resultants at the known
     node coordinates (MobiusFactor.over_roots)."""
-    k = inp.k
     field, i = inp.sqrt_minus_one
-    emb = embed(k, field) if field != k else None
-
-    def liftpoly(p):
-        return p.map_coeffs(emb, field) if emb else p
-
     funcs = _genus4_local_functions(field, i)
     one = field.one()
     xy_form = (one, one, field.zero(), field.zero())
@@ -592,8 +554,8 @@ def genus4_direct_table(inp):
         restricted = _restrict_linear(field, xy_form, comp)
         xy.append((comp, restricted.monic(), 1))
         xy += [(comp, INF, 1)] * (2 - restricted.degree)
-    zw = [(1, liftpoly(inp.eps.restrict_zw()).monic(), 1)]
-    mzw = [(2, liftpoly(inp.eps.restrict_mzw()).monic(), 1)]
+    zw = [(1, inp.eps_i.restrict_zw().monic(), 1)]
+    mzw = [(2, inp.eps_i.restrict_mzw().monic(), 1)]
 
     nodes = {x.to_int(): x for factors in funcs.values() for f in factors
              for x in (f.enter, f.leave) if x is not INF}
@@ -611,27 +573,24 @@ def genus4_direct_table(inp):
     return field, i, _table_rows(row(xy), row(zw), row(mzw))
 
 
-def _row_subgroup(inp, field, rows, name):
+def _row_subgroup(inp, rows, name):
     """Generators in k^x extracted from a table row: all four entries when i
     is rational, otherwise the two rational entries plus the norm of the
     third."""
     row = rows[name]
-    k = inp.k
     if inp.i_in_k:
         return list(row)
-    emb = embed(k, field)
-    out = [emb.section(row[0]), emb.section(row[1])]
-    out.append(norm_to_subfield(row[2], k.m))
-    return out
+    return [inp.lift.section(row[0]), inp.lift.section(row[1]),
+            norm_to_subfield(row[2], inp.k.m)]
 
 
 def genus4_theta(inp):
     """Rational theta characteristic iff one of the four candidate rows
     generates only squares."""
-    field, _i, rows = _genus4_rows(inp)
+    _field, _i, rows = _genus4_rows(inp)
     names = ["div(X+Y)", "div(Z-W)", "div(Z+W)", "div((Z^2-W^2)/(X+Y))"]
     for name in names:
-        gens = _row_subgroup(inp, field, rows, name)
+        gens = _row_subgroup(inp, rows, name)
         if _all_r_th_powers(gens, 2):
             return True
     return False
@@ -655,8 +614,7 @@ def genus4_cuberoot(inp):
             if _all_r_th_powers(row, 3):
                 return True
             continue
-        emb = embed(k, field)
-        rational = [emb.section(row[0]), emb.section(row[1])]
+        rational = [inp.lift.section(row[0]), inp.lift.section(row[1])]
         if not _all_r_th_powers(rational, 3):
             continue
         if row[2] ** ((k.q ** 2 - 1) // 3) == field.one():
@@ -683,11 +641,10 @@ def genus4_torsion(inp):
             b0 = 2 // b1
         parts = [a0, b0, a1 * (q - 1), b1 * (q - 1), q - 1, q - 1]
         return group_invariants(parts)
-    emb = embed(k, field)
-    h1 = _row_subgroup(inp, field, rows, "div((Z-W)/(Z+W))")
-    h3 = _row_subgroup(inp, field, rows, "div((Z-W)/(X+Y))")
+    h1 = _row_subgroup(inp, rows, "div((Z-W)/(Z+W))")
+    h3 = _row_subgroup(inp, rows, "div((Z-W)/(X+Y))")
     one = field.one()
-    ei = inp.eps.evaluate((i, i, -one, one), lambda v: emb(v))
+    ei = inp.eps_i.evaluate((i, i, -one, one))
     if (q - 1) % 3 == 0:
         c_test = _all_r_th_powers(h1, 3)
     else:

@@ -266,15 +266,16 @@ def make_field(p, m=1, limit=DEFAULT_FIELD_LIMIT):
     """GF(p^m) with the deterministic modulus; cached per (p, m).
 
     The size limit (default 2^20, env TORICDESCENT_FIELD_LIMIT, or the limit
-    argument; None disables) applies here, at user-facing construction.
+    argument; None disables) applies here, at user-facing construction, and
+    before the primality test, whose trial division costs ~sqrt(p).
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise FieldError("extension degree must be >= 1")
     bound = field_limit() if limit is DEFAULT_FIELD_LIMIT else limit
     if bound is not None and p ** m > bound:
         raise SizeLimitExceeded(f"{p}^{m} exceeds the field-size limit {bound}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return _cached_field(p, m)
 
 
@@ -434,15 +435,6 @@ class FieldElement:
         for v in reversed(self.coeffs):
             n = n * self.field.p + v
         return n
-
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise ZeroElement("zero has no multiplicative order")
-        order = self.field.q - 1
-        for prm in factorize(order):
-            while order % prm == 0 and (self ** (order // prm)) == self.field.one():
-                order //= prm
-        return order
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -617,12 +609,6 @@ def poly_from_int(field, n):
         coeffs.append(field.from_int(n % field.q))
         n //= field.q
     return Poly(field, coeffs)
-
-
-def coprimality_check(f, g):
-    """True iff gcd(f, g) = 1 (so in particular for coprime unit inputs)."""
-    h = f.gcd(g)
-    return h.degree == 0
 
 
 # ---------------------------------------------------------------------------

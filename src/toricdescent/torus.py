@@ -8,11 +8,12 @@ point is a Galois-equivariant homomorphism from the lattice to the units of
 the algebraic closure; equivariance pins e(F v) = e(v)^q.
 """
 
+import math
 from fractions import Fraction
 
 from . import zmat
 from .finite_field import element_of_order, make_field
-from .zmat import charpoly, factorize, gcd, mat_vec, poly_eval_int, smith_normal_form
+from .zmat import charpoly, gcd, mat_vec, poly_eval_int, smith_normal_form
 
 FROBENIUS_ORDER_BOUND = 64
 ENUMERATION_LIMIT = 10 ** 6
@@ -170,9 +171,6 @@ class PrincipalDecomposition:
         self.components = components
         self.certificate = certificate
 
-    def orders_over(self, q):
-        return [c.order_over(q) for c in self.components]
-
 
 def verify_principal_decomposition(lattice, generators):
     """Check that the sigma-orbits of the generators jointly form a Z-basis.
@@ -214,13 +212,71 @@ class MuGroup:
         return f"MuGroup(order={self.order}, host={self.host})"
 
 
+#: Miller-Rabin to the first 13 prime bases decides primality below this
+#: bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def prime_power(q):
-    """(p, a) with q = p^a; TorusError unless q is a prime power >= 2."""
-    fac = factorize(q) if q >= 2 else {}
-    if len(fac) != 1:
-        raise TorusError(f"{q} is not a prime power")
-    [(p, a)] = fac.items()
-    return p, a
+    """(p, a) with q = p^a; TorusError unless q is a prime power >= 2.
+
+    Time polynomial in log q: p is what is left after taking exact integer
+    l-th roots for primes l while there are any, and is then tested by
+    deterministic Miller-Rabin (TorusError when p is past the range of that
+    test)."""
+    if q >= 2:
+        p, a, ell = q, 1, 2
+        # an l-th root of p with 2^l > p would be 1
+        while ell < p.bit_length():
+            root = _integer_root(p, ell)
+            if root ** ell == p:
+                p, a = root, a * ell
+            else:
+                ell = next(n for n in range(ell + 1, 2 * ell + 1) if _is_prime(n))
+        if p >= MILLER_RABIN_BOUND:
+            raise TorusError(f"{q} is past the primality-test bound {MILLER_RABIN_BOUND}")
+        if _is_prime(p):
+            return p, a
+    raise TorusError(f"{q} is not a prime power")
+
+
+def _integer_root(n, k):
+    """floor(n^(1/k)) for n >= 1: Newton's method from a point above the
+    root, a float estimate when the root fits in a float."""
+    bits = n.bit_length()
+    if bits < 1000 * k:
+        x = int(2 ** (math.log2(n) / k) * (1 + 2 ** -30)) + 1
+    else:
+        x = 1 << -(-bits // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for n < MILLER_RABIN_BOUND."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def multiplicative_order_mod(q, n):
@@ -324,16 +380,3 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
             break
     invariants = zmat.group_invariants([max(gi, 1) for _, gi in steps])
     return RationalPoints(lattice, q, host, zeta, points, invariants)
-
-
-def split_lattice(rank, label="split"):
-    return CharacterLattice(zmat.identity(rank), label=label)
-
-
-def norm_lattice(degree, label="norm"):
-    """Character lattice of the Weil restriction of the multiplicative group
-    from the degree-g extension: cyclic permutation action."""
-    F = [[0] * degree for _ in range(degree)]
-    for j in range(degree):
-        F[(j + 1) % degree][j] = 1
-    return CharacterLattice(F, label=label)

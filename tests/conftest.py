@@ -1,9 +1,11 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and small helpers the
+tests need but the package does not."""
 
 import random
 
-from toricdescent import families, oracle
+from toricdescent import families, oracle, zmat
 from toricdescent.finite_field import Poly
+from toricdescent.torus import CharacterLattice
 
 
 def random_hyperelliptic(k, d, rng):
@@ -23,7 +25,7 @@ def random_genus4(k, rng, r=2):
     while True:
         vec = [k.from_int(rng.randrange(k.q)) for _ in families.MONOMIALS]
         try:
-            return families.validate_genus4(k, families.CubicForm.from_vector(k, vec), r=r)
+            return families.validate_genus4(k, cubic_from_vector(k, vec), r=r)
         except families.FamilyError:
             continue
 
@@ -38,3 +40,39 @@ def rng_for(name):
     # string hashes are salted per process; crc32 keeps seeds reproducible
     import zlib
     return random.Random(zlib.crc32(name.encode()))
+
+
+def cubic_from_vector(field, vec):
+    """The cubic form with the given coefficients in report order."""
+    return families.CubicForm(field, dict(zip(families.MONOMIALS, vec)))
+
+
+def multiplicative_order(x):
+    """Order of a nonzero field element in the unit group."""
+    order = x.field.q - 1
+    for prm in zmat.factorize(order):
+        while order % prm == 0 and x ** (order // prm) == x.field.one():
+            order //= prm
+    return order
+
+
+def project_with_base(phi, multidegree, base_index=0):
+    """Class in the component group of a multidegree of any total degree,
+    after compensating the degree at the base component."""
+    deg = list(multidegree)
+    deg[base_index] -= sum(deg)
+    return phi.project(deg)
+
+
+def split_lattice(rank):
+    """Character lattice of the split torus of the given rank."""
+    return CharacterLattice(zmat.identity(rank))
+
+
+def norm_lattice(degree):
+    """Character lattice of the Weil restriction of the multiplicative group
+    from the degree-g extension: cyclic permutation action."""
+    F = [[0] * degree for _ in range(degree)]
+    for j in range(degree):
+        F[(j + 1) % degree][j] = 1
+    return CharacterLattice(F)

@@ -8,7 +8,8 @@ import time
 
 import properties
 
-from conftest import random_genus4, random_hyperelliptic, rng_for
+from conftest import (norm_lattice, project_with_base, random_genus4,
+                      random_hyperelliptic, rng_for, split_lattice)
 from toricdescent import descent, dual_graph, families, oracle
 from toricdescent.descent import DIVISIBLE, divisibility_verdict, translate_to_degree_zero
 from toricdescent.dual_graph import component_group
@@ -17,8 +18,7 @@ from toricdescent.families import (
     theta_bd, torsion_bd, validate_hyperelliptic)
 from toricdescent.finite_field import Poly, embed_over, is_prime, make_field, roots
 from toricdescent.torus import (CharacterLattice, enumerate_rational_points,
-                                norm_lattice, principal_component,
-                                split_lattice, torus_order)
+                                principal_component, torus_order)
 from toricdescent.zmat import group_invariants
 
 
@@ -34,7 +34,7 @@ def test_criterion_1_component_groups():
     phi = component_group([[-4, 2, 2], [2, -4, 2], [2, 2, -4]])
     assert phi.invariant_factors == [2, 6]
     d1 = phi.project((0, 1, -1))
-    d2 = phi.project_with_base((1, -1, 2), 0)
+    d2 = project_with_base(phi, (1, -1, 2), 0)
     assert phi.element_order(d1) == 6 and phi.element_order(d2) == 2
     span = {phi.add(phi.scale(d1, a), phi.scale(d2, b))
             for a in range(6) for b in range(2)}

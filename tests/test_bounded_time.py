@@ -102,3 +102,34 @@ GENUS4_1013 = (
     'group has no p-torsion (automatic here: the component group has order '
     '12 and p >= 5)"]}'
     "\n")
+
+
+@pytest.mark.parametrize("line", [
+    "hyperelliptic --q 1000000000000000003 --g x^3-x --h x+2",
+    "hyperelliptic --q 100000000000031 --g x^3-x --h x+2",
+    "hyperelliptic --p 100000000000031 --g x^3-x --h x+2",
+    "genus4 --q 1000000000000000003 --eps X^3+Y^3+W*Z^2",
+    "oracle --q 1000000000000000003 --g x^3-x --h x+2",
+])
+def test_fields_past_the_limit_are_refused_before_factoring(line, capsys):
+    # trial division of q or p would take seconds to minutes here
+    code, text, dt = _run(line)
+    assert (code, text) == (cli.EXIT_SYNTAX, "")
+    assert "exceeds the field-size limit" in capsys.readouterr().err
+    assert dt < 0.5
+
+
+def test_torus_q_near_10_to_18_answers_promptly():
+    code, text, dt = _run('torus --lattice {"rank":1,"frobenius":[[1]]} '
+                          '--q 1000000000000000003 --json')
+    assert code == 0 and json.loads(text)["order"] == 10 ** 18 + 2
+    assert dt < 0.5
+
+
+def test_torus_q_of_4000_digits_is_refused_promptly(capsys):
+    # the largest q argparse reads has about 4300 digits
+    code, _text, dt = _run('torus --lattice {"rank":1,"frobenius":[[1]]} '
+                           f'--q {10 ** 4000 + 1}')
+    assert code == cli.EXIT_SYNTAX
+    assert "primality-test bound" in capsys.readouterr().err
+    assert dt < 5.0

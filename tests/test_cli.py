@@ -303,3 +303,27 @@ def test_cli_answers_without_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.getvalue()
+
+
+def test_oracle_without_a_decomposition_rule_is_undetermined(tmp_path, capsys):
+    # valid input, but no rational node and two edge orbits: hyperelliptic
+    # answers Undetermined on it, and so does the oracle
+    request = "oracle --q 7 --g x^4+3*x^2+2 --h x+1"
+    assert cli.run_line(request.split()) == cli.EXIT_UNDETERMINED
+    assert capsys.readouterr().err == \
+        "undetermined: no rational node and several edge orbits\n"
+    assert cli.run_line(["hyperelliptic"] + request.split()[1:]) == cli.EXIT_UNDETERMINED
+    path = tmp_path / "requests.txt"
+    path.write_text(request + "\n")
+    out = io.StringIO()
+    assert cli.run_line(["batch", str(path)], stream=out) == cli.EXIT_UNDETERMINED
+    assert json.loads(out.getvalue())["error"] == {
+        "kind": "undetermined", "exit_code": cli.EXIT_UNDETERMINED,
+        "message": "undetermined: no rational node and several edge orbits"}
+    capsys.readouterr()
+
+
+def test_p_zero_is_refused_not_an_internal_error(capsys):
+    argv = ["hyperelliptic", "--p", "0", "--g", "x^3-x", "--h", "x+2"]
+    assert cli.run_line(argv) == cli.EXIT_SYNTAX
+    assert capsys.readouterr().err == "invalid input: 0 is not prime\n"

@@ -33,8 +33,8 @@ def test_gamma_class_canonical_example():
         cls = gamma_class(L, comp, 2)
         classes.append(cls)
         # the class is trivial exactly when the evaluation is a square
-        assert cls.is_trivial() == power_residue(cls.value, 2)
-    assert sorted(c.is_trivial() for c in classes) == [False, True]
+        assert (cls.residue == 0) == power_residue(cls.value, 2)
+    assert sorted(c.residue == 0 for c in classes) == [False, True]
     values = sorted(power_residue(c.value, 2) for c in classes)
     assert values == [False, True]
 

@@ -367,11 +367,6 @@ def test_genus4_fiber_section_degree_is_checked():
         families.genus4_fiber(families.Genus4Input(k, eps))
 
 
-def test_cubic_form_coefficient_count_is_checked():
-    with pytest.raises(families.WrongCoefficientCount):
-        CubicForm.from_vector(make_field(7), [1] * 19)
-
-
 def test_genus4_generator_check_is_a_typed_error(monkeypatch):
     from toricdescent import cli
     # a triangle with three nodes per pair has component group Z/3 + Z/9:

@@ -10,23 +10,11 @@ import pytest
 
 from conftest import rng_for
 from toricdescent import cli
-from toricdescent.dual_graph import DualGraph, h1_basis
 from toricdescent.families import (CubicForm, genus4_report, genus4_theta,
                                    genus4_theta_engine, genus4_torsion,
                                    genus4_torsion_engine, hyperelliptic_report,
                                    validate_genus4, validate_hyperelliptic)
 from toricdescent.finite_field import Poly, SizeLimitExceeded, make_field
-
-
-def test_graph_json_roundtrip():
-    g = DualGraph(3, [(0, 1, "a"), (0, 1, "b"), (1, 2, "c"), (2, 0, "d")],
-                  vertex_perm=[0, 1, 2], edge_perm=[1, 0, 2, 3])
-    data = g.to_json_dict()
-    text = json.dumps(data, sort_keys=True)
-    g2 = DualGraph.from_json_dict(json.loads(text))
-    assert g2.edges == g.edges
-    assert g2.vertex_perm == g.vertex_perm and g2.edge_perm == g.edge_perm
-    assert h1_basis(g2)[1].frobenius == h1_basis(g)[1].frobenius
 
 
 def test_field_limit_environment(monkeypatch):

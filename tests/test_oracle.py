@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_divisor, random_hyperelliptic, rng_for
+from conftest import multiplicative_order, random_divisor, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, oracle
 from toricdescent.descent import DIVISIBLE, SpecializedDivisor, divisibility_verdict
 from toricdescent.finite_field import Poly, embed_over, make_field
@@ -223,8 +223,7 @@ def test_enumerated_structure_matches_lattice_enumeration():
         for pt in torus.points:
             order = 1
             for v in pt:
-                order = lcm(order, v.multiplicative_order() if not v == fiber.E.one()
-                            else 1)
+                order = lcm(order, multiplicative_order(v))
             exponent = lcm(exponent, order)
         assert exponent == expected_exponent
 

@@ -1,11 +1,11 @@
 import pytest
 
-from conftest import rng_for
+from conftest import multiplicative_order, norm_lattice, rng_for, split_lattice
 from toricdescent import zmat
 from toricdescent.torus import (
     CharacterLattice, EnumerationLimitExceeded, NotPrincipal, TorusError,
-    enumerate_rational_points, frobenius_char_poly, mu_group, norm_lattice,
-    principal_component, principal_decomposition, split_lattice, torus_order,
+    enumerate_rational_points, frobenius_char_poly, mu_group,
+    principal_component, principal_decomposition, torus_order,
     verify_principal_decomposition)
 
 B3_IRRED = [[0, -1], [1, -1]]
@@ -71,7 +71,7 @@ def test_mu_group_examples():
     assert mu_group(principal_component(split_lattice(1), [1]), 7).order == 6
     mg = mu_group(principal_component(norm_lattice(2), [1, 0]), 3)
     assert (mg.order, mg.host.q) == (8, 9)
-    assert mg.generator.multiplicative_order() == 8
+    assert multiplicative_order(mg.generator) == 8
     mg = mu_group(principal_component(CharacterLattice(B3_IRRED), [1, 0]), 2)
     assert (mg.order, mg.host.q) == (7, 8)
 
@@ -120,7 +120,7 @@ def test_sum_of_characters_is_isomorphism():
         images = {tuple(pts.value(p, chi).to_int() for chi in gens)
                   for p in pts.points}
         assert len(images) == len(pts)
-        orders = decomp.orders_over(q)
+        orders = [c.order_over(q) for c in decomp.components]
         assert len(pts) == orders[0] * orders[1]
 
 
@@ -150,3 +150,31 @@ def _power_class(x, r):
     n = field.q - 1
     zeta = element_of_order(field, n)
     return residue_symbol(x, zeta, n, zmat.gcd(r, n))
+
+
+def test_prime_power_against_trial_division():
+    from toricdescent.torus import prime_power
+    for q in range(-3, 10 ** 4):
+        fac = zmat.factorize(q) if q >= 2 else {}
+        if len(fac) == 1:
+            assert prime_power(q) == next(iter(fac.items()))
+        else:
+            with pytest.raises(TorusError):
+                prime_power(q)
+
+
+def test_prime_power_of_large_numbers():
+    from toricdescent.torus import MILLER_RABIN_BOUND, prime_power
+    assert prime_power(10 ** 18 + 3) == (10 ** 18 + 3, 1)
+    assert prime_power(1000003 ** 5) == (1000003, 5)
+    assert prime_power(3 ** 5000) == (3, 5000)
+    assert prime_power(2 ** 14000) == (2, 14000)
+    assert prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    for composite in (10 ** 18 + 1, (10 ** 9 + 7) * (10 ** 9 + 9), 3215031751,
+                      (2 ** 61 - 1) ** 2 * 3):
+        with pytest.raises(TorusError):
+            prime_power(composite)
+    # past the proven range of the fixed bases: refused, not guessed
+    with pytest.raises(TorusError, match="primality-test bound"):
+        prime_power(2 ** 89 - 1)
+    assert 2 ** 89 - 1 > MILLER_RABIN_BOUND
