@@ -216,7 +216,7 @@ def run_torus(args):
                     "generator": list(comp.generator),
                     "char_poly": format_univariate(comp.char_poly),
                     "order": mg.order,
-                    "host": repr(mg.host),
+                    "host": mg.host,
                 })
             report["decomposition"]["components"] = comps
     if args.enumerate:
@@ -234,7 +234,7 @@ def run_oracle(args):
     h = _poly_from_text(k, args.h)
     inp = validate_hyperelliptic(k, g, h, r=args.r)
     fiber, frame, phi, gens, matrix = families.hyperelliptic_fiber(inp)
-    degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, args.r)
+    degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, args.r)
     rng = random.Random(args.seed)
     agreements = 0
     for _ in range(args.trials):

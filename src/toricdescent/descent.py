@@ -89,7 +89,6 @@ class SpecialFiber:
                     coords.append(self.node_coords[i][1])
             self._component_coords.append(tuple(coords))
         self._validate()
-        self._mu_generators = {}
         # finite node coordinates, once each, the values of orbit polynomials
         # there and whether an orbit meets a component's nodes
         self._finite_nodes = {}
@@ -193,12 +192,6 @@ class SpecialFiber:
             elif all(not H(x).is_zero() for H in polys):
                 return x
         raise NoRationalBasePoint(f"component {component} has no free rational point")
-
-    def mu_generator(self, n):
-        """Generator of the order-n subgroup of E^* (cached)."""
-        if n not in self._mu_generators:
-            self._mu_generators[n] = element_of_order(self.E, n)
-        return self._mu_generators[n]
 
 
 def _as_orbit(k, H):
@@ -389,21 +382,15 @@ class FrameComponent:
             raise UnsupportedTorus(
                 f"characteristic polynomial {char_poly} gives order {self.order} at q")
         self.system = LocalFunctionSystem(cycle, fiber, base_rank=base_rank)
-        self._eta = None
-
-    @property
-    def eta(self):
-        if self._eta is None:
-            self._eta = self.fiber.mu_generator(self.order)
-        return self._eta
 
     def mu_log(self, value, g):
         """Logarithm mod g (g dividing the order) of a mu-group member against
-        the stored generator: its residue symbol."""
-        if value ** self.order != self.fiber.E.one():
+        the generator element_of_order fixes: its residue symbol."""
+        E = self.fiber.E
+        if value ** self.order != E.one():
             raise DescentError(
                 "evaluation left the mu group; check divisor rationality")
-        return residue_symbol(value, self.eta, self.order, g)
+        return residue_symbol(value, element_of_order(E, self.order), self.order, g)
 
 
 class TorusFrame:

@@ -22,8 +22,8 @@ from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
                       UNDETERMINED)
 from .dual_graph import DualGraph, component_group, principal_cycle_generators
 from .finite_field import (INF, Poly, element_of_order, embed, extension,
-                           factor, norm_to_subfield, power_residue,
-                           residue_symbol, roots, roots_in_extension)
+                           factor, power_residue, residue_symbol, roots,
+                           roots_in_extension)
 from .zmat import gcd, group_invariants, lcm
 
 
@@ -86,8 +86,11 @@ def _power_class_subgroup_order(values, r):
     return g // acc
 
 
-def _all_r_th_powers(values, r):
-    return all(power_residue(v, r) for v in values)
+def _all_r_th_powers(values, r, q):
+    """Whether every value, a nonzero element of k (|k| = q) held in k or in
+    an extension of k, lies in (k^x)^r: v^((q-1)/gcd(r, q-1)) = 1."""
+    e = (q - 1) // gcd(r, q - 1)
+    return all(v ** e == v.field.one() for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +228,37 @@ def torsion_bd(inp):
 # -- engine route -----------------------------------------------------------
 
 
+def node_degree(inp):
+    """Degree over k of the field of the nodes, the splitting field of the
+    reduction of g: the least common multiple of its factor degrees."""
+    s = 1
+    for f in _gbar_factor_data(inp)[0]:
+        s = lcm(s, f.degree)
+    return s
+
+
+def hyperelliptic_special_fiber(inp, s):
+    """The two-line special fiber over GF(q^s): its nodes are the roots of
+    the reduction of g, found there, so s must be a multiple of their degree.
+    Built once per input and degree."""
+    if not hasattr(inp, "_fibers"):
+        inp._fibers = {}
+    if s not in inp._fibers:
+        k = inp.k
+        factors = _gbar_factor_data(inp)[0]
+        g_roots = roots_in_extension(inp.g, s, factors=[(f, 1) for f in factors])
+        if len(g_roots) != inp.d:
+            raise UnexpectedRootCount(
+                f"found {len(g_roots)} of the {inp.d} nodes in {extension(k, s)}")
+        edges = [(0, 1, rho.to_int()) for rho in g_roots]
+        key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
+        perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
+        graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
+        inp._fibers[s] = SpecialFiber(graph, k, extension(k, s),
+                                      [(rho, rho) for rho in g_roots])
+    return inp._fibers[s]
+
+
 def hyperelliptic_fiber(inp):
     """Build the two-line special fiber, torus frame, component group, and
     descent generators for the generic engine.
@@ -232,24 +266,8 @@ def hyperelliptic_fiber(inp):
     The evaluation field is the splitting field of the reduction of g, the
     field of the nodes; the zeros of h enter div(y - g) as one orbit entry
     and are never found."""
-    k = inp.k
-    factors = _gbar_factor_data(inp)[0]
-    s = 1
-    for f in factors:
-        s = lcm(s, f.degree)
-    E = extension(k, s)
-    g_roots = roots_in_extension(inp.g, s, factors=[(f, 1) for f in factors])
-    if len(g_roots) != inp.d:
-        raise UnexpectedRootCount(
-            f"found {len(g_roots)} of the {inp.d} nodes in {E}")
-    edges = [(0, 1, rho.to_int()) for rho in g_roots]
-    key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
-    perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
-    graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
-    fiber = SpecialFiber(graph, k, E, [(rho, rho) for rho in g_roots])
-
-    generator_cycles = principal_cycle_generators(graph)
-    frame = descent.TorusFrame(fiber, generator_cycles)
+    fiber = hyperelliptic_special_fiber(inp, node_degree(inp))
+    frame = descent.TorusFrame(fiber, principal_cycle_generators(fiber.graph))
 
     d = inp.d
     matrix = [[-d, d], [d, -d]]
@@ -364,9 +382,9 @@ class Genus4Input:
         #: (k(i), i): the square root of -1 that every table uses
         self.sqrt_minus_one = _sqrt_of_minus_one(k)
         field = self.sqrt_minus_one[0]
-        #: k -> k(i), the identity when i is in k, and the cubic over k(i)
-        self.lift = (lambda v: v) if self.i_in_k else embed(k, field)
-        self.eps_i = CubicForm(field, {e: self.lift(c) for e, c in eps.coeffs.items()})
+        #: the cubic over k(i), through k -> k(i) when i is not in k
+        lift = (lambda v: v) if self.i_in_k else embed(k, field)
+        self.eps_i = CubicForm(field, {e: lift(c) for e, c in eps.coeffs.items()})
         self.warnings = []
         if qp_mode:
             self.warnings.append(
@@ -573,15 +591,20 @@ def genus4_direct_table(inp):
     return field, i, _table_rows(row(xy), row(zw), row(mzw))
 
 
+def _norm(inp, x):
+    """N(x) = x^(q+1) from k(i) to k, held in k(i): x times its Frobenius
+    conjugate x^q."""
+    return x * x.frob(inp.k.m)
+
+
 def _row_subgroup(inp, rows, name):
-    """Generators in k^x extracted from a table row: all four entries when i
-    is rational, otherwise the two rational entries plus the norm of the
-    third."""
+    """Generators of a subgroup of k^x from a table row, held in k(i): all
+    four entries when i is rational, otherwise the two rational entries plus
+    the norm of the third."""
     row = rows[name]
     if inp.i_in_k:
         return list(row)
-    return [inp.lift.section(row[0]), inp.lift.section(row[1]),
-            norm_to_subfield(row[2], inp.k.m)]
+    return [row[0], row[1], _norm(inp, row[2])]
 
 
 def genus4_theta(inp):
@@ -591,7 +614,7 @@ def genus4_theta(inp):
     names = ["div(X+Y)", "div(Z-W)", "div(Z+W)", "div((Z^2-W^2)/(X+Y))"]
     for name in names:
         gens = _row_subgroup(inp, rows, name)
-        if _all_r_th_powers(gens, 2):
+        if _all_r_th_powers(gens, 2, inp.k.q):
             return True
     return False
 
@@ -605,19 +628,18 @@ def genus4_cuberoot(inp):
     every k-rational value is a cube in the relevant group, so the first row
     always works and the answer is yes for every admissible cubic.
     """
-    k = inp.k
+    q = inp.k.q
     field, _i, rows = _genus4_rows(inp)
     names = ["div(Z-W)", "div(Z+W)", "div((Z+W)^2/(Z-W))"]
     for name in names:
         row = rows[name]
         if inp.i_in_k:
-            if _all_r_th_powers(row, 3):
+            if _all_r_th_powers(row, 3, q):
                 return True
             continue
-        rational = [inp.lift.section(row[0]), inp.lift.section(row[1])]
-        if not _all_r_th_powers(rational, 3):
+        if not _all_r_th_powers(row[:2], 3, q):
             continue
-        if row[2] ** ((k.q ** 2 - 1) // 3) == field.one():
+        if row[2] ** ((q * q - 1) // 3) == field.one():
             return True
     return False
 
@@ -625,8 +647,7 @@ def genus4_cuberoot(inp):
 def genus4_torsion(inp):
     """Invariant factors of the prime-to-p rational torsion, from the
     two-case closed form."""
-    k = inp.k
-    q = k.q
+    q = inp.k.q
     field, i, rows = _genus4_rows(inp)
     if inp.i_in_k:
         h1 = list(rows["div((Z-W)/(Z+W))"])
@@ -634,7 +655,7 @@ def genus4_torsion(inp):
         h3 = list(rows["div((Z-W)/(X+Y))"])
         a1 = _power_class_subgroup_order(h1, 6)
         a0 = 6 // a1
-        if _all_r_th_powers(h3, 2):
+        if _all_r_th_powers(h3, 2, q):
             b1, b0 = 1, 2
         else:
             b1 = _power_class_subgroup_order(h2, 2)
@@ -646,17 +667,16 @@ def genus4_torsion(inp):
     one = field.one()
     ei = inp.eps_i.evaluate((i, i, -one, one))
     if (q - 1) % 3 == 0:
-        c_test = _all_r_th_powers(h1, 3)
+        c_test = _all_r_th_powers(h1, 3, q)
     else:
         c_test = ei ** ((q * q - 1) // 3) == field.one()
     c0 = 3 if c_test else 1
     c3 = 3 // c0
-    nm_ei = norm_to_subfield(ei, k.m)
-    if power_residue(nm_ei, 2):
+    if _all_r_th_powers([_norm(inp, ei)], 2, q):
         b1, b3 = 2, 1
     else:
         b1, b3 = 1, 2
-    if _all_r_th_powers(h3, 2):
+    if _all_r_th_powers(h3, 2, q):
         a0, a1 = 2, 1
     else:
         a0, a1 = 1, 2

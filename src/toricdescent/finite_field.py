@@ -12,7 +12,11 @@ coefficients; this makes every derived quantity reproducible across runs.  The
 search for it runs on Poly over GF(p), whose modulus x needs no search.
 
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
-the smallest root of the subfield modulus in the big field.
+the smallest root of the subfield modulus in the big field.  Each is chosen on
+its own, so embeddings along a tower need not compose; callers only embed the
+residue field k of a request into fields that contain it, and never map a
+value back down.  A value known to lie in k (|k| = q) is tested where it is
+held: it is an r-th power in k iff x^((q-1)/gcd(r, q-1)) = 1.
 
 Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
 equal-degree splitting), and every root search goes through the same
@@ -244,7 +248,7 @@ class FiniteField:
         return self._frob_mat
 
     def __repr__(self):
-        return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
+        return field_name(self.p, self.m)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FiniteField)
@@ -255,6 +259,11 @@ class FiniteField:
 
     def __hash__(self):
         return hash((self.p, self.m))
+
+
+def field_name(p, m):
+    """The name of GF(p^m), as reports print it."""
+    return f"GF({p}^{m})" if m > 1 else f"GF({p})"
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -798,19 +807,6 @@ class Embedding:
             return self.big.from_coeffs(x.coeffs)
         return FieldElement(self.big, _vec_mat(x.coeffs, self._mat, self.big.p))
 
-    def section(self, y):
-        """Preimage of y; raises NotASubfield if y is not in the image."""
-        if y.field != self.big:
-            raise MixedFields(f"element of {y.field} passed to a section onto {self.big}")
-        if self._mat is None:
-            if any(y.coeffs[1:]):
-                raise NotASubfield(f"{y} is not in the prime subfield")
-            return self.sub.from_coeffs(y.coeffs[:1])
-        sol = _solve_gfp(list(zip(*self._mat)), y.coeffs, self.big.p)
-        if sol is None:
-            raise NotASubfield(f"{y} is not in the image of {self.sub}")
-        return self.sub.from_coeffs(sol)
-
 
 @lru_cache(maxsize=DERIVED_CACHE_SIZE)
 def _cached_embedding(p, msub, mbig):
@@ -821,53 +817,6 @@ def embed(sub, big):
     if big.p != sub.p or big.m % sub.m != 0:
         raise NotASubfield(f"{sub} is not a subfield of {big}")
     return _cached_embedding(sub.p, sub.m, big.m)
-
-
-def embed_over(base, sub, big):
-    """An embedding of sub into big that restricts to embed(base, big) on the
-    common subfield base.  embed picks each embedding on its own, so
-    embed(sub, big) after embed(base, sub) can differ from embed(base, big)
-    by an automorphism; this is the Frobenius twist of embed(sub, big) that
-    agrees on the generator of base (the identity when sub is big)."""
-    if sub == big:
-        return lambda x: x
-    emb = embed(sub, big)
-    target = embed(base, big)(base.gen())
-    image = emb(embed(base, sub)(base.gen()))
-    for j in range(big.m):
-        if image.frob(j) == target:
-            return lambda x: emb(x).frob(j)
-    raise NotASubfield(f"{base} is not a common subfield of {sub} and {big}")
-
-
-def _solve_gfp(A, b, p):
-    """One solution of A x = b over GF(p), A given by its rows; None if
-    inconsistent."""
-    aug = [[v % p for v in row] + [bv % p] for row, bv in zip(A, b)]
-    n, k = len(aug), len(A[0])
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        unit = pow(aug[r][c], -1, p)
-        aug[r] = [v * unit % p for v in aug[r]]
-        for i in range(n):
-            t = aug[i][c]
-            if i != r and t:
-                aug[i] = [(v - t * w) % p for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    if any(aug[i][k] for i in range(r, n)):
-        return None
-    x = [0] * k
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][k]
-    return x
 
 
 def roots_in_extension(f, s, factors=None):
@@ -915,20 +864,6 @@ def power_residue(x, r):
         raise ZeroElement("power residue of zero is undefined")
     n = x.field.q - 1
     return x ** (n // gcd(r, n)) == x.field.one()
-
-
-def norm_to_subfield(x, s):
-    """Norm from GF(p^m) to GF(p^s), s | m: product of x^(p^(s*j))."""
-    field = x.field
-    if field.m % s != 0:
-        raise NotASubfield(f"degree {s} does not divide {field.m}")
-    acc = field.one()
-    cur = x
-    for _ in range(field.m // s):
-        acc = acc * cur
-        cur = cur.frob(s)
-    sub = _cached_field(field.p, s)
-    return embed(sub, field).section(acc)
 
 
 @lru_cache(maxsize=DERIVED_CACHE_SIZE)

@@ -8,25 +8,29 @@ equivariance) and closes the subgroup that r-th powers and the
 connecting-map lifts generate, once for the fiber and r.  Each trial then
 pays for one chain evaluation on the divisor's points and a set lookup.
 
-Only the field layer and the combinatorial graph plumbing are shared with
-the engine; evaluation and membership are re-derived from first principles.
-The connecting-map lifts are shared input (the compensating-function recipe
-is the only route to them), and agreement claims are scoped accordingly.
+Only the field layer, the combinatorial graph plumbing and the fiber
+builder are shared with the engine; evaluation and membership are re-derived
+from first principles.  The connecting-map lifts are shared input (the
+compensating-function recipe is the only route to them), and agreement
+claims are scoped accordingly.
 
 The engine's divisors are Galois orbits given by polynomials over k.  The
-oracle works with points: it lifts the fiber into a field that holds every
-point it needs (lift_fiber, field_degree) and finds the roots of each orbit
-there (divisor_points), which is affordable only at its tiny q.  The random
-divisors both are checked on come from random_divisor.
+oracle works with points: prepare builds its own fiber over a field that
+holds every point it needs (field_degree), with the nodes found there, and
+divisor_points finds the roots of each orbit in that field, which is
+affordable only at its tiny q.  No value moves between the engine's field
+and the oracle's: both embed only k.  The random divisors both are checked
+on come from random_divisor, which draws its orbits over k.
 """
 
 from functools import lru_cache
 
-from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
-                      phi_r_table, translate_to_degree_zero)
+from .descent import (DivisorMeetsNode, SpecializedDivisor, phi_r_table,
+                      translate_to_degree_zero)
 from .dual_graph import chain_decomposition, h1_basis, principal_cycle_generators
-from .finite_field import (INF, Poly, embed, embed_over, extension, factor,
-                           roots_in_extension)
+from .families import hyperelliptic_special_fiber, node_degree
+from .finite_field import (INF, Poly, element_of_order, embed, extension, factor,
+                           power_residue, roots_in_extension)
 from .torus import principal_component, _solve_rational
 from .zmat import lcm, poly_eval_int
 
@@ -55,42 +59,45 @@ class NotEquivariant(OracleError):
     pass
 
 
+class EvenCharacteristic(OracleError):
+    """Random quadratic orbits are drawn by their discriminant, which needs
+    odd characteristic."""
+
+
 ENUMERATION_LIMIT = 10 ** 6
 
 
-def field_degree(fiber, divisors):
-    """Degree over k of the field of the nodes and of every point of the
-    given orbit divisors: the least common multiple of the nodes' degree and
-    the degrees of the irreducible factors of every orbit polynomial."""
-    s = fiber.E.m // fiber.k.m
-    for divisor in divisors:
-        for _comp, H, _mult in divisor.entries:
-            if H is not INF:
-                for f, _ in factor(H):
-                    s = lcm(s, f.degree)
-    return s
+def field_degree(polys):
+    """Degree over k of the smallest field that holds every root of the
+    polynomials over k (INF entries are skipped): the least common multiple
+    of the degrees of their irreducible factors."""
+    degree = 1
+    for H in polys:
+        if H is not INF:
+            for f, _ in factor(H):
+                degree = lcm(degree, f.degree)
+    return degree
 
 
-def generator_degree(fiber, generators):
-    """Degree over k of the oracle's field for a fiber: it holds the nodes
-    and the points of the generators' function divisors (the zeros of h).
-    random_divisor draws its points from the subfields of this field."""
-    return field_degree(fiber, [gen.f_divisor for gen in generators])
-
-
-def prepare(fiber, phi, generators, r):
-    """Everything exhaustive_divisibility needs for one fiber and target r:
-    (degree, lifted fiber, enumerated torus, subgroup), with degree as in
-    generator_degree.  The subgroup is the frozenset of the keys
-    (EnumeratedTorus.key) of the torus points that r-th powers and the
+def prepare(inp, phi, generators, r):
+    """Everything exhaustive_divisibility needs for one validated
+    hyperelliptic input and target r: (degree, fiber, enumerated torus,
+    subgroup).  The fiber is the oracle's own, with its nodes found in
+    GF(q^degree), where degree is the least common multiple of the nodes'
+    degree and the field_degree of the generators' function divisors (the
+    zeros of h); when that is the nodes' degree, the engine's fiber is
+    reused.  random_divisor draws its
+    orbits to split in this field.  The subgroup is the frozenset of the
+    keys (EnumeratedTorus.key) of the torus points that r-th powers and the
     connecting-map lifts generate, found by literal closure."""
-    degree = generator_degree(fiber, generators)
-    ofiber = lift_fiber(fiber, degree)
-    torus = enumerate_torus(ofiber)
+    degree = lcm(node_degree(inp), field_degree(
+        [H for gen in generators for _comp, H, _mult in gen.f_divisor.entries]))
+    fiber = hyperelliptic_special_fiber(inp, degree)
+    torus = enumerate_torus(fiber)
     powers = [torus.power(pt, r) for pt in torus.component_generators]
-    lifts = [vec for _el, vec in nu_lift_vectors(ofiber, torus, phi, generators, r)]
+    lifts = [vec for _el, vec in nu_lift_vectors(fiber, torus, phi, generators, r)]
     unique = {torus.key(pt): pt for pt in powers + lifts}
-    return degree, ofiber, torus, _closure(torus, list(unique.values()))
+    return degree, fiber, torus, _closure(torus, list(unique.values()))
 
 
 def _closure(torus, generators):
@@ -106,21 +113,6 @@ def _closure(torus, generators):
                 subgroup.add(key)
                 frontier.append(nxt)
     return frozenset(subgroup)
-
-
-def lift_fiber(fiber, degree):
-    """The same fiber over GF(q^s), s = lcm(degree of the nodes, degree):
-    same graph, node coordinates embedded over k.  The fiber itself when its
-    field is already large enough."""
-    k = fiber.k
-    s = lcm(fiber.E.m // k.m, degree)
-    big = extension(k, s)
-    if big == fiber.E:
-        return fiber
-    emb = embed_over(k, fiber.E, big)
-    coords = [tuple(c if c is INF else emb(c) for c in pair)
-              for pair in fiber.node_coords]
-    return SpecialFiber(fiber.graph, k, big, coords)
 
 
 def divisor_points(divisor, fiber):
@@ -157,62 +149,43 @@ def _multidegree(points, fiber):
     return tuple(deg)
 
 
-def _frobenius_orbit(x, step):
-    """x, x^(p^step), x^(p^(2 step)), ... up to the first repetition."""
-    orbit = [x]
-    nxt = x.frob(step)
-    while nxt != x:
-        orbit.append(nxt)
-        nxt = nxt.frob(step)
-    return orbit
-
-
-def _conjugate_orbits(x, k):
-    """The minimal polynomials over k of the conjugates of x over GF(p),
-    each once: the Frobenius orbit of x over the prime field, grouped into
-    its orbits over k."""
-    field = x.field
-    if field == k:
-        # every conjugate is a point of k
-        return list({c.to_int(): Poly(k, [-c, k.one()])
-                     for c in _frobenius_orbit(x, 1)}.values())
-    emb = embed(k, field)
-    seen = set()
-    out = []
-    cur = x
-    for _ in range(k.m):
-        if cur.to_int() not in seen:
-            orbit = _frobenius_orbit(cur, k.m)
-            seen.update(y.to_int() for y in orbit)
-            H = Poly(field, [1])
-            for y in orbit:
-                H = H * Poly(field, [-y, field.one()])
-            out.append(Poly(k, [emb.section(c) for c in H.coeffs]))
-        cur = cur.frob(1)
-    return out
+def _random_orbit(k, t, rng):
+    """A random monic irreducible polynomial of degree t in {1, 2} over k of
+    odd characteristic: y - c, or y^2 + b y + c with b^2 - 4c a non-square
+    (as c runs through k, so does the discriminant)."""
+    b = k.from_int(rng.randrange(k.q))
+    if t == 1:
+        return Poly(k, [-b, k.one()])
+    while True:
+        c = k.from_int(rng.randrange(k.q))
+        disc = b * b - c * 4
+        if not disc.is_zero() and not power_residue(disc, 2):
+            return Poly(k, [c, b, k.one()])
 
 
 def random_divisor(fiber, r, rng, degree):
     """Random node-avoiding orbit divisor with multidegree in r*Z^v.
 
-    On every component, up to two draws: an element x of
-    GF(q^t), t in {1, 2} dividing `degree` (draws with t not dividing it are
-    skipped), whose conjugates over GF(p) enter with one random multiplicity
-    unless one of them is a node.  A multiple of the standard point of each
-    component then makes the multidegree divisible by r."""
+    On every component, up to two draws of an orbit over k of degree t in
+    {1, 2} (see _random_orbit), skipped when t does not divide `degree` or
+    the orbit meets a node, and entered with one random multiplicity.  A
+    multiple of the standard point of each component then makes the
+    multidegree divisible by r.  EvenCharacteristic when k has
+    characteristic 2, which no hyperelliptic fiber has (p does not divide
+    2d)."""
     k = fiber.k
+    if k.p == 2:
+        raise EvenCharacteristic(f"random orbits over {k} need odd characteristic")
     entries = []
     for comp in range(fiber.graph.num_vertices):
         for _ in range(rng.randrange(0, 3)):
             t = rng.choice([1, 2])
             if degree % t:
                 continue
-            sub = extension(k, t)
-            orbits = _conjugate_orbits(sub.from_int(rng.randrange(sub.q)), k)
-            if any(fiber.meets_nodes(comp, H) for H in orbits):
+            H = _random_orbit(k, t, rng)
+            if fiber.meets_nodes(comp, H):
                 continue
-            mult = rng.choice([-2, -1, 1, 2])
-            entries.extend((comp, H, mult) for H in orbits)
+            entries.append((comp, H, rng.choice([-2, -1, 1, 2])))
     div = SpecializedDivisor(fiber, entries)
     fix = []
     for comp, dcomp in enumerate(div.multidegree):
@@ -300,7 +273,7 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
     component_generators = []
     for idx, (start, rank, fpoly) in enumerate(layout):
         order = poly_eval_int(fpoly, q)
-        eta = fiber.mu_generator(order)
+        eta = element_of_order(fiber.E, order)
         values = []
         cur = one
         for _ in range(order):

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from . import zmat
-from .finite_field import element_of_order, make_field
+from .finite_field import element_of_order, field_name, make_field
 from .zmat import charpoly, gcd, mat_vec, poly_eval_int, smith_normal_form
 
 FROBENIUS_ORDER_BOUND = 64
@@ -201,12 +201,11 @@ def principal_decomposition(lattice, generators):
 
 class MuGroup:
     """The cyclic group of f_i(q)-th roots of unity attached to a principal
-    component, realized in its smallest host field."""
+    component, with the name of its smallest host field."""
 
-    def __init__(self, order, host, generator):
+    def __init__(self, order, host):
         self.order = order
         self.host = host
-        self.generator = generator
 
     def __repr__(self):
         return f"MuGroup(order={self.order}, host={self.host})"
@@ -280,11 +279,10 @@ def _is_prime(n):
 
 
 def multiplicative_order_mod(q, n):
-    """Multiplicative order of q modulo n (requires gcd(q, n) = 1)."""
-    assert n >= 1
+    """Multiplicative order of q modulo n >= 1, for n dividing some q^s - 1
+    (so gcd(q, n) = 1): the smallest such s."""
     if n == 1:
         return 1
-    assert gcd(q, n) == 1
     s = 1
     cur = q % n
     while cur != 1:
@@ -294,13 +292,13 @@ def multiplicative_order_mod(q, n):
 
 
 def mu_group(component, q):
-    """MuGroup of order f_i(q) with an explicit generator in GF(q^s), where
-    s is the multiplicative order of q modulo f_i(q)."""
+    """MuGroup of order n = f_i(q), hosted by GF(q^s) with s the
+    multiplicative order of q modulo n.  f_i divides x^t - 1 for the order t
+    of Frobenius on the component, so n divides q^t - 1 and s exists.  The
+    host field is named, not built."""
     n = component.order_over(q)
     p, a = prime_power(q)
-    s = multiplicative_order_mod(q, n)
-    host = make_field(p, a * s)
-    return MuGroup(n, host, element_of_order(host, n))
+    return MuGroup(n, field_name(p, a * multiplicative_order_mod(q, n)))
 
 
 class RationalPoints:

@@ -303,24 +303,14 @@ def poly_divexact_int(a, b):
 
 def group_invariants(orders):
     """Invariant factors d_1 | d_2 | ... of a direct sum of cyclic groups
-    of the given orders (order 1 summands are dropped)."""
-    primary = {}
-    for n in orders:
-        assert n >= 1
-        for p, e in factorize(n).items():
-            primary.setdefault(p, []).append(e)
-    if not primary:
-        return []
-    width = max(len(v) for v in primary.values())
-    for p in primary:
-        primary[p].sort(reverse=True)
-        primary[p] += [0] * (width - len(primary[p]))
-    factors = []
-    for slot in range(width):
-        d = 1
-        for p, exps in primary.items():
-            d *= p ** exps[slot]
-        if d > 1:
-            factors.append(d)
-    factors.sort()
-    return factors
+    of the given orders (order 1 summands are dropped).
+
+    The gcd/lcm normal form of the diagonal: replacing a pair (a, b) by
+    (gcd, lcm) keeps the group, and after every pair i < j has been replaced
+    in order, each entry divides the next.  No order is factored."""
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return [n for n in d if n > 1]

@@ -33,7 +33,9 @@ def random_genus4(k, rng, r=2):
 def random_divisor(fiber, gens, r, rng):
     """A random orbit divisor (oracle.random_divisor) keyed, as the oracle
     command keys it, to the field of the nodes and of the zeros of h."""
-    return oracle.random_divisor(fiber, r, rng, oracle.generator_degree(fiber, gens))
+    degree = zmat.lcm(fiber.E.m // fiber.k.m, oracle.field_degree(
+        [H for gen in gens for _c, H, _m in gen.f_divisor.entries]))
+    return oracle.random_divisor(fiber, r, rng, degree)
 
 
 def rng_for(name):

@@ -38,7 +38,7 @@ def test_embedding_of_quadratic_into_quartic_extension(p):
     emb, dt = _timed(lambda: Embedding(sub, big))
     theta = sub.gen()
     assert emb(theta * theta + theta) == emb(theta) * emb(theta) + emb(theta)
-    assert emb.section(emb(theta)) == theta
+    assert emb(theta).frob(2) == emb(theta) != emb(theta).frob(1)
     assert dt < 5.0
 
 
@@ -70,6 +70,18 @@ def test_hyperelliptic_cli_irreducible_cubic_at_10007():
     assert code == 0 and report["dual_graph"]["node_orbit_degrees"] == [3]
     assert report["engine_check"]["agree"] is True
     assert dt < 5.0
+
+
+def test_hyperelliptic_cli_irreducible_cubic_closed_form_near_the_limit():
+    # torsion Z/(3 (q^2 + q + 1)) at q = 1000121: its invariant factors come
+    # from gcd and lcm, with nothing factored
+    code, text, dt = _run("hyperelliptic --p 1000121 --g x^3-x-1 --h x+2 "
+                          "--no-engine-check --json")
+    report = json.loads(text)
+    q = 1000121
+    assert code == 0 and report["dual_graph"]["node_orbit_degrees"] == [3]
+    assert report["torsion"] in ([3 * (q * q + q + 1)], [3, q * q + q + 1])
+    assert dt < 2.0
 
 
 def test_hyperelliptic_cli_quintic_at_65537():

@@ -115,6 +115,21 @@ def test_oracle_report_is_pinned(argv, expected):
     assert run_cli(argv + ["--json"]) == (0, expected)
 
 
+@pytest.mark.parametrize("lattice, q, host, order", [
+    ('{"rank":2,"frobenius":[[0,1],[1,0]],"components":[[1,0]]}', 1031,
+     "GF(1031^2)", 1031 ** 2 - 1),
+    ('{"rank":1,"frobenius":[[1]],"components":[[1]]}', 2000003,
+     "GF(2000003)", 2000002),
+])
+def test_torus_components_past_the_field_limit(lattice, q, host, order):
+    # the mu group's host field is named, not built, so the field-size
+    # limit does not apply to it
+    code, rep = run_json(["torus", "--lattice", lattice, "--q", str(q)])
+    assert code == 0 and rep["order"] == order
+    [comp] = rep["decomposition"]["components"]
+    assert (comp["host"], comp["order"]) == (host, order)
+
+
 def test_exit_codes():
     code, _ = run_cli(["hyperelliptic", "--p", "3", "--g", "x^3-x", "--h", "x+2"])
     assert code == cli.EXIT_HYPOTHESIS

@@ -8,7 +8,7 @@ from toricdescent.descent import (
     DivisorMeetsNode, NotDivRDivisor, divisibility_verdict, gamma_class,
     translate_to_degree_zero)
 from toricdescent.descent import MobiusFactor
-from toricdescent.finite_field import (INF, Poly, embed, embed_over, extension,
+from toricdescent.finite_field import (INF, Poly, embed, extension,
                                        factor, make_field, power_residue,
                                        roots_in_extension)
 from toricdescent.zmat import factorize, lcm
@@ -49,8 +49,9 @@ def test_gamma_class_requires_divisible_multidegree():
 def test_divisor_rejects_nodes():
     inp, (fiber, _, _, _, _) = b3_instance()
     node = fiber.node_coords[0][0]
+    assert fiber.E == fiber.k  # g splits over GF(7): the nodes are points of k
     with pytest.raises(DivisorMeetsNode):
-        SpecializedDivisor(fiber, [(0, fiber.embed.section(node), 1)])
+        SpecializedDivisor(fiber, [(0, node, 1)])
     # an orbit meets a node when its polynomial vanishes there: g itself
     with pytest.raises(DivisorMeetsNode):
         SpecializedDivisor(fiber, [(1, inp.g, 1)])
@@ -148,7 +149,7 @@ def _pointwise(scale, a, b, rts):
 @pytest.mark.parametrize("q", [5, 9, 25, 27, 49])
 def test_mobius_product_over_roots_is_a_resultant(q):
     # s^n H(a)/H(b), with the sign cases at infinity, against the product
-    # over the roots of H found in its splitting field
+    # over the roots of H, all in one field that holds them
     [(p, m)] = factorize(q).items()
     k = make_field(p, m)
     rng = rng_for(f"mobius-resultant-{q}")
@@ -159,7 +160,7 @@ def test_mobius_product_over_roots_is_a_resultant(q):
         split = 1
         for f, _ in factor(H):
             split = lcm(split, f.degree)
-        E = extension(k, rng.choice([1, 2, 3]))
+        E = extension(k, lcm(split, rng.choice([1, 2, 3])))
         a, b = [INF if rng.randrange(4) == 0 else E.from_int(rng.randrange(E.q))
                 for _ in range(2)]
         if a == b or (a is INF and b is INF):
@@ -171,12 +172,9 @@ def test_mobius_product_over_roots_is_a_resultant(q):
         s_den = E.from_int(rng.randrange(1, E.q))
         h_a, h_b = [None if x is INF else HE(x) for x in (a, b)]
         num, den = MobiusFactor(0, a, b, s_num, s_den).over_roots(n, h_a, h_b)
-        big = extension(k, lcm(split, E.m // k.m))
-        emb = embed_over(k, E, big)
-        rts = roots_in_extension(H, big.m // k.m)
+        rts = roots_in_extension(H, E.m // k.m)
         assert len(rts) == n
-        lift = [x if x is INF else emb(x) for x in (a, b)]
-        assert emb(num / den) == _pointwise(emb(s_num) / emb(s_den), *lift, rts)
+        assert num / den == _pointwise(s_num / s_den, a, b, rts)
         checks += 1
 
 
@@ -238,3 +236,19 @@ def test_verdict_matches_the_rows_of_the_table():
         else:
             assert not any(rows[verdict.witness])
         checked += 1
+
+
+def test_mu_generator_is_cached_once():
+    # element_of_order's own cache is the only one: every residue symbol of
+    # a frame component asks it again, and the fiber keeps no copy
+    from toricdescent.finite_field import element_of_order
+    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    assert not hasattr(fiber, "mu_generator")
+    L = families.hyperelliptic_canonical_divisor(inp, fiber)
+    before = element_of_order.cache_info()
+    for _ in range(2):
+        for comp in frame.components:
+            gamma_class(L, comp, 2)
+    after = element_of_order.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == \
+        2 * len(frame.components)

@@ -389,3 +389,24 @@ def test_typed_errors_keep_their_exit_code_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     assert "hypothesis violated" in proc.stderr
+
+
+def _pinned_genus4_reports():
+    import json
+    from pathlib import Path
+    with open(Path(__file__).parent / "data" / "genus4_reports.jsonl") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("record", _pinned_genus4_reports(),
+                         ids=lambda rec: rec["line"].split(" --json")[0])
+def test_genus4_report_is_pinned(record):
+    """Reports at q = 3 mod 4, where i lies outside k, as the closed forms
+    gave them when they pulled values back into k through a section of
+    k -> k(i): at q = 343 and 1331 that section solved a linear system over
+    GF(p).  The k-rationality tests now run in k(i) by powers."""
+    import io
+    from toricdescent import cli
+    out = io.StringIO()
+    code = cli.run_line(record["line"].split(), stream=out)
+    assert (code, out.getvalue()) == (record["exit"], record["output"])

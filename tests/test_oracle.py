@@ -3,7 +3,7 @@ import pytest
 from conftest import multiplicative_order, random_divisor, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, oracle
 from toricdescent.descent import DIVISIBLE, SpecializedDivisor, divisibility_verdict
-from toricdescent.finite_field import Poly, embed_over, make_field
+from toricdescent.finite_field import INF, Poly, make_field
 
 
 def build(q, gcoeffs, hcoeffs):
@@ -92,15 +92,18 @@ def test_chain_equals_system_on_random_divisors():
         except dual_graph.NotSupported:
             continue
         D = random_divisor(fiber, gens, 1, rng)
+        # one fiber that holds the nodes and the divisor's points: the
+        # oracle evaluates on the points, the engine by resultants at the
+        # nodes, in the same field
         D0 = descent.translate_to_degree_zero(D, 1)
-        # the oracle evaluates on points in a field that holds them, the
-        # engine by resultants in the field of the nodes
-        ofiber = oracle.lift_fiber(fiber, oracle.field_degree(fiber, [D0]))
-        points = oracle.divisor_points(D0, ofiber)
-        emb = embed_over(fiber.k, fiber.E, ofiber.E)
-        for comp in frame.components:
-            assert oracle.chain_evaluate(comp.cycle, points, ofiber) == \
-                emb(comp.system.evaluate(D0))
+        degree = oracle.field_degree([inp.g] + [H for _c, H, _m in D0.entries])
+        big = families.hyperelliptic_special_fiber(inp, degree)
+        big_frame = descent.TorusFrame(big, dual_graph.principal_cycle_generators(big.graph))
+        points = oracle.divisor_points(D0, big)
+        D0 = SpecializedDivisor(big, D0.entries)
+        for comp in big_frame.components:
+            assert oracle.chain_evaluate(comp.cycle, points, big) == \
+                comp.system.evaluate(D0)
             checks += 1
     assert checks >= 300
 
@@ -123,7 +126,7 @@ def smoke_cases():
                 except dual_graph.NotSupported:
                     continue
                 fiber, _frame, phi, gens, _M = data
-                prepared = oracle.prepare(fiber, phi, gens, r)
+                prepared = oracle.prepare(inp, phi, gens, r)
                 divisors = [oracle.random_divisor(fiber, r, rng, prepared[0])
                             for _ in range(4)]
                 yield data, r, prepared, divisors
@@ -184,8 +187,8 @@ def test_one_closure_per_request(monkeypatch, capsys):
     mul = oracle.EnumeratedTorus.mul
     monkeypatch.setattr(oracle.EnumeratedTorus, "mul",
                         lambda self, a, b: calls.append(1) or mul(self, a, b))
-    _, (fiber, _frame, phi, gens, _M) = build(5, (0, -1, 0, 1), (3, 1))
-    oracle.prepare(fiber, phi, gens, 2)
+    inp, (_fiber, _frame, phi, gens, _M) = build(5, (0, -1, 0, 1), (3, 1))
+    oracle.prepare(inp, phi, gens, 2)
     per_closure = len(calls)
     calls.clear()
     trials = []
@@ -229,35 +232,68 @@ def test_enumerated_structure_matches_lattice_enumeration():
 
 
 def test_identity_and_r1_trivially_divisible():
-    _, (fiber, frame, phi, gens, M) = build(5, (0, -1, 0, 1), (3, 1))
-    _degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, 2)
+    inp, (fiber, frame, phi, gens, M) = build(5, (0, -1, 0, 1), (3, 1))
+    _degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
+    assert ofiber is fiber  # the zeros of h = x + 3 add nothing to the nodes' field
     empty = SpecializedDivisor(fiber, [])
     assert oracle.exhaustive_divisibility(empty, 2, ofiber, torus, subgroup)
     assert oracle.exhaustive_divisibility(empty, 1, ofiber, torus, subgroup)
 
 
 def test_lift_over_a_tower_keeps_the_nodes_on_g():
-    # over GF(25), g irreducible of degree 3 with a coefficient outside GF(5)
-    # and h = x^2 - c irreducible: the nodes lie in GF(25^3), the zeros of h
-    # in GF(25^2), and the oracle lifts the fiber into GF(25^6); the lifted
-    # nodes must still be roots of g under k's own embedding there
-    from toricdescent.finite_field import embed, factor, power_residue
+    # over GF(25), g = x^3 + t x + 7 (t generating GF(25)) irreducible and
+    # h = x^2 + x + 20 irreducible: the nodes lie in GF(25^3), the zeros of
+    # h in GF(25^2), so the oracle builds its own fiber over GF(25^6), with
+    # the nodes found there as roots of g under k's own embedding; its
+    # verdicts agree with the engine's, which works over GF(25^3)
+    from toricdescent.finite_field import embed, factor
     k = make_field(5, 2)
-    g = next(f for f in (Poly(k, [k.from_int(c), k.gen(), 0, 1]) for c in range(1, 25))
-             if len(factor(f)) == 1)
-    c = next(k.from_int(n) for n in range(1, 25) if not power_residue(k.from_int(n), 2))
-    inp = families.validate_hyperelliptic(k, g, Poly(k, [-c, 0, 1]))
+    g = Poly(k, [k.from_int(7), k.gen(), 0, 1])
+    h = Poly(k, [k.from_int(20), 1, 1])
+    assert [f.degree for f, _ in factor(g) + factor(h)] == [3, 2]
+    inp = families.validate_hyperelliptic(k, g, h)
     fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
-    degree, ofiber, torus, subgroup = oracle.prepare(fiber, phi, gens, 2)
-    assert (fiber.E.m, ofiber.E.m) == (6, 12)
+    degree, ofiber, _torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
+    assert (degree, fiber.E.m, ofiber.E.m) == (6, 6, 12)
+    assert ofiber is families.hyperelliptic_special_fiber(inp, 6)
     g_big = g.map_coeffs(embed(k, ofiber.E), ofiber.E)
     assert all(g_big(a).is_zero() for a, _b in ofiber.node_coords)
+    # the torus has 651 = 3 * 7 * 31 points: every class is 2-divisible,
+    # and 3-divisibility is a real question
     rng = rng_for("oracle-tower")
-    for _ in range(4):
-        D = oracle.random_divisor(fiber, 2, rng, degree)
-        engine = divisibility_verdict(D, 2, frame, phi, gens, M)
-        assert (engine.outcome == DIVISIBLE) == \
-            oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
+    outcomes = {2: set(), 3: set()}
+    quadratic_orbits = 0
+    for r in (2, 3):
+        _degree, _ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, r)
+        for _ in range(12):
+            D = oracle.random_divisor(fiber, r, rng, degree)
+            quadratic_orbits += sum(1 for _c, H, _m in D.entries
+                                    if H is not INF and H.degree == 2)
+            engine = divisibility_verdict(D, r, frame, phi, gens, M)
+            truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup)
+            assert (engine.outcome == DIVISIBLE) == truth
+            outcomes[r].add(truth)
+    assert quadratic_orbits > 0 and outcomes == {2: {True}, 3: {True, False}}
+
+
+def test_random_orbits_are_irreducible_over_k():
+    from toricdescent.finite_field import factor
+    rng = rng_for("random-orbits")
+    for p, m in ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3)):
+        k = make_field(p, m)
+        for t in (1, 2, 2, 2):
+            H = oracle._random_orbit(k, t, rng)
+            assert H.degree == t and H.lead() == k.one()
+            assert factor(H) == [(H, 1)]
+
+
+def test_random_divisor_refuses_characteristic_2():
+    from toricdescent.descent import SpecialFiber
+    from toricdescent.dual_graph import DualGraph
+    k2 = make_field(2)
+    fiber = SpecialFiber(DualGraph(2, [(0, 1, 0)]), k2, k2, [(k2.zero(), k2.zero())])
+    with pytest.raises(oracle.EvenCharacteristic):
+        oracle.random_divisor(fiber, 2, rng_for("char-2"), 2)
 
 
 def test_verify_equivariance_survives_python_O():

@@ -70,10 +70,21 @@ def test_principal_component_and_verification():
 def test_mu_group_examples():
     assert mu_group(principal_component(split_lattice(1), [1]), 7).order == 6
     mg = mu_group(principal_component(norm_lattice(2), [1, 0]), 3)
-    assert (mg.order, mg.host.q) == (8, 9)
-    assert multiplicative_order(mg.generator) == 8
+    assert (mg.order, mg.host) == (8, "GF(3^2)")
     mg = mu_group(principal_component(CharacterLattice(B3_IRRED), [1, 0]), 2)
-    assert (mg.order, mg.host.q) == (7, 8)
+    assert (mg.order, mg.host) == (7, "GF(2^3)")
+    mg = mu_group(principal_component(norm_lattice(2), [1, 0]), 49)
+    assert (mg.order, mg.host) == (49 ** 2 - 1, "GF(7^4)")
+
+
+def test_mu_group_names_hosts_past_the_field_limit():
+    # the host field is named, never built, so its size is not limited
+    mg = mu_group(principal_component(norm_lattice(2), [1, 0]), 1031)
+    assert (mg.order, mg.host) == (1031 ** 2 - 1, "GF(1031^2)")
+    mg = mu_group(principal_component(split_lattice(1), [1]), 2000003)
+    assert (mg.order, mg.host) == (2000002, "GF(2000003)")
+    mg = mu_group(principal_component(norm_lattice(3), [1, 0, 0]), 2000003)
+    assert (mg.order, mg.host) == (2000003 ** 3 - 1, "GF(2000003^3)")
 
 
 def test_not_principal():
@@ -127,7 +138,7 @@ def test_sum_of_characters_is_isomorphism():
 def test_norm_map_bijective_on_power_classes():
     # norm tori with r | q - 1: the induced map between the power-class
     # groups of the extension and base unit groups is a bijection
-    from toricdescent.finite_field import element_of_order, make_field, norm_to_subfield
+    from toricdescent.finite_field import make_field
     for q, g, r in [(5, 2, 2), (7, 2, 3), (7, 3, 2), (13, 2, 3)]:
         assert (q - 1) % r == 0
         K = make_field(q)
@@ -136,7 +147,10 @@ def test_norm_map_bijective_on_power_classes():
         for x in L.elements():
             if x.is_zero():
                 continue
-            cls = _power_class(norm_to_subfield(x, 1), r)
+            # the norm x^((q^g-1)/(q-1)) lies in the prime field GF(q)
+            norm = x ** ((L.q - 1) // (q - 1))
+            assert not any(norm.coeffs[1:])
+            cls = _power_class(K(norm.coeffs[0]), r)
             classes.setdefault(_power_class(x, r), set()).add(cls)
         # well-defined and injective on classes
         assert all(len(v) == 1 for v in classes.values())
