@@ -22,7 +22,8 @@ from .families import (CubicForm, FamilyError, genus4_report,
                        hyperelliptic_report, validate_genus4,
                        validate_hyperelliptic)
 from .finite_field import FieldError, Poly, SizeLimitExceeded, field_limit, make_field
-from .parsing import ParseError, format_univariate, parse_cubic_form, parse_univariate
+from .parsing import (DegreeLimitExceeded, ParseError, format_univariate, parse_cubic_form,
+                      parse_univariate)
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
                     frobenius_char_poly, mu_group, prime_power, torus_order,
                     principal_component, verify_principal_decomposition,
@@ -47,7 +48,7 @@ REFUSALS = [
     # builds the engine's frame first): the same verdict as hyperelliptic's
     ((NotSupported,), "undetermined", EXIT_UNDETERMINED, "undetermined"),
     ((FieldError, TorusError, GraphError, EnumerationLimitExceeded,
-      oracle.TooLarge), "invalid-input", EXIT_SYNTAX, "invalid input"),
+      oracle.TooLarge, DegreeLimitExceeded), "invalid-input", EXIT_SYNTAX, "invalid input"),
 ]
 REFUSAL_TYPES = tuple(cls for classes, *_ in REFUSALS for cls in classes)
 

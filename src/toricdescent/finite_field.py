@@ -5,11 +5,17 @@ Elements are tuples of m Python ints in [0, p): the coefficients over GF(p)
 with respect to the power basis of a fixed monic irreducible modulus.  At the
 field sizes used here (evaluation fields of degree a few over GF(p)), plain
 int arithmetic costs less than array machinery, so the module needs nothing
-beyond the standard library.  The modulus for GF(p^m) is the
+beyond the standard library.  A Poly holds raw values rather than
+FieldElements: a plain int per coefficient when m = 1 and the coefficient
+tuple when m > 1.  Its loops multiply ints mod p, reducing once per output
+coefficient, or call the same tuple functions as FieldElement (_mul, _fold,
+_inv), so no FieldElement is made per term; coeffs, lead(), indexing and
+evaluation still hand out FieldElements.  The modulus for GF(p^m) is the
 lexicographically smallest monic irreducible of degree m, where candidates are
 ordered by the integer encoding sum(c_i * p^i) of their non-leading
 coefficients; this makes every derived quantity reproducible across runs.  The
-search for it runs on Poly over GF(p), whose modulus x needs no search.
+search for it runs on int coefficient lists over GF(p), whose modulus x needs
+no search.
 
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
 the smallest root of the subfield modulus in the big field.  Each is chosen on
@@ -109,29 +115,32 @@ def is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# modulus search (over GF(p), whose modulus x needs no search)
+# modulus search (on raw coefficient lists over GF(p), whose modulus x needs
+# no search)
 
 
-def _is_irreducible_p(f):
-    """Monic f over GF(p) of degree >= 2: a staged distinct-degree sieve,
-    gcd(x^(p^k) - x, f) = 1 for every k <= deg f / 2."""
-    x = Poly(f.field, [0, 1])
-    xp = x
-    for _ in range(f.degree // 2):
-        xp = _pow_mod(xp, f.field.p, f)
-        if not _coprime_p(xp - x, f):
+def _is_irreducible_p(f, p):
+    """Monic f over GF(p) of degree >= 2, a list of ints low first: a staged
+    distinct-degree sieve, gcd(x^(p^k) - x, f) = 1 for every k <= deg f / 2."""
+    prime = _cached_field(p, 1)
+    xp = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        xp = _pow_mod(prime, xp, p, f)
+        diff = xp + [0] * (2 - len(xp))
+        diff[1] = (diff[1] - 1) % p
+        if not _coprime_p(_trim(diff), f, p):
             return False
     return True
 
 
-def _coprime_p(a, b):
-    """Whether gcd(a, b) = 1 over GF(p): Euclid, each divisor made monic with
-    the integer inverse of its leading coefficient."""
-    p = a.field.p
-    while not a.is_zero():
-        a = a.scale(pow(a.lead().coeffs[0], -1, p))
-        a, b = b % a, a
-    return b.degree == 0
+def _coprime_p(a, b, p):
+    """Whether gcd(a, b) = 1 over GF(p), a and b lists of ints: Euclid, each
+    divisor made monic with the integer inverse of its leading coefficient."""
+    while a:
+        inv = pow(a[-1], -1, p)
+        a = [v * inv % p for v in a]
+        a, b = _divmod_p(b, a, p)[1], a
+    return len(b) == 1
 
 
 def _binomials_can_be_irreducible(p, m):
@@ -153,13 +162,21 @@ def _smallest_irreducible(p, m):
     saves ~p candidates (p = 2 mod 3 and m = 3, for instance)."""
     if m == 1:
         return (0, 1)
-    prime = _cached_field(p, 1)
     n = 0 if _binomials_can_be_irreducible(p, m) else p
     while True:
-        cand = poly_from_int(prime, p ** m + n)
-        if not cand.coeffs[0].is_zero() and _is_irreducible_p(cand):
-            return tuple(c.coeffs[0] for c in cand.coeffs)
+        cand = _digits(p ** m + n, p)
+        if cand[0] and _is_irreducible_p(cand, p):
+            return tuple(cand)
         n += 1
+
+
+def _digits(n, base):
+    """The base-`base` digits of n >= 0, lowest first."""
+    out = []
+    while n:
+        n, d = divmod(n, base)
+        out.append(d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +377,9 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        p = f.p
         if f.m == 1:
-            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
-        m = f.m
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs, i):
-                    prod[j] += a * b
-        low = prod[:m]
-        for c, row in zip(prod[m:], f._red):
-            if c:
-                for j, v in enumerate(row):
-                    low[j] += c * v
-        return FieldElement(f, tuple([v % p for v in low]))
+            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
+        return FieldElement(f, _mul(f, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -390,40 +395,26 @@ class FieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
+        f = self.field
+        if f.m == 1:
+            return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
+        result = f._one.coeffs
+        base = self.coeffs
         while e:
             if e & 1:
-                result = result * base
+                result = _mul(f, result, base)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _mul(f, base, base)
+        return FieldElement(f, result)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroElement("division by zero field element")
         f = self.field
-        p = f.p
         if f.m == 1:
-            return FieldElement(f, (pow(self.coeffs[0], -1, p),))
-        # extended Euclid against the modulus over GF(p), on coefficient
-        # lists: s0 * self = r0 and s1 * self = r1 mod the modulus
-        r0, s0 = list(f.modulus), [0]
-        r1, s1 = _trim(list(self.coeffs)), [1]
-        while r1:
-            inv = pow(r1[-1], -1, p)
-            r, s = r0[:], s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
-            for shift in range(len(r0) - len(r1), -1, -1):
-                c = r[shift + len(r1) - 1] * inv % p
-                if c:
-                    for j, v in enumerate(r1, shift):
-                        r[j] = (r[j] - c * v) % p
-                    for j, v in enumerate(s1, shift):
-                        s[j] = (s[j] - c * v) % p
-            r0, s0, r1, s1 = r1, s1, _trim(r), _trim(s)
-        unit = pow(r0[0], -1, p)
-        return f.from_coeffs([v * unit for v in s0])
+            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
+        return FieldElement(f, _inv(f, self.coeffs))
 
     def frob(self, k=1):
         """x -> x^(p^k) via the precomputed Frobenius matrix."""
@@ -440,10 +431,7 @@ class FieldElement:
         return not any(self.coeffs)
 
     def to_int(self):
-        n = 0
-        for v in reversed(self.coeffs):
-            n = n * self.field.p + v
-        return n
+        return _encode(self.field.p, self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -459,11 +447,180 @@ class FieldElement:
         return f"{self.field}({self.to_int()})"
 
 
-def _trim(c):
+def _trim(c, zero=0):
     """c without its zero top coefficients (the zero polynomial is [])."""
-    while c and c[-1] == 0:
+    while c and c[-1] == zero:
         c.pop()
     return c
+
+
+# ---------------------------------------------------------------------------
+# raw values: a Poly over GF(p^m) stores each coefficient as an int in [0, p)
+# when m = 1 and as its coefficient tuple (FieldElement.coeffs) when m > 1.
+# The tuple functions below are the one element arithmetic for m > 1;
+# FieldElement and the Poly loops both call them.
+
+
+def _conv(acc, a, b):
+    """acc[i + j] += a[i] * b[j]: the unreduced product of two coefficient
+    sequences, added into acc."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+
+
+def _fold(f, acc):
+    """An unreduced product (2m - 1 ints, of any size and sign) as a
+    coefficient tuple of f = GF(p^m): x^(m+j) becomes row j of f._red, then
+    every coefficient is reduced mod p."""
+    m = f.m
+    low = acc[:m]
+    for c, row in zip(acc[m:], f._red):
+        if c:
+            for j, v in enumerate(row):
+                low[j] += c * v
+    p = f.p
+    return tuple([v % p for v in low])
+
+
+def _mul(f, a, b):
+    """The product of two coefficient tuples of GF(p^m), m > 1."""
+    acc = [0] * (2 * f.m - 1)
+    _conv(acc, a, b)
+    return _fold(f, acc)
+
+
+def _inv(f, a):
+    """The inverse of a nonzero coefficient tuple of GF(p^m), m > 1: extended
+    Euclid against the modulus over GF(p), on coefficient lists, keeping
+    s0 * a = r0 and s1 * a = r1 mod the modulus."""
+    p = f.p
+    r0, s0 = list(f.modulus), [0]
+    r1, s1 = _trim(list(a)), [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r, s = r0[:], s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
+        for shift in range(len(r0) - len(r1), -1, -1):
+            c = r[shift + len(r1) - 1] * inv % p
+            if c:
+                for j, v in enumerate(r1, shift):
+                    r[j] = (r[j] - c * v) % p
+                for j, v in enumerate(s1, shift):
+                    s[j] = (s[j] - c * v) % p
+        r0, s0, r1, s1 = r1, s1, _trim(r), _trim(s)
+    unit = pow(r0[0], -1, p)
+    return tuple([v * unit % p for v in s0]) + (0,) * (f.m - len(s0))
+
+
+def _conv_p(a, b):
+    """The unreduced product of two int coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    _conv(out, a, b)
+    return out
+
+
+def _conv_t(f, a, b):
+    """The product of two lists of coefficient tuples, each output
+    coefficient an unreduced accumulator of 2m - 1 ints (fold it with
+    _fold), so that each is reduced once rather than once per term."""
+    width = 2 * f.m - 1
+    out = [[0] * width for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if any(x):
+            for j, y in enumerate(b, i):
+                _conv(out[j], x, y)
+    return out
+
+
+def _divmod_p(a, b, p):
+    """(quotient, remainder) of int coefficient lists over GF(p), b nonzero
+    with reduced coefficients.  The entries of a may be unreduced; each is
+    reduced when it is read.  Both results are reduced and trimmed."""
+    d = len(b) - 1
+    lead = b[-1]
+    inv = None if lead == 1 else pow(lead, -1, p)
+    low = b[:d]
+    r = list(a)
+    quot = [0] * max(0, len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i] % p if inv is None else r[i] * inv % p
+        if c:
+            quot[i - d] = c
+            for j, y in enumerate(low, i - d):
+                r[j] -= c * y
+    return _trim(quot), _trim([v % p for v in r[:d]])
+
+
+def _divmod_t(f, a, b):
+    """(quotient, remainder) of lists of coefficient tuples of GF(p^m),
+    m > 1, b nonzero.  The entries of a may be tuples or the unreduced
+    accumulators of _conv_t; the remainder is accumulated unreduced and each
+    coefficient is folded when it is read."""
+    width = 2 * f.m - 1
+    zero = f._zero.coeffs
+    d = len(b) - 1
+    lead = b[-1]
+    inv = None if lead == f._one.coeffs else _inv(f, lead)
+    low = b[:d]
+    r = [list(x) + [0] * (width - len(x)) for x in a]
+    quot = [zero] * max(0, len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = _fold(f, r[i])
+        if inv is not None:
+            c = _mul(f, c, inv)
+        if any(c):
+            quot[i - d] = c
+            neg = [-v for v in c]
+            for j, y in enumerate(low, i - d):
+                _conv(r[j], neg, y)
+    return _trim(quot, zero), _trim([_fold(f, v) for v in r[:d]], zero)
+
+
+def _divmod(f, a, b):
+    """(quotient, remainder) of raw coefficient lists over f, b nonzero."""
+    if f.m == 1:
+        return _divmod_p(a, b, f.p)
+    return _divmod_t(f, a, b)
+
+
+def _mulmod(f, a, b, mod):
+    """a * b modulo a monic mod, raw coefficient lists over f; the product is
+    reduced once, by the division."""
+    if f.m == 1:
+        return _divmod_p(_conv_p(a, b), mod, f.p)[1]
+    return _divmod_t(f, _conv_t(f, a, b), mod)[1]
+
+
+def _pow_mod(f, base, e, mod):
+    """base^e modulo a monic mod, raw coefficient lists over f, by repeated
+    squaring."""
+    result = [1 if f.m == 1 else f._one.coeffs]
+    base = _divmod(f, base, mod)[1]
+    while e:
+        if e & 1:
+            result = _mulmod(f, result, base, mod)
+        e >>= 1
+        if e:
+            base = _mulmod(f, base, base, mod)
+    return result
+
+
+def _encode(p, v):
+    """The integer encoding of a coefficient tuple: base-p digits."""
+    n = 0
+    for c in reversed(v):
+        n = n * p + c
+    return n
+
+
+def _poly(field, c):
+    """The Poly over field with the raw coefficients c, reduced and trimmed."""
+    out = Poly.__new__(Poly)
+    out.field = field
+    out._c = tuple(c)
+    out._hash = None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,84 +630,130 @@ def _trim(c):
 class Poly:
     """Dense univariate polynomial over a FiniteField, low coefficients first.
 
-    The zero polynomial has degree -1.
+    A Poly holds raw field values, not FieldElements: an int in [0, p) per
+    coefficient when m = 1, its coefficient tuple when m > 1; its arithmetic
+    loops run on them.  coeffs, lead(), p[i] and evaluation hand out
+    FieldElements.  The zero polynomial has degree -1.
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "_c", "_hash")
 
     def __init__(self, field, coeffs):
-        cs = [c if c.__class__ is FieldElement else field(c) for c in coeffs]
-        while cs and not any(cs[-1].coeffs):
-            cs.pop()
+        p = field.p
+        prime = field.m == 1
+        cs = []
+        for c in coeffs:
+            if prime and c.__class__ is int:
+                cs.append(c % p)
+                continue
+            if c.__class__ is not FieldElement or c.field is not field:
+                c = field(c)
+            cs.append(c.coeffs[0] if prime else c.coeffs)
         self.field = field
-        self.coeffs = tuple(cs)
+        self._c = tuple(_trim(cs, 0 if prime else field._zero.coeffs))
         self._hash = None
+
+    def _same(self, other):
+        """The common field of self and other; MixedFields if they differ."""
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise MixedFields(f"mixed fields {f} and {other.field}")
+        return f
+
+    def _elem(self, v):
+        f = self.field
+        return FieldElement(f, (v,) if f.m == 1 else v)
+
+    @property
+    def coeffs(self):
+        return tuple([self._elem(v) for v in self._c])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def lead(self):
-        if self.is_zero():
+        if not self._c:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._elem(self._c[-1])
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i <= self.degree else self.field.zero()
+        return self._elem(self._c[i]) if 0 <= i < len(self._c) else self.field.zero()
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self._c == other._c)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.p, self.field.m,
-                               tuple(c.to_int() for c in self.coeffs)))
+            f = self.field
+            enc = self._c if f.m == 1 else tuple([_encode(f.p, v) for v in self._c])
+            self._hash = hash((f.p, f.m, enc))
         return self._hash
 
+    def _padded(self, other):
+        """Both raw coefficient tuples, padded with zeros to one length."""
+        a, b = self._c, other._c
+        zero = 0 if self.field.m == 1 else self.field._zero.coeffs
+        n = max(len(a), len(b))
+        return a + (zero,) * (n - len(a)), b + (zero,) * (n - len(b)), zero
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
+        f = self._same(other)
+        a, b, zero = self._padded(other)
+        p = f.p
+        if f.m == 1:
+            c = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            c = [tuple([(u + v) % p for u, v in zip(x, y)]) for x, y in zip(a, b)]
+        return _poly(f, _trim(c, zero))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
+        f = self._same(other)
+        a, b, zero = self._padded(other)
+        p = f.p
+        if f.m == 1:
+            c = [(x - y) % p for x, y in zip(a, b)]
+        else:
+            c = [tuple([(u - v) % p for u, v in zip(x, y)]) for x, y in zip(a, b)]
+        return _poly(f, _trim(c, zero))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        f = self.field
+        p = f.p
+        if f.m == 1:
+            return _poly(f, [-x % p for x in self._c])
+        return _poly(f, [tuple([-u % p for u in x]) for x in self._c])
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        out = [self.field.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if any(a.coeffs):
-                for j, b in enumerate(other.coeffs, i):
-                    out[j] = out[j] + a * b
-        return Poly(self.field, out)
+        f = self._same(other)
+        if not self._c or not other._c:
+            return _poly(f, [])
+        if f.m == 1:
+            p = f.p
+            return _poly(f, [v % p for v in _conv_p(self._c, other._c)])
+        return _poly(f, [_fold(f, acc) for acc in _conv_t(f, self._c, other._c)])
 
     def scale(self, c):
-        return Poly(self.field, [a * c for a in self.coeffs])
+        f = self.field
+        if c.__class__ is not FieldElement or c.field is not f:
+            c = f(c)
+        if c.is_zero():
+            return _poly(f, [])
+        if f.m == 1:
+            x, p = c.coeffs[0], f.p
+            return _poly(f, [a * x % p for a in self._c])
+        return _poly(f, [_mul(f, a, c.coeffs) for a in self._c])
 
     def divmod(self, other):
-        if other.is_zero():
+        f = self._same(other)
+        if not other._c:
             raise ZeroPolynomial("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.lead()
-        inv = None if lead == self.field.one() else lead.inverse()
-        low = other.coeffs[:d]
-        quot = [self.field.zero()] * max(0, len(r) - d)
-        for i in range(len(r) - 1, d - 1, -1):
-            c = r[i] if inv is None else r[i] * inv
-            if any(c.coeffs):
-                quot[i - d] = c
-                for j, b in enumerate(low, i - d):
-                    r[j] = r[j] - c * b
-        return Poly(self.field, quot), Poly(self.field, r[:d])
+        quot, rem = _divmod(f, self._c, other._c)
+        return _poly(f, quot), _poly(f, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -564,60 +767,67 @@ class Poly:
         return self.scale(self.lead().inverse())
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        f = self._same(other)
+        a, b = self._c, other._c
+        while b:
+            a, b = b, _divmod(f, a, b)[1]
+        out = _poly(f, a)
+        return out.monic() if a else out
 
     def derivative(self):
-        return Poly(self.field, [self.coeffs[i] * i
-                                 for i in range(1, len(self.coeffs))])
+        f = self.field
+        p = f.p
+        if f.m == 1:
+            c = [v * i % p for i, v in enumerate(self._c) if i]
+            return _poly(f, _trim(c))
+        c = [tuple([u * i % p for u in v]) for i, v in enumerate(self._c) if i]
+        return _poly(f, _trim(c, f._zero.coeffs))
 
     def __call__(self, x):
         """Horner evaluation at a point of the same field."""
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        f = self.field
+        if x.__class__ is not FieldElement or x.field is not f:
+            x = f(x)
+        p = f.p
+        if f.m == 1:
+            v = x.coeffs[0]
+            acc = 0
+            for c in reversed(self._c):
+                acc = (acc * v + c) % p
+            return FieldElement(f, (acc,))
+        acc = f._zero.coeffs
+        for c in reversed(self._c):
+            acc = tuple([(u + w) % p for u, w in zip(_mul(f, acc, x.coeffs), c)])
+        return FieldElement(f, acc)
 
     def map_coeffs(self, fn, field):
         return Poly(field, [fn(c) for c in self.coeffs])
 
     def pow_mod(self, e, modulus):
+        f = self._same(modulus)
         # scaling the divisor leaves residues unchanged
-        return _pow_mod(self, e, modulus.monic())
+        return _poly(f, _pow_mod(f, self._c, e, modulus.monic()._c))
 
     def encoding(self):
         """Integer encoding of the coefficient vector, for stable ordering."""
+        f = self.field
         n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.q + c.to_int()
+        for v in reversed(self._c):
+            n = n * f.q + (v if f.m == 1 else _encode(f.p, v))
         return n
 
     def __repr__(self):
-        return f"Poly({self.field}, {[c.to_int() for c in self.coeffs]})"
-
-
-def _pow_mod(base, e, modulus):
-    """base^e mod a monic modulus, by repeated squaring."""
-    result = Poly(base.field, [1])
-    base = base % modulus
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        e >>= 1
-        if e:
-            base = (base * base) % modulus
-    return result
+        f = self.field
+        enc = list(self._c) if f.m == 1 else [_encode(f.p, v) for v in self._c]
+        return f"Poly({f}, {enc})"
 
 
 def poly_from_int(field, n):
     """Polynomial with coefficient encoding n (base-q digits, low first)."""
-    coeffs = []
-    while n:
-        coeffs.append(field.from_int(n % field.q))
-        n //= field.q
-    return Poly(field, coeffs)
+    digits = _digits(n, field.q)
+    if field.m == 1:
+        return _poly(field, digits)
+    return _poly(field, [field.from_int(d).coeffs for d in digits])
 
 
 # ---------------------------------------------------------------------------

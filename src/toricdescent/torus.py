@@ -307,20 +307,35 @@ class RationalPoints:
 
     Points are stored as discrete-log vectors a with respect to a primitive
     root zeta of the host field GF(q^s): the hom sends basis character e_j to
-    zeta^(a_j).  The group law is componentwise addition mod q^s - 1.
+    zeta^(a_j).  The group law is componentwise addition mod q^s - 1.  The
+    count and the invariants need only that modulus; the host field and
+    zeta are built when a character is first evaluated.
     """
 
-    def __init__(self, lattice, q, host, zeta, points, invariants):
+    def __init__(self, lattice, q, modulus, points, invariants):
         self.lattice = lattice
         self.q = q
-        self.host = host
-        self.zeta = zeta
-        self.modulus = host.q - 1
+        self.modulus = modulus
         self.points = points
         self.invariants = invariants
+        self._zeta = None
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def zeta(self):
+        """A primitive root of the host field GF(q^s), built on first use
+        (without the field-size limit: only its powers are taken)."""
+        if self._zeta is None:
+            p, a = prime_power(self.q)
+            host = make_field(p, a * self.lattice.order, limit=None)
+            self._zeta = element_of_order(host, self.modulus)
+        return self._zeta
+
+    @property
+    def host(self):
+        return self.zeta.field
 
     def value(self, point, char_vector):
         """Evaluate the character (integer vector) at the point."""
@@ -343,11 +358,7 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
     order = torus_order(lattice, q)
     if order > limit:
         raise EnumerationLimitExceeded(f"torus has {order} points, limit {limit}")
-    p, a = prime_power(q)
-    s = lattice.order
-    host = make_field(p, a * s)
-    n = host.q - 1
-    zeta = element_of_order(host, n)
+    n = q ** lattice.order - 1
     g = lattice.rank
     F = lattice.frobenius
     A = [[F[j][i] - (q if i == j else 0) for j in range(g)] for i in range(g)]
@@ -360,7 +371,8 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
     count = 1
     for _, gi in steps:
         count *= max(gi, 1)
-    assert count == order, (count, order)
+    if count != order:
+        raise TorusError(f"the congruence has {count} solutions, the torus {order} points")
     points = []
     idx = [0] * g
     while True:
@@ -377,4 +389,4 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
         if k < 0:
             break
     invariants = zmat.group_invariants([max(gi, 1) for _, gi in steps])
-    return RationalPoints(lattice, q, host, zeta, points, invariants)
+    return RationalPoints(lattice, q, n, points, invariants)

@@ -2,11 +2,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from toricdescent import cli, descent, oracle
-from toricdescent.parsing import (ParseError, format_univariate,
+from toricdescent.parsing import (DEGREE_LIMIT, ParseError, format_univariate,
                                   parse_cubic_form, parse_univariate)
 
 
@@ -342,3 +343,46 @@ def test_p_zero_is_refused_not_an_internal_error(capsys):
     argv = ["hyperelliptic", "--p", "0", "--g", "x^3-x", "--h", "x+2"]
     assert cli.run_line(argv) == cli.EXIT_SYNTAX
     assert capsys.readouterr().err == "invalid input: 0 is not prime\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["hyperelliptic", "--p", "23", "--h", "x", "--no-engine-check", "--g"],
+    ["hyperelliptic", "--p", "23", "--g", "x^3-x", "--h"],
+    ["oracle", "--q", "5", "--h", "x", "--g"],
+])
+def test_degree_over_the_limit_is_refused_before_allocation(command, capsys):
+    assert parse_univariate(f"x^{DEGREE_LIMIT}") == [0] * DEGREE_LIMIT + [1]
+    for degree in (DEGREE_LIMIT + 1, 3000000, 10 ** 40):
+        out = io.StringIO()
+        start = time.perf_counter()
+        assert cli.run_line(command + [f"x^{degree}+1"], stream=out) == cli.EXIT_SYNTAX
+        assert time.perf_counter() - start < 0.5
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == (
+            f"invalid input: degree {degree} exceeds the degree limit {DEGREE_LIMIT}\n")
+
+
+def test_integer_literal_beyond_the_int_string_limit_is_a_syntax_error(capsys):
+    argv = ["hyperelliptic", "--p", "23", "--g", "1" * 5000 + "*x^3-x", "--h", "x"]
+    assert cli.run_line(argv, stream=io.StringIO()) == cli.EXIT_SYNTAX
+    assert capsys.readouterr().err == (
+        "syntax error: integer literal too long (at position 0)\n")
+
+
+def test_parser_separators_after_the_assert_was_removed():
+    # the term loop stops early only at + or -, which then sets the sign
+    assert parse_univariate("x^2-3*x+2-x") == [2, -4, 1]
+    assert parse_univariate("-x^2+x") == [0, 1, -1]
+    for text in ("x^2+", "x^2-", "x^2*", "x^2 x", "x^2+*x"):
+        with pytest.raises(ParseError):
+            parse_univariate(text)
+
+
+def test_torus_enumerates_a_small_torus_over_a_large_host_field():
+    # GF(103^3) is above the field-size limit, the torus (10713 points) is not
+    argv = ["torus", "--lattice", '{"rank":2,"frobenius":[[0,-1],[1,-1]]}',
+            "--q", "103", "--enumerate"]
+    code, report = run_json(argv)
+    assert code == cli.EXIT_OK
+    assert report["order"] == report["points"]["count"] == 10713
+    assert report["points"]["invariants"] == [10713]

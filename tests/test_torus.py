@@ -1,7 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
 from conftest import multiplicative_order, norm_lattice, rng_for, split_lattice
-from toricdescent import zmat
+from toricdescent import torus, zmat
 from toricdescent.torus import (
     CharacterLattice, EnumerationLimitExceeded, NotPrincipal, TorusError,
     enumerate_rational_points, frobenius_char_poly, mu_group,
@@ -192,3 +195,37 @@ def test_prime_power_of_large_numbers():
     with pytest.raises(TorusError, match="primality-test bound"):
         prime_power(2 ** 89 - 1)
     assert 2 ** 89 - 1 > MILLER_RABIN_BOUND
+
+
+def test_enumeration_builds_its_host_field_only_to_evaluate(monkeypatch):
+    built = []
+    make_field = torus.make_field
+    monkeypatch.setattr(torus, "make_field",
+                        lambda *args, **kwargs: built.append(args) or make_field(*args, **kwargs))
+    lattice = CharacterLattice(B3_IRRED)
+    pts = enumerate_rational_points(lattice, 103)
+    assert (len(pts), pts.invariants, built) == (10713, [10713], [])
+    # the host GF(103^3) lies above the field-size limit; evaluation builds it
+    # anyway, since it only takes powers of a primitive root there
+    values = {pts.value(p, [1, 0]).to_int() for p in pts.points[:50]}
+    assert built == [(103, 3)] and pts.host.q == 103 ** 3 and len(values) == 50
+    assert all(pts.value(p, [1, 0]) ** 10713 == pts.host.one() for p in pts.points[:5])
+
+
+def test_enumeration_refuses_an_inconsistent_count(monkeypatch):
+    monkeypatch.setattr(torus, "torus_order", lambda lattice, q: 8)
+    with pytest.raises(TorusError):
+        enumerate_rational_points(split_lattice(1), 8)
+
+
+def test_enumeration_count_check_survives_python_O():
+    code = ("from toricdescent import torus\n"
+            "from toricdescent.torus import CharacterLattice, TorusError\n"
+            "torus.torus_order = lambda lattice, q: 8\n"
+            "try:\n"
+            "    torus.enumerate_rational_points(CharacterLattice([[1]]), 8)\n"
+            "except TorusError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the congruence has 7 solutions, the torus 8 points\n"
