@@ -8,8 +8,8 @@ int arithmetic costs less than array machinery, so the module needs nothing
 beyond the standard library.  A Poly holds raw values rather than
 FieldElements: a plain int per coefficient when m = 1 and the coefficient
 tuple when m > 1.  Its loops multiply ints mod p, reducing once per output
-coefficient, or call the same tuple functions as FieldElement (_mul, _fold,
-_inv), so no FieldElement is made per term; coeffs, lead(), indexing and
+coefficient, or call the same tuple functions as FieldElement (_conv,
+_fold, _mul, _inv), so no FieldElement is made per term; coeffs, lead(), indexing and
 evaluation still hand out FieldElements.  The modulus for GF(p^m) is the
 lexicographically smallest monic irreducible of degree m, where candidates are
 ordered by the integer encoding sum(c_i * p^i) of their non-leading

@@ -369,8 +369,8 @@ def test_integer_literal_beyond_the_int_string_limit_is_a_syntax_error(capsys):
         "syntax error: integer literal too long (at position 0)\n")
 
 
-def test_parser_separators_after_the_assert_was_removed():
-    # the term loop stops early only at + or -, which then sets the sign
+def test_parser_signs_come_from_the_separators():
+    # the term loop stops early only at + or -, which sets the next sign
     assert parse_univariate("x^2-3*x+2-x") == [2, -4, 1]
     assert parse_univariate("-x^2+x") == [0, 1, -1]
     for text in ("x^2+", "x^2-", "x^2*", "x^2 x", "x^2+*x"):

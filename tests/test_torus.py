@@ -212,12 +212,6 @@ def test_enumeration_builds_its_host_field_only_to_evaluate(monkeypatch):
     assert all(pts.value(p, [1, 0]) ** 10713 == pts.host.one() for p in pts.points[:5])
 
 
-def test_enumeration_refuses_an_inconsistent_count(monkeypatch):
-    monkeypatch.setattr(torus, "torus_order", lambda lattice, q: 8)
-    with pytest.raises(TorusError):
-        enumerate_rational_points(split_lattice(1), 8)
-
-
 def test_enumeration_count_check_survives_python_O():
     code = ("from toricdescent import torus\n"
             "from toricdescent.torus import CharacterLattice, TorusError\n"
