@@ -2,20 +2,25 @@
 algebra over them.
 
 Elements are tuples of m Python ints in [0, p): the coefficients over GF(p)
-with respect to the power basis of a fixed monic irreducible modulus.  At the
-field sizes used here (evaluation fields of degree a few over GF(p)), plain
-int arithmetic costs less than array machinery, so the module needs nothing
-beyond the standard library.  A Poly holds raw values rather than
-FieldElements: a plain int per coefficient when m = 1 and the coefficient
-tuple when m > 1.  Its loops multiply ints mod p, reducing once per output
-coefficient, or call the same tuple functions as FieldElement (_conv,
-_fold, _mul, _inv), so no FieldElement is made per term; coeffs, lead(), indexing and
-evaluation still hand out FieldElements.  The modulus for GF(p^m) is the
-lexicographically smallest monic irreducible of degree m, where candidates are
-ordered by the integer encoding sum(c_i * p^i) of their non-leading
-coefficients; this makes every derived quantity reproducible across runs.  The
-search for it runs on int coefficient lists over GF(p), whose modulus x needs
-no search.
+with respect to the power basis of a fixed monic irreducible modulus, and the
+module needs nothing beyond the standard library.  An element product is a
+schoolbook product folded mod the modulus until a field with m > 1 and at most
+TABLE_LIMIT elements has done q of them.  That field then builds log/antilog
+tables over a generator of its unit group, once, and multiplies, inverts,
+raises to powers and applies Frobenius by lookups from then on.  The build
+costs about as much as the q products before it, so a field used for a few
+hundred products (a cold cache on a new prime) never pays for one.  A Poly
+holds raw values rather than FieldElements: a plain int per coefficient when
+m = 1 and the coefficient tuple when m > 1.  Its loops multiply ints mod p,
+reducing once per output coefficient, or call the same tuple functions as
+FieldElement (_conv, _fold, _mul, _inv), so no FieldElement is made per term;
+coeffs, lead(), indexing and evaluation still hand out FieldElements.
+
+The modulus for GF(p^m) is the lexicographically smallest monic irreducible
+of degree m, where candidates are ordered by the integer encoding
+sum(c_i * p^i) of their non-leading coefficients; this makes every derived
+quantity reproducible across runs.  The search for it runs on int coefficient
+lists over GF(p), whose modulus x needs no search.
 
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
 the smallest root of the subfield modulus in the big field.  Each is chosen on
@@ -56,6 +61,14 @@ INF = "oo"
 #: (field, order) pairs; the bounds leave several times that.
 FIELD_CACHE_SIZE = 128
 DERIVED_CACHE_SIZE = 256
+
+#: Fields with m > 1 and at most this many elements build log/antilog
+#: tables on their q-th element product (see _build_tables).  Only the 31
+#: fields with m > 1 and q <= 2^11 qualify, 15849 elements in all.  Tables
+#: cost about 150 bytes per element (the coefficient tuple, two list slots
+#: and a dict entry), so one set for each of those fields takes about
+#: 2.4 MB (tracemalloc), however many fields the caches above hold.
+TABLE_LIMIT = 2 ** 11
 
 
 class FieldError(Exception):
@@ -209,6 +222,12 @@ class FiniteField:
         self._zero = FieldElement(self, (0,) * m)
         self._one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._frob_mat = None
+        # log/antilog tables (see _build_tables): _exp holds the coefficient
+        # tuples g^0, ..., g^(q-2) twice over, _log maps each to its exponent
+        # and the zero tuple to -1; _muls_to_tables counts down the element
+        # products left before the build, 0 for a field that never builds
+        self._exp = self._log = None
+        self._muls_to_tables = self.q if m > 1 and self.q <= TABLE_LIMIT else 0
 
     # element constructors
 
@@ -398,6 +417,11 @@ class FieldElement:
         f = self.field
         if f.m == 1:
             return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
+        if f._log is not None:
+            i = f._log[self.coeffs]
+            if i < 0:
+                return f._zero if e else f._one
+            return FieldElement(f, f._exp[i * e % (f.q - 1)])
         result = f._one.coeffs
         base = self.coeffs
         while e:
@@ -417,10 +441,13 @@ class FieldElement:
         return FieldElement(f, _inv(f, self.coeffs))
 
     def frob(self, k=1):
-        """x -> x^(p^k) via the precomputed Frobenius matrix."""
+        """x -> x^(p^k): a power by the tables once the field has them,
+        else the precomputed Frobenius matrix."""
         f = self.field
         if f.m == 1:
             return self
+        if f._log is not None:
+            return self ** f.p ** (k % f.m)
         mat = f.frobenius_matrix()
         c = self.coeffs
         for _ in range(k % f.m):
@@ -458,7 +485,8 @@ def _trim(c, zero=0):
 # raw values: a Poly over GF(p^m) stores each coefficient as an int in [0, p)
 # when m = 1 and as its coefficient tuple (FieldElement.coeffs) when m > 1.
 # The tuple functions below are the one element arithmetic for m > 1;
-# FieldElement and the Poly loops both call them.
+# FieldElement and the Poly loops both call them.  _mul and _inv look their
+# result up once the field has tables, and otherwise compute it on tuples.
 
 
 def _conv(acc, a, b):
@@ -485,16 +513,47 @@ def _fold(f, acc):
 
 
 def _mul(f, a, b):
-    """The product of two coefficient tuples of GF(p^m), m > 1."""
+    """The product of two coefficient tuples of GF(p^m), m > 1: g^i * g^j
+    = g^(i+j) from the tables, else a schoolbook product folded mod the
+    modulus, which counts towards the tables' build."""
+    log = f._log
+    if log is not None:
+        i, j = log[a], log[b]
+        if i < 0 or j < 0:
+            return f._zero.coeffs
+        return f._exp[i + j]
+    if f._muls_to_tables:
+        f._muls_to_tables -= 1
+        if not f._muls_to_tables:
+            _build_tables(f)
     acc = [0] * (2 * f.m - 1)
     _conv(acc, a, b)
     return _fold(f, acc)
 
 
+def _build_tables(f):
+    """Give f (m > 1) its log/antilog tables over g = element_of_order(f,
+    q - 1): the antilog list holds g^0, ..., g^(q-2) twice over, so that the
+    sum of two logs indexes it with no reduction, and the log dict maps the
+    same tuple objects back to their exponents, the zero tuple to -1.  The
+    q - 2 products run on tuples, since f has no tables yet and its count
+    is spent."""
+    g = element_of_order(f, f.q - 1).coeffs
+    powers = [f._one.coeffs]
+    for _ in range(f.q - 2):
+        powers.append(_mul(f, powers[-1], g))
+    log = {v: i for i, v in enumerate(powers)}
+    log[f._zero.coeffs] = -1
+    f._exp, f._log = powers + powers, log
+
+
 def _inv(f, a):
-    """The inverse of a nonzero coefficient tuple of GF(p^m), m > 1: extended
-    Euclid against the modulus over GF(p), on coefficient lists, keeping
-    s0 * a = r0 and s1 * a = r1 mod the modulus."""
+    """The inverse of a nonzero coefficient tuple of GF(p^m), m > 1: g^-i =
+    g^(q-1-i) from the tables, else extended Euclid against the modulus over
+    GF(p), on coefficient lists, keeping s0 * a = r0 and s1 * a = r1 mod the
+    modulus."""
+    if f._log is not None:
+        return f._exp[f.q - 1 - f._log[a]]
     p = f.p
     r0, s0 = list(f.modulus), [0]
     r1, s1 = _trim(list(a)), [1]

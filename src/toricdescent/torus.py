@@ -31,6 +31,12 @@ class EnumerationLimitExceeded(TorusError):
     pass
 
 
+class PointCountMismatch(Exception):
+    """The Smith-form solutions of the equivariance congruence disagree with
+    the torus order from the characteristic polynomial: an internal fault,
+    not a refusal of the input, so it is no TorusError."""
+
+
 class CharacterLattice:
     """Free Z-module of rank g with a finite-order Frobenius matrix."""
 
@@ -372,7 +378,8 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
     for _, gi in steps:
         count *= max(gi, 1)
     if count != order:
-        raise TorusError(f"the congruence has {count} solutions, the torus {order} points")
+        raise PointCountMismatch(
+            f"the congruence has {count} solutions, the torus {order} points")
     points = []
     idx = [0] * g
     while True:

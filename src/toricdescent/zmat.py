@@ -8,6 +8,11 @@ sizes are tiny (at most ~10x10), so clarity beats asymptotics.
 from fractions import Fraction
 
 
+class ZmatError(ValueError):
+    """Arguments outside a function's contract: matrices of the wrong shape,
+    a modulus or an integer to factor below 1, an inexact division."""
+
+
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -19,13 +24,15 @@ def mat_copy(A):
 def mat_mul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    assert all(len(row) == k for row in A)
+    if any(len(row) != k for row in A):
+        raise ZmatError(f"A has a row whose length is not {k}, the row count of B")
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
 
 
 def mat_vec(A, v):
-    assert all(len(row) == len(v) for row in A)
+    if any(len(row) != len(v) for row in A):
+        raise ZmatError(f"A has a row whose length is not {len(v)}, the length of v")
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
@@ -86,12 +93,10 @@ def charpoly(A):
         scale = Fraction(ys[i], denom)
         for t, c in enumerate(basis):
             coeffs[t] += c * scale
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    assert out[-1] == 1
-    return out
+    # det(x*I - A) is a monic integer polynomial of degree n, and n + 1
+    # points determine it, so every coefficient is an integer and the top
+    # one is 1: no check can fail here
+    return [int(c) for c in coeffs]
 
 
 def poly_eval_int(coeffs, x):
@@ -226,7 +231,10 @@ def solve_mod(A, b, n):
     """One solution x of A x = b (mod n), or None.  A is rows x cols."""
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    assert len(b) == rows and n >= 1
+    if len(b) != rows:
+        raise ZmatError(f"b has {len(b)} entries, A has {rows} rows")
+    if n < 1:
+        raise ZmatError(f"modulus {n} is below 1")
     if n == 1:
         return [0] * cols
     U, D, V = smith_normal_form(A)
@@ -264,7 +272,8 @@ def lcm(a, b):
 
 def factorize(n):
     """Prime factorization by trial division; n is small here."""
-    assert n >= 1
+    if n < 1:
+        raise ZmatError(f"cannot factor {n}")
     out = {}
     d = 2
     while d * d <= n:
@@ -288,16 +297,18 @@ def poly_mul_int(a, b):
 
 
 def poly_divexact_int(a, b):
-    """Exact quotient of integer polynomials; asserts zero remainder."""
+    """Exact quotient of integer polynomials; ZmatError unless b divides a."""
     r = list(a)
     out = [0] * (len(a) - len(b) + 1)
     for i in range(len(r) - 1, len(b) - 2, -1):
-        assert r[i] % b[-1] == 0
-        c = r[i] // b[-1]
+        c, rem = divmod(r[i], b[-1])
+        if rem:
+            raise ZmatError(f"{b} does not divide {a}")
         out[i - len(b) + 1] = c
         for j in range(len(b)):
             r[i - len(b) + 1 + j] -= c * b[j]
-    assert not any(r)
+    if any(r):
+        raise ZmatError(f"{b} does not divide {a}")
     return out
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from toricdescent import cli, descent, oracle
+from toricdescent import cli, descent, oracle, torus
 from toricdescent.parsing import (DEGREE_LIMIT, ParseError, format_univariate,
                                   parse_cubic_form, parse_univariate)
 
@@ -234,6 +234,7 @@ def test_batch_contains_unexpected_errors(tmp_path, monkeypatch):
     (oracle.NotATorusPoint("off the torus"), "internal", cli.EXIT_INTERNAL),
     (oracle.PointsOutsideField("roots elsewhere"), "internal", cli.EXIT_INTERNAL),
     (descent.DescentError("evaluation left the mu group"), "internal", cli.EXIT_INTERNAL),
+    (torus.PointCountMismatch("7 solutions, 8 points"), "internal", cli.EXIT_INTERNAL),
 ])
 def test_batch_error_kinds(tmp_path, monkeypatch, capsys, exc, kind, code):
     path = tmp_path / "requests.txt"

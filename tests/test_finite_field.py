@@ -3,8 +3,8 @@ import pytest
 from conftest import multiplicative_order, rng_for
 from toricdescent import finite_field
 from toricdescent.finite_field import (
-    ConjugatesNotDistinct, FieldError, MixedFields, NotASubfield,
-    NotInSubgroup, NotPrime, OrderDoesNotDivide, Poly, SizeLimitExceeded,
+    ConjugatesNotDistinct, FieldElement, FieldError, FiniteField, MixedFields,
+    NotASubfield, NotInSubgroup, NotPrime, OrderDoesNotDivide, Poly, SizeLimitExceeded,
     ZeroElement, ZeroPolynomial, _smallest_irreducible,
     element_of_order, embed, extension, factor, make_field, poly_from_int,
     power_residue, residue_symbol, roots_in_extension)
@@ -416,3 +416,96 @@ def test_embedding_section_round_trips_and_refuses_off_the_image(p, m):
             assert images.setdefault(y.to_int(), x) == x
         # the generator of big generates it over GF(p): in no proper subfield
         assert big.gen().frob(sub.m) != big.gen()
+
+
+# -- log/antilog tables ------------------------------------------------------
+
+#: every field that builds tables: m > 1 and q <= TABLE_LIMIT
+TABLE_FIELDS = [(p, m) for p in range(2, finite_field.TABLE_LIMIT)
+                if finite_field.is_prime(p)
+                for m in range(2, finite_field.TABLE_LIMIT.bit_length())
+                if p ** m <= finite_field.TABLE_LIMIT]
+
+
+def _tabled_and_plain(p, m):
+    """GF(p^m) twice: one that has built its tables, and one that never
+    will, so that it runs every operation on coefficient tuples."""
+    tabled, plain = FiniteField(p, m), FiniteField(p, m)
+    plain._muls_to_tables = 0
+    one, x = tabled.one().coeffs, tabled.gen().coeffs
+    while tabled._log is None:
+        finite_field._mul(tabled, one, x)
+    return tabled, plain
+
+
+@pytest.mark.parametrize("p, m", TABLE_FIELDS)
+def test_tables_agree_with_the_tuple_path(p, m):
+    """Every pair and every element when q <= 343, a sample above."""
+    tabled, plain = _tabled_and_plain(p, m)
+    q = tabled.q
+    zero = tabled.zero().coeffs
+    if q <= 343:
+        values = [tabled.from_int(n).coeffs for n in range(q)]
+        pairs = [(a, b) for a in values for b in values]
+    else:
+        rng = rng_for(f"tables-{p}-{m}")
+        pairs = [(tabled.from_int(rng.randrange(q)).coeffs,
+                  tabled.from_int(rng.randrange(q)).coeffs) for _ in range(3000)]
+        pairs += [(zero, a) for a, _ in pairs[:3]] + [(a, zero) for a, _ in pairs[:3]]
+        values = [a for a, _ in pairs[:100]] + [zero]
+    mul = finite_field._mul
+    assert [mul(tabled, a, b) for a, b in pairs] == [mul(plain, a, b) for a, b in pairs]
+    for v in values:
+        x, y = FieldElement(tabled, v), FieldElement(plain, v)
+        for e in (0, 1, 2, q - 2, q - 1, q, 5 * q + 3):
+            assert (x ** e).coeffs == (y ** e).coeffs
+        for k in (-1, 0, 1, m - 1, m, m + 1):
+            assert x.frob(k).coeffs == y.frob(k).coeffs
+        if any(v):
+            assert finite_field._inv(tabled, v) == finite_field._inv(plain, v)
+            assert (x ** -3).coeffs == (y ** -3).coeffs
+        else:
+            with pytest.raises(ZeroElement):
+                x ** -1
+    assert plain._log is None
+
+
+def test_tables_are_built_on_the_q_th_product_and_only_up_to_table_limit():
+    K = FiniteField(7, 3)
+    one, x = K.one().coeffs, K.gen().coeffs
+    for _ in range(K.q - 1):
+        finite_field._mul(K, one, x)
+    assert K._log is None and K._exp is None
+    finite_field._mul(K, one, x)
+    assert len(K._exp) == 2 * (K.q - 1) and len(K._log) == K.q
+    assert K._log[K.zero().coeffs] == -1
+    assert K._exp[0] == one and K._exp[1] == element_of_order(K, K.q - 1).coeffs
+    # above the limit, and over a prime field, no number of products builds them
+    for p, m in [(47, 2), (2, 12), (2003, 1)]:
+        big = FiniteField(p, m)
+        a, c = big.gen() + 1, big.gen() + 2
+        for _ in range(3 * big.q):
+            a = a * c
+        assert big._log is None and big._exp is None
+
+
+def test_all_tables_together_stay_small():
+    """The fields that may build tables, and what building all of them
+    costs.  Raising TABLE_LIMIT changes the first two figures."""
+    import tracemalloc
+
+    assert len(TABLE_FIELDS) == 31
+    assert sum(p ** m for p, m in TABLE_FIELDS) == 15849
+    fields = [FiniteField(p, m) for p, m in TABLE_FIELDS]
+    for K in fields:
+        element_of_order(K, K.q - 1)
+        K._muls_to_tables = 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for K in fields:
+            finite_field._build_tables(K)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 3 * 2 ** 20

@@ -214,12 +214,25 @@ def test_enumeration_builds_its_host_field_only_to_evaluate(monkeypatch):
 
 def test_enumeration_count_check_survives_python_O():
     code = ("from toricdescent import torus\n"
-            "from toricdescent.torus import CharacterLattice, TorusError\n"
+            "from toricdescent.torus import CharacterLattice, PointCountMismatch\n"
             "torus.torus_order = lambda lattice, q: 8\n"
             "try:\n"
             "    torus.enumerate_rational_points(CharacterLattice([[1]]), 8)\n"
-            "except TorusError as exc:\n"
+            "except PointCountMismatch as exc:\n"
             "    print(exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "the congruence has 7 solutions, the torus 8 points\n"
+
+
+def test_enumeration_count_mismatch_is_an_internal_error_in_the_cli():
+    """A wrong point count is the program disagreeing with itself: the CLI
+    exits 1 with the traceback, as for any internal fault, not 2."""
+    code = ("from toricdescent import cli, torus\n"
+            "torus.torus_order = lambda lattice, q: 8\n"
+            "cli.main(['torus', '--lattice', '{\"rank\":1,\"frobenius\":[[1]]}',\n"
+            "          '--q', '8', '--enumerate'])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "torus.PointCountMismatch: the congruence has 7 solutions" in proc.stderr
+    assert "invalid input" not in proc.stderr

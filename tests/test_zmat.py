@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 from conftest import rng_for
@@ -43,3 +45,29 @@ def test_group_invariants_of_large_orders_factor_nothing():
     assert zmat.group_invariants([big, 3]) == [3 * big]
     assert zmat.group_invariants([6 * big, 2, big]) == [2 * big, 6 * big]
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_contract_checks_survive_python_O():
+    """Each argument check in zmat raises ZmatError, also under python -O,
+    which strips asserts; the quotient by a divisor comes out whole."""
+    code = """
+from toricdescent import zmat
+cases = [
+    lambda: zmat.mat_mul([[1, 2]], [[1, 0], [0, 1], [1, 1]]),
+    lambda: zmat.mat_vec([[1, 2], [3]], [1, 1]),
+    lambda: zmat.solve_mod([[1, 0], [0, 1]], [1], 5),
+    lambda: zmat.solve_mod([[1, 0], [0, 1]], [1, 1], 0),
+    lambda: zmat.factorize(0),
+    lambda: zmat.poly_divexact_int([1, 0, 1], [-1, 1]),
+    lambda: zmat.poly_divexact_int([2, 3], [0, 2]),
+]
+for case in cases:
+    try:
+        case()
+    except zmat.ZmatError:
+        print("refused")
+print(zmat.poly_divexact_int([-1, 0, 0, 1], [-1, 1]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n" * 7 + "[1, 1, 1]\n"
