@@ -23,7 +23,7 @@ from .families import (CubicForm, FamilyError, genus4_report,
                        validate_hyperelliptic)
 from .finite_field import FieldError, Poly, SizeLimitExceeded, field_limit, make_field
 from .parsing import (DegreeLimitExceeded, ParseError, format_univariate, parse_cubic_form,
-                      parse_univariate)
+                      parse_int_matrix, parse_lattice, parse_univariate)
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
                     frobenius_char_poly, mu_group, prime_power, torus_order,
                     principal_component, verify_principal_decomposition,
@@ -159,10 +159,7 @@ def run_genus4(args):
 
 
 def run_component_group(args):
-    try:
-        rows = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"matrix is not valid JSON: {exc.msg}", exc.pos)
+    rows = parse_int_matrix(args.matrix)
     phi = component_group(rows)
     report = {
         "schema_version": 1,
@@ -183,17 +180,7 @@ def run_component_group(args):
 
 def run_torus(args):
     prime_power(args.q)
-    try:
-        data = json.loads(args.lattice)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"lattice is not valid JSON: {exc.msg}", exc.pos)
-    rows = data["frobenius"]
-    rank = data.get("rank", len(rows))
-    if rows and isinstance(rows[0], int):
-        # row-major flat form
-        if len(rows) != rank * rank:
-            raise ParseError(f"flat frobenius needs rank^2 = {rank * rank} entries", 0)
-        rows = [rows[i * rank:(i + 1) * rank] for i in range(rank)]
+    rows, components = parse_lattice(args.lattice)
     lattice = CharacterLattice(rows)
     q = args.q
     fx = frobenius_char_poly(lattice)
@@ -205,12 +192,12 @@ def run_torus(args):
         "char_poly": format_univariate(fx),
         "order": torus_order(lattice, q),
     }
-    if data.get("components"):
-        ok, cert = verify_principal_decomposition(lattice, data["components"])
+    if components:
+        ok, cert = verify_principal_decomposition(lattice, components)
         report["decomposition"] = {"valid": ok, "certificate": cert}
         if ok:
             comps = []
-            for chi in data["components"]:
+            for chi in components:
                 comp = principal_component(lattice, chi)
                 mg = mu_group(comp, q)
                 comps.append({

@@ -19,7 +19,7 @@ MobiusFactor.over_roots), so evaluation only needs H at the nodes, in E.
 
 from . import zmat
 from .dual_graph import chain_decomposition, fibral_lattice_membership, h1_basis
-from .finite_field import INF, FieldElement, Poly, element_of_order, embed, residue_symbol
+from .finite_field import INF, FieldElement, Poly, embed, residue_symbol
 from .torus import principal_decomposition, NotPrincipal
 from .zmat import gcd, poly_eval_int
 
@@ -384,13 +384,12 @@ class FrameComponent:
         self.system = LocalFunctionSystem(cycle, fiber, base_rank=base_rank)
 
     def mu_log(self, value, g):
-        """Logarithm mod g (g dividing the order) of a mu-group member against
-        the generator element_of_order fixes: its residue symbol."""
-        E = self.fiber.E
-        if value ** self.order != E.one():
+        """The class of a mu-group member in mu / mu^g (g dividing the
+        order): its residue symbol, which never builds a generator of mu."""
+        if value ** self.order != self.fiber.E.one():
             raise DescentError(
                 "evaluation left the mu group; check divisor rationality")
-        return residue_symbol(value, element_of_order(E, self.order), self.order, g)
+        return residue_symbol(value, self.order, g)
 
 
 class TorusFrame:

@@ -22,7 +22,7 @@ from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
                       UNDETERMINED)
 from .dual_graph import DualGraph, component_group, principal_cycle_generators
 from .finite_field import (INF, Poly, element_of_order, embed, extension,
-                           factor, power_residue, residue_symbol, roots,
+                           factor, power_residue, residue_symbol,
                            roots_in_extension)
 from .zmat import gcd, group_invariants, lcm
 
@@ -71,18 +71,13 @@ def _power_class_subgroup_order(values, r):
     """Order of the subgroup generated by the values in k^x / (k^x)^r.
 
     k^x is cyclic, so the quotient is Z/gcd(r, q-1) and the subgroup order is
-    computed from residue symbols against a fixed generator."""
+    computed from residue symbols."""
     if not values:
         return 1
-    field = values[0].field
-    n = field.q - 1
-    g = gcd(r, n)
-    if g == 1:
-        return 1
-    zeta = element_of_order(field, n)
-    acc = g
+    n = values[0].field.q - 1
+    g = acc = gcd(r, n)
     for v in values:
-        acc = gcd(acc, residue_symbol(v, zeta, n, g))
+        acc = gcd(acc, residue_symbol(v, n, g))
     return g // acc
 
 
@@ -396,15 +391,10 @@ class Genus4Input:
 
 def _sqrt_of_minus_one(k):
     """The square root of -1 with the smaller encoding, in k or in its
-    quadratic extension."""
-    if k.q % 4 == 1:
-        field = k
-    else:
-        field = extension(k, 2)
-    rs = roots(Poly(field, [1, 0, 1]))
-    if len(rs) != 2:
-        raise UnexpectedRootCount(f"x^2 + 1 has {len(rs)} roots in {field}, not 2")
-    return field, rs[0]
+    quadratic extension: the two are the elements of order 4."""
+    field = k if k.q % 4 == 1 else extension(k, 2)
+    i = element_of_order(field, 4)
+    return field, min(i, -i, key=lambda x: x.to_int())
 
 
 def validate_genus4(k, eps, r=2, qp_mode=False):

@@ -33,9 +33,9 @@ Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
 equal-degree splitting), and every root search goes through the same
 deterministic equal-degree splitter (see _shifts).  Together with the
 modulus search, which skips the binomials x^m + c whenever none of them can
-be irreducible, and residue symbols in place of discrete logarithms, every
-operation the closed forms use costs time polynomial in log q: nothing loops
-over the elements of GF(p).
+be irreducible, Miller-Rabin, and residue symbols, which need a primitive
+g-th root of unity and never factor q^s - 1, every operation the closed
+forms use costs time polynomial in log q: nothing loops over GF(p).
 
 The field-size limit guards user-facing construction via make_field;
 evaluation towers built internally (which never enumerate their field) are
@@ -51,6 +51,11 @@ from .zmat import factorize, gcd
 DEFAULT_FIELD_LIMIT = 2 ** 20
 
 _LIMIT_ENV = "TORICDESCENT_FIELD_LIMIT"
+
+#: Miller-Rabin to the first 13 prime bases decides primality below this
+#: bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 #: Marker for the point at infinity on a projective-line coordinate.
 INF = "oo"
@@ -117,13 +122,25 @@ def field_limit():
 
 
 def is_prime(n):
+    """Deterministic Miller-Rabin for n < MILLER_RABIN_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 
@@ -312,7 +329,7 @@ def make_field(p, m=1, limit=DEFAULT_FIELD_LIMIT):
 
     The size limit (default 2^20, env TORICDESCENT_FIELD_LIMIT, or the limit
     argument; None disables) applies here, at user-facing construction, and
-    before the primality test, whose trial division costs ~sqrt(p).
+    before the primality test.
     """
     if m < 1:
         raise FieldError("extension degree must be >= 1")
@@ -1015,18 +1032,6 @@ def factor(f):
     return out
 
 
-def roots(f):
-    """Roots of f in its own field, with multiplicity, ascending encoding."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    out = []
-    for g, mult in factor(f):
-        if g.degree == 1:
-            out.extend([-g.coeffs[0]] * mult)
-    out.sort(key=lambda r: r.to_int())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # embeddings and roots in extensions
 
@@ -1162,18 +1167,18 @@ def element_of_order(field, n):
             return eta
 
 
-def residue_symbol(value, base, order, g):
-    """x mod g, where base^x = value, base has the given order and g divides
-    it: the class of value in <base> / <base>^g.  value^(order/g) is looked up
-    among the g powers of base^(order/g), with O(log order + g)
-    multiplications.  NotInSubgroup if value lies outside <base>."""
+def residue_symbol(value, order, g):
+    """The class of value in mu_order / (mu_order)^g, g | order: the index of
+    value^(order/g) among the powers of element_of_order(field, g), in
+    O(log order + g) multiplications.  NotInSubgroup if value^order != 1."""
     if order % g:
         raise OrderDoesNotDivide(f"{g} does not divide the order {order}")
+    field = value.field
     target = value ** (order // g)
-    step = base ** (order // g)
-    cur = value.field.one()
+    step = element_of_order(field, g)
+    cur = field.one()
     for x in range(g):
         if cur == target:
             return x
         cur = cur * step
-    raise NotInSubgroup(f"{value} is not in the cyclic group generated by {base}")
+    raise NotInSubgroup(f"{value} is not in the group of {order}-th roots of unity")

@@ -7,8 +7,12 @@ parentheses are not part of the grammar.
 
 A polynomial in x may have degree at most DEGREE_LIMIT; a higher degree is
 refused before its coefficient list is allocated.
+
+Integer matrices (intersection matrices, character lattices) are JSON whose
+shape is checked here: a malformed one is a ParseError.
 """
 
+import json
 import re
 
 #: Largest degree parse_univariate accepts.  Every hyperelliptic and oracle
@@ -151,6 +155,47 @@ def parse_cubic_form(text):
             raise ParseError(
                 f"monomial of degree {sum(expo)} in a cubic form", 0)
     return terms
+
+
+def _json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc.msg}", exc.pos) from None
+
+
+def _int_rows(value, what, width=None):
+    """value if it is a list of integer lists (of width entries each, if
+    given); ParseError otherwise.  JSON true and 1.0 are not integers."""
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and width in (None, len(row))
+            and all(type(x) is int for x in row) for row in value)):
+        raise ParseError(f"{what} must be a list of integer rows"
+                         + (f" of length {width}" if width is not None else ""), 0)
+    return value
+
+
+def parse_int_matrix(text):
+    """The rows of a JSON integer matrix, e.g. [[-3,3],[3,-3]]."""
+    return _int_rows(_json(text, "matrix"), "matrix")
+
+
+def parse_lattice(text):
+    """(frobenius rows, components) of a JSON lattice {"rank": g, "frobenius":
+    rows or a flat row-major list of g^2 integers, "components": [chi...]}."""
+    data = _json(text, "lattice")
+    if not isinstance(data, dict) or "frobenius" not in data:
+        raise ParseError('lattice must be a JSON object with a "frobenius" entry', 0)
+    rows = data["frobenius"]
+    if isinstance(rows, list) and rows and type(rows[0]) is int:
+        rank = data.get("rank", len(rows))
+        if type(rank) is not int or rank < 1 or len(rows) != rank * rank:
+            raise ParseError("flat frobenius needs a rank >= 1 and rank^2 entries", 0)
+        rows = [rows[i * rank:(i + 1) * rank] for i in range(rank)]
+    _int_rows(rows, "frobenius")
+    if data.get("rank", len(rows)) != len(rows):
+        raise ParseError("rank differs from the number of frobenius rows", 0)
+    return rows, _int_rows(data.get("components", []), "components", width=len(rows))
 
 
 def format_univariate(coeffs, var="x"):

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from . import zmat
-from .finite_field import element_of_order, field_name, make_field
+from .finite_field import MILLER_RABIN_BOUND, element_of_order, field_name, is_prime, make_field
 from .zmat import charpoly, gcd, mat_vec, poly_eval_int, smith_normal_form
 
 FROBENIUS_ORDER_BOUND = 64
@@ -217,12 +217,6 @@ class MuGroup:
         return f"MuGroup(order={self.order}, host={self.host})"
 
 
-#: Miller-Rabin to the first 13 prime bases decides primality below this
-#: bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
-MILLER_RABIN_BOUND = 3317044064679887385961981
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
 def prime_power(q):
     """(p, a) with q = p^a; TorusError unless q is a prime power >= 2.
 
@@ -238,10 +232,10 @@ def prime_power(q):
             if root ** ell == p:
                 p, a = root, a * ell
             else:
-                ell = next(n for n in range(ell + 1, 2 * ell + 1) if _is_prime(n))
+                ell = next(n for n in range(ell + 1, 2 * ell + 1) if is_prime(n))
         if p >= MILLER_RABIN_BOUND:
             raise TorusError(f"{q} is past the primality-test bound {MILLER_RABIN_BOUND}")
-        if _is_prime(p):
+        if is_prime(p):
             return p, a
     raise TorusError(f"{q} is not a prime power")
 
@@ -259,29 +253,6 @@ def _integer_root(n, k):
         if y >= x:
             return x
         x = y
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin for n < MILLER_RABIN_BOUND."""
-    if n < 2:
-        return False
-    for b in _MILLER_RABIN_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MILLER_RABIN_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def multiplicative_order_mod(q, n):

@@ -4,7 +4,7 @@ tests need but the package does not."""
 import random
 
 from toricdescent import families, oracle, zmat
-from toricdescent.finite_field import Poly
+from toricdescent.finite_field import Poly, factor
 from toricdescent.torus import CharacterLattice
 
 
@@ -47,6 +47,16 @@ def rng_for(name):
 def cubic_from_vector(field, vec):
     """The cubic form with the given coefficients in report order."""
     return families.CubicForm(field, dict(zip(families.MONOMIALS, vec)))
+
+
+def roots(f):
+    """Roots of f in its own field, with multiplicity, ascending encoding."""
+    out = []
+    for g, mult in factor(f):
+        if g.degree == 1:
+            out.extend([-g.coeffs[0]] * mult)
+    out.sort(key=lambda r: r.to_int())
+    return out
 
 
 def multiplicative_order(x):

@@ -9,14 +9,14 @@ import time
 import properties
 
 from conftest import (norm_lattice, project_with_base, random_genus4,
-                      random_hyperelliptic, rng_for, split_lattice)
+                      random_hyperelliptic, rng_for, roots, split_lattice)
 from toricdescent import descent, dual_graph, families, oracle
 from toricdescent.descent import DIVISIBLE, divisibility_verdict, translate_to_degree_zero
 from toricdescent.dual_graph import component_group
 from toricdescent.families import (
     ROW_NAMES, genus4_cuberoot, genus4_direct_table, genus4_table_eval,
     theta_bd, torsion_bd, validate_hyperelliptic)
-from toricdescent.finite_field import Poly, is_prime, make_field, roots
+from toricdescent.finite_field import Poly, is_prime, make_field
 from toricdescent.torus import (CharacterLattice, enumerate_rational_points,
                                 principal_component, torus_order)
 from toricdescent.zmat import group_invariants, lcm

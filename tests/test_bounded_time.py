@@ -1,13 +1,16 @@
 """Closed forms stay polynomial in log p up to the 2^20 field limit.
 
 Each test times inputs whose cost used to grow linearly with p (splitting
-shifts taken from GF(p), the binomial scan of the modulus search).  The
-bounds are 5-50 times the times measured on a 2 GHz core; a linear-in-p
-cost at p ~ 10^6 overshoots them by orders of magnitude.
+shifts taken from GF(p), the binomial scan of the modulus search) or with
+the square root of a torus order (trial division of q^s - 1).  The bounds
+are 5-50 times the times measured on a 2 GHz core; a linear-in-p cost at
+p ~ 10^6 overshoots them by orders of magnitude, and a CLI request is
+stopped at HARD_STOP_FACTOR times its bound, so that it fails in seconds.
 """
 
 import io
 import json
+import signal
 import time
 
 import pytest
@@ -42,15 +45,36 @@ def test_embedding_of_quadratic_into_quartic_extension(p):
     assert dt < 5.0
 
 
-def _run(line):
+class Overrun(BaseException):
+    """Raised by the hard stop; a BaseException, so no handler in the
+    program under test can swallow it."""
+
+
+#: a request is stopped at this many times its time bound, so an overrun
+#: fails in seconds instead of hanging the suite
+HARD_STOP_FACTOR = 4
+
+
+def _run(line, bound):
+    """Exit code, stdout and wall time of one CLI request, stopped by
+    SIGALRM at HARD_STOP_FACTOR * bound seconds."""
+    def stop(_signum, _frame):
+        raise Overrun(f"{line!r} ran past {HARD_STOP_FACTOR * bound} s")
+
     out = io.StringIO()
-    code, dt = _timed(lambda: cli.run_line(line.split(), stream=out))
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, HARD_STOP_FACTOR * bound)
+    try:
+        code, dt = _timed(lambda: cli.run_line(line.split(), stream=out))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), dt
 
 
 @pytest.mark.parametrize("p", [1013, 10007, 1000003])
 def test_genus4_cli_with_engine_check(p):
-    code, text, dt = _run(f"genus4 --p {p} --eps X^3+Y^3+W*Z^2 --json")
+    code, text, dt = _run(f"genus4 --p {p} --eps X^3+Y^3+W*Z^2 --json", 10.0)
     report = json.loads(text)
     assert code == 0 and report["engine_check"]["agree"] is True
     assert dt < 10.0
@@ -59,13 +83,13 @@ def test_genus4_cli_with_engine_check(p):
 def test_genus4_cli_report_at_1013_is_unchanged():
     """The report as the former linear-in-p splitter computed it, in about
     90 s on a 2 GHz core."""
-    code, text, _dt = _run("genus4 --p 1013 --eps X^3+Y^3+W*Z^2 --json")
+    code, text, _dt = _run("genus4 --p 1013 --eps X^3+Y^3+W*Z^2 --json", 10.0)
     assert code == 0
     assert text == GENUS4_1013
 
 
 def test_hyperelliptic_cli_irreducible_cubic_at_10007():
-    code, text, dt = _run("hyperelliptic --p 10007 --g x^3-x-1 --h x+2 --json")
+    code, text, dt = _run("hyperelliptic --p 10007 --g x^3-x-1 --h x+2 --json", 5.0)
     report = json.loads(text)
     assert code == 0 and report["dual_graph"]["node_orbit_degrees"] == [3]
     assert report["engine_check"]["agree"] is True
@@ -76,7 +100,7 @@ def test_hyperelliptic_cli_irreducible_cubic_closed_form_near_the_limit():
     # torsion Z/(3 (q^2 + q + 1)) at q = 1000121: its invariant factors come
     # from gcd and lcm, with nothing factored
     code, text, dt = _run("hyperelliptic --p 1000121 --g x^3-x-1 --h x+2 "
-                          "--no-engine-check --json")
+                          "--no-engine-check --json", 2.0)
     report = json.loads(text)
     q = 1000121
     assert code == 0 and report["dual_graph"]["node_orbit_degrees"] == [3]
@@ -87,7 +111,7 @@ def test_hyperelliptic_cli_irreducible_cubic_closed_form_near_the_limit():
 def test_hyperelliptic_cli_quintic_at_65537():
     # g = (quadratic)(cubic) over GF(65537): reducible with no rational node,
     # so the verdicts are undetermined (exit 4), but promptly
-    code, text, dt = _run("hyperelliptic --p 65537 --g x^5-x-1 --h x^7+3 --json")
+    code, text, dt = _run("hyperelliptic --p 65537 --g x^5-x-1 --h x^7+3 --json", 10.0)
     report = json.loads(text)
     assert code == cli.EXIT_UNDETERMINED
     assert report["dual_graph"]["node_orbit_degrees"] == [2, 3]
@@ -125,7 +149,7 @@ GENUS4_1013 = (
 ])
 def test_fields_past_the_limit_are_refused_before_factoring(line, capsys):
     # trial division of q or p would take seconds to minutes here
-    code, text, dt = _run(line)
+    code, text, dt = _run(line, 0.5)
     assert (code, text) == (cli.EXIT_SYNTAX, "")
     assert "exceeds the field-size limit" in capsys.readouterr().err
     assert dt < 0.5
@@ -133,7 +157,7 @@ def test_fields_past_the_limit_are_refused_before_factoring(line, capsys):
 
 def test_torus_q_near_10_to_18_answers_promptly():
     code, text, dt = _run('torus --lattice {"rank":1,"frobenius":[[1]]} '
-                          '--q 1000000000000000003 --json')
+                          '--q 1000000000000000003 --json', 0.5)
     assert code == 0 and json.loads(text)["order"] == 10 ** 18 + 2
     assert dt < 0.5
 
@@ -141,7 +165,44 @@ def test_torus_q_near_10_to_18_answers_promptly():
 def test_torus_q_of_4000_digits_is_refused_promptly(capsys):
     # the largest q argparse reads has about 4300 digits
     code, _text, dt = _run('torus --lattice {"rank":1,"frobenius":[[1]]} '
-                           f'--q {10 ** 4000 + 1}')
+                           f'--q {10 ** 4000 + 1}', 5.0)
     assert code == cli.EXIT_SYNTAX
     assert "primality-test bound" in capsys.readouterr().err
     assert dt < 5.0
+
+
+#: node orbits (1, 5) and (1, 7) over GF(1048573): the torus orders are
+#: q^5 - 1 and q^7 - 1, of 31 and 43 digits, which a generator of the whole
+#: group would have to factor
+BIG_ORBIT_REQUESTS = [
+    f"hyperelliptic --p 1048573 --g {g} --h x+2 --r {r} --json"
+    for g in ("x^6-x^2-x", "x^8-x^2-6*x") for r in (2, 3)]
+
+
+@pytest.mark.parametrize("line", BIG_ORBIT_REQUESTS)
+def test_large_torus_orders_are_not_factored(line):
+    code, text, dt = _run(line, 2.0)
+    report = json.loads(text)
+    assert code == 0 and report["engine_check"]["agree"] is True
+    assert report["dual_graph"]["node_orbit_degrees"] in ([1, 5], [1, 7])
+    assert dt < 2.0
+
+
+def test_only_small_numbers_are_factored(monkeypatch):
+    # a class needs a primitive gcd(r, n)-th root of unity, not a generator
+    # of the whole group of order n, so factorize sees small numbers only
+    from toricdescent import finite_field
+    seen = []
+
+    def factorize(n):
+        seen.append(n)
+        assert n <= 2 ** 20, f"factorize({n})"
+        return original(n)
+
+    original = finite_field.factorize
+    monkeypatch.setattr(finite_field, "factorize", factorize)
+    finite_field.element_of_order.cache_clear()
+    for line in BIG_ORBIT_REQUESTS + ["genus4 --p 1000003 --eps X^3+Y^3+W*Z^2 --json"]:
+        code, _text, _dt = _run(line, 10.0)
+        assert code == 0
+    assert seen and max(seen) <= 2 ** 20

@@ -251,6 +251,42 @@ def test_batch_error_kinds(tmp_path, monkeypatch, capsys, exc, kind, code):
     capsys.readouterr()
 
 
+MALFORMED_MATRICES = [
+    ["torus", "--q", "7", "--lattice", '{"rank":1}'],
+    ["torus", "--q", "7", "--lattice", "[1]"],
+    ["torus", "--q", "7", "--lattice", '{"frobenius":[["a"]]}'],
+    ["torus", "--q", "7", "--lattice", '{"frobenius":5}'],
+    ["torus", "--q", "7", "--lattice", '{"rank":1,"frobenius":[[1]],"components":"x"}'],
+    ["torus", "--q", "7", "--lattice", '{"rank":1,"frobenius":[[1]],"components":[[1,2]]}'],
+    ["torus", "--q", "7", "--lattice", '{"rank":"x","frobenius":[1]}'],
+    ["torus", "--q", "7", "--lattice", '{"rank":2,"frobenius":[[1]]}'],
+    ["component-group", "--matrix", "[1]"],
+    ["component-group", "--matrix", '[["a"]]'],
+    ["component-group", "--matrix", '{"x":1}'],
+    ["component-group", "--matrix", "[[-1.5]]"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_MATRICES, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_malformed_matrices_are_syntax_errors(argv, capsys):
+    out = io.StringIO()
+    assert cli.run_line(argv + ["--json"], stream=out) == cli.EXIT_SYNTAX
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("syntax error: ")
+
+
+def test_malformed_matrices_are_syntax_errors_in_batch(tmp_path, capsys):
+    import shlex
+    path = tmp_path / "requests.txt"
+    path.write_text("".join(shlex.join(argv) + "\n" for argv in MALFORMED_MATRICES))
+    out = io.StringIO()
+    assert cli.run_line(["batch", str(path)], stream=out) == cli.EXIT_SYNTAX
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [(r["line"], r["error"]["kind"], r["error"]["exit_code"]) for r in records] == \
+        [(n, "syntax", cli.EXIT_SYNTAX) for n in range(1, len(MALFORMED_MATRICES) + 1)]
+    capsys.readouterr()
+
+
 def test_parser_is_built_once_and_keeps_no_request_state():
     argv = ["hyperelliptic", "--q", "7", "--g", "x^3-x", "--h", "x+2", "--json"]
     first, second = io.StringIO(), io.StringIO()

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_genus4, random_hyperelliptic, rng_for
+from conftest import random_genus4, random_hyperelliptic, rng_for, roots
 from toricdescent import descent, families
 from toricdescent.families import (
     CharDividesTwoD, CommonFactorGH, CubicForm, DegreeTooLarge,
@@ -10,7 +10,7 @@ from toricdescent.families import (
     genus4_theta_engine, genus4_torsion, genus4_torsion_engine,
     hyperelliptic_report, theta_bd, theta_bd_engine, torsion_bd,
     torsion_bd_engine, validate_genus4, validate_hyperelliptic)
-from toricdescent.finite_field import Poly, factor, make_field, roots
+from toricdescent.finite_field import Poly, factor, make_field
 from toricdescent.descent import UNDETERMINED
 from toricdescent.zmat import group_invariants
 
@@ -345,12 +345,6 @@ def test_repeated_factor_of_g_is_a_typed_error():
         theta_bd(inp)
 
 
-def test_sqrt_of_minus_one_root_count_is_checked(monkeypatch):
-    monkeypatch.setattr(families, "roots", lambda f: [])
-    with pytest.raises(families.UnexpectedRootCount):
-        families._sqrt_of_minus_one(make_field(7))
-
-
 def test_hyperelliptic_fiber_root_count_is_checked(monkeypatch):
     inp = hyp(7, (0, -1, 0, 1), (2, 1))
     monkeypatch.setattr(families, "roots_in_extension", lambda f, s, factors=None: [])
@@ -382,13 +376,16 @@ def test_genus4_generator_check_is_a_typed_error(monkeypatch):
 def test_typed_errors_keep_their_exit_code_under_optimization():
     import subprocess
     import sys
+    # the section-degree check of test_genus4_fiber_section_degree_is_checked,
+    # reached through the CLI with validation and the closed forms skipped
     code = ("import sys\n"
             "from toricdescent import cli, families\n"
-            "families.roots = lambda f: []\n"
-            "sys.exit(cli.run_line(['genus4', '--p', '7', '--eps', 'X^3+Y^3+W*Z^2']))\n")
+            "cli.validate_genus4 = lambda k, eps, r, qp_mode: families.Genus4Input(k, eps)\n"
+            "cli.genus4_report = lambda inp, engine_check: families.genus4_fiber(inp)\n"
+            "sys.exit(cli.run_line(['genus4', '--p', '7', '--eps', 'Y^3+Z^2*W+X*Y*Z']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
-    assert "hypothesis violated" in proc.stderr
+    assert "hypothesis violated: a section does not meet its line" in proc.stderr
 
 
 def _pinned_genus4_reports():

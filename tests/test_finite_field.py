@@ -8,6 +8,7 @@ from toricdescent.finite_field import (
     ZeroElement, ZeroPolynomial, _smallest_irreducible,
     element_of_order, embed, extension, factor, make_field, poly_from_int,
     power_residue, residue_symbol, roots_in_extension)
+from toricdescent.zmat import factorize, gcd
 
 
 def brute_irreducible(p, m):
@@ -186,44 +187,50 @@ def test_residue_symbol_and_element_of_order():
         assert (E.q - 1) % n == 0
         eta = element_of_order(E, n)
         assert eta ** n == E.one()
-        from toricdescent.zmat import factorize
         for prm in factorize(n):
             assert eta ** (n // prm) != E.one()
         rng = rng_for(f"dlog-{n}")
-        for _ in range(10):
-            a = rng.randrange(n)
-            for g in (d for d in range(1, n + 1) if n % d == 0 and d <= 50):
-                assert residue_symbol(eta ** a, eta, n, g) == a % g
+        for g in (d for d in range(1, n + 1) if n % d == 0 and d <= 50):
+            # the symbol of a generator of mu_n is a unit mod g, and every
+            # other member's symbol is its log against eta times that unit
+            unit = residue_symbol(eta, n, g)
+            assert gcd(unit, g) == 1
+            zeta = element_of_order(E, g)
+            for _ in range(10):
+                a = rng.randrange(n)
+                x = eta ** a
+                assert residue_symbol(x, n, g) == a * unit % g
+                assert zeta ** residue_symbol(x, n, g) == x ** (n // g)
 
 
 def test_residue_symbol_matches_enumeration():
+    """Brute force over small fields: the symbol is a homomorphism from mu_n
+    onto Z/g whose kernel is the g-th powers; outside mu_n it refuses."""
     for p, m in [(7, 1), (13, 1), (3, 2), (5, 2), (7, 2)]:
         K = make_field(p, m)
         n = K.q - 1
-        zeta = element_of_order(K, n)
-        log = {}
-        cur = K.one()
-        for a in range(n):
-            log[cur.to_int()] = a
-            cur = cur * zeta
+        units = [x for x in K.elements() if not x.is_zero()]
         for g in (d for d in range(1, n + 1) if n % d == 0):
-            for x in K.elements():
-                if not x.is_zero():
-                    assert residue_symbol(x, zeta, n, g) == log[x.to_int()] % g
-        # a proper subgroup: members get their log mod g, the rest are refused
+            chi = {x.to_int(): residue_symbol(x, n, g) for x in units}
+            for x in units:
+                for y in units:
+                    assert chi[(x * y).to_int()] == (chi[x.to_int()] + chi[y.to_int()]) % g
+            assert set(chi.values()) == set(range(g))
+            kernel = {key for key, value in chi.items() if value == 0}
+            assert kernel == {(y ** g).to_int() for y in units}
+        # a proper subgroup: members get their log against the fixed root
+        # of order sub, the rest are refused
         sub = n // 2
         eta = element_of_order(K, sub)
-        members = {(eta ** a).to_int(): a for a in range(sub)}
-        for x in K.elements():
-            if x.is_zero():
-                continue
+        members = {(y ** 2).to_int() for y in units}
+        for x in units:
             if x.to_int() in members:
-                assert residue_symbol(x, eta, sub, sub) == members[x.to_int()]
+                assert eta ** residue_symbol(x, sub, sub) == x
             else:
                 with pytest.raises(NotInSubgroup):
-                    residue_symbol(x, eta, sub, sub)
+                    residue_symbol(x, sub, sub)
     with pytest.raises(OrderDoesNotDivide):
-        residue_symbol(K.one(), zeta, n, n + 1)
+        residue_symbol(K.one(), n, n + 1)
 
 
 def test_field_arithmetic_basics():
