@@ -26,8 +26,7 @@ from .parsing import (DegreeLimitExceeded, ParseError, format_univariate, parse_
                       parse_int_matrix, parse_lattice, parse_univariate)
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
                     frobenius_char_poly, mu_group, prime_power, torus_order,
-                    principal_component, verify_principal_decomposition,
-                    EnumerationLimitExceeded)
+                    verify_principal_decomposition, EnumerationLimitExceeded)
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
@@ -193,12 +192,11 @@ def run_torus(args):
         "order": torus_order(lattice, q),
     }
     if components:
-        ok, cert = verify_principal_decomposition(lattice, components)
+        ok, cert, principal = verify_principal_decomposition(lattice, components)
         report["decomposition"] = {"valid": ok, "certificate": cert}
         if ok:
             comps = []
-            for chi in components:
-                comp = principal_component(lattice, chi)
+            for comp in principal:
                 mg = mu_group(comp, q)
                 comps.append({
                     "generator": list(comp.generator),

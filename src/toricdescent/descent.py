@@ -397,17 +397,15 @@ class TorusFrame:
 
     def __init__(self, fiber, generator_cycles, base_rank=0):
         self.fiber = fiber
-        basis, lattice, coords = h1_basis(fiber.graph)
-        self.lattice = lattice
+        _, lattice, coords = h1_basis(fiber.graph)
         try:
-            decomposition = principal_decomposition(
+            components = principal_decomposition(
                 lattice, [coords(c) for c in generator_cycles])
         except NotPrincipal as exc:
             raise UnsupportedTorus(str(exc)) from exc
         self.components = [
             FrameComponent(fiber, cycle, comp.char_poly, base_rank=base_rank)
-            for cycle, comp in zip(generator_cycles, decomposition.components)]
-        self.decomposition = decomposition
+            for cycle, comp in zip(generator_cycles, components)]
 
     def torus_order(self):
         out = 1

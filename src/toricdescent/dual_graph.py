@@ -57,7 +57,6 @@ class DualGraph:
                 raise GraphError(f"galois action breaks incidence at edge {i}")
         if not self._connected():
             raise Disconnected("dual graph must be connected")
-        self.galois_order = self._perm_order()
 
     def _connected(self):
         if self.num_vertices == 0:
@@ -72,19 +71,6 @@ class DualGraph:
                         seen.add(b)
                         frontier.append(b)
         return len(seen) == self.num_vertices
-
-    def _perm_order(self):
-        k = 1
-        vp, ep = self.vertex_perm, self.edge_perm
-        cv = vp
-        ce = ep
-        while not (cv == tuple(range(self.num_vertices)) and ce == tuple(range(len(self.edges)))):
-            cv = tuple(vp[i] for i in cv)
-            ce = tuple(ep[i] for i in ce)
-            k += 1
-            if k > 10 ** 4:
-                raise GraphError("galois permutation order too large")
-        return k
 
     @property
     def num_edges(self):
@@ -175,7 +161,12 @@ def h1_basis(graph):
     through the tree; basis order follows the labels of the non-tree edges.
     The coordinate of any cycle along basis element i is its entry at the
     i-th non-tree edge.
+
+    Computed once per graph, which never changes after construction; every
+    later call returns the same (basis, lattice, coords).
     """
+    if hasattr(graph, "_h1"):
+        return graph._h1
     parent = list(range(graph.num_vertices))
 
     def find(x):
@@ -244,8 +235,8 @@ def h1_basis(graph):
         image = graph.sigma_cycle(b)
         for i, c in enumerate(coords(image)):
             F[i][j] = c
-    lattice = CharacterLattice(F, label="H1") if rank > 0 else CharacterLattice([], label="H1")
-    return basis, lattice, coords
+    graph._h1 = basis, CharacterLattice(F, label="H1"), coords
+    return graph._h1
 
 
 class IntersectionMatrix:
@@ -352,15 +343,6 @@ class ComponentGroup:
             out = [t + ((step * k) % d,) for t in out for k in range(g)]
         return out
 
-    def generators(self):
-        """(element, order) pairs generating the cyclic factors with order > 1."""
-        out = []
-        for i, d in enumerate(self.diag):
-            if d > 1:
-                e = tuple(1 if j == i else 0 for j in range(len(self.diag)))
-                out.append((e, d))
-        return out
-
     def __repr__(self):
         return f"ComponentGroup({self.invariant_factors or [1]})"
 
@@ -394,7 +376,7 @@ def fibral_lattice_membership(deg, r, matrix):
 # principal generators for the supported graph shapes
 
 
-def principal_cycle_generators(graph, basis=None, lattice=None, coords=None):
+def principal_cycle_generators(graph):
     """Generator cycles of a principal decomposition of the cycle lattice.
 
     Supported shapes: trivial Galois action on the cycle space (split torus,
@@ -402,8 +384,7 @@ def principal_cycle_generators(graph, basis=None, lattice=None, coords=None):
     node or a single full edge orbit.  Anything else raises NotSupported,
     mirroring the open gap for graphs without a distinguished rational node.
     """
-    if basis is None:
-        basis, lattice, coords = h1_basis(graph)
+    basis, lattice, _ = h1_basis(graph)
     if lattice.rank == 0:
         return []
     if all(graph.sigma_cycle(b) == b for b in basis):

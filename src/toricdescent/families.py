@@ -310,11 +310,16 @@ def theta_bd_engine(inp):
 
 
 def torsion_bd_engine(inp):
-    try:
-        fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
-    except dual_graph.NotSupported as exc:
-        raise descent.UnsupportedTorus(str(exc)) from exc
-    return torsion_structure(frame, phi, generators)
+    """Torsion through the generic descent engine, computed once per input:
+    torsion_bd answers non-split shapes with d > 3 by this, and the engine
+    check asks for it again."""
+    if not hasattr(inp, "_engine_torsion"):
+        try:
+            fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
+        except dual_graph.NotSupported as exc:
+            raise descent.UnsupportedTorus(str(exc)) from exc
+        inp._engine_torsion = torsion_structure(frame, phi, generators)
+    return inp._engine_torsion
 
 
 # ---------------------------------------------------------------------------

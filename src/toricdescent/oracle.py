@@ -31,8 +31,8 @@ from .dual_graph import chain_decomposition, h1_basis, principal_cycle_generator
 from .families import hyperelliptic_special_fiber, node_degree
 from .finite_field import (INF, Poly, element_of_order, embed, extension, factor,
                            power_residue, roots_in_extension)
-from .torus import principal_component, _solve_rational
-from .zmat import lcm, poly_eval_int
+from .torus import principal_component
+from .zmat import lcm, poly_eval_int, solve_int
 
 
 class OracleError(Exception):
@@ -202,8 +202,8 @@ def orbit_cycle_basis(graph):
     Returns (flat cycle list, layout, coords), layout entries being
     (start index, orbit length, characteristic polynomial), and coords the
     coordinate map of h1_basis."""
-    basis, lattice, coords = h1_basis(graph)
-    generators = principal_cycle_generators(graph, basis, lattice, coords)
+    _, lattice, coords = h1_basis(graph)
+    generators = principal_cycle_generators(graph)
     flat = []
     layout = []
     for gen in generators:
@@ -305,15 +305,14 @@ def _verify_equivariance(torus):
     graph = torus.fiber.graph
     q = torus.fiber.k.q
     coords = torus.coords
-    orbit_coords = [list(coords(c)) for c in torus.cycles]
+    orbit_matrix = [list(row) for row in zip(*(coords(c) for c in torus.cycles))]
     sigma_in_basis = []
     for cyc in torus.cycles:
-        img = list(coords(graph.sigma_cycle(cyc)))
-        sol = _solve_rational(orbit_coords, img)
-        if sol is None or any(c.denominator != 1 for c in sol):
+        _, sol = solve_int(orbit_matrix, list(coords(graph.sigma_cycle(cyc))))
+        if sol is None:
             raise NotEquivariant("Frobenius does not map the orbit basis into "
                                  "its integer span")
-        sigma_in_basis.append([int(c) for c in sol])
+        sigma_in_basis.append(sol)
     for point in torus.points:
         for j in range(len(torus.cycles)):
             value = torus.fiber.E.one()

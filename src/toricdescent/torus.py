@@ -1,5 +1,11 @@
-"""Character lattices with Frobenius action: orders, mu-group structure, and
-rational points of principally decomposable tori over finite fields.
+"""Character lattices with Frobenius action: orders, principal
+decompositions, mu-group structure, and rational points of principally
+decomposable tori over finite fields.
+
+All of it is integer linear algebra on zmat's one kernel: the Frobenius
+characteristic polynomial gives the orders, the Smith form (through
+zmat.solve_int) the linear recurrence of each sigma-orbit, and the Smith form
+of the equivariance congruence the rational points.
 
 Conventions.  Characters are integer column vectors in Z^g; the Frobenius
 generator acts by the matrix F, so sigma(chi) = F @ chi and F[i][j] is the
@@ -9,11 +15,10 @@ the algebraic closure; equivariance pins e(F v) = e(v)^q.
 """
 
 import math
-from fractions import Fraction
 
 from . import zmat
 from .finite_field import MILLER_RABIN_BOUND, element_of_order, field_name, is_prime, make_field
-from .zmat import charpoly, gcd, mat_vec, poly_eval_int, smith_normal_form
+from .zmat import charpoly, gcd, mat_vec, poly_eval_int, smith_normal_form, solve_int
 
 FROBENIUS_ORDER_BOUND = 64
 ENUMERATION_LIMIT = 10 ** 6
@@ -121,13 +126,11 @@ def principal_component(lattice, chi):
     cur = chi
     while True:
         cur = lattice.apply(cur)
-        rec = _solve_rational(orbit, cur)
-        if rec is not None:
-            for c in rec:
-                if c.denominator != 1:
-                    raise NotPrincipal(
-                        "orbit spans the module only with non-integer coefficients")
-            coeffs = [int(c) for c in rec]
+        in_span, coeffs = solve_int([list(row) for row in zip(*orbit)], cur)
+        if in_span:
+            if coeffs is None:
+                raise NotPrincipal(
+                    "orbit spans the module only with non-integer coefficients")
             # char poly of the restriction: x^k - c_{k-1} x^(k-1) - ... - c_0
             fx = [-c for c in coeffs] + [1]
             return PrincipalComponent(chi, orbit, fx)
@@ -136,53 +139,13 @@ def principal_component(lattice, chi):
             raise NotPrincipal("orbit rank exceeds lattice rank")
 
 
-def _solve_rational(basis_vectors, target):
-    """Express target as a rational combination of the vectors, or None."""
-    rows = len(target)
-    cols = len(basis_vectors)
-    M = [[Fraction(basis_vectors[j][i]) for j in range(cols)] for i in range(rows)]
-    b = [Fraction(v) for v in target]
-    piv = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        b[r], b[pr] = b[pr], b[r]
-        scale = M[r][c]
-        M[r] = [v / scale for v in M[r]]
-        b[r] = b[r] / scale
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * v for a, v in zip(M[i], M[r])]
-                b[i] = b[i] - f * b[r]
-        piv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if b[i] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv):
-        sol[c] = b[i]
-    return sol
-
-
-class PrincipalDecomposition:
-    """A verified principal decomposition of a character lattice."""
-
-    def __init__(self, lattice, components, certificate):
-        self.lattice = lattice
-        self.components = components
-        self.certificate = certificate
-
-
 def verify_principal_decomposition(lattice, generators):
     """Check that the sigma-orbits of the generators jointly form a Z-basis.
 
-    Returns (ok, certificate_matrix); the certificate has the orbit vectors as
-    columns and ok means |det| = 1.
+    Returns (ok, certificate_matrix, components), one PrincipalComponent per
+    generator; the certificate has the orbit vectors as columns and ok means
+    |det| = 1.  When the orbits do not number the rank, the certificate
+    lists them as rows instead.
     """
     columns = []
     comps = []
@@ -191,18 +154,19 @@ def verify_principal_decomposition(lattice, generators):
         comps.append(comp)
         columns.extend(comp.orbit)
     if len(columns) != lattice.rank:
-        return False, [list(col) for col in columns]
+        return False, [list(col) for col in columns], comps
     cert = [[columns[j][i] for j in range(len(columns))] for i in range(lattice.rank)]
     ok = abs(zmat.det(cert)) == 1
-    return ok, cert
+    return ok, cert, comps
 
 
 def principal_decomposition(lattice, generators):
-    ok, cert = verify_principal_decomposition(lattice, generators)
+    """The principal components of the generators; NotPrincipal unless their
+    sigma-orbits jointly form a Z-basis."""
+    ok, _, comps = verify_principal_decomposition(lattice, generators)
     if not ok:
         raise NotPrincipal("orbits of the generators do not form a Z-basis")
-    comps = [principal_component(lattice, chi) for chi in generators]
-    return PrincipalDecomposition(lattice, comps, cert)
+    return comps
 
 
 class MuGroup:

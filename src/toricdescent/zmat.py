@@ -1,16 +1,18 @@
-"""Exact integer matrix kernel: Smith normal form with certificates, Bareiss
-determinants, characteristic polynomials, unimodular inverses.
+"""Exact integer matrix kernel: one Smith normal form with unimodular
+certificates, which answers every linear question (integer solutions,
+congruences, unimodular inverses); Bareiss determinants; characteristic
+polynomials by Faddeev-LeVerrier.
 
-All matrices are lists of lists of Python ints.  Everything here is exact;
-sizes are tiny (at most ~10x10), so clarity beats asymptotics.
+All matrices are lists of lists of Python ints.  Everything here is exact
+and stays in the integers, with no rational arithmetic; sizes are tiny (at
+most ~10x10), so clarity beats asymptotics.
 """
-
-from fractions import Fraction
 
 
 class ZmatError(ValueError):
     """Arguments outside a function's contract: matrices of the wrong shape,
-    a modulus or an integer to factor below 1, an inexact division."""
+    a modulus or an integer to factor below 1, an inexact division, a
+    matrix to invert that is not unimodular."""
 
 
 def identity(n):
@@ -62,41 +64,21 @@ def det(A):
 
 
 def charpoly(A):
-    """Coefficients (low degree first, monic) of det(x*I - A).
-
-    Computed by evaluating the determinant at n+1 integer points and
-    interpolating exactly; avoids polynomial-entry elimination.
-    """
+    """Coefficients (low degree first, monic) of det(x*I - A), by
+    Faddeev-LeVerrier: M_1 = I, c_(n-k) = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_(n-k) I, all in integers."""
     n = len(A)
-    if n == 0:
-        return [1]
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        M = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
-        ys.append(det(M))
-    # Lagrange interpolation over Q; result must be an integer polynomial.
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, xi in enumerate(xs):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= (xi - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t] -= c * xj
-                new[t + 1] += c
-            basis = new
-        scale = Fraction(ys[i], denom)
-        for t, c in enumerate(basis):
-            coeffs[t] += c * scale
-    # det(x*I - A) is a monic integer polynomial of degree n, and n + 1
-    # points determine it, so every coefficient is an integer and the top
-    # one is 1: no check can fail here
-    return [int(c) for c in coeffs]
+    coeffs = [0] * n + [1]
+    M = identity(n)
+    for k in range(1, n + 1):
+        AM = mat_mul(A, M)
+        # -tr(A M_k) / k is the coefficient c_(n-k) of the integer
+        # polynomial det(x*I - A), so k divides the trace exactly
+        c = -sum(AM[i][i] for i in range(n)) // k
+        coeffs[n - k] = c
+        M = [[v + c if i == j else v for j, v in enumerate(row)]
+             for i, row in enumerate(AM)]
+    return coeffs
 
 
 def poly_eval_int(coeffs, x):
@@ -108,33 +90,16 @@ def poly_eval_int(coeffs, x):
 
 
 def mat_inverse_unimodular(A):
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1: V U, from
+    the Smith form U A V = I.  ZmatError for any other matrix."""
     n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = M[col][col]
-        M[col] = [v / scale for v in M[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    out = []
-    for row in inv:
-        orow = []
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            orow.append(int(v))
-        out.append(orow)
-    return out
+    if any(len(row) != n for row in A):
+        raise ZmatError(f"A is not square: it has {n} rows and a row of another length")
+    U, D, V = smith_normal_form(A)
+    diagonal = [D[i][i] for i in range(n)]
+    if any(d != 1 for d in diagonal):
+        raise ZmatError(f"A is not unimodular: its Smith diagonal is {diagonal}")
+    return mat_mul(V, U)
 
 
 def smith_normal_form(A):
@@ -221,10 +186,30 @@ def snf_diagonal(A):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def invariant_factors(A):
-    """Nontrivial invariant factors (entries > 1) of the cokernel Z^rows / A Z^cols."""
-    diag = snf_diagonal(A)
-    return [d for d in diag if d > 1]
+def solve_int(A, b):
+    """Solve A x = b over the integers, through the Smith form U A V = D.
+
+    Returns (in_span, x): in_span tells whether b lies in the rational
+    column span of A, and x is an integer solution, or None when b lies
+    there only with non-integer coefficients.  Free coordinates of V^-1 x
+    are 0, so x is the unique solution when the columns are independent."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if len(b) != rows:
+        raise ZmatError(f"b has {len(b)} entries, A has {rows} rows")
+    U, D, V = smith_normal_form(A)
+    y = [0] * cols
+    integral = True
+    for i, c in enumerate(mat_vec(U, b)):
+        d = D[i][i] if i < cols else 0
+        if d == 0:
+            if c:
+                return False, None
+        elif c % d:
+            integral = False
+        else:
+            y[i] = c // d
+    return True, mat_vec(V, y) if integral else None
 
 
 def solve_mod(A, b, n):

@@ -38,6 +38,18 @@ def random_divisor(fiber, gens, r, rng):
     return oracle.random_divisor(fiber, r, rng, degree)
 
 
+def random_unimodular(n, rng):
+    """A product of random elementary row operations on the n x n identity."""
+    U = zmat.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randrange(-2, 3)
+            for t in range(n):
+                U[i][t] += c * U[j][t]
+    return U
+
+
 def rng_for(name):
     # string hashes are salted per process; crc32 keeps seeds reproducible
     import zlib

@@ -423,3 +423,23 @@ def test_torus_enumerates_a_small_torus_over_a_large_host_field():
     assert code == cli.EXIT_OK
     assert report["order"] == report["points"]["count"] == 10713
     assert report["points"]["invariants"] == [10713]
+
+
+def _pinned_lattice_reports():
+    from pathlib import Path
+    with open(Path(__file__).parent / "data" / "lattice_reports.jsonl") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("record", _pinned_lattice_reports(),
+                         ids=lambda rec: rec["line"])
+def test_lattice_report_is_pinned(record, capsys):
+    """torus and component-group lines with their exit code, report and
+    refusal message, as the Gauss-Jordan solver and inverse over Fractions
+    and the interpolated characteristic polynomial gave them: the README
+    examples, rank-deficient and non-principal components, enumeration at
+    q = 2, 7, 9 and 49, the refusals, and seeded Laplacians with --r."""
+    out = io.StringIO()
+    code = cli.run_line(record["line"].split(), stream=out)
+    assert (code, out.getvalue()) == (record["exit"], record["output"])
+    assert capsys.readouterr().err == record["stderr"]

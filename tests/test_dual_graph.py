@@ -218,3 +218,27 @@ def test_smith_certificates():
         for a, b in zip(diag, diag[1:]):
             if b:
                 assert a != 0 and b % a == 0
+
+
+def test_h1_basis_is_built_once_per_graph(monkeypatch):
+    """The basis, lattice and coordinate map are computed on the first call
+    and returned again after it, also through a whole hyperelliptic fiber."""
+    from toricdescent import dual_graph, families
+    from toricdescent.finite_field import Poly, make_field
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    original = dual_graph.CharacterLattice
+    monkeypatch.setattr(dual_graph, "CharacterLattice", counting)
+    g = banana(4, edge_perm=[0, 2, 3, 1])
+    assert h1_basis(g) is h1_basis(g)
+    principal_cycle_generators(g)
+    assert len(built) == 1
+    built.clear()
+    k = make_field(7)
+    inp = families.validate_hyperelliptic(k, Poly(k, [0, 1, 0, 0, 1, 1]), Poly(k, [2, 1]))
+    families.hyperelliptic_fiber(inp)
+    assert len(built) == 1

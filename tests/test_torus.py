@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from conftest import multiplicative_order, norm_lattice, rng_for, split_lattice
+from conftest import (multiplicative_order, norm_lattice, random_unimodular, rng_for,
+                      split_lattice)
 from toricdescent import torus, zmat
 from toricdescent.torus import (
     CharacterLattice, EnumerationLimitExceeded, NotPrincipal, TorusError,
@@ -41,32 +42,21 @@ def test_order_invariant_under_basis_change():
         g = lattice.rank
         f = frobenius_char_poly(lattice)
         for _ in range(50):
-            U = _random_unimodular(g, rng)
+            U = random_unimodular(g, rng)
             Uinv = zmat.mat_inverse_unimodular(U)
             conj = zmat.mat_mul(zmat.mat_mul(U, lattice.frobenius), Uinv)
             assert frobenius_char_poly(CharacterLattice(conj)) == f
-
-
-def _random_unimodular(n, rng):
-    U = zmat.identity(n)
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            c = rng.randrange(-2, 3)
-            for t in range(n):
-                U[i][t] += c * U[j][t]
-    return U
 
 
 def test_principal_component_and_verification():
     norm2 = norm_lattice(2)
     comp = principal_component(norm2, [1, 0])
     assert comp.rank == 2 and comp.char_poly == [-1, 0, 1]
-    ok, cert = verify_principal_decomposition(split_lattice(2), [[1, 0], [0, 1]])
+    ok, cert, _ = verify_principal_decomposition(split_lattice(2), [[1, 0], [0, 1]])
     assert ok and abs(zmat.det(cert)) == 1
-    ok, _ = verify_principal_decomposition(norm2, [[1, 0]])
-    assert ok
-    ok, cert = verify_principal_decomposition(norm2, [[2, 0]])
+    ok, _, comps = verify_principal_decomposition(norm2, [[1, 0]])
+    assert ok and [c.char_poly for c in comps] == [[-1, 0, 1]]
+    ok, cert, _ = verify_principal_decomposition(norm2, [[2, 0]])
     assert not ok and abs(zmat.det(cert)) > 1  # proper sublattice
 
 
@@ -128,13 +118,13 @@ def test_sum_of_characters_is_isomorphism():
     F = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     lattice = CharacterLattice(F)
     gens = [[1, 0, 0], [0, 1, 0]]
-    decomp = principal_decomposition(lattice, gens)
+    comps = principal_decomposition(lattice, gens)
     for q in (2, 3, 5):
         pts = enumerate_rational_points(lattice, q)
         images = {tuple(pts.value(p, chi).to_int() for chi in gens)
                   for p in pts.points}
         assert len(images) == len(pts)
-        orders = [c.order_over(q) for c in decomp.components]
+        orders = [c.order_over(q) for c in comps]
         assert len(pts) == orders[0] * orders[1]
 
 
@@ -234,3 +224,32 @@ def test_enumeration_count_mismatch_is_an_internal_error_in_the_cli():
     assert proc.returncode == 1
     assert "torus.PointCountMismatch: the congruence has 7 solutions" in proc.stderr
     assert "invalid input" not in proc.stderr
+
+
+def test_each_principal_component_is_built_once(monkeypatch):
+    """Once per generator of a TorusFrame, and once per torus --lattice
+    component."""
+    import io
+    from toricdescent import cli, descent, families
+    from toricdescent.dual_graph import principal_cycle_generators
+    from toricdescent.finite_field import Poly, make_field
+    built = []
+
+    def counting(lattice, chi):
+        built.append(tuple(chi))
+        return original(lattice, chi)
+
+    original = torus.principal_component
+    monkeypatch.setattr(torus, "principal_component", counting)
+    k = make_field(7)
+    # g = x (x - 1) (x^3 - 2): two rational nodes and an orbit of degree 3
+    inp = families.validate_hyperelliptic(k, Poly(k, [0, 2, -2, 0, -1, 1]), Poly(k, [2, 1]))
+    fiber = families.hyperelliptic_special_fiber(inp, families.node_degree(inp))
+    gens = principal_cycle_generators(fiber.graph)
+    frame = descent.TorusFrame(fiber, gens)
+    assert len(built) == len(gens) == len(frame.components) == 2
+    built.clear()
+    line = ('torus --lattice {"frobenius":[[1,0,0],[0,0,1],[0,1,0]],'
+            '"components":[[1,0,0],[0,1,0]]} --q 7 --json')
+    assert cli.run_line(line.split(), stream=io.StringIO()) == 0
+    assert built == [(1, 0, 0), (0, 1, 0)]
