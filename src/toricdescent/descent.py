@@ -5,21 +5,25 @@ assembly of the prime-to-p rational torsion.
 
 A special fiber here is a dual graph whose components are projective lines
 with an affine coordinate; every node carries its coordinate on each incident
-component.  The node coordinates live in the evaluation field E, the field
-of the nodes over the residue field k, and the arithmetic Frobenius is the
-q-power map on E.
+component.  A coordinate lies in a field over the residue field k that holds
+its node: k for a rational node, the field of its node orbit otherwise (the
+hyperelliptic engine), or one field for every node (genus 4 and the oracle).
+The arithmetic Frobenius is the q-power map on each of them.  A cycle's
+local functions and values live in the field of the nodes it passes; k
+embeds there.
 
 A divisor is a sum of Galois orbits: an entry (component, H, multiplicity)
 stands for the roots of a monic H over k, and (component, INF, multiplicity)
 for the point at infinity, so every divisor is rational by construction and
 its points never need to be found.  A degree-1 local function
 s (t - a)/(t - b) multiplies over the roots of H to s^n H(a)/H(b) (see
-MobiusFactor.over_roots), so evaluation only needs H at the nodes, in E.
+MobiusFactor.over_roots), so evaluation only needs H at the nodes.
 """
 
 from . import zmat
 from .dual_graph import chain_decomposition, fibral_lattice_membership, h1_basis
-from .finite_field import INF, FieldElement, Poly, embed, residue_symbol
+from .finite_field import (INF, FieldElement, NotInSubgroup, Poly, embed,
+                           residue_symbol)
 from .torus import principal_decomposition, NotPrincipal
 from .zmat import gcd, poly_eval_int
 
@@ -64,18 +68,22 @@ NOT_IN_PIC_R = "NotInPicBracketR"
 UNDETERMINED = "Undetermined"
 
 
+def _identity(x):
+    return x
+
+
 class SpecialFiber:
-    """Dual graph plus node coordinates inside an evaluation field.
+    """Dual graph plus node coordinates.
 
     node_coords[i] = (coordinate on tail component, coordinate on head
-    component) for edge i; entries are E-elements or INF.
+    component) for edge i; entries are INF or elements of k or of a field
+    over k that holds the node.  eval_field is the largest of those fields.
     """
 
     def __init__(self, graph, base_field, eval_field, node_coords):
         self.graph = graph
         self.k = base_field
         self.E = eval_field
-        self.embed = embed(base_field, eval_field)
         if len(node_coords) != graph.num_edges:
             raise MissingNodeCoordinates("need one coordinate pair per node")
         self.node_coords = [tuple(pair) for pair in node_coords]
@@ -89,19 +97,50 @@ class SpecialFiber:
                     coords.append(self.node_coords[i][1])
             self._component_coords.append(tuple(coords))
         self._validate()
-        # finite node coordinates, once each, the values of orbit polynomials
-        # there and whether an orbit meets a component's nodes
-        self._finite_nodes = {}
-        for pair in self.node_coords:
-            for c in pair:
-                if c is not INF:
-                    self._finite_nodes.setdefault(c.to_int(), c)
-        self._node_values = {}
+        # per component, one finite coordinate per Frobenius orbit: an orbit
+        # polynomial over k vanishes at all of an orbit or at none of it
+        self._orbit_reps = []
+        for coords in self._component_coords:
+            seen = set()
+            reps = []
+            for c in coords:
+                if c is not INF and c not in seen:
+                    reps.append(c)
+                    while c not in seen:
+                        seen.add(c)
+                        c = self.frobq(c)
+            self._orbit_reps.append(reps)
         self._meets = {}
 
     def frobq(self, x):
-        """Arithmetic Frobenius of E over the residue field."""
+        """Arithmetic Frobenius over the residue field, in x's own field."""
         return x if x is INF else x.frob(self.k.m)
+
+    def embedding(self, field):
+        """k -> field, for the field of a node coordinate (k itself included)."""
+        return _identity if field == self.k else embed(self.k, field)
+
+    def lift(self, c, field):
+        """A node coordinate (INF, or an element of k or of field) in field."""
+        if c is INF or c.field == field:
+            return c
+        return self.embedding(field)(c)
+
+    def lift_poly(self, H, field):
+        """A polynomial over k with its coefficients embedded into field."""
+        return H if field == self.k else H.map_coeffs(self.embedding(field), field)
+
+    def value(self, H, c):
+        """H(c) for a polynomial H over k at a finite node coordinate c, in
+        c's field.  At the node of a residue field of k = GF(p), the class of
+        x, that is H mod the field's modulus; elsewhere H with its
+        coefficients embedded, evaluated at c."""
+        field = c.field
+        if (self.k.m == 1 and field.given_modulus and field != self.k
+                and c == field.gen()):
+            rem = H % Poly(self.k, list(field.modulus))
+            return field.from_coeffs([a.to_int() for a in rem.coeffs])
+        return self.lift_poly(H, field)(c)
 
     def node_coordinate(self, edge_index, component):
         t, h, _ = self.graph.edges[edge_index]
@@ -118,8 +157,7 @@ class SpecialFiber:
     def _validate(self):
         for comp in range(self.graph.num_vertices):
             coords = self.component_node_coords(comp)
-            keys = [c if c is INF else c.to_int() for c in coords]
-            if len(set(keys)) != len(keys):
+            if len(set(coords)) != len(coords):
                 raise MissingNodeCoordinates(
                     f"coincident node coordinates on component {comp}")
         # Galois generator must act on coordinates through the q-power map
@@ -137,46 +175,51 @@ class SpecialFiber:
                 raise MissingNodeCoordinates(
                     f"node coordinates are not Galois-equivariant at edge {i}")
 
-    def node_values(self, H):
-        """{encoding of a finite node coordinate c: H(c)} for a polynomial H
-        over k, its coefficients embedded into E (cached per H)."""
-        values = self._node_values.get(H)
-        if values is None:
-            lifted = H.map_coeffs(self.embed, self.E)
-            values = {key: lifted(c) for key, c in self._finite_nodes.items()}
-            self._node_values[H] = values
-        return values
+    def field_of(self, coords):
+        """The field of the finite coordinates among coords: the largest of
+        their fields, which must hold all of them (k embeds everywhere)."""
+        field = self.k
+        for c in coords:
+            if c is INF or c.field == field or c.field == self.k:
+                continue
+            if field != self.k:
+                raise DescentError(f"nodes in {field} and in {c.field} on one cycle")
+            field = c.field
+        return field
 
     def meets_nodes(self, component, H):
         """Whether the orbit entry H (a polynomial over k, or INF) contains a
-        node of the component (cached)."""
+        node of the component (cached): H at one node of each Frobenius
+        orbit, in the node's field."""
         key = (component, H)
         meets = self._meets.get(key)
         if meets is None:
-            coords = self.component_node_coords(component)
             if H is INF:
-                meets = INF in coords
+                meets = INF in self.component_node_coords(component)
             else:
-                values = self.node_values(H)
-                meets = any(values[c.to_int()].is_zero()
-                            for c in coords if c is not INF)
+                meets = any(self.value(H, c).is_zero()
+                            for c in self._orbit_reps[component])
             self._meets[key] = meets
         return meets
 
     def rational_coordinates(self, component, avoid=(), limit=None):
         """k-rational coordinates on the component, as elements of k,
-        smallest first, then INF, skipping the avoided values (elements of E
-        or INF)."""
-        avoided = {c if c is INF else c.to_int() for c in avoid}
+        smallest first, then INF, skipping the avoided values (node
+        coordinates in any field, or INF)."""
+        avoided = {}
+        for c in avoid:
+            if c is not INF:
+                avoided.setdefault(c.field, set()).add(c.coeffs)
+        lifts = [(self.embedding(field), keys) for field, keys in avoided.items()]
         count = 0
         for n in range(self.k.q):
             x = self.k.from_int(n)
-            if self.embed(x).to_int() not in avoided:
+            if all(emb(x).coeffs not in keys for emb, keys in lifts):
                 yield x
                 count += 1
                 if limit is not None and count >= limit:
                     return
-        if INF not in avoided:
+        if INF not in avoid:
             yield INF
 
     def standard_point(self, component, extra_avoid=()):
@@ -272,7 +315,9 @@ class MobiusFactor:
     @classmethod
     def normalized(cls, fiber, component, enter, leave, base_rank=0):
         """The factor scaled to the value 1 at the base point: the
-        base_rank-th rational coordinate that avoids both nodes."""
+        base_rank-th rational coordinate that avoids both nodes.  It lives in
+        the field of its nodes, which must share one field (or be INF)."""
+        field = (leave if enter is INF else enter).field
         candidates = fiber.rational_coordinates(component, avoid=[enter, leave])
         base = None
         for rank, cand in enumerate(candidates):
@@ -282,12 +327,12 @@ class MobiusFactor:
         if base is None:
             raise NoRationalBasePoint(
                 f"not enough rational points on component {component}")
-        one = fiber.E.one()
+        one = field.one()
         if base is INF:
             if enter is INF or leave is INF:
                 raise NoRationalBasePoint("base point meets the support of the parameter")
             return cls(component, enter, leave, one, one)
-        x = fiber.embed(base)
+        x = fiber.lift(base, field)
         # s is the inverse of the unscaled value at the base point
         if enter is INF:
             return cls(component, enter, leave, x - leave, one)
@@ -349,29 +394,54 @@ def product_of_factors(factors, entries, one, values_of):
 
 class LocalFunctionSystem:
     """Normalized local parameters for every occurrence of a component in a
-    cycle, following the chain decomposition."""
+    cycle, following the chain decomposition, in the field of the nodes the
+    cycle passes (see SpecialFiber.field_of); rational nodes are lifted
+    there."""
 
     def __init__(self, cycle, fiber, base_rank=0):
         self.cycle = cycle
         self.fiber = fiber
+        occurrences = [(comp, fiber.node_coordinate(enter_edge, comp),
+                        fiber.node_coordinate(leave_edge, comp))
+                       for walk in chain_decomposition(cycle)
+                       for comp, enter_edge, leave_edge in walk]
+        self.field = fiber.field_of(
+            [c for _comp, a, b in occurrences for c in (a, b)])
         self.factors = []
-        for walk in chain_decomposition(cycle):
-            for comp, enter_edge, leave_edge in walk:
-                enter = fiber.node_coordinate(enter_edge, comp)
-                leave = fiber.node_coordinate(leave_edge, comp)
-                self.factors.append(MobiusFactor.normalized(
-                    fiber, comp, enter, leave, base_rank=base_rank))
+        # the cycle's finite nodes: their encodings in its field, and their
+        # coordinates as the fiber holds them
+        self._nodes = {}
+        for comp, a, b in occurrences:
+            factor = MobiusFactor.normalized(fiber, comp, fiber.lift(a, self.field),
+                                             fiber.lift(b, self.field),
+                                             base_rank=base_rank)
+            self.factors.append(factor)
+            for key, c in ((factor.enter_key, a), (factor.leave_key, b)):
+                if c is not INF:
+                    self._nodes[key] = c
+        self._values = {}
+
+    def node_values(self, H):
+        """{encoding of a node of the cycle: H there, in the cycle's field}
+        for a polynomial H over k (cached per H)."""
+        values = self._values.get(H)
+        if values is None:
+            fiber, field = self.fiber, self.field
+            values = {key: fiber.lift(fiber.value(H, c), field)
+                      for key, c in self._nodes.items()}
+            self._values[H] = values
+        return values
 
     def evaluate(self, divisor):
         """Product of the parameters over the divisor's orbits, multiplicities
         as exponents: resultants at the nodes, one inverse."""
-        fiber = self.fiber
-        return product_of_factors(self.factors, divisor.entries, fiber.E.one(),
-                                  fiber.node_values)
+        return product_of_factors(self.factors, divisor.entries, self.field.one(),
+                                  self.node_values)
 
 
 class FrameComponent:
-    """One principal summand with its generator cycle and mu-group data."""
+    """One principal summand with its generator cycle and mu-group data; its
+    values lie in the field of its cycle's nodes."""
 
     def __init__(self, fiber, cycle, char_poly, base_rank=0):
         self.fiber = fiber
@@ -382,14 +452,18 @@ class FrameComponent:
             raise UnsupportedTorus(
                 f"characteristic polynomial {char_poly} gives order {self.order} at q")
         self.system = LocalFunctionSystem(cycle, fiber, base_rank=base_rank)
+        self.field = self.system.field
 
     def mu_log(self, value, g):
         """The class of a mu-group member in mu / mu^g (g dividing the
-        order): its residue symbol, which never builds a generator of mu."""
-        if value ** self.order != self.fiber.E.one():
+        order): its residue symbol, which never builds a generator of mu.
+        The symbol finds value^(order/g) among the g-th roots of unity
+        exactly when value^order = 1, so it checks membership too."""
+        try:
+            return residue_symbol(value, self.order, g)
+        except NotInSubgroup as exc:
             raise DescentError(
-                "evaluation left the mu group; check divisor rationality")
-        return residue_symbol(value, self.order, g)
+                "evaluation left the mu group; check divisor rationality") from exc
 
 
 class TorusFrame:
@@ -406,6 +480,25 @@ class TorusFrame:
         self.components = [
             FrameComponent(fiber, cycle, comp.char_poly, base_rank=base_rank)
             for cycle, comp in zip(generator_cycles, components)]
+        self._steps = {}
+
+    def step_residues(self, generators, r):
+        """Per generator, None when gcd(r, order) = 1 (its power in a
+        Phi[r] row is always 0), else the residues of (r / gcd(r, order))
+        times its function divisor along every component: the classes a
+        verdict at r adds per unit of that generator's power.  Computed once
+        per generators and r, since every verdict at r reuses them."""
+        key = (tuple(generators), r)
+        steps = self._steps.get(key)
+        if steps is None:
+            steps = []
+            for gen in generators:
+                unit = r // gcd(r, gen.order)
+                steps.append(None if unit == r else [
+                    _class_of_value(comp.system.evaluate(gen.f_divisor) ** unit,
+                                    comp, r).residue for comp in self.components])
+            self._steps[key] = steps
+        return steps
 
     def torus_order(self):
         out = 1
@@ -545,8 +638,9 @@ def divisibility_verdict(divisor, r, frame, phi, generators, matrix):
     functions, and the arithmetic criterion is tested against every element
     of Phi[r].  The classes are additive, gamma(D + sum_t c_t u_t) =
     gamma(D) + sum_t c_t gamma(u_t) with u_t = (r / gcd(r, order_t)) f_t,
-    so D and each u_t are evaluated once per frame component and the rows of
-    the table combine residues.
+    so D is evaluated once per frame component, each u_t once per frame and
+    r (TorusFrame.step_residues), and the rows of the table combine
+    residues.
     """
     fiber = divisor.fiber
     if r < 1:
@@ -569,10 +663,7 @@ def divisibility_verdict(divisor, r, frame, phi, generators, matrix):
     base = [gamma_class(divisor, comp, r) for comp in frame.components]
     # a generator with gcd(r, order) = 1 only ever takes the power 0
     units = [r // gcd(r, gen.order) for gen in generators]
-    steps = [None if unit == r else
-             [_class_of_value(comp.system.evaluate(gen.f_divisor) ** unit,
-                              comp, r).residue for comp in frame.components]
-             for gen, unit in zip(generators, units)]
+    steps = frame.step_residues(generators, r)
     failures = {}
     for element, powers, _rep in table:
         residues = []

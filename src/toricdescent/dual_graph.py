@@ -9,8 +9,8 @@ tail to head; its boundary must vanish at every vertex.
 """
 
 from . import zmat
-from .torus import CharacterLattice
-from .zmat import mat_vec, smith_normal_form
+from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice
+from .zmat import factorize, lcm, mat_vec, smith_normal_form
 
 
 class GraphError(Exception):
@@ -23,6 +23,11 @@ class Disconnected(GraphError):
 
 class NotSupported(GraphError):
     pass
+
+
+class FrobeniusOrderTooLarge(NotSupported):
+    """The Galois generator's order on the cycle space exceeds
+    FROBENIUS_ORDER_BOUND, the bound every character lattice keeps."""
 
 
 class DualGraph:
@@ -152,21 +157,11 @@ class Cycle:
         return f"Cycle{self.vector}"
 
 
-def h1_basis(graph):
-    """Basis of the cycle space from the deterministic spanning tree, plus the
-    matrix of the Galois generator on that basis.
-
-    Tree edges are chosen greedily in label order.  Each remaining edge e
-    yields the fundamental cycle that traverses e tail-to-head and returns
-    through the tree; basis order follows the labels of the non-tree edges.
-    The coordinate of any cycle along basis element i is its entry at the
-    i-th non-tree edge.
-
-    Computed once per graph, which never changes after construction; every
-    later call returns the same (basis, lattice, coords).
-    """
-    if hasattr(graph, "_h1"):
-        return graph._h1
+def _cycle_basis(graph):
+    """(basis, coords) of h1_basis, without the Frobenius matrix; computed
+    once per graph."""
+    if hasattr(graph, "_cycles"):
+        return graph._cycles
     parent = list(range(graph.num_vertices))
 
     def find(x):
@@ -222,20 +217,99 @@ def h1_basis(graph):
         for i, d in tree_path(h, t):
             vec[i] += d
         basis.append(Cycle(graph, vec))
-    # DualGraph refuses a disconnected graph, so the tree spans all v vertices
-    # with v - 1 edges and the e - v + 1 cotree edges give exactly h1_rank
-    # basis cycles
-    rank = graph.h1_rank()
 
     def coords(cycle):
         return tuple(cycle.vector[e] for e in cotree)
 
+    graph._cycles = basis, coords
+    return graph._cycles
+
+
+def _signed_power(graph, n):
+    """sigma^n on the edges, as (image, sign) lists: sigma^n sends edge i to
+    sign[i] times edge image[i]; by repeated squaring."""
+    count = graph.num_edges
+    image, sign = list(range(count)), [1] * count
+    base, base_sign = list(graph.edge_perm), list(graph.edge_sign)
+    while n:
+        if n & 1:
+            image, sign = ([base[j] for j in image],
+                           [s * base_sign[j] for s, j in zip(sign, image)])
+        n >>= 1
+        if n:
+            base, base_sign = ([base[j] for j in base],
+                               [s * base_sign[j] for s, j in zip(base_sign, base)])
+    return image, sign
+
+
+def frobenius_order(graph):
+    """Order of the Galois generator on the cycle space, read off the signed
+    edge permutation with no matrix product: it divides the permutation's
+    order (the lcm of its cycle lengths, a cycle doubled when its signs
+    multiply to -1), and each prime is stripped while sigma^(n/l) still
+    fixes every basis cycle."""
+    basis, _coords = _cycle_basis(graph)
+    n = 1
+    seen = set()
+    for i in range(graph.num_edges):
+        length, sign, j = 0, 1, i
+        while j not in seen:
+            seen.add(j)
+            sign *= graph.edge_sign[j]
+            j = graph.edge_perm[j]
+            length += 1
+        if length:
+            n = lcm(n, length if sign == 1 else 2 * length)
+
+    def fixes(e):
+        image, sign = _signed_power(graph, e)
+        for b in basis:
+            out = [0] * graph.num_edges
+            for i, c in enumerate(b.vector):
+                if c:
+                    out[image[i]] += sign[i] * c
+            if tuple(out) != b.vector:
+                return False
+        return True
+
+    for ell in factorize(n):
+        while n % ell == 0 and fixes(n // ell):
+            n //= ell
+    return n
+
+
+def h1_basis(graph):
+    """Basis of the cycle space from the deterministic spanning tree, plus the
+    matrix of the Galois generator on that basis.
+
+    Tree edges are chosen greedily in label order.  Each remaining edge e
+    yields the fundamental cycle that traverses e tail-to-head and returns
+    through the tree; basis order follows the labels of the non-tree edges.
+    The coordinate of any cycle along basis element i is its entry at the
+    i-th non-tree edge.
+
+    FrobeniusOrderTooLarge, before any matrix is built, when the Galois
+    generator's order (frobenius_order) exceeds FROBENIUS_ORDER_BOUND.
+    Computed once per graph, which never changes after construction; every
+    later call returns the same (basis, lattice, coords).
+    """
+    if hasattr(graph, "_h1"):
+        return graph._h1
+    basis, coords = _cycle_basis(graph)
+    order = frobenius_order(graph)
+    if order > FROBENIUS_ORDER_BOUND:
+        raise FrobeniusOrderTooLarge(
+            f"frobenius order {order} exceeds the bound {FROBENIUS_ORDER_BOUND}")
+    # DualGraph refuses a disconnected graph, so the tree spans all v vertices
+    # with v - 1 edges and the e - v + 1 cotree edges give exactly h1_rank
+    # basis cycles
+    rank = graph.h1_rank()
     F = [[0] * rank for _ in range(rank)]
     for j, b in enumerate(basis):
         image = graph.sigma_cycle(b)
         for i, c in enumerate(coords(image)):
             F[i][j] = c
-    graph._h1 = basis, CharacterLattice(F, label="H1"), coords
+    graph._h1 = basis, CharacterLattice(F, label="H1", order=order), coords
     return graph._h1
 
 
@@ -384,8 +458,8 @@ def principal_cycle_generators(graph):
     node or a single full edge orbit.  Anything else raises NotSupported,
     mirroring the open gap for graphs without a distinguished rational node.
     """
-    basis, lattice, _ = h1_basis(graph)
-    if lattice.rank == 0:
+    basis, _coords = _cycle_basis(graph)
+    if not basis:
         return []
     if all(graph.sigma_cycle(b) == b for b in basis):
         return list(basis)

@@ -20,11 +20,11 @@ from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
                       SpecializedDivisor, divisibility_verdict,
                       product_of_factors, torsion_structure, DIVISIBLE,
                       UNDETERMINED)
-from .dual_graph import DualGraph, component_group, principal_cycle_generators
+from .dual_graph import (DualGraph, FrobeniusOrderTooLarge, component_group,
+                         principal_cycle_generators)
 from .finite_field import (INF, Poly, element_of_order, embed, extension,
-                           factor, power_residue, residue_symbol,
-                           roots_in_extension)
-from .zmat import gcd, group_invariants, lcm
+                           factor, power_residue, residue_field, residue_symbol)
+from .zmat import gcd, group_invariants
 
 
 class FamilyError(Exception):
@@ -223,46 +223,36 @@ def torsion_bd(inp):
 # -- engine route -----------------------------------------------------------
 
 
-def node_degree(inp):
-    """Degree over k of the field of the nodes, the splitting field of the
-    reduction of g: the least common multiple of its factor degrees."""
-    s = 1
-    for f in _gbar_factor_data(inp)[0]:
-        s = lcm(s, f.degree)
-    return s
-
-
-def hyperelliptic_special_fiber(inp, s):
-    """The two-line special fiber over GF(q^s): its nodes are the roots of
-    the reduction of g, found there, so s must be a multiple of their degree.
-    Built once per input and degree."""
-    if not hasattr(inp, "_fibers"):
-        inp._fibers = {}
-    if s not in inp._fibers:
-        k = inp.k
-        factors = _gbar_factor_data(inp)[0]
-        g_roots = roots_in_extension(inp.g, s, factors=[(f, 1) for f in factors])
-        if len(g_roots) != inp.d:
-            raise UnexpectedRootCount(
-                f"found {len(g_roots)} of the {inp.d} nodes in {extension(k, s)}")
-        edges = [(0, 1, rho.to_int()) for rho in g_roots]
-        key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
-        perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
-        graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
-        inp._fibers[s] = SpecialFiber(graph, k, extension(k, s),
-                                      [(rho, rho) for rho in g_roots])
-    return inp._fibers[s]
-
-
 def hyperelliptic_fiber(inp):
     """Build the two-line special fiber, torus frame, component group, and
     descent generators for the generic engine.
 
-    The evaluation field is the splitting field of the reduction of g, the
-    field of the nodes; the zeros of h enter div(y - g) as one orbit entry
-    and are never found."""
-    fiber = hyperelliptic_special_fiber(inp, node_degree(inp))
-    frame = descent.TorusFrame(fiber, principal_cycle_generators(fiber.graph))
+    Each node orbit keeps its own field.  A rational node is a point of k;
+    the nodes of an orbit g_i of degree s > 1 are the root of g_i that
+    residue_field gives in k[x]/(g_i) and its q-power conjugates, so no
+    splitting field is built and no root is found.  The fiber's evaluation
+    field is the largest orbit field.  The zeros of h enter div(y - g) as
+    one orbit entry and are never found either."""
+    k = inp.k
+    factors, rational = _gbar_factor_data(inp)
+    nodes = list(rational)
+    perm = list(range(len(nodes)))
+    largest = k
+    for f in factors:
+        if f.degree == 1:
+            continue
+        field, node = residue_field(f)
+        if field.m > largest.m:
+            largest = field
+        start = len(nodes)
+        for j in range(f.degree):
+            nodes.append(node)
+            perm.append(start + (j + 1) % f.degree)
+            node = node.frob(k.m)
+    graph = DualGraph(2, [(0, 1, i) for i in range(len(nodes))],
+                      vertex_perm=[0, 1], edge_perm=perm)
+    fiber = SpecialFiber(graph, k, largest, [(x, x) for x in nodes])
+    frame = descent.TorusFrame(fiber, principal_cycle_generators(graph))
 
     d = inp.d
     matrix = [[-d, d], [d, -d]]
@@ -316,8 +306,12 @@ def torsion_bd_engine(inp):
     if not hasattr(inp, "_engine_torsion"):
         try:
             fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
-        except dual_graph.NotSupported as exc:
+        except FrobeniusOrderTooLarge as exc:
             raise descent.UnsupportedTorus(str(exc)) from exc
+        except dual_graph.NotSupported as exc:
+            # the decomposition rules cover two lines with a rational node or
+            # with one node orbit
+            raise descent.UnsupportedTorus("no-rational-node: " + str(exc)) from exc
         inp._engine_torsion = torsion_structure(frame, phi, generators)
     return inp._engine_torsion
 
@@ -823,7 +817,7 @@ def hyperelliptic_report(inp, engine_check=True):
         reasons.append("no-rational-node: theta criterion outside the proved cases")
     torsion, torsion_reason = _torsion_or_reason(lambda: torsion_bd(inp))
     if torsion_reason:
-        reasons.append("no-rational-node: " + torsion_reason)
+        reasons.append(torsion_reason)
 
     decomposition = None
     if rational or len(facs) == 1:

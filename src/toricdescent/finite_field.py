@@ -4,7 +4,8 @@ algebra over them.
 Elements are tuples of m Python ints in [0, p): the coefficients over GF(p)
 with respect to the power basis of a fixed monic irreducible modulus, and the
 module needs nothing beyond the standard library.  An element product is a
-schoolbook product folded mod the modulus until a field with m > 1 and at most
+schoolbook product folded mod the modulus (in closed form for m = 2 and 3)
+until a field with the deterministic modulus, m > 1 and at most
 TABLE_LIMIT elements has done q of them.  That field then builds log/antilog
 tables over a generator of its unit group, once, and multiplies, inverts,
 raises to powers and applies Frobenius by lookups from then on.  The build
@@ -22,12 +23,18 @@ sum(c_i * p^i) of their non-leading coefficients; this makes every derived
 quantity reproducible across runs.  The search for it runs on int coefficient
 lists over GF(p), whose modulus x needs no search.
 
+A field can also take a given monic irreducible modulus: residue_field(g)
+builds the field k[x]/(g) of a node orbit that way, with no modulus search
+and no root finding.  Fields are equal when their p, modulus and base (the
+embedding their builder fixed) agree.
+
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
-the smallest root of the subfield modulus in the big field.  Each is chosen on
-its own, so embeddings along a tower need not compose; callers only embed the
-residue field k of a request into fields that contain it, and never map a
-value back down.  A value known to lie in k (|k| = q) is tested where it is
-held: it is an r-th power in k iff x^((q-1)/gcd(r, q-1)) = 1.
+the smallest root of the subfield modulus in the big field, or, into a
+residue field, to the root its builder chose.  Each is chosen on its own, so
+embeddings along a tower need not compose; callers only embed the residue
+field k of a request into fields that contain it, and never map a value back
+down.  A value known to lie in k (|k| = q) is tested where it is held: it is
+an r-th power in k iff x^((q-1)/gcd(r, q-1)) = 1.
 
 Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
 equal-degree splitting), and every root search goes through the same
@@ -38,8 +45,9 @@ g-th root of unity and never factor q^s - 1, every operation the closed
 forms use costs time polynomial in log q: nothing loops over GF(p).
 
 The field-size limit guards user-facing construction via make_field;
-evaluation towers built internally (which never enumerate their field) are
-exempt, as is roots_in_extension, whose algorithms are polynomial time.
+evaluation towers and residue fields built internally (which never
+enumerate their field) are exempt, as is roots_in_extension, whose
+algorithms are polynomial time.
 """
 
 import os
@@ -62,17 +70,22 @@ INF = "oo"
 
 #: Bounds of the caches keyed by the user's prime, so that one process
 #: answering many primes stays bounded.  A run of the small-q benchmark
-#: workload touches about 21 fields and moduli, 19 embeddings and 16
-#: (field, order) pairs; the bounds leave several times that.
+#: workload touches about 21 fields and moduli and 19 embeddings; the bounds
+#: leave several times that.  A field keeps its own elements of given
+#: orders (element_of_order) and its embeddings, which go with it.
 FIELD_CACHE_SIZE = 128
 DERIVED_CACHE_SIZE = 256
 
-#: Fields with m > 1 and at most this many elements build log/antilog
-#: tables on their q-th element product (see _build_tables).  Only the 31
-#: fields with m > 1 and q <= 2^11 qualify, 15849 elements in all.  Tables
-#: cost about 150 bytes per element (the coefficient tuple, two list slots
-#: and a dict entry), so one set for each of those fields takes about
-#: 2.4 MB (tracemalloc), however many fields the caches above hold.
+#: Fields with m > 1, the deterministic modulus and at most this many
+#: elements build log/antilog tables on their q-th element product (see
+#: _build_tables).  Only the 31 fields with m > 1 and q <= 2^11 qualify,
+#: 15849 elements in all.  Tables cost about 150 bytes per element (the
+#: coefficient tuple, two list slots and a dict entry), so one set for each
+#: of those fields takes about 2.4 MB (tracemalloc), however many fields the
+#: caches above hold.  A residue field (given modulus) builds none: each
+#: new curve brings new ones, and a dead field, held in reference cycles
+#: by its own elements, keeps its tables until a full garbage
+#: collection, which raised peak memory on the oracle workload by 9%.
 TABLE_LIMIT = 2 ** 11
 
 
@@ -214,17 +227,36 @@ def _digits(n, base):
 
 
 class FiniteField:
-    """GF(p^m) with the deterministic monic irreducible modulus over GF(p)."""
+    """GF(p^m) over the deterministic monic irreducible modulus of degree m
+    over GF(p), or over a given one.
 
-    def __init__(self, p, m=1):
+    A given modulus (ints in [0, p), low first, monic and irreducible; not
+    checked) makes a residue field of a node orbit (see residue_field).
+    base, with it, is (m', root): the subfield GF(p^m') of that degree, in
+    its deterministic modulus, embeds by sending its generator to the
+    element with the coefficient tuple root.  Two fields are equal when p,
+    the modulus and base agree, so a cache keyed by a field never hands one
+    field's element to another field of the same size."""
+
+    def __init__(self, p, m=1, modulus=None, base=None):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if modulus is not None:
+            m = len(modulus) - 1
         if m < 1:
             raise FieldError("extension degree must be >= 1")
         self.p = p
         self.m = m
         self.q = p ** m
-        self.modulus = _smallest_irreducible(p, m)
+        self.given_modulus = modulus is not None
+        self.modulus = tuple(modulus) if modulus is not None else _smallest_irreducible(p, m)
+        self.base = base
+        self._key = (p, self.modulus, base)
+        self._hash = hash(self._key)
+        # embeddings into a field with a given modulus (see embed), and the
+        # elements of given orders (see element_of_order)
+        self._embeddings = {}
+        self._of_order = {}
         # row j of _red is x^(m+j) reduced mod the modulus
         rows = []
         if m > 1:
@@ -244,7 +276,9 @@ class FiniteField:
         # and the zero tuple to -1; _muls_to_tables counts down the element
         # products left before the build, 0 for a field that never builds
         self._exp = self._log = None
-        self._muls_to_tables = self.q if m > 1 and self.q <= TABLE_LIMIT else 0
+        # a residue field lives for one curve: it never builds tables
+        tabled = m > 1 and self.q <= TABLE_LIMIT and modulus is None
+        self._muls_to_tables = self.q if tabled else 0
 
     # element constructors
 
@@ -301,17 +335,18 @@ class FiniteField:
         return self._frob_mat
 
     def __repr__(self):
-        return field_name(self.p, self.m)
+        name = field_name(self.p, self.m)
+        return f"{name} mod {list(self.modulus)}" if self.given_modulus else name
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FiniteField)
-                                 and (self.p, self.m) == (other.p, other.m))
+                                 and self._key == other._key)
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __hash__(self):
-        return hash((self.p, self.m))
+        return self._hash
 
 
 def field_name(p, m):
@@ -543,7 +578,27 @@ def _mul(f, a, b):
         f._muls_to_tables -= 1
         if not f._muls_to_tables:
             _build_tables(f)
-    acc = [0] * (2 * f.m - 1)
+    m = f.m
+    # m = 2 and 3, the usual node and k(i) fields, in closed form: about a
+    # fifth of the time of the loops below (0.7-1.0 against 3.3-5.8 us)
+    if m == 2:
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        r0, r1 = f._red[0]
+        p = f.p
+        return ((a0 * b0 + top * r0) % p, (a0 * b1 + a1 * b0 + top * r1) % p)
+    if m == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        c3 = a1 * b2 + a2 * b1
+        c4 = a2 * b2
+        (u0, u1, u2), (v0, v1, v2) = f._red
+        p = f.p
+        return ((a0 * b0 + c3 * u0 + c4 * v0) % p,
+                (a0 * b1 + a1 * b0 + c3 * u1 + c4 * v1) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + c3 * u2 + c4 * v2) % p)
+    acc = [0] * (2 * m - 1)
     _conv(acc, a, b)
     return _fold(f, acc)
 
@@ -1050,9 +1105,11 @@ def _one_root(f):
 
 
 class Embedding:
-    """Field homomorphism GF(p^s) -> GF(p^m) for s | m."""
+    """Field homomorphism GF(p^s) -> GF(p^m) for s | m: the generator of the
+    subfield goes to root, or by default to the smallest p-power conjugate
+    of a root of the subfield modulus found in the big field."""
 
-    def __init__(self, sub, big):
+    def __init__(self, sub, big, root=None):
         if big.p != sub.p or big.m % sub.m != 0:
             raise NotASubfield(f"{sub} is not a subfield of {big}")
         self.sub = sub
@@ -1060,17 +1117,18 @@ class Embedding:
         if sub.m == 1:
             self._mat = None
         else:
-            rho = _one_root(Poly(big, [big(c) for c in sub.modulus]))
-            # smallest conjugate (p-power orbit) fixes the embedding
-            conj = [rho]
-            for _ in range(sub.m - 1):
-                rho = rho.frob(1)
-                conj.append(rho)
-            rho = min(conj, key=lambda r: r.to_int())
+            if root is None:
+                rho = _one_root(Poly(big, [big(c) for c in sub.modulus]))
+                # smallest conjugate (p-power orbit) fixes the embedding
+                conj = [rho]
+                for _ in range(sub.m - 1):
+                    rho = rho.frob(1)
+                    conj.append(rho)
+                root = min(conj, key=lambda r: r.to_int())
             rows = [big.one().coeffs]
             acc = big.one()
             for _ in range(1, sub.m):
-                acc = acc * rho
+                acc = acc * root
                 rows.append(acc.coeffs)
             self._mat = tuple(rows)
 
@@ -1088,9 +1146,84 @@ def _cached_embedding(p, msub, mbig):
 
 
 def embed(sub, big):
+    """The embedding sub -> big: cached per (p, s, m) between fields with the
+    deterministic modulus; a field with a given modulus keeps its own, which
+    for its base field is the one its base fixes."""
     if big.p != sub.p or big.m % sub.m != 0:
         raise NotASubfield(f"{sub} is not a subfield of {big}")
-    return _cached_embedding(sub.p, sub.m, big.m)
+    if not big.given_modulus:
+        return _cached_embedding(sub.p, sub.m, big.m)
+    emb = big._embeddings.get(sub)
+    if emb is None:
+        root = None
+        if big.base is not None and big.base[0] == sub.m and not sub.given_modulus:
+            root = FieldElement(big, big.base[1])
+        emb = big._embeddings[sub] = Embedding(sub, big, root)
+    return emb
+
+
+#: Bound of the residue_field cache.  A request builds one residue field per
+#: node orbit of degree > 1, and a new curve brings new ones, so the cache
+#: serves repeated requests only.
+RESIDUE_FIELD_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=RESIDUE_FIELD_CACHE_SIZE)
+def residue_field(g):
+    """(K, node): the field k[x]/(g) of a monic irreducible g of degree s over
+    k = GF(p^m), as a FiniteField of degree m s over GF(p) with a modulus of
+    its own, and a root of g in it.  Nothing is factored and no root is
+    searched for (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14).
+
+    For m = 1 the modulus is g and the node is the class of x.  For m > 1 it
+    is the norm N(x) = prod_j G^(p^j)(x) down to GF(p) of G(x) = g(x - c t),
+    t the generator of k, for the first c = 0, 1, ... that makes N
+    squarefree.  A norm is a power of the minimal polynomial of its roots,
+    so a squarefree one is irreducible, and x is a root of one conjugate
+    G^(p^j) only.  k then embeds by the one root tau of its modulus with
+    G^tau(x) = 0, the linear gcd of the two over the new field, and the node
+    is x - c tau."""
+    k = g.field
+    p, m = k.p, k.m
+    if g.degree < 2 or g.lead() != k.one():
+        raise FieldError(f"{g} is not a monic polynomial of degree >= 2")
+    if m == 1:
+        K = FiniteField(p, modulus=g._c)
+        return K, K.gen()
+    t = Poly(k, [k.gen()])
+    x = Poly(k, [0, 1])
+    # shifts c t with c in GF(p): a bad c puts the root alpha + c t of G in
+    # a maximal subfield L whose intersection with k has index some prime
+    # l | m, and at most one c does that for each l.  Below the field-size
+    # limit m has at most two prime factors, so one of the p >= 3 values of
+    # c works (the two-line family never has p = 2, which divides 2d)
+    for c in range(p):
+        shift = x - t.scale(k(c))
+        G = Poly(k, [0])
+        for coeff in reversed(g.coeffs):
+            G = G * shift + Poly(k, [coeff])
+        N = G
+        for j in range(1, m):
+            N = N * Poly(k, [a.frob(j) for a in G.coeffs])
+        norm = [a.coeffs[0] for a in N.coeffs]
+        if _coprime_p(_trim([v * i % p for i, v in enumerate(norm) if i]), norm, p):
+            break
+    else:
+        raise FieldError(f"no shift of {g} has an irreducible norm")
+    # tau in the plain field GF(p)[x]/(N), then the field that carries it
+    plain = FiniteField(p, modulus=norm)
+    X = Poly(plain, [plain.gen(), -c])
+    G_T = Poly(plain, [0])
+    mu = Poly(plain, list(k.modulus))
+    for coeff in reversed(g.coeffs):
+        G_T = (G_T * X + Poly(plain, list(coeff.coeffs))) % mu
+    linear = mu.gcd(G_T)
+    if linear.degree != 1:
+        raise FieldError(f"the modulus of {k} has {linear.degree} roots making "
+                         f"a root of {g}")
+    K = FiniteField(p, modulus=norm, base=(m, (-linear[0]).coeffs))
+    tau = FieldElement(K, K.base[1])
+    return K, K.gen() - tau * c
 
 
 def roots_in_extension(f, s, factors=None):
@@ -1140,13 +1273,21 @@ def power_residue(x, r):
     return x ** (n // gcd(r, n)) == x.field.one()
 
 
-@lru_cache(maxsize=DERIVED_CACHE_SIZE)
 def element_of_order(field, n):
-    """Deterministic element of exact multiplicative order n (cached): the
-    first w^((q-1)/n) of exact order n, w running through the encodings from 2.
+    """Deterministic element of exact multiplicative order n: the first
+    w^((q-1)/n) of exact order n, w running through the encodings from 2.
+    Kept by the field, so that it goes with the field (and a residue field's
+    tables with it).
 
     The encodings below p are the prime field; when no power of GF(p)^x has
     order n the search starts at p, which leaves the result unchanged."""
+    eta = field._of_order.get(n)
+    if eta is None:
+        eta = field._of_order[n] = _element_of_order(field, n)
+    return eta
+
+
+def _element_of_order(field, n):
     if (field.q - 1) % n != 0:
         raise OrderDoesNotDivide(f"order {n} does not divide {field.q - 1}")
     if n == 1:

@@ -14,21 +14,23 @@ from first principles.  The connecting-map lifts are shared input (the
 compensating-function recipe is the only route to them), and agreement
 claims are scoped accordingly.
 
-The engine's divisors are Galois orbits given by polynomials over k.  The
-oracle works with points: prepare builds its own fiber over a field that
-holds every point it needs (field_degree), with the nodes found there, and
-divisor_points finds the roots of each orbit in that field, which is
-affordable only at its tiny q.  No value moves between the engine's field
-and the oracle's: both embed only k.  The random divisors both are checked
-on come from random_divisor, which draws its orbits over k.
+The engine's divisors are Galois orbits given by polynomials over k, and
+its nodes lie in one field per node orbit.  The oracle works with points in
+one absolute field: prepare builds its own fiber over a field that holds
+every point it needs (field_degree), with the nodes found there
+(hyperelliptic_special_fiber), and divisor_points finds the roots of each
+orbit in that field, which is affordable only at its tiny q.  No value moves
+between the engine's fields and the oracle's: both embed only k.  The random
+divisors both are checked on come from random_divisor, which draws its
+orbits over k.
 """
 
 from functools import lru_cache
 
-from .descent import (DivisorMeetsNode, SpecializedDivisor, phi_r_table,
-                      translate_to_degree_zero)
-from .dual_graph import chain_decomposition, h1_basis, principal_cycle_generators
-from .families import hyperelliptic_special_fiber, node_degree
+from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
+                      phi_r_table, translate_to_degree_zero)
+from .dual_graph import (DualGraph, chain_decomposition, h1_basis,
+                         principal_cycle_generators)
 from .finite_field import (INF, Poly, element_of_order, embed, extension, factor,
                            power_residue, roots_in_extension)
 from .torus import principal_component
@@ -59,6 +61,10 @@ class NotEquivariant(OracleError):
     pass
 
 
+class UnexpectedRootCount(OracleError):
+    """Fewer roots of the reduction of g than its degree in the oracle's field."""
+
+
 class EvenCharacteristic(OracleError):
     """Random quadratic orbits are drawn by their discriminant, which needs
     odd characteristic."""
@@ -79,17 +85,54 @@ def field_degree(polys):
     return degree
 
 
+def _g_factors(inp):
+    """The factorization of the reduction of g, once per input."""
+    if not hasattr(inp, "_oracle_g_factors"):
+        inp._oracle_g_factors = factor(inp.g)
+    return inp._oracle_g_factors
+
+
+def node_degree(inp):
+    """Degree over k of the field of the nodes, the splitting field of the
+    reduction of g: the least common multiple of its factor degrees."""
+    degree = 1
+    for f, _ in _g_factors(inp):
+        degree = lcm(degree, f.degree)
+    return degree
+
+
+def hyperelliptic_special_fiber(inp, s):
+    """The two-line special fiber over GF(q^s): its nodes are the roots of
+    the reduction of g, found there, so s must be a multiple of node_degree.
+    Built once per input and degree."""
+    if not hasattr(inp, "_oracle_fibers"):
+        inp._oracle_fibers = {}
+    if s not in inp._oracle_fibers:
+        k = inp.k
+        big = extension(k, s)
+        g_roots = roots_in_extension(inp.g, s, factors=_g_factors(inp))
+        if len(g_roots) != inp.d:
+            raise UnexpectedRootCount(
+                f"found {len(g_roots)} of the {inp.d} nodes in {big}")
+        edges = [(0, 1, rho.to_int()) for rho in g_roots]
+        key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
+        perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
+        graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
+        inp._oracle_fibers[s] = SpecialFiber(graph, k, big,
+                                             [(rho, rho) for rho in g_roots])
+    return inp._oracle_fibers[s]
+
+
 def prepare(inp, phi, generators, r):
     """Everything exhaustive_divisibility needs for one validated
     hyperelliptic input and target r: (degree, fiber, enumerated torus,
     subgroup).  The fiber is the oracle's own, with its nodes found in
     GF(q^degree), where degree is the least common multiple of the nodes'
     degree and the field_degree of the generators' function divisors (the
-    zeros of h); when that is the nodes' degree, the engine's fiber is
-    reused.  random_divisor draws its
-    orbits to split in this field.  The subgroup is the frozenset of the
-    keys (EnumeratedTorus.key) of the torus points that r-th powers and the
-    connecting-map lifts generate, found by literal closure."""
+    zeros of h).  random_divisor draws its orbits to split in this field.
+    The subgroup is the frozenset of the keys (EnumeratedTorus.key) of the
+    torus points that r-th powers and the connecting-map lifts generate,
+    found by literal closure."""
     degree = lcm(node_degree(inp), field_degree(
         [H for gen in generators for _comp, H, _mult in gen.f_divisor.entries]))
     fiber = hyperelliptic_special_fiber(inp, degree)

@@ -45,17 +45,23 @@ class PointCountMismatch(Exception):
 class CharacterLattice:
     """Free Z-module of rank g with a finite-order Frobenius matrix."""
 
-    def __init__(self, frobenius, label=""):
+    def __init__(self, frobenius, label="", order=None):
+        """order, when the caller knows it (the Galois generator on a dual
+        graph's cycle space, an automorphism of finite order by
+        construction), is taken as given; otherwise the determinant and the
+        order are checked."""
         F = [list(map(int, row)) for row in frobenius]
         g = len(F)
         if any(len(row) != g for row in F):
             raise TorusError("frobenius matrix must be square")
-        if abs(zmat.det(F)) != 1:
-            raise TorusError("frobenius matrix must have determinant +-1")
         self.rank = g
         self.frobenius = F
         self.label = label
-        self.order = self._frobenius_order()
+        if order is None:
+            if abs(zmat.det(F)) != 1:
+                raise TorusError("frobenius matrix must have determinant +-1")
+            order = self._frobenius_order()
+        self.order = order
 
     def _frobenius_order(self):
         ident = zmat.identity(self.rank)
@@ -118,8 +124,8 @@ class PrincipalComponent:
 def principal_component(lattice, chi):
     """Build the principal component generated by chi.
 
-    Raises NotPrincipal when the sigma-orbit of chi fails to be a Z-basis of
-    the Z[Frobenius]-span (non-integer linear recurrence).
+    The orbit chi, F chi, ... up to its first dependent vector, with the
+    recurrence that vector satisfies.
     """
     chi = [int(v) for v in chi]
     orbit = [chi]
@@ -128,15 +134,11 @@ def principal_component(lattice, chi):
         cur = lattice.apply(cur)
         in_span, coeffs = solve_int([list(row) for row in zip(*orbit)], cur)
         if in_span:
-            if coeffs is None:
-                raise NotPrincipal(
-                    "orbit spans the module only with non-integer coefficients")
+            # integral by Gauss's lemma (a factor of x^order - 1), met within rank steps
             # char poly of the restriction: x^k - c_{k-1} x^(k-1) - ... - c_0
             fx = [-c for c in coeffs] + [1]
             return PrincipalComponent(chi, orbit, fx)
         orbit.append(cur)
-        if len(orbit) > lattice.rank:
-            raise NotPrincipal("orbit rank exceeds lattice rank")
 
 
 def verify_principal_decomposition(lattice, generators):

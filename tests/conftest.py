@@ -32,9 +32,12 @@ def random_genus4(k, rng, r=2):
 
 def random_divisor(fiber, gens, r, rng):
     """A random orbit divisor (oracle.random_divisor) keyed, as the oracle
-    command keys it, to the field of the nodes and of the zeros of h."""
-    degree = zmat.lcm(fiber.E.m // fiber.k.m, oracle.field_degree(
-        [H for gen in gens for _c, H, _m in gen.f_divisor.entries]))
+    command keys it, to the field of the nodes and of the zeros of h: a
+    node's degree over k is the length of its edge orbit."""
+    degree = oracle.field_degree(
+        [H for gen in gens for _c, H, _m in gen.f_divisor.entries])
+    for orbit in fiber.graph.edge_orbits():
+        degree = zmat.lcm(degree, len(orbit))
     return oracle.random_divisor(fiber, r, rng, degree)
 
 

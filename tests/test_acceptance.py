@@ -222,9 +222,9 @@ def test_criterion_7_oracle_agreement():
             continue
         # one fiber for both, over the oracle's field: the engine's frame
         # evaluates there by resultants, the oracle on the points
-        degree = lcm(families.node_degree(inp), oracle.field_degree(
+        degree = lcm(oracle.node_degree(inp), oracle.field_degree(
             [H for gen in gens for _c, H, _m in gen.f_divisor.entries]))
-        ofiber = families.hyperelliptic_special_fiber(inp, degree)
+        ofiber = oracle.hyperelliptic_special_fiber(inp, degree)
         oframe = descent.TorusFrame(ofiber, dual_graph.principal_cycle_generators(ofiber.graph))
         for _ in range(5):
             D0 = translate_to_degree_zero(oracle.random_divisor(ofiber, 1, rng, degree), 1)

@@ -201,8 +201,50 @@ def test_only_small_numbers_are_factored(monkeypatch):
 
     original = finite_field.factorize
     monkeypatch.setattr(finite_field, "factorize", factorize)
-    finite_field.element_of_order.cache_clear()
+    # fresh fields: each keeps its own elements of given orders
+    finite_field._cached_field.cache_clear()
+    finite_field.residue_field.cache_clear()
     for line in BIG_ORBIT_REQUESTS + ["genus4 --p 1000003 --eps X^3+Y^3+W*Z^2 --json"]:
         code, _text, _dt = _run(line, 10.0)
         assert code == 0
     assert seen and max(seen) <= 2 ** 20
+
+
+#: x^D - x - 1 over GF(23): D, factor degrees, exit code.  The engine works
+#: in one field per node orbit, so the cost follows the largest orbit, not
+#: the lcm of the orbit degrees (56, 24, 390, 47 and 13800); the splitting
+#: field took 31 s at D = 16 and 12 s at D = 24 on a 2-vCPU VM, and ran past
+#: 20 s at D = 48 and 64.  D = 32 has no rational node and several orbits,
+#: D = 64 a Frobenius order past the bound: both exit 4.
+DEGREE_SWEEP = [
+    (16, [1, 7, 8], cli.EXIT_OK),
+    (24, [24], cli.EXIT_OK),
+    (32, [3, 5, 5, 6, 13], cli.EXIT_UNDETERMINED),
+    (48, [1, 47], cli.EXIT_OK),
+    (64, [1, 1, 6, 8, 23, 25], cli.EXIT_UNDETERMINED),
+]
+
+
+@pytest.mark.parametrize("degree, orbits, exit_code", DEGREE_SWEEP)
+def test_degree_sweep_answers_within_the_request_budget(degree, orbits, exit_code):
+    code, text, dt = _run(f"hyperelliptic --p 23 --g x^{degree}-x-1 --h x+2 --json", 2.0)
+    report = json.loads(text)
+    assert code == exit_code
+    assert report["dual_graph"]["node_orbit_degrees"] == orbits
+    assert report["verdicts"]["theta"] is True  # d even
+    if code == cli.EXIT_OK:
+        assert report["engine_check"]["agree"] is True
+    assert dt < 2.0
+
+
+def test_frobenius_order_past_the_bound_is_undetermined():
+    # D = 64: the lcm 13800 of the orbit degrees is the Galois generator's
+    # order on the cycle space, read off the edge permutation before any of
+    # the 63 x 63 matrix products the lattice check would make
+    code, text, _dt = _run("hyperelliptic --p 23 --g x^64-x-1 --h x+2 --json", 2.0)
+    report = json.loads(text)
+    assert code == cli.EXIT_UNDETERMINED
+    assert report["torsion"] is None
+    assert report["undetermined_reasons"] == [
+        "frobenius order 13800 exceeds the bound 64"]
+    assert report["engine_check"] == {"agree": None, "theta": None}

@@ -443,3 +443,35 @@ def test_lattice_report_is_pinned(record, capsys):
     code = cli.run_line(record["line"].split(), stream=out)
     assert (code, out.getvalue()) == (record["exit"], record["output"])
     assert capsys.readouterr().err == record["stderr"]
+
+
+def _pinned_hyperelliptic_reports():
+    from pathlib import Path
+    with open(Path(__file__).parent / "data" / "hyperelliptic_reports.jsonl") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("record", _pinned_hyperelliptic_reports(),
+                         ids=lambda rec: rec["line"])
+def test_hyperelliptic_and_oracle_report_is_pinned(record, capsys):
+    """hyperelliptic and oracle lines with their exit code and report, as
+    the engine in the splitting field of the nodes gave them: the lines of
+    the benchmark's snapshot at seeds 1 and 7 (rounds 0 and 1 of every
+    workload, fault rows included) and the degree sweep x^D - x - 1 over
+    GF(23) at D = 16 and 24."""
+    out = io.StringIO()
+    code = cli.run_line(record["line"].split(), stream=out)
+    assert (code, out.getvalue()) == (record["exit"], record["output"])
+    assert capsys.readouterr().err == record["stderr"]
+
+
+def test_torus_lattice_of_order_past_the_bound_stays_invalid_input(capsys):
+    # a permutation matrix with cycles of lengths 5 and 13: order 65
+    rank = 18
+    perm = [(j + 1) % 5 for j in range(5)] + [5 + (j + 1) % 13 for j in range(13)]
+    rows = [[1 if perm[j] == i else 0 for j in range(rank)] for i in range(rank)]
+    lattice = json.dumps({"rank": rank, "frobenius": rows}, separators=(",", ":"))
+    assert cli.run_line(["torus", "--lattice", lattice, "--q", "7"],
+                        stream=io.StringIO()) == cli.EXIT_SYNTAX
+    assert capsys.readouterr().err == (
+        "invalid input: frobenius order exceeds the bound 64\n")

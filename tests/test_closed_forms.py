@@ -55,7 +55,7 @@ def _stay_over_k(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a closed form left the field k")
 
-    for name in ("extension", "embed", "roots_in_extension"):
+    for name in ("extension", "embed", "residue_field"):
         monkeypatch.setattr(families, name, refuse)
     monkeypatch.setattr(Poly, "map_coeffs", refuse)
 

@@ -242,3 +242,49 @@ def test_h1_basis_is_built_once_per_graph(monkeypatch):
     inp = families.validate_hyperelliptic(k, Poly(k, [0, 1, 0, 0, 1, 1]), Poly(k, [2, 1]))
     families.hyperelliptic_fiber(inp)
     assert len(built) == 1
+
+
+def _matrix_order(F):
+    """The order of an integer matrix of finite order, by its powers."""
+    ident = zmat.identity(len(F))
+    power, n = F, 1
+    while power != ident:
+        power, n = zmat.mat_mul(power, F), n + 1
+    return n
+
+
+def test_frobenius_order_from_the_edge_permutation():
+    from toricdescent.dual_graph import frobenius_order
+    rng = rng_for("frobenius-order")
+    graphs = [
+        # the genus-4 triangle with the edges of +-i swapped
+        DualGraph(3, [(0, 1, 0), (0, 1, 1), (0, 2, 2), (0, 2, 3), (1, 2, 4), (1, 2, 5)],
+                  edge_perm=[0, 1, 3, 2, 4, 5]),
+        # two lines swapped by Frobenius: every edge reverses its orientation
+        DualGraph(2, [(0, 1, i) for i in range(3)], vertex_perm=[1, 0],
+                  edge_perm=[1, 2, 0]),
+        # a bridge permuted along with a cycle: the cycle space sees less
+        DualGraph(4, [(0, 1, 0), (0, 1, 1), (1, 2, 2), (2, 3, 3), (2, 3, 4)],
+                  edge_perm=[1, 0, 2, 4, 3]),
+    ]
+    for _ in range(30):
+        d = rng.randrange(3, 9)
+        perm = list(range(d))
+        rng.shuffle(perm)
+        graphs.append(banana(d, edge_perm=perm))
+    for g in graphs:
+        order = frobenius_order(g)
+        assert order == _matrix_order(h1_basis(g)[1].frobenius) == h1_basis(g)[1].order
+    assert frobenius_order(graphs[2]) == 2
+
+
+def test_frobenius_order_past_the_bound_is_refused_before_the_matrix():
+    # orbits of lengths 5 and 13 next to a rational node: order 65 > 64
+    from toricdescent.dual_graph import FrobeniusOrderTooLarge
+    perm = [0] + [1 + (j + 1) % 5 for j in range(5)] + [6 + (j + 1) % 13 for j in range(13)]
+    g = banana(19, edge_perm=perm)
+    with pytest.raises(FrobeniusOrderTooLarge, match="frobenius order 65 exceeds the bound 64"):
+        h1_basis(g)
+    assert issubclass(FrobeniusOrderTooLarge, NotSupported)
+    # the decomposition rule needs no lattice
+    assert len(principal_cycle_generators(g)) == 2

@@ -10,7 +10,7 @@ from toricdescent.families import (
     genus4_theta_engine, genus4_torsion, genus4_torsion_engine,
     hyperelliptic_report, theta_bd, theta_bd_engine, torsion_bd,
     torsion_bd_engine, validate_genus4, validate_hyperelliptic)
-from toricdescent.finite_field import Poly, factor, make_field
+from toricdescent.finite_field import Poly, factor, make_field, residue_field
 from toricdescent.descent import UNDETERMINED
 from toricdescent.zmat import group_invariants
 
@@ -198,7 +198,11 @@ def test_engine_field_is_the_node_field():
              if len(factor(f)) == 1 and g.gcd(f).degree == 0)
     inp = validate_hyperelliptic(k, g, h)
     fiber = families.hyperelliptic_fiber(inp)[0]
-    assert fiber.E.m == 5
+    # one orbit: the class of x in GF(11)[x]/(g) and its q-power conjugates
+    node_field = fiber.node_coords[0][0].field
+    assert fiber.E is node_field and node_field.modulus == tuple(c.to_int() for c in g.coeffs)
+    assert [a for a, _b in fiber.node_coords] == [
+        node_field.gen().frob(j) for j in range(5)]
     assert theta_bd(inp) == theta_bd_engine(inp)
     assert torsion_bd(inp) == torsion_bd_engine(inp)
     # genus 4 at q = 3 mod 4: the nodes +-i need k(i) = GF(49)
@@ -345,10 +349,18 @@ def test_repeated_factor_of_g_is_a_typed_error():
         theta_bd(inp)
 
 
-def test_hyperelliptic_fiber_root_count_is_checked(monkeypatch):
-    inp = hyp(7, (0, -1, 0, 1), (2, 1))
-    monkeypatch.setattr(families, "roots_in_extension", lambda f, s, factors=None: [])
-    with pytest.raises(families.UnexpectedRootCount):
+def test_hyperelliptic_fiber_checks_the_node_orbits(monkeypatch):
+    # g = x (x^2 + 1) over GF(7): a node field whose node has fewer than two
+    # conjugates leaves coincident coordinates, which the fiber refuses
+    from toricdescent.descent import MissingNodeCoordinates
+    inp = hyp(7, (0, 1, 0, 1), (2, 1))
+
+    def one_conjugate(g):
+        field, _node = residue_field(g)
+        return field, field.one()
+
+    monkeypatch.setattr(families, "residue_field", one_conjugate)
+    with pytest.raises(MissingNodeCoordinates):
         families.hyperelliptic_fiber(inp)
 
 

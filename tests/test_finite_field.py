@@ -358,7 +358,7 @@ def test_prime_keyed_caches_stay_bounded():
     from toricdescent import cli, finite_field
 
     caches = [finite_field._smallest_irreducible, finite_field._cached_field,
-              finite_field._cached_embedding, finite_field.element_of_order]
+              finite_field._cached_embedding, finite_field.residue_field]
     primes = [p for p in range(1000, 4000) if finite_field.is_prime(p)][:300]
 
     def report(p):
@@ -516,3 +516,101 @@ def test_all_tables_together_stay_small():
     finally:
         tracemalloc.stop()
     assert grown < 3 * 2 ** 20
+
+
+# -- residue fields of node orbits -------------------------------------------
+
+
+def _random_irreducible(k, s, rng):
+    while True:
+        g = Poly(k, [k.from_int(rng.randrange(k.q)) for _ in range(s)] + [1])
+        if factor(g) == [(g, 1)]:
+            return g
+
+
+@pytest.mark.parametrize("q", ["seeded prime", 7, 9, 27, 49])
+def test_residue_field_node_is_a_root_with_distinct_conjugates(q):
+    from toricdescent.finite_field import is_prime, residue_field
+    from toricdescent.torus import prime_power
+    rng = rng_for(f"residue-field-{q}")
+    if q == "seeded prime":
+        q = rng.choice([n for n in range(5, 2000) if is_prime(n)])
+    k = make_field(*prime_power(q))
+    for s in (2, 3, 4, 5):
+        g = _random_irreducible(k, s, rng)
+        K, node = residue_field(g)
+        assert (K.p, K.m, K.given_modulus) == (k.p, k.m * s, True)
+        assert residue_field(g) == (K, node)  # cached
+        g_K = g.map_coeffs(embed(k, K), K)
+        conjugates = [node]
+        for _ in range(s - 1):
+            conjugates.append(conjugates[-1].frob(k.m))
+        assert conjugates[-1].frob(k.m) == node
+        assert len(set(conjugates)) == s
+        assert all(g_K(c).is_zero() for c in conjugates)
+        if k.m == 1:
+            # the modulus is g and the node is the class of x
+            assert K.modulus == tuple(c.to_int() for c in g.coeffs)
+            assert node == K.gen()
+        else:
+            # k embeds as a subfield: its generator is a root of its modulus
+            t = embed(k, K)(k.gen())
+            assert Poly(K, list(k.modulus))(t).is_zero() and t.frob(k.m) == t
+
+
+def test_conjugate_orbits_over_gf9_get_fields_of_their_own():
+    # x^4 - x - 1 is irreducible over GF(3) and splits over GF(9) into two
+    # conjugate quadratics with the same norm: the fields share a modulus but
+    # embed GF(9) differently, so they are different fields
+    from toricdescent.finite_field import residue_field
+    f3 = Poly(make_field(3), [-1, -1, 0, 0, 1])
+    assert factor(f3) == [(f3, 1)]
+    k = make_field(3, 2)
+    g1, g2 = [g for g, _ in factor(Poly(k, [-1, -1, 0, 0, 1]))]
+    (K1, n1), (K2, n2) = residue_field(g1), residue_field(g2)
+    assert K1.modulus == K2.modulus == tuple(c.to_int() for c in f3.coeffs)
+    assert K1 != K2 and hash(K1) != hash(K2)
+    for g, K, node in ((g1, K1, n1), (g2, K2, n2)):
+        assert g.map_coeffs(embed(k, K), K)(node).is_zero()
+    assert not g2.map_coeffs(embed(k, K1), K1)(n1).is_zero()
+
+
+def test_fields_with_different_moduli_are_different_fields():
+    # GF(7^2) over x^2 + 1 (the deterministic modulus) and over x^2 + x + 3
+    default = make_field(7, 2, limit=None)
+    assert default.modulus == (1, 0, 1)
+    other = FiniteField(7, modulus=(3, 1, 1))
+    assert (other.p, other.m, other.q) == (default.p, default.m, default.q)
+    assert other != default and hash(other) != hash(default)
+    assert FiniteField(7, modulus=(1, 0, 1)) == default
+    assert hash(FiniteField(7, modulus=(1, 0, 1))) == hash(default)
+    for n in (3, 4, 8, 48):
+        a, b = element_of_order(default, n), element_of_order(other, n)
+        assert a.field == default != b.field == other
+        assert multiplicative_order(a) == multiplicative_order(b) == n
+    with pytest.raises(MixedFields):
+        default.gen() * other.gen()
+    assert "mod [3, 1, 1]" in repr(other) and repr(default) == "GF(7^2)"
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (7, 2), (1048573, 2), (5, 3), (7, 3), (1000003, 3)])
+def test_closed_form_products_match_the_schoolbook_loops(p, m):
+    rng = rng_for(f"closed-form-{p}-{m}")
+    K = FiniteField(p, m)
+    K._muls_to_tables = 0  # stay on the tuple path
+    for _ in range(300):
+        a = tuple(rng.randrange(p) for _ in range(m))
+        b = tuple(rng.randrange(p) for _ in range(m))
+        acc = [0] * (2 * m - 1)
+        finite_field._conv(acc, a, b)
+        assert finite_field._mul(K, a, b) == finite_field._fold(K, acc)
+
+
+def test_residue_fields_build_no_tables():
+    from toricdescent.finite_field import residue_field
+    k = make_field(7)
+    K, node = residue_field(Poly(k, [2, 0, 0, 1]))  # x^3 + 2, GF(343)
+    x = node
+    for _ in range(3 * K.q):
+        x = x * node
+    assert K._log is None and x == node ** (3 * K.q + 1)

@@ -97,7 +97,7 @@ def test_chain_equals_system_on_random_divisors():
         # nodes, in the same field
         D0 = descent.translate_to_degree_zero(D, 1)
         degree = oracle.field_degree([inp.g] + [H for _c, H, _m in D0.entries])
-        big = families.hyperelliptic_special_fiber(inp, degree)
+        big = oracle.hyperelliptic_special_fiber(inp, degree)
         big_frame = descent.TorusFrame(big, dual_graph.principal_cycle_generators(big.graph))
         points = oracle.divisor_points(D0, big)
         D0 = SpecializedDivisor(big, D0.entries)
@@ -234,7 +234,9 @@ def test_enumerated_structure_matches_lattice_enumeration():
 def test_identity_and_r1_trivially_divisible():
     inp, (fiber, frame, phi, gens, M) = build(5, (0, -1, 0, 1), (3, 1))
     _degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
-    assert ofiber is fiber  # the zeros of h = x + 3 add nothing to the nodes' field
+    # the zeros of h = x + 3 add nothing to the nodes' field k, where the
+    # oracle builds a fiber of its own
+    assert ofiber is not fiber and ofiber.E == fiber.E == fiber.k
     empty = SpecializedDivisor(fiber, [])
     assert oracle.exhaustive_divisibility(empty, 2, ofiber, torus, subgroup)
     assert oracle.exhaustive_divisibility(empty, 1, ofiber, torus, subgroup)
@@ -245,7 +247,8 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
     # h = x^2 + x + 20 irreducible: the nodes lie in GF(25^3), the zeros of
     # h in GF(25^2), so the oracle builds its own fiber over GF(25^6), with
     # the nodes found there as roots of g under k's own embedding; its
-    # verdicts agree with the engine's, which works over GF(25^3)
+    # verdicts agree with the engine's, which works in k[x]/(g), a field of
+    # degree 6 over GF(5) whose modulus is a norm of a shift of g
     from toricdescent.finite_field import embed, factor
     k = make_field(5, 2)
     g = Poly(k, [k.from_int(7), k.gen(), 0, 1])
@@ -255,7 +258,11 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
     fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
     degree, ofiber, _torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
     assert (degree, fiber.E.m, ofiber.E.m) == (6, 6, 12)
-    assert ofiber is families.hyperelliptic_special_fiber(inp, 6)
+    assert fiber.E.given_modulus and not ofiber.E.given_modulus
+    node = fiber.node_coords[0][0]
+    g_node = g.map_coeffs(embed(k, node.field), node.field)
+    assert node.field is fiber.E and all(g_node(a).is_zero() for a, _b in fiber.node_coords)
+    assert ofiber is oracle.hyperelliptic_special_fiber(inp, 6)
     g_big = g.map_coeffs(embed(k, ofiber.E), ofiber.E)
     assert all(g_big(a).is_zero() for a, _b in ofiber.node_coords)
     # the torus has 651 = 3 * 7 * 31 points: every class is 2-divisible,
