@@ -47,7 +47,8 @@ REFUSALS = [
     # builds the engine's frame first): the same verdict as hyperelliptic's
     ((NotSupported,), "undetermined", EXIT_UNDETERMINED, "undetermined"),
     ((FieldError, TorusError, GraphError, EnumerationLimitExceeded,
-      oracle.TooLarge, DegreeLimitExceeded), "invalid-input", EXIT_SYNTAX, "invalid input"),
+      oracle.TooLarge, oracle.TrialsOutOfRange, DegreeLimitExceeded),
+     "invalid-input", EXIT_SYNTAX, "invalid input"),
 ]
 REFUSAL_TYPES = tuple(cls for classes, *_ in REFUSALS for cls in classes)
 
@@ -100,7 +101,9 @@ def build_parser():
     orc.add_argument("--g", required=True)
     orc.add_argument("--h", required=True)
     orc.add_argument("--r", type=int, default=2)
-    orc.add_argument("--trials", type=int, default=20)
+    orc.add_argument("--trials", type=int, default=20,
+                     help=f"random divisors to check, 0 to {oracle.TRIALS_LIMIT} "
+                          "(default 20)")
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--json", action="store_true")
 
@@ -215,6 +218,7 @@ def run_torus(args):
 
 
 def run_oracle(args):
+    oracle.check_trials(args.trials)
     k, _ = _field_from_args(args)
     g = _poly_from_text(k, args.g)
     h = _poly_from_text(k, args.h)

@@ -111,6 +111,9 @@ class SpecialFiber:
                         c = self.frobq(c)
             self._orbit_reps.append(reps)
         self._meets = {}
+        # per component, (values drawn, iterator of the rest) of the
+        # sequence standard_point scans, built on first use
+        self._scans = [None] * graph.num_vertices
 
     def frobq(self, x):
         """Arithmetic Frobenius over the residue field, in x's own field."""
@@ -202,39 +205,66 @@ class SpecialFiber:
             self._meets[key] = meets
         return meets
 
-    def rational_coordinates(self, component, avoid=(), limit=None):
-        """k-rational coordinates on the component, as elements of k,
-        smallest first, then INF, skipping the avoided values (node
-        coordinates in any field, or INF)."""
+    def _avoiding(self, avoid):
+        """Predicate on elements of k: true when the element is none of the
+        avoided values (node coordinates in any field, or INF, which no
+        element of k is), compared in each value's field."""
         avoided = {}
         for c in avoid:
             if c is not INF:
                 avoided.setdefault(c.field, set()).add(c.coeffs)
         lifts = [(self.embedding(field), keys) for field, keys in avoided.items()]
-        count = 0
-        for n in range(self.k.q):
-            x = self.k.from_int(n)
-            if all(emb(x).coeffs not in keys for emb, keys in lifts):
-                yield x
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-        if INF not in avoid:
-            yield INF
+        return lambda x: all(emb(x).coeffs not in keys for emb, keys in lifts)
+
+    def rational_coordinates(self, component, avoid=()):
+        """k-rational coordinates on the component, as elements of k,
+        smallest first, then INF, skipping the avoided values (node
+        coordinates in any field, or INF)."""
+        return _coordinates(self.k, self._avoiding(avoid), INF not in avoid)
 
     def standard_point(self, component, extra_avoid=()):
         """Deterministic rational point on the component (an element of k, or
         INF) that avoids the nodes and the orbits in extra_avoid (polynomials
-        over k, or INF)."""
+        over k, or INF): the first of rational_coordinates(component, its
+        node coordinates) that the orbits miss.  That sequence is drawn once
+        per component and kept only as far as some call needed it, so k is
+        never listed up front (q runs to 2^20)."""
+        if self._scans[component] is None:
+            self._scans[component] = ([], self.rational_coordinates(
+                component, self.component_node_coords(component)))
         polys = [H for H in extra_avoid if H is not INF]
-        for x in self.rational_coordinates(component,
-                                           self.component_node_coords(component)):
+        for x in _replayed(*self._scans[component]):
             if x is INF:
                 if INF not in extra_avoid:
                     return x
             elif all(not H(x).is_zero() for H in polys):
                 return x
         raise NoRationalBasePoint(f"component {component} has no free rational point")
+
+
+def _coordinates(k, free, inf_free):
+    """The elements of k that free accepts, in encoding order, then INF
+    when inf_free."""
+    for n in range(k.q):
+        x = k.from_int(n)
+        if free(x):
+            yield x
+    if inf_free:
+        yield INF
+
+
+def _replayed(found, rest):
+    """The values in found, then those left in the iterator rest, each
+    appended to found as it is drawn: a sequence drawn once and replayed."""
+    i = 0
+    while True:
+        if i == len(found):
+            x = next(rest, None)
+            if x is None:
+                return
+            found.append(x)
+        yield found[i]
+        i += 1
 
 
 def _as_orbit(k, H):
@@ -256,13 +286,30 @@ class SpecializedDivisor:
     Entries are (component, H, multiplicity) with H a monic polynomial over k
     (the orbit of its roots, with multiplicity) or INF.  Equal entries merge;
     entries whose polynomials share roots stay apart, which evaluation does
-    not mind."""
+    not mind.  Sums and multiples of divisors on one fiber reuse their
+    validated entries; a sum across fibers validates everything again."""
 
     def __init__(self, fiber, entries):
+        self._merge(fiber, [(comp, _as_orbit(fiber.k, H), mult)
+                            for comp, H, mult in entries])
+        for comp, H, _mult in self.entries:
+            if fiber.meets_nodes(comp, H):
+                raise DivisorMeetsNode(
+                    f"an orbit on component {comp} contains a node")
+
+    @classmethod
+    def _validated(cls, fiber, entries):
+        """The divisor of entries that already passed __init__'s checks on
+        this fiber: merged and sorted, with no check repeated."""
+        out = cls.__new__(cls)
+        out._merge(fiber, entries)
+        return out
+
+    def _merge(self, fiber, entries):
         self.fiber = fiber
         merged = {}
         for comp, H, mult in entries:
-            key = (comp, _as_orbit(fiber.k, H))
+            key = (comp, H)
             merged[key] = merged.get(key, 0) + mult
         cleaned = [(comp, H, mult) for (comp, H), mult in merged.items() if mult]
         cleaned.sort(key=lambda it: (it[0], it[1] is INF,
@@ -270,14 +317,13 @@ class SpecializedDivisor:
         self.entries = tuple(cleaned)
         deg = [0] * fiber.graph.num_vertices
         for comp, H, mult in self.entries:
-            if fiber.meets_nodes(comp, H):
-                raise DivisorMeetsNode(
-                    f"an orbit on component {comp} contains a node")
             deg[comp] += mult * (1 if H is INF else H.degree)
         self.multidegree = tuple(deg)
 
     def __add__(self, other):
-        return SpecializedDivisor(self.fiber, self.entries + other.entries)
+        if other.fiber is not self.fiber:
+            return SpecializedDivisor(self.fiber, self.entries + other.entries)
+        return SpecializedDivisor._validated(self.fiber, self.entries + other.entries)
 
     def __neg__(self):
         return self.scale(-1)
@@ -286,8 +332,8 @@ class SpecializedDivisor:
         return self + (-other)
 
     def scale(self, k):
-        return SpecializedDivisor(self.fiber,
-                                  [(c, H, m * k) for c, H, m in self.entries])
+        return SpecializedDivisor._validated(
+            self.fiber, [(c, H, m * k) for c, H, m in self.entries])
 
     def __repr__(self):
         body = ", ".join(

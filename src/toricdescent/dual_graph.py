@@ -334,6 +334,15 @@ class IntersectionMatrix:
                 raise GraphError("rows must sum to zero")
         self.rows = M
         self.size = v
+        self._smith = None
+
+    def smith_form(self):
+        """(U, D, V) with U M V = D, the Smith form (zmat.smith_normal_form)
+        of the rows; computed on first use and kept, since every
+        fibral_lattice_membership test against the matrix solves with it."""
+        if self._smith is None:
+            self._smith = smith_normal_form(self.rows)
+        return self._smith
 
     def __repr__(self):
         return f"IntersectionMatrix({self.rows})"
@@ -435,7 +444,9 @@ def phi_torsion_representatives(phi, r):
 
 def fibral_lattice_membership(deg, r, matrix):
     """True iff deg lies in r*Z^v + (row span of the intersection matrix),
-    decided by solving M t = deg mod r."""
+    decided by solving M t = deg mod r through the matrix's Smith form.  An
+    IntersectionMatrix keeps that form across calls; rows given as lists are
+    validated and reduced on every call."""
     if not isinstance(matrix, IntersectionMatrix):
         matrix = IntersectionMatrix(matrix)
     deg = list(map(int, deg))
@@ -443,7 +454,7 @@ def fibral_lattice_membership(deg, r, matrix):
         raise GraphError("multidegree length mismatch")
     if r == 1:
         return True
-    return zmat.solve_mod(matrix.rows, deg, r) is not None
+    return zmat.solve_mod_smith(matrix.smith_form(), deg, r) is not None
 
 
 # ---------------------------------------------------------------------------

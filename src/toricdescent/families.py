@@ -232,7 +232,9 @@ def hyperelliptic_fiber(inp):
     residue_field gives in k[x]/(g_i) and its q-power conjugates, so no
     splitting field is built and no root is found.  The fiber's evaluation
     field is the largest orbit field.  The zeros of h enter div(y - g) as
-    one orbit entry and are never found either."""
+    one orbit entry and are never found either.  The intersection matrix
+    returned is the component group's IntersectionMatrix, validated once,
+    whose Smith form every verdict on the fiber reuses."""
     k = inp.k
     factors, rational = _gbar_factor_data(inp)
     nodes = list(rational)
@@ -255,15 +257,14 @@ def hyperelliptic_fiber(inp):
     frame = descent.TorusFrame(fiber, principal_cycle_generators(graph))
 
     d = inp.d
-    matrix = [[-d, d], [d, -d]]
-    phi = component_group(matrix)
+    phi = component_group([[-d, d], [d, -d]])
     # div(y - g): the zeros of h on the first line, the rest at the two
     # points at infinity
     fdiv = SpecializedDivisor(
         fiber, _h_zeros(inp) + [(0, INF, d - inp.e), (1, INF, -d)])
     delta = phi.project((-1, 1))
     generators = [PhiGenerator(delta, d, (-1, 1), fdiv)]
-    return fiber, frame, phi, generators, matrix
+    return fiber, frame, phi, generators, phi.matrix
 
 
 def _h_zeros(inp):
@@ -766,14 +767,14 @@ def _genus4_data(inp):
 def genus4_theta_engine(inp):
     fiber, frame, phi, generators, divisors = _genus4_data(inp)
     verdict = divisibility_verdict(divisors["div(X+Y)"], 2, frame, phi,
-                                   generators, GENUS4_MATRIX)
+                                   generators, phi.matrix)
     return verdict.outcome == DIVISIBLE
 
 
 def genus4_cuberoot_engine(inp):
     fiber, frame, phi, generators, divisors = _genus4_data(inp)
     verdict = divisibility_verdict(divisors["div(Z-W)"], 3, frame, phi,
-                                   generators, GENUS4_MATRIX)
+                                   generators, phi.matrix)
     return verdict.outcome == DIVISIBLE
 
 

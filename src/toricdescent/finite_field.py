@@ -1280,7 +1280,9 @@ def element_of_order(field, n):
     tables with it).
 
     The encodings below p are the prime field; when no power of GF(p)^x has
-    order n the search starts at p, which leaves the result unchanged."""
+    order n the search starts at p, which leaves the result unchanged.  For
+    n = 2 there is no search: in odd characteristic -1 is the only element
+    of order 2, so the search would find it too."""
     eta = field._of_order.get(n)
     if eta is None:
         eta = field._of_order[n] = _element_of_order(field, n)
@@ -1292,6 +1294,8 @@ def _element_of_order(field, n):
         raise OrderDoesNotDivide(f"order {n} does not divide {field.q - 1}")
     if n == 1:
         return field.one()
+    if n == 2:
+        return -field.one()
     primes = list(factorize(n))
     cof = (field.q - 1) // n
     p = field.p

@@ -4,9 +4,14 @@ homomorphisms, cycle evaluation through the chain-of-ratios construction,
 and divisibility by literal subgroup closure.
 
 Cost, per request: prepare enumerates the torus (every point is checked for
-equivariance) and closes the subgroup that r-th powers and the
-connecting-map lifts generate, once for the fiber and r.  Each trial then
-pays for one chain evaluation on the divisor's points and a set lookup.
+equivariance, with literal q-th powers) and closes the subgroup that r-th
+powers and the connecting-map lifts generate, once for the fiber and r.
+The closure runs element by element in exponent coordinates: each
+generator's value tuple is looked up among the enumerated points to find
+its exponent vector, and products add those vectors modulo the component
+orders (see EnumeratedTorus).  Each trial then pays for one chain
+evaluation per cycle on the divisor's points, along walks decomposed once
+per fiber and with one field inverse per cycle, and a dictionary lookup.
 
 Only the field layer, the combinatorial graph plumbing and the fiber
 builder are shared with the engine; evaluation and membership are re-derived
@@ -26,6 +31,7 @@ orbits over k.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
                       phi_r_table, translate_to_degree_zero)
@@ -57,6 +63,10 @@ class NotATorusPoint(OracleError):
     pass
 
 
+class TrialsOutOfRange(OracleError):
+    """A trial count below 0 or above TRIALS_LIMIT."""
+
+
 class NotEquivariant(OracleError):
     pass
 
@@ -71,6 +81,19 @@ class EvenCharacteristic(OracleError):
 
 
 ENUMERATION_LIMIT = 10 ** 6
+
+#: the most random divisors one request checks: every trial costs one
+#: engine verdict and one chain evaluation, so the count bounds the loop
+#: (1000 trials on a 2380-point torus over GF(13) take about 1.5 s on a
+#: 2-vCPU Xeon VM with Python 3.11.7)
+TRIALS_LIMIT = 1000
+
+
+def check_trials(trials):
+    """TrialsOutOfRange unless 0 <= trials <= TRIALS_LIMIT."""
+    if not 0 <= trials <= TRIALS_LIMIT:
+        raise TrialsOutOfRange(
+            f"--trials {trials} is outside 0..{TRIALS_LIMIT}")
 
 
 def field_degree(polys):
@@ -130,30 +153,34 @@ def prepare(inp, phi, generators, r):
     GF(q^degree), where degree is the least common multiple of the nodes'
     degree and the field_degree of the generators' function divisors (the
     zeros of h).  random_divisor draws its orbits to split in this field.
-    The subgroup is the frozenset of the keys (EnumeratedTorus.key) of the
-    torus points that r-th powers and the connecting-map lifts generate,
-    found by literal closure."""
+    The subgroup is the frozenset of the positions (EnumeratedTorus.position)
+    of the torus points that r-th powers and the connecting-map lifts
+    generate: each generator is computed as a value tuple, looked up among
+    the enumerated points, and the closure is taken element by element on
+    the positions."""
     degree = lcm(node_degree(inp), field_degree(
         [H for gen in generators for _comp, H, _mult in gen.f_divisor.entries]))
     fiber = hyperelliptic_special_fiber(inp, degree)
     torus = enumerate_torus(fiber)
-    powers = [torus.power(pt, r) for pt in torus.component_generators]
-    lifts = [vec for _el, vec in nu_lift_vectors(fiber, torus, phi, generators, r)]
-    unique = {torus.key(pt): pt for pt in powers + lifts}
-    return degree, fiber, torus, _closure(torus, list(unique.values()))
+    powers = [torus.position(torus.power(pt, r)) for pt in torus.component_generators]
+    lifts = [torus.position(vec)
+             for _el, vec in nu_lift_vectors(fiber, torus, phi, generators, r)]
+    return degree, fiber, torus, _closure(torus.orders, list(dict.fromkeys(powers + lifts)))
 
 
-def _closure(torus, generators):
-    """Keys of the subgroup of the torus that the given points generate."""
-    subgroup = {torus.key(torus.identity())}
-    frontier = [torus.identity()]
+def _closure(orders, generators):
+    """The subgroup that the given positions generate, as a frozenset of
+    positions: the identity closed under adding each generator, exponent by
+    exponent modulo the component orders."""
+    identity = tuple(0 for _ in orders)
+    subgroup = {identity}
+    frontier = [identity]
     while frontier:
         cur = frontier.pop()
         for g in generators:
-            nxt = torus.mul(cur, g)
-            key = torus.key(nxt)
-            if key not in subgroup:
-                subgroup.add(key)
+            nxt = tuple([(a + b) % n for a, b, n in zip(cur, g, orders)])
+            if nxt not in subgroup:
+                subgroup.add(nxt)
                 frontier.append(nxt)
     return frozenset(subgroup)
 
@@ -263,16 +290,33 @@ def orbit_cycle_basis(graph):
 class EnumeratedTorus:
     """Every equivariant homomorphism from the cycle lattice to the units of
     the evaluation field, stored as value tuples along the orbit basis.
-    cycles, layout and coords are those of orbit_cycle_basis."""
+    cycles, layout and coords are those of orbit_cycle_basis.
 
-    def __init__(self, fiber, cycles, layout, coords, points, component_generators):
+    Orbit generator i takes the powers of one root of unity eta_i of order
+    orders[i], and the points are listed in mixed radix, the last exponent
+    running fastest.  A point's position is its exponent vector
+    (e_1, ..., e_c): it is the product of the eta_i^e_i spread along the
+    orbits, so multiplying points adds positions modulo the orders.  The
+    position of a value tuple is found by lookup (position), never by a
+    logarithm; two enumerated points with one value tuple raise
+    NotATorusPoint."""
+
+    def __init__(self, fiber, cycles, layout, coords, orders, points,
+                 component_generators):
         self.fiber = fiber
         self.cycles = cycles
         self.layout = layout
         self.coords = coords
+        self.orders = tuple(orders)
         self.points = points
         self.component_generators = component_generators
-        self._index = {self.key(pt) for pt in points}
+        self._positions = {}
+        for position, point in zip(product(*(range(n) for n in self.orders)), points):
+            key = self.key(point)
+            if key in self._positions:
+                raise NotATorusPoint(f"the points at positions {self._positions[key]} "
+                                     f"and {position} are equal")
+            self._positions[key] = position
 
     @staticmethod
     def key(point):
@@ -281,8 +325,20 @@ class EnumeratedTorus:
     def __len__(self):
         return len(self.points)
 
-    def __contains__(self, point):
-        return self.key(point) in self._index
+    def position(self, point):
+        """The exponent vector of a value tuple; NotATorusPoint when the
+        tuple is no enumerated point."""
+        position = self._positions.get(self.key(point))
+        if position is None:
+            raise NotATorusPoint("value tuple is not a rational torus point")
+        return position
+
+    def point_at(self, position):
+        """The enumerated point with the given exponent vector."""
+        index = 0
+        for e, n in zip(position, self.orders):
+            index = index * n + e
+        return self.points[index]
 
     def identity(self):
         one = self.fiber.E.one()
@@ -313,9 +369,11 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
 
     one = fiber.E.one()
     blocks = []
+    orders = []
     component_generators = []
     for idx, (start, rank, fpoly) in enumerate(layout):
         order = poly_eval_int(fpoly, q)
+        orders.append(order)
         eta = element_of_order(fiber.E, order)
         values = []
         cur = one
@@ -338,7 +396,8 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
         points = [head + block for head in points for block in values]
     if len(points) != total:
         raise NotATorusPoint(f"enumerated {len(points)} points, the torus has {total}")
-    torus = EnumeratedTorus(fiber, cycles, layout, coords, points, component_generators)
+    torus = EnumeratedTorus(fiber, cycles, layout, coords, orders, points,
+                            component_generators)
     _verify_equivariance(torus)
     return torus
 
@@ -356,35 +415,66 @@ def _verify_equivariance(torus):
             raise NotEquivariant("Frobenius does not map the orbit basis into "
                                  "its integer span")
         sigma_in_basis.append(sol)
+    # per basis cycle, the (index, coefficient) pairs of its image; a
+    # coefficient 1 needs no power
+    images = [[(i, c) for i, c in enumerate(sol) if c] for sol in sigma_in_basis]
+    one = torus.fiber.E.one()
     for point in torus.points:
-        for j in range(len(torus.cycles)):
-            value = torus.fiber.E.one()
-            for c, v in zip(sigma_in_basis[j], point):
-                if c:
-                    value = value * v ** c
+        for j, image in enumerate(images):
+            value = one
+            for i, c in image:
+                value = value * (point[i] if c == 1 else point[i] ** c)
             if value != point[j] ** q:
                 raise NotEquivariant("enumerated point is not equivariant")
 
 
-def _plain_parameter_value(fiber, comp, enter_edge, leave_edge, point):
-    """Unnormalized degree-1 parameter (zero at the entering node, pole at
-    the leaving node) evaluated at a point of the component."""
-    a = fiber.node_coordinate(enter_edge, comp)
-    b = fiber.node_coordinate(leave_edge, comp)
-    if point is INF:
-        if a is INF or b is INF:
-            raise DivisorMeetsNode("divisor point at an infinite node")
-        return fiber.E.one()
-    if a is INF:
-        out = None if point == b else (point - b).inverse()
-    elif b is INF:
-        out = point - a
-        out = None if out.is_zero() else out
-    else:
-        out = None if (point == a or point == b) else (point - a) / (point - b)
-    if out is None or out.is_zero():
-        raise DivisorMeetsNode("divisor point at a node of the chain")
-    return out
+def _chain_steps(cycle, fiber):
+    """The walks of chain_decomposition(cycle), each occurrence given as
+    (component, coordinate of the entering node, coordinate of the leaving
+    node) on that component; found once per fiber and cycle."""
+    if not hasattr(fiber, "_oracle_chains"):
+        fiber._oracle_chains = {}
+    walks = fiber._oracle_chains.get(cycle)
+    if walks is None:
+        walks = fiber._oracle_chains[cycle] = [
+            [(comp, fiber.node_coordinate(enter_edge, comp),
+              fiber.node_coordinate(leave_edge, comp))
+             for comp, enter_edge, leave_edge in walk]
+            for walk in chain_decomposition(cycle)]
+    return walks
+
+
+def _parameter_product(walks, points, E):
+    """Product, over the occurrences (component, a, b) of the walks and the
+    points (component, y, multiplicity) on that component, of t(y)^mult.
+    t is the occurrence's unnormalized degree-1 parameter, zero at the
+    entering node a and with a pole at the leaving node b: (y - a)/(y - b),
+    1/(y - b) when a is INF, y - a when b is INF, and 1 at y = INF.
+    Numerators and denominators are multiplied apart, with one inverse at
+    the end.  DivisorMeetsNode for a point at a or b."""
+    one = E.one()
+    num = den = one
+    for walk in walks:
+        for comp, a, b in walk:
+            for c, y, mult in points:
+                if c != comp:
+                    continue
+                if y is INF:
+                    if a is INF or b is INF:
+                        raise DivisorMeetsNode("divisor point at an infinite node")
+                    x = z = one
+                elif y == a or y == b:
+                    raise DivisorMeetsNode("divisor point at a node of the chain")
+                else:
+                    x = one if a is INF else y - a
+                    z = one if b is INF else y - b
+                if mult < 0:
+                    x, z, mult = z, x, -mult
+                if mult != 1:
+                    x, z = x ** mult, z ** mult
+                num = num * x
+                den = den * z
+    return num / den
 
 
 def plain_cycle_value(cycle, points, fiber):
@@ -392,14 +482,7 @@ def plain_cycle_value(cycle, points, fiber):
     points: the scale-free companion of the engine's normalized evaluation,
     used for the connecting-map lifts (whose coherence across an orbit
     matters)."""
-    acc = fiber.E.one()
-    for walk in chain_decomposition(cycle):
-        for comp, enter_edge, leave_edge in walk:
-            for c, point, mult in points:
-                if c == comp:
-                    acc = acc * _plain_parameter_value(
-                        fiber, comp, enter_edge, leave_edge, point) ** mult
-    return acc
+    return _parameter_product(_chain_steps(cycle, fiber), points, fiber.E)
 
 
 def chain_evaluate(cycle, points, fiber):
@@ -412,28 +495,17 @@ def chain_evaluate(cycle, points, fiber):
     of f_next(node)/f_current(node) over the nodes joining consecutive
     occurrences.  At its own pole node each f tends to 1 because the
     exponents on every component sum to zero, which is why the divisor must
-    have zero multidegree."""
+    have zero multidegree.  f_next at the shared node, where t_next
+    vanishes, is the product of (-t_next(y))^mult, and its signs multiply
+    to (-1)^0 = 1 since the multiplicities on the component sum to zero.
+    Around a closed walk every occurrence is the next one once, so the
+    evaluation is the product of t(y)^mult over all occurrences and points,
+    taken with one inverse per cycle (_parameter_product)."""
     deg = _multidegree(points, fiber)
     if any(deg):
         raise NonzeroMultidegree(
             f"chain evaluation needs zero multidegree, got {deg}")
-    E = fiber.E
-    total = E.one()
-    for walk in chain_decomposition(cycle):
-        n = len(walk)
-        for idx in range(n):
-            nxt = (idx + 1) % n
-            comp, enter_edge, _leave = walk[nxt]
-            # f_next evaluated where t_next vanishes (the shared node), times
-            # 1/f_current at its pole (which is 1)
-            acc = E.one()
-            for c, point, mult in points:
-                if c == comp:
-                    t_y = _plain_parameter_value(fiber, comp, enter_edge,
-                                                 walk[nxt][2], point)
-                    acc = acc * (E.zero() - t_y) ** mult
-            total = total * acc
-    return total
+    return _parameter_product(_chain_steps(cycle, fiber), points, fiber.E)
 
 
 def nu_lift_vectors(fiber, torus, phi, generators, r):
@@ -452,14 +524,13 @@ def nu_lift_vectors(fiber, torus, phi, generators, r):
 def exhaustive_divisibility(divisor, r, fiber, torus, subgroup):
     """Literal membership test: translate the orbit divisor to multidegree
     zero, read its torus point off by chain evaluation on its points in the
-    oracle's fiber, and look it up in the subgroup generated by r-th powers
-    and the connecting-map lifts (see prepare)."""
+    oracle's fiber, and look its position up in the subgroup generated by
+    r-th powers and the connecting-map lifts (see prepare).  NotATorusPoint
+    when the evaluation is no enumerated point."""
     if r == 1:
         return True
     if any(d % r for d in divisor.multidegree):
         raise NonzeroMultidegree("the oracle needs an r-divisible multidegree")
     points = divisor_points(translate_to_degree_zero(divisor, r), fiber)
     x = tuple(chain_evaluate(cyc, points, fiber) for cyc in torus.cycles)
-    if x not in torus:
-        raise NotATorusPoint("evaluation vector is not a rational torus point")
-    return torus.key(x) in subgroup
+    return torus.position(x) in subgroup

@@ -266,3 +266,98 @@ def test_mu_generator_is_cached_once(monkeypatch):
             gamma_class(L, comp, 2)
     assert len(asked) == 2 * len(frame.components)
     assert len(searched) == len(set(searched)) <= len(set(asked))
+
+
+def test_validated_sums_and_scales_equal_full_construction():
+    # sums and multiples on one fiber reuse validated entries; the result
+    # must be what validating everything again gives, entries and
+    # multidegree alike
+    rng = rng_for("validated-sums")
+    checked = 0
+    while checked < 30:
+        k = make_field(rng.choice([5, 7, 13]))
+        inp = random_hyperelliptic(k, rng.choice([3, 4]), rng)
+        try:
+            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+        except dual_graph.NotSupported:
+            continue
+        D = random_divisor(fiber, gens, 1, rng)
+        E = random_divisor(fiber, gens, 1, rng) + gens[0].f_divisor
+        for got, entries in [(D + E, D.entries + E.entries),
+                             (D - E, D.entries + E.scale(-1).entries),
+                             (D - D, ())] + [
+                (D.scale(c), [(comp, H, m * c) for comp, H, m in D.entries])
+                for c in (-3, -1, 0, 2)]:
+            full = SpecializedDivisor(fiber, entries)
+            assert (got.entries, got.multidegree) == (full.entries, full.multidegree)
+            assert got.fiber is fiber
+        checked += 1
+
+
+def test_a_sum_across_fibers_validates_everything():
+    # x = 0 is a node of y^2 = (x^3 - x)^2 + pi h, not of the curve whose
+    # nodes are 2, 3 and 4: the entry t - 0 is valid on the second fiber
+    # only, and adding it to a divisor on the first must refuse it
+    _, (fiber1, *_rest) = b3_instance(q=7)
+    _, (fiber2, *_rest) = b3_instance(q=7, gcoeffs=(-24, 26, -9, 1))
+    zero = fiber2.k.zero()
+    assert fiber2.meets_nodes(0, Poly(fiber2.k, [0, 1])) is False
+    D1 = SpecializedDivisor(fiber1, [(0, fiber1.k.from_int(5), 1)])
+    D2 = SpecializedDivisor(fiber2, [(0, zero, 1)])
+    with pytest.raises(DivisorMeetsNode):
+        D1 + D2
+    # the point 5 is a node of neither
+    assert (D2 + D1).fiber is fiber2 and (D2 + D1).multidegree == (2, 0)
+
+
+def uncached_standard_point(fiber, component, extra_avoid=()):
+    """The scan standard_point made on every call before it kept one per
+    component."""
+    polys = [H for H in extra_avoid if H is not INF]
+    for x in fiber.rational_coordinates(component,
+                                        fiber.component_node_coords(component)):
+        if x is INF:
+            if INF not in extra_avoid:
+                return x
+        elif all(not H(x).is_zero() for H in polys):
+            return x
+    raise descent.NoRationalBasePoint(f"component {component} has no free rational point")
+
+
+@pytest.mark.parametrize("q, gcoeffs", [
+    (7, (0, -1, 0, 1)),
+    (5, (1, 1, 0, 1)),
+    (13, (-6, 11, -6, 1)),
+    (1048573, (-1, -1, 0, 1)),
+])
+def test_memoized_standard_point_equals_the_uncached_scan(q, gcoeffs):
+    _, (fiber, *_rest) = b3_instance(q=q, gcoeffs=gcoeffs, hcoeffs=(2, 1))
+    k = fiber.k
+    rng = rng_for(f"standard-point-{q}")
+
+    def line(c):
+        return Poly(k, [-k.from_int(c), 1])
+
+    for _ in range(40):
+        comp = rng.randrange(2)
+        # orbits that vanish at some of the first free coordinates, so the
+        # scan has to run past them, and now and then INF
+        avoid = [line(rng.randrange(8)) for _ in range(rng.randrange(4))]
+        if rng.random() < 0.3:
+            avoid.append(INF)
+        assert fiber.standard_point(comp, avoid) == \
+            uncached_standard_point(fiber, comp, avoid)
+    # only the prefix some call needed is drawn, never a list of size q
+    for found, _rest in fiber._scans:
+        assert len(found) <= 16
+
+
+def test_standard_point_refuses_when_every_point_is_avoided():
+    _, (fiber, *_rest) = b3_instance(q=5, gcoeffs=(0, -1, 0, 1), hcoeffs=(3, 1))
+    k = fiber.k
+    everything = [Poly(k, [-k.from_int(c), 1]) for c in range(5)] + [INF]
+    for comp in range(2):
+        with pytest.raises(descent.NoRationalBasePoint):
+            fiber.standard_point(comp, everything)
+        with pytest.raises(descent.NoRationalBasePoint):
+            uncached_standard_point(fiber, comp, everything)

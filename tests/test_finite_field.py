@@ -337,6 +337,58 @@ def test_conjugate_count_is_checked(monkeypatch):
         roots_in_extension(Poly(make_field(3), [1, 0, 1]), 2)
 
 
+def search_element_of_order(field, n):
+    """The search element_of_order makes for orders other than 1 and 2: the
+    first w^((q-1)/n) of exact order n, w running through the encodings
+    from 2, or from p when no power of GF(p)^x has order n."""
+    primes = list(factorize(n))
+    cof = (field.q - 1) // n
+    p = field.p
+    counter = 2 if ((p - 1) // gcd(p - 1, cof)) % n == 0 else p
+    while True:
+        w = field.from_int(counter)
+        counter += 1
+        if w.is_zero():
+            continue
+        eta = w ** cof
+        if eta != field.one() and all(eta ** (n // prm) != field.one() for prm in primes):
+            return eta
+
+
+def test_element_of_order_two_is_minus_one_without_a_search(monkeypatch):
+    from toricdescent.finite_field import residue_field
+    # a degree-64 residue field: g is the first irreducible monic g of
+    # degree 64 over GF(23) that random.Random(5) draws, 64 coefficients
+    # randrange(23) low first (the 63rd draw)
+    k = make_field(23)
+    g = Poly(k, [12, 17, 14, 22, 16, 10, 19, 6, 5, 16, 1, 7, 22, 6, 17, 9, 16, 2,
+                 1, 9, 5, 17, 19, 7, 18, 3, 12, 1, 9, 3, 6, 0, 12, 2, 13, 17, 10,
+                 17, 16, 3, 1, 21, 13, 17, 20, 1, 16, 9, 16, 17, 22, 5, 21, 16, 22,
+                 5, 7, 19, 8, 6, 14, 20, 19, 11, 1])
+    assert factor(g) == [(g, 1)]
+    K64, _node = residue_field(g)
+    fields = [make_field(p) for p in (3, 5, 7, 11, 1048573)]
+    fields += [make_field(3, 2), make_field(5, 3), make_field(7, 4), K64]
+    # no power is raised: the answer is -1 at once
+    powers = []
+    power = FieldElement.__pow__
+    monkeypatch.setattr(FieldElement, "__pow__",
+                        lambda x, e: powers.append(e) or power(x, e))
+    answers = []
+    for K in fields:
+        K._of_order.pop(2, None)
+        answers.append(element_of_order(K, 2))
+    assert powers == []
+    monkeypatch.undo()
+    for K, minus_one in zip(fields, answers):
+        assert minus_one == -K.one() == search_element_of_order(K, 2)
+        assert minus_one ** 2 == K.one() != minus_one
+    # the shortcut sits behind the divisibility check: GF(2^m) has no
+    # element of order 2
+    with pytest.raises(OrderDoesNotDivide):
+        element_of_order(make_field(2, 3), 2)
+
+
 def test_element_of_order_refuses_non_divisors():
     with pytest.raises(OrderDoesNotDivide):
         element_of_order(make_field(7), 4)

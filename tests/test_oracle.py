@@ -169,7 +169,10 @@ def test_subgroup_equals_per_trial_closure():
         _degree, ofiber, torus, subgroup = prepared
         lifts = oracle.nu_lift_vectors(ofiber, torus, phi, gens, r)
         reference = closure_per_trial(torus, lifts, r)
-        assert subgroup == reference
+        # the subgroup is closed on exponent vectors; mapped back through
+        # the enumeration it must be the field-tuple closure, point for point
+        mapped = [torus.key(torus.point_at(pos)) for pos in subgroup]
+        assert len(mapped) == len(subgroup) and set(mapped) == reference
         for D in divisors:
             points = oracle.divisor_points(descent.translate_to_degree_zero(D, r), ofiber)
             x = tuple(oracle.chain_evaluate(cyc, points, ofiber) for cyc in torus.cycles)
@@ -180,26 +183,33 @@ def test_subgroup_equals_per_trial_closure():
 
 
 def test_one_closure_per_request(monkeypatch, capsys):
-    # every EnumeratedTorus.mul of a request belongs to the closure; a
-    # request with 20 trials makes exactly as many as one prepare does
+    # the subgroup is closed once per request, in prepare, and no trial
+    # closes it again: a request with 20 trials makes one closure
     from toricdescent import cli
-    calls = []
-    mul = oracle.EnumeratedTorus.mul
-    monkeypatch.setattr(oracle.EnumeratedTorus, "mul",
-                        lambda self, a, b: calls.append(1) or mul(self, a, b))
-    inp, (_fiber, _frame, phi, gens, _M) = build(5, (0, -1, 0, 1), (3, 1))
-    oracle.prepare(inp, phi, gens, 2)
-    per_closure = len(calls)
-    calls.clear()
+    closures = []
+    closure = oracle._closure
+
+    def counted_closure(orders, generators):
+        closures.append(closure(orders, generators))
+        return closures[-1]
+
+    monkeypatch.setattr(oracle, "_closure", counted_closure)
     trials = []
     exhaustive = oracle.exhaustive_divisibility
-    monkeypatch.setattr(oracle, "exhaustive_divisibility",
-                        lambda *args: trials.append(1) or exhaustive(*args))
+
+    def trial(*args):
+        before = len(closures)
+        trials.append(exhaustive(*args))
+        assert len(closures) == before
+        return trials[-1]
+
+    monkeypatch.setattr(oracle, "exhaustive_divisibility", trial)
     assert cli.run_line(["oracle", "--q", "5", "--g", "x^3-x", "--h", "x+3",
                          "--trials", "20", "--json"]) == 0
     capsys.readouterr()
-    assert len(trials) == 20
-    assert per_closure > 0 and len(calls) == per_closure
+    assert len(trials) == 20 and len(closures) == 1
+    # r = 2 on the split torus (Z/4)^2: the four squares at least
+    assert 4 <= len(closures[0]) <= 16
 
 
 def test_enumerated_structure_matches_lattice_enumeration():
@@ -321,3 +331,250 @@ def test_verify_equivariance_survives_python_O():
             "    raise SystemExit(7)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 7, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# chain evaluation against the per-point ratio form it replaced
+
+
+def _ratio_per_point(fiber, comp, enter_edge, leave_edge, point):
+    """The unnormalized degree-1 parameter (zero at the entering node, pole
+    at the leaving node) at a point of the component, one division per
+    point."""
+    a = fiber.node_coordinate(enter_edge, comp)
+    b = fiber.node_coordinate(leave_edge, comp)
+    if point is INF:
+        if a is INF or b is INF:
+            raise descent.DivisorMeetsNode("divisor point at an infinite node")
+        return fiber.E.one()
+    if a is INF:
+        out = None if point == b else (point - b).inverse()
+    elif b is INF:
+        out = point - a
+        out = None if out.is_zero() else out
+    else:
+        out = None if (point == a or point == b) else (point - a) / (point - b)
+    if out is None or out.is_zero():
+        raise descent.DivisorMeetsNode("divisor point at a node of the chain")
+    return out
+
+
+def chain_evaluate_per_point(cycle, points, fiber):
+    """The chain-of-ratios evaluation as the oracle once computed it: the
+    chain decomposed on every call, f_next at each shared node as a
+    product of (0 - t(y))^mult with one division per point."""
+    deg = [0] * fiber.graph.num_vertices
+    for comp, _point, mult in points:
+        deg[comp] += mult
+    if any(deg):
+        raise oracle.NonzeroMultidegree(f"chain evaluation needs zero multidegree, got {deg}")
+    E = fiber.E
+    total = E.one()
+    for walk in dual_graph.chain_decomposition(cycle):
+        n = len(walk)
+        for idx in range(n):
+            nxt = (idx + 1) % n
+            comp, enter_edge, _leave = walk[nxt]
+            acc = E.one()
+            for c, point, mult in points:
+                if c == comp:
+                    t_y = _ratio_per_point(fiber, comp, enter_edge, walk[nxt][2], point)
+                    acc = acc * (E.zero() - t_y) ** mult
+            total = total * acc
+    return total
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except descent.DivisorMeetsNode:
+        return "meets a node"
+
+
+def _random_points(fiber, rng):
+    """Points of zero multidegree on every component: random values of the
+    fiber's field, INF, and now and then a node coordinate of the component
+    (which must raise DivisorMeetsNode wherever a chain passes it)."""
+    E = fiber.E
+    points = []
+    for comp in range(fiber.graph.num_vertices):
+        nodes = fiber.component_node_coords(comp)
+        total = 0
+        for _ in range(rng.randrange(0, 4)):
+            roll = rng.random()
+            if roll < 0.15:
+                y = INF
+            elif roll < 0.25:
+                y = rng.choice(nodes)
+            else:
+                y = E.from_int(rng.randrange(E.q))
+            mult = rng.choice([-2, -1, 1, 2, 3])
+            points.append((comp, y, mult))
+            total += mult
+        if total:
+            points.append((comp, E.from_int(rng.randrange(E.q)), -total))
+    return points
+
+
+def test_chain_evaluate_equals_the_per_point_form():
+    # seeded fibers at tiny q: hyperelliptic ones (finite nodes) and genus-4
+    # ones, whose node [1:0:0:0] sits at INF on two components, with INF
+    # points on every component
+    from conftest import random_genus4
+    rng = rng_for("chain-per-point")
+    fibers = []
+    while len(fibers) < 6:
+        k = make_field(rng.choice([5, 7]))
+        inp = random_hyperelliptic(k, rng.choice([3, 4]), rng)
+        try:
+            fiber, frame, *_ = families.hyperelliptic_fiber(inp)
+        except dual_graph.NotSupported:
+            continue
+        if all(a.field == fiber.E for a, _b in fiber.node_coords):
+            fibers.append((fiber, [comp.cycle for comp in frame.components]))
+    for q in (5, 7, 13):
+        fiber, frame, *_ = families.genus4_fiber(random_genus4(make_field(q), rng))
+        fibers.append((fiber, [comp.cycle for comp in frame.components]))
+    assert any(INF in fiber.component_node_coords(1) for fiber, _ in fibers)
+    values = meets = inf_points = 0
+    for fiber, cycles in fibers:
+        for _ in range(40):
+            points = _random_points(fiber, rng)
+            inf_points += any(y is INF for _c, y, _m in points)
+            for cycle in cycles:
+                expected = _outcome(chain_evaluate_per_point, cycle, points, fiber)
+                assert _outcome(oracle.chain_evaluate, cycle, points, fiber) == expected
+                meets += expected == "meets a node"
+                values += expected != "meets a node"
+    assert values > 300 and meets > 30 and inf_points > 50
+
+
+def test_chain_evaluate_raises_at_a_node():
+    _, (fiber, frame, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
+    E = fiber.E
+    for cycle in (comp.cycle for comp in frame.components):
+        walks = dual_graph.chain_decomposition(cycle)
+        comp, enter_edge, _leave = walks[0][0]
+        node = fiber.node_coordinate(enter_edge, comp)
+        free = next(x for x in map(E.from_int, range(5))
+                    if x not in fiber.component_node_coords(comp))
+        with pytest.raises(descent.DivisorMeetsNode):
+            oracle.chain_evaluate(cycle, [(comp, node, 1), (comp, free, -1)], fiber)
+
+
+# ---------------------------------------------------------------------------
+# exponent coordinates: every value tuple is looked up, never assumed
+
+
+def test_position_lookup_and_point_at_invert_each_other():
+    inp, (_fiber, _frame, phi, gens, _M) = build(5, (1, 1, 0, 1), (3, 1))
+    _degree, _ofiber, torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
+    assert len(torus) == 31 and torus.orders == (31,)
+    for index, point in enumerate(torus.points):
+        position = torus.position(point)
+        assert torus.point_at(position) is point and position == (index,)
+    # products of points add exponent vectors modulo the orders
+    a, b = torus.points[7], torus.points[30]
+    assert torus.position(torus.mul(a, b)) == ((7 + 30) % 31,)
+
+
+def test_tuples_outside_the_torus_raise(monkeypatch):
+    inp, (fiber, frame, phi, gens, M) = build(5, (1, 1, 0, 1), (3, 1))
+    degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
+    E = ofiber.E
+    # not equivariant: the same non-rational value on every cycle
+    with pytest.raises(oracle.NotATorusPoint):
+        torus.position((E.gen(),) * len(torus.cycles))
+    with pytest.raises(oracle.NotATorusPoint):
+        torus.position((E.zero(),) * len(torus.cycles))
+    # an evaluation outside the torus
+    D = oracle.random_divisor(fiber, 2, rng_for("outside"), degree)
+    monkeypatch.setattr(oracle, "chain_evaluate", lambda cycle, points, fib: E.zero())
+    with pytest.raises(oracle.NotATorusPoint):
+        oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
+    monkeypatch.undo()
+    # a connecting-map lift outside the torus
+    lifts = oracle.nu_lift_vectors
+    monkeypatch.setattr(
+        oracle, "nu_lift_vectors",
+        lambda *args: [(el, (E.gen(),) * len(vec)) for el, vec in lifts(*args)])
+    inp2, (_f, _fr, phi2, gens2, _M2) = build(5, (1, 1, 0, 1), (3, 1))
+    with pytest.raises(oracle.NotATorusPoint):
+        oracle.prepare(inp2, phi2, gens2, 2)
+
+
+def test_a_repeated_enumerated_point_raises(monkeypatch):
+    # a root of unity of too small an order enumerates some points twice
+    _, (fiber, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
+    monkeypatch.setattr(oracle, "element_of_order", lambda field, n: -field.one())
+    with pytest.raises(oracle.NotATorusPoint):
+        oracle.enumerate_torus(fiber)
+
+
+# ---------------------------------------------------------------------------
+# per-request work, and the trial count
+
+
+def _counting(monkeypatch, owner, name, calls):
+    """Count every call of the function owner.name, under every name that
+    binds it in a module of the package."""
+    import sys
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("toricdescent."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("line", [
+    "oracle --q 5 --g x^3-x --h x+3",
+    "oracle --q 7 --g x^3+x+1 --h x+2 --r 3",
+    "oracle --q 3 --g x^4+x+2 --h x^2+1",
+])
+def test_trials_add_no_per_request_work(monkeypatch, capsys, line):
+    from collections import Counter
+    from toricdescent import cli
+    from toricdescent import zmat
+    counts = {}
+    for trials in ("20", "1"):
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            _counting(patch, zmat, "smith_normal_form", calls)
+            _counting(patch, dual_graph, "chain_decomposition", calls)
+            _counting(patch, oracle, "enumerate_torus", calls)
+            assert cli.run_line(line.split() + ["--trials", trials, "--json"]) == 0
+        counts[trials] = calls
+    capsys.readouterr()
+    assert counts["20"] == counts["1"]
+    assert counts["20"]["enumerate_torus"] == 1
+    assert counts["20"]["smith_normal_form"] > 0 and counts["20"]["chain_decomposition"] > 0
+
+
+def test_trial_counts_outside_the_range_are_refused_before_any_work(monkeypatch, capsys):
+    from toricdescent import cli
+    built = []
+    monkeypatch.setattr(families, "hyperelliptic_fiber",
+                        lambda inp: built.append(inp) or 1 / 0)
+    base = ["oracle", "--q", "5", "--g", "x^3-x", "--h", "x+3", "--json"]
+    for trials in (-5, -1, oracle.TRIALS_LIMIT + 1, 10 ** 9):
+        assert cli.run_line(base + ["--trials", str(trials)]) == cli.EXIT_SYNTAX
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid input: --trials")
+    assert built == []
+
+
+def test_trial_counts_at_the_ends_of_the_range(capsys):
+    import json
+    from toricdescent import cli
+    base = ["oracle", "--q", "5", "--g", "x^3-x", "--h", "x+3", "--json"]
+    for trials in (0, oracle.TRIALS_LIMIT):
+        assert cli.run_line(base + ["--trials", str(trials)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["trials"] == report["agreements"] == trials
+        assert report["torus_points"] == 16
