@@ -20,6 +20,9 @@ s (t - a)/(t - b) multiplies over the roots of H to s^n H(a)/H(b) (see
 MobiusFactor.over_roots), so evaluation only needs H at the nodes.
 """
 
+import math
+from itertools import product
+
 from . import zmat
 from .dual_graph import chain_decomposition, fibral_lattice_membership, h1_basis
 from .finite_field import (INF, FieldElement, NotInSubgroup, Poly, embed,
@@ -515,7 +518,7 @@ class FrameComponent:
 class TorusFrame:
     """A verified principal decomposition bound to cycles on the fiber."""
 
-    def __init__(self, fiber, generator_cycles, base_rank=0):
+    def __init__(self, fiber, generator_cycles):
         self.fiber = fiber
         _, lattice, coords = h1_basis(fiber.graph)
         try:
@@ -523,9 +526,8 @@ class TorusFrame:
                 lattice, [coords(c) for c in generator_cycles])
         except NotPrincipal as exc:
             raise UnsupportedTorus(str(exc)) from exc
-        self.components = [
-            FrameComponent(fiber, cycle, comp.char_poly, base_rank=base_rank)
-            for cycle, comp in zip(generator_cycles, components)]
+        self.components = [FrameComponent(fiber, cycle, comp.char_poly)
+                           for cycle, comp in zip(generator_cycles, components)]
         self._steps = {}
 
     def step_residues(self, generators, r):
@@ -547,10 +549,7 @@ class TorusFrame:
         return steps
 
     def torus_order(self):
-        out = 1
-        for c in self.components:
-            out *= c.order
-        return out
+        return math.prod(c.order for c in self.components)
 
 
 class GammaClass:
@@ -620,37 +619,18 @@ def phi_r_table(phi, generators, r, fiber):
     compensating divisor is compensating_divisor(generators, powers, fiber).
     The element with coefficient a_t = k * order_t / gcd(r, order_t) on
     generator t takes the power a_t * r / order_t = k * r / gcd(r, order_t)."""
-    if not generators:
-        zero = tuple([0] * fiber.graph.num_vertices)
-        return [(phi.identity(), (), zero)]
     entries = []
-    choice_lists = []
-    for gen in generators:
-        g = gcd(r, gen.order)
-        step = gen.order // g
-        choice_lists.append([step * k for k in range(g)])
-    idx = [0] * len(generators)
-    while True:
-        coeffs = [choice_lists[t][idx[t]] for t in range(len(generators))]
+    choices = [range(0, gen.order, gen.order // gcd(r, gen.order)) for gen in generators]
+    for coeffs in product(*choices):
         element = phi.identity()
         powers = []
         rep = [0] * fiber.graph.num_vertices
-        for t, gen in enumerate(generators):
-            a = coeffs[t]
+        for a, gen in zip(coeffs, generators):
             powers.append(a * r // gen.order)
             if a:
                 element = phi.add(element, phi.scale(gen.element, a))
                 rep = [u + a * v for u, v in zip(rep, gen.rep_multidegree)]
         entries.append((element, tuple(powers), tuple(rep)))
-        t = len(generators) - 1
-        while t >= 0:
-            idx[t] += 1
-            if idx[t] < len(choice_lists[t]):
-                break
-            idx[t] = 0
-            t -= 1
-        if t < 0:
-            break
     return entries
 
 
@@ -746,7 +726,7 @@ def _shift_to_div_r(divisor, r, generators):
     return out
 
 
-def torsion_structure(frame, phi, generators, p=None):
+def torsion_structure(frame, phi, generators):
     """Invariant factors of the prime-to-p rational torsion of the Jacobian,
     resolved from the extension of the component group by the torus points.
 
@@ -757,7 +737,7 @@ def torsion_structure(frame, phi, generators, p=None):
     the component group as a direct sum of the cyclic subgroups they generate
     (the family builders construct exactly such sets).
     """
-    p = p if p is not None else frame.fiber.k.p
+    p = frame.fiber.k.p
     torus_orders = [comp.order for comp in frame.components]
     reduced = []
     for gen in generators:

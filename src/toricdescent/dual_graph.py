@@ -8,9 +8,12 @@ A 1-cycle is an integer vector indexed by edges, +1 meaning traversal from
 tail to head; its boundary must vanish at every vertex.
 """
 
+import math
+from itertools import product
+
 from . import zmat
 from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice
-from .zmat import factorize, lcm, mat_vec, smith_normal_form
+from .zmat import factorize, gcd, lcm, mat_vec, smith_normal_form
 
 
 class GraphError(Exception):
@@ -290,11 +293,7 @@ def h1_basis(graph):
 
     FrobeniusOrderTooLarge, before any matrix is built, when the Galois
     generator's order (frobenius_order) exceeds FROBENIUS_ORDER_BOUND.
-    Computed once per graph, which never changes after construction; every
-    later call returns the same (basis, lattice, coords).
     """
-    if hasattr(graph, "_h1"):
-        return graph._h1
     basis, coords = _cycle_basis(graph)
     order = frobenius_order(graph)
     if order > FROBENIUS_ORDER_BOUND:
@@ -309,8 +308,7 @@ def h1_basis(graph):
         image = graph.sigma_cycle(b)
         for i, c in enumerate(coords(image)):
             F[i][j] = c
-    graph._h1 = basis, CharacterLattice(F, label="H1", order=order), coords
-    return graph._h1
+    return basis, CharacterLattice(F, label="H1", order=order), coords
 
 
 class IntersectionMatrix:
@@ -370,9 +368,7 @@ class ComponentGroup:
         self.U = U
         self.Uinv = zmat.mat_inverse_unimodular(U)
         self.invariant_factors = sorted(d for d in self.diag if d > 1)
-        self.order = 1
-        for d in self.diag:
-            self.order *= d
+        self.order = math.prod(self.diag)
 
     def project(self, multidegree):
         """Class of a total-degree-zero multidegree vector."""
@@ -390,19 +386,11 @@ class ComponentGroup:
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.diag))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.diag))
-
     def scale(self, x, k):
         return tuple((a * k) % d for a, d in zip(x, self.diag))
 
     def element_order(self, x):
-        from .zmat import gcd
-        n = 1
-        for a, d in zip(x, self.diag):
-            if a:
-                n = zmat.lcm(n, d // gcd(a, d))
-        return n
+        return lcm(*(d // gcd(a, d) for a, d in zip(x, self.diag)))
 
     def representative(self, element):
         """A total-degree-zero multidegree vector projecting to the element."""
@@ -411,20 +399,12 @@ class ComponentGroup:
         return tuple(x + [-sum(x)])
 
     def elements(self):
-        out = [()]
-        for d in self.diag:
-            out = [t + (r,) for t in out for r in range(d)]
-        return out
+        return list(product(*map(range, self.diag)))
 
     def torsion_elements(self, r):
-        """All elements killed by r."""
-        from .zmat import gcd
-        out = [()]
-        for d in self.diag:
-            g = gcd(r, d)
-            step = d // g
-            out = [t + ((step * k) % d,) for t in out for k in range(g)]
-        return out
+        """All elements killed by r: the multiples of d / gcd(r, d) in each
+        coordinate."""
+        return list(product(*(range(0, d, d // gcd(r, d)) for d in self.diag)))
 
     def __repr__(self):
         return f"ComponentGroup({self.invariant_factors or [1]})"

@@ -70,8 +70,8 @@ INF = "oo"
 
 #: Bounds of the caches keyed by the user's prime, so that one process
 #: answering many primes stays bounded.  A run of the small-q benchmark
-#: workload touches about 21 fields and moduli and 19 embeddings; the bounds
-#: leave several times that.  A field keeps its own elements of given
+#: workload touches about 21 fields and 19 embeddings; the bounds leave
+#: several times that.  A field keeps its own elements of given
 #: orders (element_of_order) and its embeddings, which go with it.
 FIELD_CACHE_SIZE = 128
 DERIVED_CACHE_SIZE = 256
@@ -195,7 +195,6 @@ def _binomials_can_be_irreducible(p, m):
     return m % 4 != 0 or p % 4 == 1
 
 
-@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _smallest_irreducible(p, m):
     """Monic irreducible of degree m over GF(p), smallest integer encoding of
     the non-leading coefficients.  Low coefficients first, leading 1 included.
@@ -1162,13 +1161,6 @@ def embed(sub, big):
     return emb
 
 
-#: Bound of the residue_field cache.  A request builds one residue field per
-#: node orbit of degree > 1, and a new curve brings new ones, so the cache
-#: serves repeated requests only.
-RESIDUE_FIELD_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=RESIDUE_FIELD_CACHE_SIZE)
 def residue_field(g):
     """(K, node): the field k[x]/(g) of a monic irreducible g of degree s over
     k = GF(p^m), as a FiniteField of degree m s over GF(p) with a modulus of

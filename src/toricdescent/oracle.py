@@ -30,8 +30,9 @@ divisors both are checked on come from random_divisor, which draws its
 orbits over k.
 """
 
+import math
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
                       phi_r_table, translate_to_degree_zero)
@@ -39,7 +40,7 @@ from .dual_graph import (DualGraph, chain_decomposition, h1_basis,
                          principal_cycle_generators)
 from .finite_field import (INF, Poly, element_of_order, embed, extension, factor,
                            power_residue, roots_in_extension)
-from .torus import principal_component
+from .torus import ENUMERATION_LIMIT, principal_component
 from .zmat import lcm, poly_eval_int, solve_int
 
 
@@ -80,8 +81,6 @@ class EvenCharacteristic(OracleError):
     odd characteristic."""
 
 
-ENUMERATION_LIMIT = 10 ** 6
-
 #: the most random divisors one request checks: every trial costs one
 #: engine verdict and one chain evaluation, so the count bounds the loop
 #: (1000 trials on a 2380-point torus over GF(13) take about 1.5 s on a
@@ -100,12 +99,7 @@ def field_degree(polys):
     """Degree over k of the smallest field that holds every root of the
     polynomials over k (INF entries are skipped): the least common multiple
     of the degrees of their irreducible factors."""
-    degree = 1
-    for H in polys:
-        if H is not INF:
-            for f, _ in factor(H):
-                degree = lcm(degree, f.degree)
-    return degree
+    return lcm(*(f.degree for H in polys if H is not INF for f, _ in factor(H)))
 
 
 def _g_factors(inp):
@@ -118,10 +112,7 @@ def _g_factors(inp):
 def node_degree(inp):
     """Degree over k of the field of the nodes, the splitting field of the
     reduction of g: the least common multiple of its factor degrees."""
-    degree = 1
-    for f, _ in _g_factors(inp):
-        degree = lcm(degree, f.degree)
-    return degree
+    return lcm(*(f.degree for f, _ in _g_factors(inp)))
 
 
 def hyperelliptic_special_fiber(inp, s):
@@ -361,9 +352,7 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
     q = fiber.k.q
     m = fiber.k.m
     cycles, layout, coords = orbit_cycle_basis(graph)
-    total = 1
-    for _start, _rank, fpoly in layout:
-        total *= poly_eval_int(fpoly, q)
+    total = math.prod(poly_eval_int(fpoly, q) for _start, _rank, fpoly in layout)
     if total > limit:
         raise TooLarge(f"torus has {total} points, enumeration limit {limit}")
 
@@ -391,9 +380,7 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
             gen_point.extend(values[1 % order] if jdx == idx else [one] * r2)
         component_generators.append(tuple(gen_point))
 
-    points = [()]
-    for values in blocks:
-        points = [head + block for head in points for block in values]
+    points = [tuple(chain.from_iterable(parts)) for parts in product(*blocks)]
     if len(points) != total:
         raise NotATorusPoint(f"enumerated {len(points)} points, the torus has {total}")
     torus = EnumeratedTorus(fiber, cycles, layout, coords, orders, points,

@@ -15,6 +15,8 @@ the algebraic closure; equivariance pins e(F v) = e(v)^q.
 """
 
 import math
+from functools import cached_property
+from itertools import product
 
 from . import zmat
 from .finite_field import MILLER_RABIN_BOUND, element_of_order, field_name, is_prime, make_field
@@ -251,30 +253,42 @@ class RationalPoints:
     Points are stored as discrete-log vectors a with respect to a primitive
     root zeta of the host field GF(q^s): the hom sends basis character e_j to
     zeta^(a_j).  The group law is componentwise addition mod q^s - 1.  The
-    count and the invariants need only that modulus; the host field and
-    zeta are built when a character is first evaluated.
+    count and the invariants need only the solution counts of the Smith
+    congruences; the points are listed, and the host field and zeta built,
+    on first use.
     """
 
-    def __init__(self, lattice, q, modulus, points, invariants):
+    def __init__(self, lattice, q, modulus, V, counts, invariants):
         self.lattice = lattice
         self.q = q
         self.modulus = modulus
-        self.points = points
+        self._V = V
+        self._counts = counts
         self.invariants = invariants
-        self._zeta = None
 
     def __len__(self):
-        return len(self.points)
+        return math.prod(self._counts)
 
-    @property
+    @cached_property
+    def points(self):
+        """The vectors V b, b running in mixed radix (the last index fastest)
+        over the solutions of the diagonal congruences d_i b_i = 0 mod n:
+        the multiples of n / counts[i]."""
+        n = self.modulus
+        strides = [n // c for c in self._counts]
+        points = []
+        for idx in product(*map(range, self._counts)):
+            b = [s * i % n for s, i in zip(strides, idx)]
+            points.append(tuple(v % n for v in mat_vec(self._V, b)))
+        return points
+
+    @cached_property
     def zeta(self):
         """A primitive root of the host field GF(q^s), built on first use
         (without the field-size limit: only its powers are taken)."""
-        if self._zeta is None:
-            p, a = prime_power(self.q)
-            host = make_field(p, a * self.lattice.order, limit=None)
-            self._zeta = element_of_order(host, self.modulus)
-        return self._zeta
+        p, a = prime_power(self.q)
+        host = make_field(p, a * self.lattice.order, limit=None)
+        return element_of_order(host, self.modulus)
 
     @property
     def host(self):
@@ -285,19 +299,11 @@ class RationalPoints:
         e = sum(int(c) * int(a) for c, a in zip(char_vector, point)) % self.modulus
         return self.zeta ** e
 
-    def add(self, x, y):
-        return tuple((a + b) % self.modulus for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple((-a) % self.modulus for a in x)
-
-    def identity(self):
-        return tuple(0 for _ in range(self.lattice.rank))
-
 
 def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
-    """Enumerate the rational points by solving the equivariance congruence
-    (F^T - q I) a = 0 mod (q^s - 1), s the order of Frobenius."""
+    """The rational points, from the Smith form of the equivariance
+    congruence (F^T - q I) a = 0 mod (q^s - 1), s the order of Frobenius:
+    the count and the invariants at once, the points listed on first use."""
     order = torus_order(lattice, q)
     if order > limit:
         raise EnumerationLimitExceeded(f"torus has {order} points, limit {limit}")
@@ -306,31 +312,10 @@ def enumerate_rational_points(lattice, q, limit=ENUMERATION_LIMIT):
     F = lattice.frobenius
     A = [[F[j][i] - (q if i == j else 0) for j in range(g)] for i in range(g)]
     U, D, V = smith_normal_form(A)
-    steps = []
-    for i in range(g):
-        di = D[i][i]
-        gi = gcd(di, n)
-        steps.append((n // gi if gi else 1, gi))
-    count = 1
-    for _, gi in steps:
-        count *= max(gi, 1)
+    # d_i b_i = 0 mod n has gcd(d_i, n) solutions
+    counts = [gcd(D[i][i], n) for i in range(g)]
+    count = math.prod(counts)
     if count != order:
         raise PointCountMismatch(
             f"the congruence has {count} solutions, the torus {order} points")
-    points = []
-    idx = [0] * g
-    while True:
-        b = [steps[i][0] * idx[i] % n for i in range(g)]
-        avec = tuple(v % n for v in mat_vec(V, b))
-        points.append(avec)
-        k = g - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < max(steps[k][1], 1):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    invariants = zmat.group_invariants([max(gi, 1) for _, gi in steps])
-    return RationalPoints(lattice, q, n, points, invariants)
+    return RationalPoints(lattice, q, n, V, counts, zmat.group_invariants(counts))

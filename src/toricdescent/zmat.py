@@ -5,8 +5,11 @@ polynomials by Faddeev-LeVerrier.
 
 All matrices are lists of lists of Python ints.  Everything here is exact
 and stays in the integers, with no rational arithmetic; sizes are tiny (at
-most ~10x10), so clarity beats asymptotics.
+most ~10x10), so clarity beats asymptotics.  gcd and lcm are math's,
+imported here for the modules that take them from zmat.
 """
+
+from math import gcd, lcm
 
 
 class ZmatError(ValueError):
@@ -244,19 +247,6 @@ def solve_mod_smith(smith, b, n):
         y[i] = (cc * pow(dd, -1, nn)) % nn if nn > 1 else 0
     x = mat_vec(V, y)
     return [v % n for v in x]
-
-
-def gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def lcm(a, b):
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // gcd(a, b)
 
 
 def factorize(n):

@@ -162,6 +162,29 @@ def test_torus_q_near_10_to_18_answers_promptly():
     assert dt < 0.5
 
 
+#: tori of about 10^6 points, the enumeration limit: the count and the
+#: invariants come from the Smith diagonal, with no point listed
+ENUMERATE_REQUESTS = [
+    ('{"rank":1,"frobenius":[[1]]} --q 999983',
+     {"char_poly": "x-1", "order": 999982,
+      "points": {"count": 999982, "invariants": [999982]}, "q": 999983, "rank": 1}),
+    ('{"rank":2,"frobenius":[[1,0],[0,1]]} --q 997',
+     {"char_poly": "x^2-2*x+1", "order": 992016,
+      "points": {"count": 992016, "invariants": [996, 996]}, "q": 997, "rank": 2}),
+    ('{"rank":2,"frobenius":[[0,-1],[1,-1]]} --q 997',
+     {"char_poly": "x^2+x+1", "order": 995007,
+      "points": {"count": 995007, "invariants": [995007]}, "q": 997, "rank": 2}),
+]
+
+
+@pytest.mark.parametrize("args, expected", ENUMERATE_REQUESTS)
+def test_torus_enumerate_reports_a_million_points_promptly(args, expected):
+    code, text, dt = _run(f"torus --lattice {args} --enumerate --json", 1.0)
+    assert code == 0
+    assert json.loads(text) == {"command": "torus", "schema_version": 1, **expected}
+    assert dt < 1.0
+
+
 def test_torus_q_of_4000_digits_is_refused_promptly(capsys):
     # the largest q argparse reads has about 4300 digits
     code, _text, dt = _run('torus --lattice {"rank":1,"frobenius":[[1]]} '
@@ -203,7 +226,6 @@ def test_only_small_numbers_are_factored(monkeypatch):
     monkeypatch.setattr(finite_field, "factorize", factorize)
     # fresh fields: each keeps its own elements of given orders
     finite_field._cached_field.cache_clear()
-    finite_field.residue_field.cache_clear()
     for line in BIG_ORBIT_REQUESTS + ["genus4 --p 1000003 --eps X^3+Y^3+W*Z^2 --json"]:
         code, _text, _dt = _run(line, 10.0)
         assert code == 0
