@@ -223,7 +223,7 @@ def run_oracle(args):
     g = _poly_from_text(k, args.g)
     h = _poly_from_text(k, args.h)
     inp = validate_hyperelliptic(k, g, h, r=args.r)
-    fiber, frame, phi, gens, matrix = families.hyperelliptic_fiber(inp)
+    fiber, frame, phi, gens, matrix = inp.fiber_data
     degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, args.r)
     rng = random.Random(args.seed)
     agreements = 0

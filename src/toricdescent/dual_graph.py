@@ -9,6 +9,7 @@ tail to head; its boundary must vanish at every vertex.
 """
 
 import math
+from functools import cached_property
 from itertools import product
 
 from . import zmat
@@ -79,6 +80,70 @@ class DualGraph:
                         seen.add(b)
                         frontier.append(b)
         return len(seen) == self.num_vertices
+
+    @cached_property
+    def cycle_basis(self):
+        """(basis, coords) of h1_basis, without the Frobenius matrix."""
+        parent = list(range(self.num_vertices))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        order = sorted(range(self.num_edges), key=lambda i: self.edges[i][2])
+        tree = []
+        cotree = []
+        for i in order:
+            t, h, _ = self.edges[i]
+            rt, rh = find(t), find(h)
+            if rt != rh and t != h:
+                parent[rt] = rh
+                tree.append(i)
+            else:
+                cotree.append(i)
+        # adjacency restricted to the tree, for path finding
+        adj = {v: [] for v in range(self.num_vertices)}
+        for i in tree:
+            t, h, _ = self.edges[i]
+            adj[t].append((h, i, 1))
+            adj[h].append((t, i, -1))
+
+        def tree_path(a, b):
+            """Edge steps (index, direction) along the tree from a to b."""
+            prev = {a: None}
+            frontier = [a]
+            while frontier:
+                v = frontier.pop(0)
+                if v == b:
+                    break
+                for w, i, d in adj[v]:
+                    if w not in prev:
+                        prev[w] = (v, i, d)
+                        frontier.append(w)
+            steps = []
+            v = b
+            while v != a:
+                u, i, d = prev[v]
+                steps.append((i, d))
+                v = u
+            steps.reverse()
+            return steps
+
+        basis = []
+        for e in cotree:
+            t, h, _ = self.edges[e]
+            vec = [0] * self.num_edges
+            vec[e] = 1
+            for i, d in tree_path(h, t):
+                vec[i] += d
+            basis.append(Cycle(self, vec))
+
+        def coords(cycle):
+            return tuple(cycle.vector[e] for e in cotree)
+
+        return basis, coords
 
     @property
     def num_edges(self):
@@ -160,74 +225,6 @@ class Cycle:
         return f"Cycle{self.vector}"
 
 
-def _cycle_basis(graph):
-    """(basis, coords) of h1_basis, without the Frobenius matrix; computed
-    once per graph."""
-    if hasattr(graph, "_cycles"):
-        return graph._cycles
-    parent = list(range(graph.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    order = sorted(range(graph.num_edges), key=lambda i: graph.edges[i][2])
-    tree = []
-    cotree = []
-    for i in order:
-        t, h, _ = graph.edges[i]
-        rt, rh = find(t), find(h)
-        if rt != rh and t != h:
-            parent[rt] = rh
-            tree.append(i)
-        else:
-            cotree.append(i)
-    # adjacency restricted to the tree, for path finding
-    adj = {v: [] for v in range(graph.num_vertices)}
-    for i in tree:
-        t, h, _ = graph.edges[i]
-        adj[t].append((h, i, 1))
-        adj[h].append((t, i, -1))
-
-    def tree_path(a, b):
-        """Edge steps (index, direction) along the tree from a to b."""
-        prev = {a: None}
-        frontier = [a]
-        while frontier:
-            v = frontier.pop(0)
-            if v == b:
-                break
-            for w, i, d in adj[v]:
-                if w not in prev:
-                    prev[w] = (v, i, d)
-                    frontier.append(w)
-        steps = []
-        v = b
-        while v != a:
-            u, i, d = prev[v]
-            steps.append((i, d))
-            v = u
-        steps.reverse()
-        return steps
-
-    basis = []
-    for e in cotree:
-        t, h, _ = graph.edges[e]
-        vec = [0] * graph.num_edges
-        vec[e] = 1
-        for i, d in tree_path(h, t):
-            vec[i] += d
-        basis.append(Cycle(graph, vec))
-
-    def coords(cycle):
-        return tuple(cycle.vector[e] for e in cotree)
-
-    graph._cycles = basis, coords
-    return graph._cycles
-
-
 def _signed_power(graph, n):
     """sigma^n on the edges, as (image, sign) lists: sigma^n sends edge i to
     sign[i] times edge image[i]; by repeated squaring."""
@@ -251,7 +248,7 @@ def frobenius_order(graph):
     order (the lcm of its cycle lengths, a cycle doubled when its signs
     multiply to -1), and each prime is stripped while sigma^(n/l) still
     fixes every basis cycle."""
-    basis, _coords = _cycle_basis(graph)
+    basis, _coords = graph.cycle_basis
     n = 1
     seen = set()
     for i in range(graph.num_edges):
@@ -294,7 +291,7 @@ def h1_basis(graph):
     FrobeniusOrderTooLarge, before any matrix is built, when the Galois
     generator's order (frobenius_order) exceeds FROBENIUS_ORDER_BOUND.
     """
-    basis, coords = _cycle_basis(graph)
+    basis, coords = graph.cycle_basis
     order = frobenius_order(graph)
     if order > FROBENIUS_ORDER_BOUND:
         raise FrobeniusOrderTooLarge(
@@ -449,7 +446,7 @@ def principal_cycle_generators(graph):
     node or a single full edge orbit.  Anything else raises NotSupported,
     mirroring the open gap for graphs without a distinguished rational node.
     """
-    basis, _coords = _cycle_basis(graph)
+    basis, _coords = graph.cycle_basis
     if not basis:
         return []
     if all(graph.sigma_cycle(b) == b for b in basis):

@@ -11,9 +11,15 @@ three rational curves on the quadric, each pair crossing twice.
 
 Verdicts that the underlying theory does not cover are reported as
 "Undetermined", never guessed.
+
+A request's derived data (the factors of g, eps at the nodes, the table,
+the component group, the engine's fiber) lives on its validated input as
+cached properties, so the closed forms, the engine checks, the reports and
+the oracle compute each once per request.
 """
 
 import itertools
+from functools import cached_property
 
 from . import descent, dual_graph
 from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
@@ -94,7 +100,8 @@ def _all_r_th_powers(values, r, q):
 
 class HyperellipticInput:
     """Validated data for y^2 = g^2 + pi*h over a local field with residue
-    field k; only the reductions of g and h matter here."""
+    field k; only the reductions of g and h matter here.  The data derived
+    from them are cached properties, computed once per input."""
 
     def __init__(self, k, gbar, hbar, r=2, qp_mode=False):
         self.k = k
@@ -111,6 +118,32 @@ class HyperellipticInput:
                 "base field Q_p: reported torsion is the prime-to-p part; it is "
                 "the full rational torsion when p is odd and the component group "
                 "has no p-torsion")
+
+    @cached_property
+    def factors(self):
+        """The monic irreducible factors of the reduction of g, each once."""
+        facs = factor(self.g)
+        if any(mult != 1 for _, mult in facs):
+            raise NotSeparableReduction("reduction of g has a repeated factor")
+        return [f for f, _ in facs]
+
+    @cached_property
+    def rational_nodes(self):
+        """The rational roots of the reduction of g, in ascending encoding."""
+        return sorted((-f.coeffs[0] for f in self.factors if f.degree == 1),
+                      key=lambda r: r.to_int())
+
+    @cached_property
+    def phi(self):
+        return component_group([[-self.d, self.d], [self.d, -self.d]])
+
+    @cached_property
+    def fiber_data(self):
+        return hyperelliptic_fiber(self)
+
+    @cached_property
+    def engine_torsion(self):
+        return torsion_bd_engine(self)
 
 
 def validate_hyperelliptic(k, gbar, hbar, r=2, qp_mode=False):
@@ -131,20 +164,6 @@ def validate_hyperelliptic(k, gbar, hbar, r=2, qp_mode=False):
     if hbar.is_zero() or gbar.gcd(hbar).degree != 0:
         raise CommonFactorGH("g and h must generate the unit ideal modulo pi")
     return HyperellipticInput(k, gbar, hbar, r=r, qp_mode=qp_mode)
-
-
-def _gbar_factor_data(inp):
-    """The irreducible factors of the reduction of g, plus its rational roots
-    in ascending encoding; factored once per input."""
-    if not hasattr(inp, "_gbar_factors"):
-        facs = factor(inp.g)
-        if any(mult != 1 for _, mult in facs):
-            raise NotSeparableReduction("reduction of g has a repeated factor")
-        factors = [f for f, _ in facs]
-        rational = sorted((-f.coeffs[0] for f in factors if f.degree == 1),
-                          key=lambda r: r.to_int())
-        inp._gbar_factors = factors, rational
-    return inp._gbar_factors
 
 
 def _is_power_mod(f, r, g):
@@ -173,7 +192,7 @@ def theta_bd(inp, alpha0_rank=0):
     """
     if inp.d % 2 == 0:
         return True
-    factors, rational = _gbar_factor_data(inp)
+    factors, rational = inp.factors, inp.rational_nodes
     if len(factors) == 1:
         return True
     if not rational:
@@ -190,7 +209,7 @@ def torsion_bd(inp):
     Closed forms cover the split case for every d and all three shapes for
     d = 3; other shapes fall back to the generic engine."""
     q = inp.k.q
-    factors, rational = _gbar_factor_data(inp)
+    factors, rational = inp.factors, inp.rational_nodes
     if len(rational) == inp.d:
         alphas = rational
         h0 = inp.h(alphas[0])
@@ -217,7 +236,7 @@ def torsion_bd(inp):
             return group_invariants([q * q + q + 1, 3])
         return group_invariants([3 * (q * q + q + 1)])
     # non-split shapes beyond d = 3: delegate to the engine
-    return torsion_bd_engine(inp)
+    return inp.engine_torsion
 
 
 # -- engine route -----------------------------------------------------------
@@ -236,11 +255,10 @@ def hyperelliptic_fiber(inp):
     returned is the component group's IntersectionMatrix, validated once,
     whose Smith form every verdict on the fiber reuses."""
     k = inp.k
-    factors, rational = _gbar_factor_data(inp)
-    nodes = list(rational)
+    nodes = list(inp.rational_nodes)
     perm = list(range(len(nodes)))
     largest = k
-    for f in factors:
+    for f in inp.factors:
         if f.degree == 1:
             continue
         field, node = residue_field(f)
@@ -257,7 +275,7 @@ def hyperelliptic_fiber(inp):
     frame = descent.TorusFrame(fiber, principal_cycle_generators(graph))
 
     d = inp.d
-    phi = component_group([[-d, d], [d, -d]])
+    phi = inp.phi
     # div(y - g): the zeros of h on the first line, the rest at the two
     # points at infinity
     fdiv = SpecializedDivisor(
@@ -281,16 +299,10 @@ def hyperelliptic_canonical_divisor(inp, fiber):
         _h_zeros(inp) + [(0, INF, 2 * inp.genus - inp.e), (1, INF, -2)])
 
 
-def _hyperelliptic_data(inp):
-    if not hasattr(inp, "_fiber_data"):
-        inp._fiber_data = hyperelliptic_fiber(inp)
-    return inp._fiber_data
-
-
 def theta_bd_engine(inp):
     """Theta verdict through the generic descent engine."""
     try:
-        fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
+        fiber, frame, phi, generators, matrix = inp.fiber_data
     except dual_graph.NotSupported:
         return UNDETERMINED
     L = hyperelliptic_canonical_divisor(inp, fiber)
@@ -301,20 +313,16 @@ def theta_bd_engine(inp):
 
 
 def torsion_bd_engine(inp):
-    """Torsion through the generic descent engine, computed once per input:
-    torsion_bd answers non-split shapes with d > 3 by this, and the engine
-    check asks for it again."""
-    if not hasattr(inp, "_engine_torsion"):
-        try:
-            fiber, frame, phi, generators, matrix = _hyperelliptic_data(inp)
-        except FrobeniusOrderTooLarge as exc:
-            raise descent.UnsupportedTorus(str(exc)) from exc
-        except dual_graph.NotSupported as exc:
-            # the decomposition rules cover two lines with a rational node or
-            # with one node orbit
-            raise descent.UnsupportedTorus("no-rational-node: " + str(exc)) from exc
-        inp._engine_torsion = torsion_structure(frame, phi, generators)
-    return inp._engine_torsion
+    """Torsion through the generic descent engine (kept as inp.engine_torsion)."""
+    try:
+        _fiber, frame, phi, generators, _matrix = inp.fiber_data
+    except FrobeniusOrderTooLarge as exc:
+        raise descent.UnsupportedTorus(str(exc)) from exc
+    except dual_graph.NotSupported as exc:
+        # the decomposition rules cover two lines with a rational node or
+        # with one node orbit
+        raise descent.UnsupportedTorus("no-rational-node: " + str(exc)) from exc
+    return torsion_structure(frame, phi, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +376,9 @@ class CubicForm:
 
 
 class Genus4Input:
+    """Validated data for the genus-4 family; the data derived from the
+    cubic are cached properties, computed once per input."""
+
     def __init__(self, k, eps, r=2, qp_mode=False):
         self.k = k
         self.eps = eps
@@ -388,6 +399,27 @@ class Genus4Input:
                 "p-torsion (automatic here: the component group has order 12 and "
                 "p >= 5)")
 
+    @cached_property
+    def eps_at_nodes(self):
+        """The cubic over k(i) at the six nodes, in the order of NODES."""
+        field, i = self.sqrt_minus_one
+        one, zero = field.one(), field.zero()
+        points = [(one, one, one, one), (-one, -one, one, one), (i, i, -one, one),
+                  (-i, -i, -one, one), (one, zero, zero, zero), (zero, one, zero, zero)]
+        return [self.eps_i.evaluate(point) for point in points]
+
+    @cached_property
+    def rows(self):
+        return genus4_table_eval(self)
+
+    @cached_property
+    def phi(self):
+        return component_group(GENUS4_MATRIX)
+
+    @cached_property
+    def fiber_data(self):
+        return genus4_fiber(self)
+
 
 def _sqrt_of_minus_one(k):
     """The square root of -1 with the smaller encoding, in k or in its
@@ -395,6 +427,11 @@ def _sqrt_of_minus_one(k):
     field = k if k.q % 4 == 1 else extension(k, 2)
     i = element_of_order(field, 4)
     return field, min(i, -i, key=lambda x: x.to_int())
+
+
+#: the six nodes of the special fiber, in the order of its edges
+NODES = ["[1:1:1:1]", "[-1:-1:1:1]", "[i:i:-1:1]", "[-i:-i:-1:1]",
+         "[1:0:0:0]", "[0:1:0:0]"]
 
 
 def validate_genus4(k, eps, r=2, qp_mode=False):
@@ -405,18 +442,8 @@ def validate_genus4(k, eps, r=2, qp_mode=False):
     if r not in (2, 3):
         raise FamilyError("supported divisibility targets are r = 2 and r = 3")
     inp = Genus4Input(k, eps, r=r, qp_mode=qp_mode)
-    field, i = inp.sqrt_minus_one
-    one = field.one()
-    tests = [
-        ("[1:1:1:1]", (one, one, one, one)),
-        ("[-1:-1:1:1]", (-one, -one, one, one)),
-        ("[i:i:-1:1]", (i, i, -one, one)),
-        ("[-i:-i:-1:1]", (-i, -i, -one, one)),
-        ("[1:0:0:0]", (one, field.zero(), field.zero(), field.zero())),
-        ("[0:1:0:0]", (field.zero(), one, field.zero(), field.zero())),
-    ]
-    for name, point in tests:
-        if inp.eps_i.evaluate(point).is_zero():
+    for name, value in zip(NODES, inp.eps_at_nodes):
+        if value.is_zero():
             raise EpsVanishesAtNode(f"cubic vanishes at the node {name}")
     return inp
 
@@ -439,14 +466,7 @@ def genus4_table_eval(inp):
     """
     field, i = inp.sqrt_minus_one
     one = field.one()
-    zero = field.zero()
-    eps = inp.eps_i
-    e1111 = eps.evaluate((one, one, one, one))
-    em11 = eps.evaluate((-one, -one, one, one))
-    e1000 = eps.evaluate((one, zero, zero, zero))
-    e0100 = eps.evaluate((zero, one, zero, zero))
-    ei = eps.evaluate((i, i, -one, one))
-    emi = eps.evaluate((-i, -i, -one, one))
+    e1111, em11, ei, emi, e1000, e0100 = inp.eps_at_nodes
 
     row_xy = (-one, -one, -i, i)
     row_zw = (-e1111 / em11, e1000 / e0100, e1111 / e0100, e1111 / e0100)
@@ -473,13 +493,6 @@ def _table_rows(row_xy, row_zw, row_mzw):
         "div((Z^2-W^2)/(X+Y))": ratio(prod(row_zw, row_mzw), row_xy),
         "div((Z+W)^2/(Z-W))": ratio(prod(row_mzw, row_mzw), row_zw),
     }
-
-
-def _genus4_rows(inp):
-    """genus4_table_eval, computed once per input."""
-    if not hasattr(inp, "_table"):
-        inp._table = genus4_table_eval(inp)
-    return inp._table
 
 
 # -- direct route through the local functions (independent of the closed forms)
@@ -600,7 +613,7 @@ def _row_subgroup(inp, rows, name):
 def genus4_theta(inp):
     """Rational theta characteristic iff one of the four candidate rows
     generates only squares."""
-    _field, _i, rows = _genus4_rows(inp)
+    _field, _i, rows = inp.rows
     names = ["div(X+Y)", "div(Z-W)", "div(Z+W)", "div((Z^2-W^2)/(X+Y))"]
     for name in names:
         gens = _row_subgroup(inp, rows, name)
@@ -619,7 +632,7 @@ def genus4_cuberoot(inp):
     always works and the answer is yes for every admissible cubic.
     """
     q = inp.k.q
-    field, _i, rows = _genus4_rows(inp)
+    field, _i, rows = inp.rows
     names = ["div(Z-W)", "div(Z+W)", "div((Z+W)^2/(Z-W))"]
     for name in names:
         row = rows[name]
@@ -638,7 +651,7 @@ def genus4_torsion(inp):
     """Invariant factors of the prime-to-p rational torsion, from the
     two-case closed form."""
     q = inp.k.q
-    field, i, rows = _genus4_rows(inp)
+    field, _i, rows = inp.rows
     if inp.i_in_k:
         h1 = list(rows["div((Z-W)/(Z+W))"])
         h2 = list(rows["div((X+Y)/(Z+W))"])
@@ -654,8 +667,7 @@ def genus4_torsion(inp):
         return group_invariants(parts)
     h1 = _row_subgroup(inp, rows, "div((Z-W)/(Z+W))")
     h3 = _row_subgroup(inp, rows, "div((Z-W)/(X+Y))")
-    one = field.one()
-    ei = inp.eps_i.evaluate((i, i, -one, one))
+    ei = inp.eps_at_nodes[2]  # at [i:i:-1:1]
     if (q - 1) % 3 == 0:
         c_test = _all_r_th_powers(h1, 3, q)
     else:
@@ -728,7 +740,7 @@ def genus4_fiber(inp):
     else:
         cycles = [gamma1, gamma2, gamma3]
     frame = descent.TorusFrame(fiber, cycles)
-    phi = component_group(GENUS4_MATRIX)
+    phi = inp.phi
 
     # specializations of the three sections
     h_zw = inp.eps.restrict_zw()
@@ -758,40 +770,27 @@ def genus4_fiber(inp):
         "div(X+Y)": div_xy, "div(Z-W)": div_zw, "div(Z+W)": div_mzw}
 
 
-def _genus4_data(inp):
-    if not hasattr(inp, "_fiber_data"):
-        inp._fiber_data = genus4_fiber(inp)
-    return inp._fiber_data
-
-
 def genus4_theta_engine(inp):
-    fiber, frame, phi, generators, divisors = _genus4_data(inp)
+    fiber, frame, phi, generators, divisors = inp.fiber_data
     verdict = divisibility_verdict(divisors["div(X+Y)"], 2, frame, phi,
                                    generators, phi.matrix)
     return verdict.outcome == DIVISIBLE
 
 
 def genus4_cuberoot_engine(inp):
-    fiber, frame, phi, generators, divisors = _genus4_data(inp)
+    fiber, frame, phi, generators, divisors = inp.fiber_data
     verdict = divisibility_verdict(divisors["div(Z-W)"], 3, frame, phi,
                                    generators, phi.matrix)
     return verdict.outcome == DIVISIBLE
 
 
 def genus4_torsion_engine(inp):
-    fiber, frame, phi, generators, _ = _genus4_data(inp)
+    fiber, frame, phi, generators, _ = inp.fiber_data
     return torsion_structure(frame, phi, generators)
 
 
 # ---------------------------------------------------------------------------
 # structured reports
-
-
-def _torsion_or_reason(closed_fn):
-    try:
-        return closed_fn(), None
-    except descent.UnsupportedTorus as exc:
-        return None, str(exc)
 
 
 def hyperelliptic_report(inp, engine_check=True):
@@ -801,7 +800,7 @@ def hyperelliptic_report(inp, engine_check=True):
 
     k = inp.k
     q = k.q
-    facs, rational = _gbar_factor_data(inp)
+    facs, rational = inp.factors, inp.rational_nodes
     orbit_degrees = sorted(f.degree for f in facs)
     # characteristic polynomial of the Galois action on the cycle space:
     # product of x^deg - 1 over the node orbits, divided by x - 1
@@ -816,9 +815,11 @@ def hyperelliptic_report(inp, engine_check=True):
     theta = theta_bd(inp)
     if theta == UNDETERMINED:
         reasons.append("no-rational-node: theta criterion outside the proved cases")
-    torsion, torsion_reason = _torsion_or_reason(lambda: torsion_bd(inp))
-    if torsion_reason:
-        reasons.append(torsion_reason)
+    try:
+        torsion = torsion_bd(inp)
+    except descent.UnsupportedTorus as exc:
+        torsion = None
+        reasons.append(str(exc))
 
     decomposition = None
     if rational or len(facs) == 1:
@@ -853,7 +854,7 @@ def hyperelliptic_report(inp, engine_check=True):
             checks["theta"] = (theta == theta_e)
         if torsion is not None:
             try:
-                checks["torsion"] = (torsion_bd_engine(inp) == torsion)
+                checks["torsion"] = (inp.engine_torsion == torsion)
             except descent.UnsupportedTorus:
                 checks["torsion"] = None
         ok_values = [v for v in checks.values() if v is not None]
@@ -876,7 +877,7 @@ def hyperelliptic_report(inp, engine_check=True):
             "nodes": inp.d,
             "node_orbit_degrees": orbit_degrees,
         },
-        "phi": component_group([[-inp.d, inp.d], [inp.d, -inp.d]]).invariant_factors,
+        "phi": inp.phi.invariant_factors,
         "torus": {
             "char_poly": format_univariate(fpoly),
             "order": order,
@@ -899,7 +900,7 @@ def genus4_report(inp, engine_check=True):
 
     k = inp.k
     q = k.q
-    field, i, rows = _genus4_rows(inp)
+    field, i, rows = inp.rows
     theta = genus4_theta(inp)
     cube = genus4_cuberoot(inp)
     torsion = genus4_torsion(inp)
@@ -944,7 +945,7 @@ def genus4_report(inp, engine_check=True):
             "nodes": 6,
             "node_orbit_degrees": [1, 1, 1, 1] + ([2] if not inp.i_in_k else [1, 1]),
         },
-        "phi": component_group(GENUS4_MATRIX).invariant_factors,
+        "phi": inp.phi.invariant_factors,
         "torus": torus_info,
         "verdicts": {
             "theta": theta,

@@ -10,8 +10,9 @@ The closure runs element by element in exponent coordinates: each
 generator's value tuple is looked up among the enumerated points to find
 its exponent vector, and products add those vectors modulo the component
 orders (see EnumeratedTorus).  Each trial then pays for one chain
-evaluation per cycle on the divisor's points, along walks decomposed once
-per fiber and with one field inverse per cycle, and a dictionary lookup.
+evaluation per cycle on the divisor's points, along walks that the
+enumerated torus decomposes once, with one field inverse per cycle, and a
+dictionary lookup.
 
 Only the field layer, the combinatorial graph plumbing and the fiber
 builder are shared with the engine; evaluation and membership are re-derived
@@ -31,7 +32,7 @@ orbits over k.
 """
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product
 
 from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
@@ -102,39 +103,26 @@ def field_degree(polys):
     return lcm(*(f.degree for H in polys if H is not INF for f, _ in factor(H)))
 
 
-def _g_factors(inp):
-    """The factorization of the reduction of g, once per input."""
-    if not hasattr(inp, "_oracle_g_factors"):
-        inp._oracle_g_factors = factor(inp.g)
-    return inp._oracle_g_factors
-
-
 def node_degree(inp):
     """Degree over k of the field of the nodes, the splitting field of the
     reduction of g: the least common multiple of its factor degrees."""
-    return lcm(*(f.degree for f, _ in _g_factors(inp)))
+    return lcm(*(f.degree for f in inp.factors))
 
 
 def hyperelliptic_special_fiber(inp, s):
     """The two-line special fiber over GF(q^s): its nodes are the roots of
-    the reduction of g, found there, so s must be a multiple of node_degree.
-    Built once per input and degree."""
-    if not hasattr(inp, "_oracle_fibers"):
-        inp._oracle_fibers = {}
-    if s not in inp._oracle_fibers:
-        k = inp.k
-        big = extension(k, s)
-        g_roots = roots_in_extension(inp.g, s, factors=_g_factors(inp))
-        if len(g_roots) != inp.d:
-            raise UnexpectedRootCount(
-                f"found {len(g_roots)} of the {inp.d} nodes in {big}")
-        edges = [(0, 1, rho.to_int()) for rho in g_roots]
-        key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
-        perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
-        graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
-        inp._oracle_fibers[s] = SpecialFiber(graph, k, big,
-                                             [(rho, rho) for rho in g_roots])
-    return inp._oracle_fibers[s]
+    the reduction of g, found there, so s must be a multiple of node_degree."""
+    k = inp.k
+    big = extension(k, s)
+    g_roots = roots_in_extension(inp.g, s, factors=[(f, 1) for f in inp.factors])
+    if len(g_roots) != inp.d:
+        raise UnexpectedRootCount(
+            f"found {len(g_roots)} of the {inp.d} nodes in {big}")
+    edges = [(0, 1, rho.to_int()) for rho in g_roots]
+    key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
+    perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
+    graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
+    return SpecialFiber(graph, k, big, [(rho, rho) for rho in g_roots])
 
 
 def prepare(inp, phi, generators, r):
@@ -203,11 +191,15 @@ def _orbit_roots(H, s):
     return tuple(roots_in_extension(H, s))
 
 
-def _multidegree(points, fiber):
+def _require_zero_multidegree(points, fiber):
+    """NonzeroMultidegree unless the points' multiplicities sum to zero on
+    every component, as chain evaluation needs (see chain_evaluate)."""
     deg = [0] * fiber.graph.num_vertices
     for comp, _point, mult in points:
         deg[comp] += mult
-    return tuple(deg)
+    if any(deg):
+        raise NonzeroMultidegree(
+            f"chain evaluation needs zero multidegree, got {tuple(deg)}")
 
 
 def _random_orbit(k, t, rng):
@@ -331,6 +323,20 @@ class EnumeratedTorus:
             index = index * n + e
         return self.points[index]
 
+    @cached_property
+    def walks(self):
+        """The chain walks of each cycle (_chain_steps), decomposed once per
+        enumerated torus."""
+        return [_chain_steps(cycle, self.fiber) for cycle in self.cycles]
+
+    def parameter_products(self, points):
+        """The unnormalized chain-parameter products of the points along the
+        cycles (_parameter_product): the scale-free companion of the engine's
+        normalized evaluation, used for the connecting-map lifts (whose
+        coherence across an orbit matters)."""
+        return tuple(_parameter_product(walks, points, self.fiber.E)
+                     for walks in self.walks)
+
     def identity(self):
         one = self.fiber.E.one()
         return tuple(one for _ in self.cycles)
@@ -381,8 +387,6 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
         component_generators.append(tuple(gen_point))
 
     points = [tuple(chain.from_iterable(parts)) for parts in product(*blocks)]
-    if len(points) != total:
-        raise NotATorusPoint(f"enumerated {len(points)} points, the torus has {total}")
     torus = EnumeratedTorus(fiber, cycles, layout, coords, orders, points,
                             component_generators)
     _verify_equivariance(torus)
@@ -418,17 +422,11 @@ def _verify_equivariance(torus):
 def _chain_steps(cycle, fiber):
     """The walks of chain_decomposition(cycle), each occurrence given as
     (component, coordinate of the entering node, coordinate of the leaving
-    node) on that component; found once per fiber and cycle."""
-    if not hasattr(fiber, "_oracle_chains"):
-        fiber._oracle_chains = {}
-    walks = fiber._oracle_chains.get(cycle)
-    if walks is None:
-        walks = fiber._oracle_chains[cycle] = [
-            [(comp, fiber.node_coordinate(enter_edge, comp),
+    node) on that component."""
+    return [[(comp, fiber.node_coordinate(enter_edge, comp),
               fiber.node_coordinate(leave_edge, comp))
              for comp, enter_edge, leave_edge in walk]
             for walk in chain_decomposition(cycle)]
-    return walks
 
 
 def _parameter_product(walks, points, E):
@@ -464,14 +462,6 @@ def _parameter_product(walks, points, E):
     return num / den
 
 
-def plain_cycle_value(cycle, points, fiber):
-    """Product of the unnormalized chain parameters over the divisor's
-    points: the scale-free companion of the engine's normalized evaluation,
-    used for the connecting-map lifts (whose coherence across an orbit
-    matters)."""
-    return _parameter_product(_chain_steps(cycle, fiber), points, fiber.E)
-
-
 def chain_evaluate(cycle, points, fiber):
     """Evaluation through the chain-of-ratios construction, on the points of
     a divisor (see divisor_points).
@@ -488,10 +478,7 @@ def chain_evaluate(cycle, points, fiber):
     Around a closed walk every occurrence is the next one once, so the
     evaluation is the product of t(y)^mult over all occurrences and points,
     taken with one inverse per cycle (_parameter_product)."""
-    deg = _multidegree(points, fiber)
-    if any(deg):
-        raise NonzeroMultidegree(
-            f"chain evaluation needs zero multidegree, got {deg}")
+    _require_zero_multidegree(points, fiber)
     return _parameter_product(_chain_steps(cycle, fiber), points, fiber.E)
 
 
@@ -503,8 +490,7 @@ def nu_lift_vectors(fiber, torus, phi, generators, r):
     for element, powers, _rep in phi_r_table(phi, generators, r, fiber):
         points = [(c, pt, m * power) for power, pts in zip(powers, gen_points)
                   if power for c, pt, m in pts]
-        vec = tuple(plain_cycle_value(cyc, points, fiber) for cyc in torus.cycles)
-        out.append((element, vec))
+        out.append((element, torus.parameter_products(points)))
     return out
 
 
@@ -519,5 +505,5 @@ def exhaustive_divisibility(divisor, r, fiber, torus, subgroup):
     if any(d % r for d in divisor.multidegree):
         raise NonzeroMultidegree("the oracle needs an r-divisible multidegree")
     points = divisor_points(translate_to_degree_zero(divisor, r), fiber)
-    x = tuple(chain_evaluate(cyc, points, fiber) for cyc in torus.cycles)
-    return torus.position(x) in subgroup
+    _require_zero_multidegree(points, fiber)
+    return torus.position(torus.parameter_products(points)) in subgroup

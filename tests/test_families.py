@@ -419,3 +419,49 @@ def test_genus4_report_is_pinned(record):
     out = io.StringIO()
     code = cli.run_line(record["line"].split(), stream=out)
     assert (code, out.getvalue()) == (record["exit"], record["output"])
+
+
+# -- per-request work ---------------------------------------------------------
+
+
+def _recording(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name, patched on owner."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("engine", [[], ["--no-engine-check"]], ids=["check", "no-check"])
+@pytest.mark.parametrize("q", ["7", "13"])
+def test_eps_is_evaluated_once_per_node(monkeypatch, capsys, q, engine):
+    # validation evaluates the cubic at the six nodes, and the table and the
+    # torsion (which needs eps at [i:i:-1:1] when i is not in k) read those
+    # values: at q = 7, i lies in the quadratic extension, at q = 13 in k
+    from toricdescent import cli
+    calls = _recording(monkeypatch, CubicForm, "evaluate")
+    argv = ["genus4", "--q", q, "--eps", "X^3+Y^3+W*Z^2", "--json"] + engine
+    assert cli.run_line(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("engine", [[], ["--no-engine-check"]], ids=["check", "no-check"])
+@pytest.mark.parametrize("line", [
+    "hyperelliptic --p 7 --g x^3-x --h x+2",
+    # x (x + 1) (x^2 - x + 1) over GF(5): torsion_bd asks the engine
+    "hyperelliptic --p 5 --g x^4+x --h x+2",
+    "genus4 --q 7 --eps X^3+Y^3+W*Z^2",
+])
+def test_one_component_group_per_family_request(monkeypatch, capsys, line, engine):
+    # the fiber builder and the report share the input's component group
+    from toricdescent import cli, dual_graph
+    calls = _recording(monkeypatch, dual_graph.ComponentGroup, "__init__")
+    assert cli.run_line(line.split() + ["--json"] + engine) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -272,7 +272,7 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
     node = fiber.node_coords[0][0]
     g_node = g.map_coeffs(embed(k, node.field), node.field)
     assert node.field is fiber.E and all(g_node(a).is_zero() for a, _b in fiber.node_coords)
-    assert ofiber is oracle.hyperelliptic_special_fiber(inp, 6)
+    assert ofiber.node_coords == oracle.hyperelliptic_special_fiber(inp, 6).node_coords
     g_big = g.map_coeffs(embed(k, ofiber.E), ofiber.E)
     assert all(g_big(a).is_zero() for a, _b in ofiber.node_coords)
     # the torus has 651 = 3 * 7 * 31 points: every class is 2-divisible,
@@ -489,7 +489,8 @@ def test_tuples_outside_the_torus_raise(monkeypatch):
         torus.position((E.zero(),) * len(torus.cycles))
     # an evaluation outside the torus
     D = oracle.random_divisor(fiber, 2, rng_for("outside"), degree)
-    monkeypatch.setattr(oracle, "chain_evaluate", lambda cycle, points, fib: E.zero())
+    monkeypatch.setattr(torus, "parameter_products",
+                        lambda points: (E.zero(),) * len(torus.cycles))
     with pytest.raises(oracle.NotATorusPoint):
         oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
     monkeypatch.undo()
@@ -530,6 +531,35 @@ def _counting(monkeypatch, owner, name, calls):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("line, g", [
+    ("oracle --q 5 --g x^3-x --h x+3", (0, -1, 0, 1)),
+    ("oracle --q 7 --g x^3+x+1 --h x+2 --r 3", (1, 1, 0, 1)),
+    ("oracle --q 3 --g x^4+x+2 --h x^2+1", (2, 1, 0, 0, 1)),
+])
+def test_one_factorization_of_gbar_per_request(monkeypatch, capsys, line, g):
+    # the engine's fiber, the node degree and the oracle's own fiber share
+    # the input's one factorization of the reduction of g
+    import sys
+    from toricdescent import cli
+    from toricdescent.finite_field import factor
+    factored = []
+
+    def recorded(f, *args, **kwargs):
+        factored.append(f)
+        return factor(f, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("toricdescent."):
+            for attr, value in list(vars(module).items()):
+                if value is factor:
+                    monkeypatch.setattr(module, attr, recorded)
+    assert cli.run_line(line.split() + ["--json"]) == 0
+    capsys.readouterr()
+    q = int(line.split()[2])
+    gbar = Poly(make_field(q), list(g))
+    assert sum(f == gbar for f in factored) == 1
 
 
 @pytest.mark.parametrize("line", [

@@ -1,5 +1,6 @@
-"""Rules on the package source, read with ast: no assert statements, and no
-module-level functools cache outside a named allowlist."""
+"""Rules on the package source, read with ast: no assert statements, no
+hasattr calls, and no module-level functools cache outside a named
+allowlist."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,28 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def hasattr_calls(tree):
+    """The line numbers of the calls to hasattr in a module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_hasattr_calls(path):
+    # derived data lives on the object that owns it, as a cached_property,
+    # not in attributes that a hasattr test fills on first use
+    lines = hasattr_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert lines == [], f"{path.name} calls hasattr at lines {lines}"
+
+
+def test_hasattr_detection_sees_each_call():
+    tree = ast.parse("if not hasattr(x, 'a'):\n    x.a = 1\n"
+                     "y = [hasattr(v, 'b') for v in z]\n"
+                     "getattr(x, 'hasattr')\n")
+    assert hasattr_calls(tree) == [1, 3]
 
 
 def test_module_caches_are_the_allowlist():
