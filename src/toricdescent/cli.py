@@ -25,7 +25,7 @@ from .finite_field import FieldError, Poly, SizeLimitExceeded, field_limit, make
 from .parsing import (DegreeLimitExceeded, ParseError, format_univariate, parse_cubic_form,
                       parse_int_matrix, parse_lattice, parse_univariate)
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
-                    frobenius_char_poly, mu_group, prime_power, torus_order,
+                    mu_group, prime_power, torus_order,
                     verify_principal_decomposition, EnumerationLimitExceeded)
 
 EXIT_OK = 0
@@ -185,13 +185,12 @@ def run_torus(args):
     rows, components = parse_lattice(args.lattice)
     lattice = CharacterLattice(rows)
     q = args.q
-    fx = frobenius_char_poly(lattice)
     report = {
         "schema_version": 1,
         "command": "torus",
         "q": q,
         "rank": lattice.rank,
-        "char_poly": format_univariate(fx),
+        "char_poly": format_univariate(lattice.char_poly),
         "order": torus_order(lattice, q),
     }
     if components:
@@ -223,13 +222,13 @@ def run_oracle(args):
     g = _poly_from_text(k, args.g)
     h = _poly_from_text(k, args.h)
     inp = validate_hyperelliptic(k, g, h, r=args.r)
-    fiber, frame, phi, gens, matrix = inp.fiber_data
+    fiber, frame, phi, gens = inp.fiber_data
     degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, args.r)
     rng = random.Random(args.seed)
     agreements = 0
     for _ in range(args.trials):
         div = oracle.random_divisor(fiber, args.r, rng, degree)
-        verdict = descent.divisibility_verdict(div, args.r, frame, phi, gens, matrix)
+        verdict = descent.divisibility_verdict(div, args.r, frame, phi, gens)
         truth = oracle.exhaustive_divisibility(div, args.r, ofiber, torus, subgroup)
         if (verdict.outcome == descent.DIVISIBLE) == truth:
             agreements += 1

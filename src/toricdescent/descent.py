@@ -655,11 +655,12 @@ class DescentVerdict:
         return f"DescentVerdict({self.outcome}{extra})"
 
 
-def divisibility_verdict(divisor, r, frame, phi, generators, matrix):
+def divisibility_verdict(divisor, r, frame, phi, generators):
     """Decide whether the class of the divisor is divisible by r.
 
     The divisor's class must be rational, which every orbit divisor is.  The
-    geometric obstruction is checked first; then the divisor is shifted into
+    obstruction in the component group (fibral_lattice_membership against
+    phi) is checked first; then the divisor is shifted into
     the r-divisible-multidegree range using the generators' principal
     functions, and the arithmetic criterion is tested against every element
     of Phi[r].  The classes are additive, gamma(D + sum_t c_t u_t) =
@@ -676,7 +677,7 @@ def divisibility_verdict(divisor, r, frame, phi, generators, matrix):
     if r == 1:
         return DescentVerdict(DIVISIBLE, witness=phi.identity())
     deg = list(divisor.multidegree)
-    if not fibral_lattice_membership(deg, r, matrix):
+    if not fibral_lattice_membership(deg, r, phi):
         return DescentVerdict(NOT_IN_PIC_R,
                               reason="multidegree outside r*Z^v + fibral lattice")
     if any(d % r for d in deg):

@@ -1,6 +1,6 @@
 """Dual graphs of totally degenerate special fibers with Galois action:
-cycle space, induced Frobenius matrix, intersection matrices, component
-groups, and fibral-lattice membership.
+cycle space, induced Frobenius matrix, component groups of intersection
+matrices, and fibral-lattice membership.
 
 Edges are oriented (tail, head, label) triples; labels must be unique and
 sortable, and fix every deterministic choice (spanning tree, basis order).
@@ -308,9 +308,16 @@ def h1_basis(graph):
     return basis, CharacterLattice(F, label="H1", order=order), coords
 
 
-class IntersectionMatrix:
-    """Symmetric integer matrix with zero row sums, nonnegative off-diagonal
-    entries, and negative diagonal."""
+class ComponentGroup:
+    """Finite group of components of the special fiber of the Neron model,
+    computed as homology at the degree-zero level.
+
+    The group owns its intersection matrix: symmetric, with zero row sums,
+    nonnegative off-diagonal entries and negative diagonal, validated here
+    and reduced to one Smith form U N V = D.  Elements are tuples of
+    residues in the Smith coordinates; projection is defined for
+    multidegree vectors of total degree zero.
+    """
 
     def __init__(self, rows):
         M = [list(map(int, row)) for row in rows]
@@ -327,55 +334,36 @@ class IntersectionMatrix:
                 raise GraphError("diagonal entries must be negative")
             if sum(M[i]) != 0:
                 raise GraphError("rows must sum to zero")
-        self.rows = M
-        self.size = v
-        self._smith = None
-
-    def smith_form(self):
-        """(U, D, V) with U M V = D, the Smith form (zmat.smith_normal_form)
-        of the rows; computed on first use and kept, since every
-        fibral_lattice_membership test against the matrix solves with it."""
-        if self._smith is None:
-            self._smith = smith_normal_form(self.rows)
-        return self._smith
-
-    def __repr__(self):
-        return f"IntersectionMatrix({self.rows})"
-
-
-class ComponentGroup:
-    """Finite group of components of the special fiber of the Neron model,
-    computed as homology at the degree-zero level.
-
-    Elements are tuples of residues in the Smith coordinates; projection is
-    defined for multidegree vectors of total degree zero.
-    """
-
-    def __init__(self, matrix):
-        if not isinstance(matrix, IntersectionMatrix):
-            matrix = IntersectionMatrix(matrix)
-        self.matrix = matrix
-        v = matrix.size
-        # columns of M, written in the basis e_i - e_v of the degree-0 sublattice
-        N = [matrix.rows[i] for i in range(v - 1)]
-        U, D, V = smith_normal_form(N)
+        self.matrix = M
+        # N = the first v - 1 rows: its columns are those of M, written in
+        # the basis e_i - e_v of the degree-0 sublattice
+        U, D, _V = smith_normal_form(M[:-1])
         self.diag = [D[i][i] for i in range(v - 1)]
         if any(d == 0 for d in self.diag):
             raise GraphError("special fiber is not connected (infinite group)")
         self.U = U
-        self.Uinv = zmat.mat_inverse_unimodular(U)
         self.invariant_factors = sorted(d for d in self.diag if d > 1)
         self.order = math.prod(self.diag)
 
+    @cached_property
+    def Uinv(self):
+        """U^-1, which only representative needs."""
+        return zmat.mat_inverse_unimodular(self.U)
+
+    def smith_coordinates(self, multidegree):
+        """U applied to the first v - 1 entries: the Smith coordinates of
+        the multidegree moved to total degree zero at the last component."""
+        deg = list(map(int, multidegree))
+        if len(deg) != len(self.matrix):
+            raise GraphError("multidegree length mismatch")
+        return deg, mat_vec(self.U, deg[:-1])
+
     def project(self, multidegree):
         """Class of a total-degree-zero multidegree vector."""
-        deg = list(map(int, multidegree))
-        if len(deg) != self.matrix.size:
-            raise GraphError("multidegree length mismatch")
+        deg, y = self.smith_coordinates(multidegree)
         if sum(deg) != 0:
             raise GraphError("projection needs total degree zero")
-        y = mat_vec(self.U, deg[:-1])
-        return tuple(y[i] % self.diag[i] for i in range(len(self.diag)))
+        return tuple(c % d for c, d in zip(y, self.diag))
 
     def identity(self):
         return tuple(0 for _ in self.diag)
@@ -419,19 +407,16 @@ def phi_torsion_representatives(phi, r):
     return [(el, phi.representative(el)) for el in phi.torsion_elements(r)]
 
 
-def fibral_lattice_membership(deg, r, matrix):
+def fibral_lattice_membership(deg, r, phi):
     """True iff deg lies in r*Z^v + (row span of the intersection matrix),
-    decided by solving M t = deg mod r through the matrix's Smith form.  An
-    IntersectionMatrix keeps that form across calls; rows given as lists are
-    validated and reduced on every call."""
-    if not isinstance(matrix, IntersectionMatrix):
-        matrix = IntersectionMatrix(matrix)
-    deg = list(map(int, deg))
-    if len(deg) != matrix.size:
-        raise GraphError("multidegree length mismatch")
-    if r == 1:
-        return True
-    return zmat.solve_mod_smith(matrix.smith_form(), deg, r) is not None
+    the obstruction in the component group: the total degree must be
+    divisible by r (the rows have total degree 0), and deg moved to total
+    degree zero at the last component must have its class in r*Phi, that is
+    gcd(r, d_i) divides each Smith coordinate y_i."""
+    if r < 1:
+        raise GraphError("r must be positive")
+    deg, y = phi.smith_coordinates(deg)
+    return sum(deg) % r == 0 and all(c % gcd(r, d) == 0 for c, d in zip(y, phi.diag))
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class UnexpectedRootCount(FamilyError):
     pass
 
 
-class NotMobius(FamilyError):
-    """A genus-4 local function that is not of degree 1 on its line."""
-
-
 class ComponentGroupMismatch(FamilyError):
     """The genus-4 component-group generators do not split the group."""
 
@@ -246,33 +242,35 @@ def hyperelliptic_fiber(inp):
     """Build the two-line special fiber, torus frame, component group, and
     descent generators for the generic engine.
 
-    Each node orbit keeps its own field.  A rational node is a point of k;
-    the nodes of an orbit g_i of degree s > 1 are the root of g_i that
-    residue_field gives in k[x]/(g_i) and its q-power conjugates, so no
-    splitting field is built and no root is found.  The fiber's evaluation
-    field is the largest orbit field.  The zeros of h enter div(y - g) as
-    one orbit entry and are never found either.  The intersection matrix
-    returned is the component group's IntersectionMatrix, validated once,
-    whose Smith form every verdict on the fiber reuses."""
+    The dual graph and its principal generators depend only on the orbit
+    degrees, so they come first: a graph outside the decomposition rules
+    raises NotSupported before any node field is built.  Each node orbit
+    keeps its own field.  A rational node is a point of k; the nodes of an
+    orbit g_i of degree s > 1 are the root of g_i that residue_field gives
+    in k[x]/(g_i) and its q-power conjugates, so no splitting field is built
+    and no root is found.  The fiber's evaluation field is the largest orbit
+    field.  The zeros of h enter div(y - g) as one orbit entry and are never
+    found either."""
     k = inp.k
     nodes = list(inp.rational_nodes)
+    orbits = [f for f in inp.factors if f.degree > 1]
     perm = list(range(len(nodes)))
+    for f in orbits:
+        start = len(perm)
+        perm += [start + (j + 1) % f.degree for j in range(f.degree)]
+    graph = DualGraph(2, [(0, 1, i) for i in range(len(perm))],
+                      vertex_perm=[0, 1], edge_perm=perm)
+    cycles = principal_cycle_generators(graph)
     largest = k
-    for f in inp.factors:
-        if f.degree == 1:
-            continue
+    for f in orbits:
         field, node = residue_field(f)
         if field.m > largest.m:
             largest = field
-        start = len(nodes)
-        for j in range(f.degree):
+        for _ in range(f.degree):
             nodes.append(node)
-            perm.append(start + (j + 1) % f.degree)
             node = node.frob(k.m)
-    graph = DualGraph(2, [(0, 1, i) for i in range(len(nodes))],
-                      vertex_perm=[0, 1], edge_perm=perm)
     fiber = SpecialFiber(graph, k, largest, [(x, x) for x in nodes])
-    frame = descent.TorusFrame(fiber, principal_cycle_generators(graph))
+    frame = descent.TorusFrame(fiber, cycles)
 
     d = inp.d
     phi = inp.phi
@@ -282,7 +280,7 @@ def hyperelliptic_fiber(inp):
         fiber, _h_zeros(inp) + [(0, INF, d - inp.e), (1, INF, -d)])
     delta = phi.project((-1, 1))
     generators = [PhiGenerator(delta, d, (-1, 1), fdiv)]
-    return fiber, frame, phi, generators, phi.matrix
+    return fiber, frame, phi, generators
 
 
 def _h_zeros(inp):
@@ -302,11 +300,11 @@ def hyperelliptic_canonical_divisor(inp, fiber):
 def theta_bd_engine(inp):
     """Theta verdict through the generic descent engine."""
     try:
-        fiber, frame, phi, generators, matrix = inp.fiber_data
+        fiber, frame, phi, generators = inp.fiber_data
     except dual_graph.NotSupported:
         return UNDETERMINED
     L = hyperelliptic_canonical_divisor(inp, fiber)
-    verdict = divisibility_verdict(L, 2, frame, phi, generators, matrix)
+    verdict = divisibility_verdict(L, 2, frame, phi, generators)
     if verdict.outcome == UNDETERMINED:
         return UNDETERMINED
     return verdict.outcome == DIVISIBLE
@@ -315,7 +313,7 @@ def theta_bd_engine(inp):
 def torsion_bd_engine(inp):
     """Torsion through the generic descent engine (kept as inp.engine_torsion)."""
     try:
-        _fiber, frame, phi, generators, _matrix = inp.fiber_data
+        _fiber, frame, phi, generators = inp.fiber_data
     except FrobeniusOrderTooLarge as exc:
         raise descent.UnsupportedTorus(str(exc)) from exc
     except dual_graph.NotSupported as exc:
@@ -512,47 +510,30 @@ def _restrict_linear(field, form, component):
     return Poly(field, [-b, d - c, a])
 
 
-def _local_function(field, component, num_form, den_form):
-    """The ratio of two linear forms on a component, reduced, as the Mobius
-    factor c (t - a)/(t - b); a or b is INF when the reduced numerator or
-    denominator is constant."""
-    num = _restrict_linear(field, num_form, component)
-    den = _restrict_linear(field, den_form, component)
-    common = num.gcd(den)
-    if common.degree > 0:
-        num, den = num // common, den // common
-    if num.degree > 1 or den.degree > 1 or num.degree + den.degree < 1:
-        raise NotMobius(f"local function on component {component} has degrees "
-                        f"{num.degree}/{den.degree}")
-    if num.degree == 0:
-        return MobiusFactor(component, INF, -den[0] / den[1], num[0], den[1])
-    if den.degree == 0:
-        return MobiusFactor(component, -num[0] / num[1], INF, num[1], den[0])
-    return MobiusFactor(component, -num[0] / num[1], -den[0] / den[1],
-                        num[1], den[1])
-
-
 def _genus4_local_functions(field, i):
     """The local functions per loop, as Mobius factors on the components;
-    loops 3 and 4 differ by the substitution i -> -i."""
+    loops 3 and 4 differ by the substitution i -> -i.
+
+    Each is a ratio of linear forms restricted to its component
+    (_restrict_linear) and reduced to c (t - a)/(t - b); the reduction is
+    the same in every field of characteristic p >= 5, so the factors are
+    written out:
+      loop 1: (Z+X)/(Z-X) on 0, (Z-X)/(Z+X) on 1
+      loop 2: (Z-Y)/(Z-X) on 1, (Z-X)/(Z+Y) on 2
+      loop 3: (Z-iX)/(Z-X) on 0, (Z-Y)/Z on 1, X/(Z-iX) on 2."""
     one = field.one()
     zero = field.zero()
 
-    def lf(component, numf, denf):
-        return _local_function(field, component, numf, denf)
-
     def gamma3(ii):
-        return [
-            lf(0, (-ii, zero, one, zero), (-one, zero, one, zero)),  # (Z-iX)/(Z-X)
-            lf(1, (zero, -one, one, zero), (zero, zero, one, zero)),  # (Z-Y)/Z
-            lf(2, (one, zero, zero, zero), (-ii, zero, one, zero)),  # X/(Z-iX)
-        ]
+        return [MobiusFactor(0, ii, one, one, one),
+                MobiusFactor(1, one, zero, one, one),
+                MobiusFactor(2, zero, ii, one, -ii)]
 
     return {
-        1: [lf(0, (one, zero, one, zero), (-one, zero, one, zero)),   # (Z+X)/(Z-X)
-            lf(1, (-one, zero, one, zero), (one, zero, one, zero))],  # (Z-X)/(Z+X)
-        2: [lf(1, (zero, -one, one, zero), (-one, zero, one, zero)),  # (Z-Y)/(Z-X)
-            lf(2, (-one, zero, one, zero), (zero, one, one, zero))],  # (Z-X)/(Z+Y)
+        1: [MobiusFactor(0, -one, one, one, one),
+            MobiusFactor(1, one, -one, -one, one)],
+        2: [MobiusFactor(1, INF, zero, one, -one),
+            MobiusFactor(2, zero, INF, -one, -one)],
         3: gamma3(i),
         4: gamma3(-i),
     }
@@ -772,15 +753,13 @@ def genus4_fiber(inp):
 
 def genus4_theta_engine(inp):
     fiber, frame, phi, generators, divisors = inp.fiber_data
-    verdict = divisibility_verdict(divisors["div(X+Y)"], 2, frame, phi,
-                                   generators, phi.matrix)
+    verdict = divisibility_verdict(divisors["div(X+Y)"], 2, frame, phi, generators)
     return verdict.outcome == DIVISIBLE
 
 
 def genus4_cuberoot_engine(inp):
     fiber, frame, phi, generators, divisors = inp.fiber_data
-    verdict = divisibility_verdict(divisors["div(Z-W)"], 3, frame, phi,
-                                   generators, phi.matrix)
+    verdict = divisibility_verdict(divisors["div(Z-W)"], 3, frame, phi, generators)
     return verdict.outcome == DIVISIBLE
 
 

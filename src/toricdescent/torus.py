@@ -78,23 +78,21 @@ class CharacterLattice:
     def apply(self, chi):
         return mat_vec(self.frobenius, list(chi))
 
+    @cached_property
     def char_poly(self):
-        return frobenius_char_poly(self)
+        """Characteristic polynomial of the Frobenius matrix, coefficients
+        low degree first, monic; basis independent.  Computed once per
+        lattice, since the order and the point count both read it."""
+        return charpoly(self.frobenius)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"CharacterLattice(rank={self.rank}{tag})"
 
 
-def frobenius_char_poly(lattice):
-    """Characteristic polynomial of the Frobenius matrix, coefficients low
-    degree first, monic; basis independent."""
-    return charpoly(lattice.frobenius)
-
-
 def torus_order(lattice, q):
     """Number of rational points over GF(q): the char poly evaluated at q."""
-    return _order_at(frobenius_char_poly(lattice), q)
+    return _order_at(lattice.char_poly, q)
 
 
 def _order_at(char_poly, q):

@@ -216,20 +216,16 @@ def solve_int(A, b):
 
 
 def solve_mod(A, b, n):
-    """One solution x of A x = b (mod n), or None.  A is rows x cols."""
-    return solve_mod_smith(smith_normal_form(A), b, n)
-
-
-def solve_mod_smith(smith, b, n):
-    """solve_mod through a Smith form (U, D, V) of A computed beforehand,
-    for a matrix whose congruences are solved many times: U A V = D turns
-    A x = b into D y = U b with x = V y, one congruence per diagonal entry."""
-    U, D, V = smith
-    rows, cols = len(U), len(V)
+    """One solution x of A x = b (mod n), or None.  A is rows x cols.
+    The Smith form U A V = D turns A x = b into D y = U b with x = V y, one
+    congruence per diagonal entry."""
+    rows = len(A)
     if len(b) != rows:
         raise ZmatError(f"b has {len(b)} entries, A has {rows} rows")
     if n < 1:
         raise ZmatError(f"modulus {n} is below 1")
+    U, D, V = smith_normal_form(A)
+    cols = len(V)
     c = [v % n for v in mat_vec(U, b)]
     y = [0] * cols
     for i in range(rows):

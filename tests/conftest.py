@@ -3,7 +3,8 @@ tests need but the package does not."""
 
 import random
 
-from toricdescent import families, oracle, zmat
+from toricdescent import (cli, descent, dual_graph, families, finite_field, oracle,
+                          parsing, torus, zmat)
 from toricdescent.finite_field import Poly, factor
 from toricdescent.torus import CharacterLattice
 
@@ -103,3 +104,21 @@ def norm_lattice(degree):
     for j in range(degree):
         F[(j + 1) % degree][j] = 1
     return CharacterLattice(F)
+
+
+def record_calls(monkeypatch, function):
+    """The argument tuples of every call of a module-level function of the
+    package, patched under every name that binds it in a package module
+    (modules import zmat's functions by name, for instance)."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in (cli, descent, dual_graph, families, finite_field, oracle,
+                   parsing, torus, zmat):
+        for name, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, name, recorded)
+    return calls

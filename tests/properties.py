@@ -20,7 +20,7 @@ def run_base_point_independence(cases):
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         r = rng.choice([2, 3])
@@ -46,7 +46,7 @@ def run_principal_triviality(cases):
             continue
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         nodes = set(fiber.component_node_coords(0))
@@ -78,7 +78,7 @@ def run_nu_additivity(cases):
         k = make_field(q)
         inp = random_hyperelliptic(k, 3, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         r = 3
@@ -107,7 +107,7 @@ def run_orientation_flip(cases):
             continue
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         D = random_divisor(fiber, gens, 2, rng)
@@ -122,8 +122,8 @@ def run_orientation_flip(cases):
             assert (cls.residue + cls_flip.residue) % cls.modulus == 0
             done += 1
         flipped_frame = descent.TorusFrame(fiber, [-c.cycle for c in frame.components])
-        v1 = divisibility_verdict(D, 2, frame, phi, gens, M)
-        v2 = divisibility_verdict(D, 2, flipped_frame, phi, gens, M)
+        v1 = divisibility_verdict(D, 2, frame, phi, gens)
+        v2 = divisibility_verdict(D, 2, flipped_frame, phi, gens)
         assert v1.outcome == v2.outcome
     return done
 

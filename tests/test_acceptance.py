@@ -197,12 +197,12 @@ def test_criterion_7_oracle_agreement():
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, r)
         D = oracle.random_divisor(fiber, r, rng, degree)
-        engine = divisibility_verdict(D, r, frame, phi, gens, M)
+        engine = divisibility_verdict(D, r, frame, phi, gens)
         truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup)
         assert (engine.outcome == DIVISIBLE) == truth
         instances += 1
@@ -217,7 +217,7 @@ def test_criterion_7_oracle_agreement():
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         # one fiber for both, over the oracle's field: the engine's frame

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from toricdescent import cli, descent, oracle, torus
+from conftest import record_calls
+from toricdescent import cli, descent, oracle, torus, zmat
 from toricdescent.parsing import (DEGREE_LIMIT, ParseError, format_univariate,
                                   parse_cubic_form, parse_univariate)
 
@@ -423,6 +424,18 @@ def test_torus_enumerates_a_small_torus_over_a_large_host_field():
     assert code == cli.EXIT_OK
     assert report["order"] == report["points"]["count"] == 10713
     assert report["points"]["invariants"] == [10713]
+
+
+def test_torus_report_computes_one_characteristic_polynomial(monkeypatch):
+    # the report's char_poly, its order and the point count all read the
+    # lattice's one characteristic polynomial
+    calls = record_calls(monkeypatch, zmat.charpoly)
+    argv = ["torus", "--lattice", '{"rank":2,"frobenius":[[0,-1],[1,-1]],"components":[[1,0]]}',
+            "--q", "7", "--enumerate"]
+    code, report = run_json(argv)
+    assert code == cli.EXIT_OK
+    assert report["char_poly"] == "x^2+x+1" and report["points"]["count"] == 57
+    assert len(calls) == 1
 
 
 def _pinned_lattice_reports():

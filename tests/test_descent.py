@@ -25,7 +25,7 @@ def test_gamma_class_canonical_example():
     # split three-node curve over GF(7): the two loop classes of the even
     # canonical representative are h(0)h(1) = 6 (nonsquare) and h(0)h(-1) = 2
     # (a square)
-    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    inp, (fiber, frame, phi, gens) = b3_instance()
     L = families.hyperelliptic_canonical_divisor(inp, fiber)
     k = fiber.k
     classes = []
@@ -40,14 +40,14 @@ def test_gamma_class_canonical_example():
 
 
 def test_gamma_class_requires_divisible_multidegree():
-    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    inp, (fiber, frame, phi, gens) = b3_instance()
     bad = SpecializedDivisor(fiber, [(0, fiber.standard_point(0), 1)])
     with pytest.raises(NotDivRDivisor):
         gamma_class(bad, frame.components[0], 2)
 
 
 def test_divisor_rejects_nodes():
-    inp, (fiber, _, _, _, _) = b3_instance()
+    inp, (fiber, _, _, _) = b3_instance()
     node = fiber.node_coords[0][0]
     # g splits over GF(7): every node is a point of k
     assert fiber.E == fiber.k and all(a.field == fiber.k for a, _b in fiber.node_coords)
@@ -59,37 +59,37 @@ def test_divisor_rejects_nodes():
 
 
 def test_canonical_divisibility_verdicts():
-    inp, (fiber, frame, phi, gens, M) = b3_instance(q=7)
+    inp, (fiber, frame, phi, gens) = b3_instance(q=7)
     L = families.hyperelliptic_canonical_divisor(inp, fiber)
-    verdict = divisibility_verdict(L, 2, frame, phi, gens, M)
+    verdict = divisibility_verdict(L, 2, frame, phi, gens)
     assert verdict.outcome == NOT_DIVISIBLE
     assert verdict.failure_table
-    inp23, (fiber, frame, phi, gens, M) = b3_instance(q=23)
+    inp23, (fiber, frame, phi, gens) = b3_instance(q=23)
     L = families.hyperelliptic_canonical_divisor(inp23, fiber)
-    verdict = divisibility_verdict(L, 2, frame, phi, gens, M)
+    verdict = divisibility_verdict(L, 2, frame, phi, gens)
     assert verdict.outcome == DIVISIBLE
     assert verdict.witness is not None
-    assert divisibility_verdict(L, 1, frame, phi, gens, M).outcome == DIVISIBLE
+    assert divisibility_verdict(L, 1, frame, phi, gens).outcome == DIVISIBLE
 
 
 def test_geometric_obstruction():
-    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    inp, (fiber, frame, phi, gens) = b3_instance()
     odd = SpecializedDivisor(fiber, [(0, fiber.standard_point(0), 1),
                                      (1, fiber.standard_point(1), 2)])
-    verdict = divisibility_verdict(odd, 2, frame, phi, gens, M)
+    verdict = divisibility_verdict(odd, 2, frame, phi, gens)
     assert verdict.outcome == NOT_IN_PIC_R
 
 
 def test_shift_into_divisible_multidegree():
     # multidegree (3, -3) + (1, 1) = (4, -2): not even, but reachable by the
     # principal compensators, so a verdict must still be produced
-    inp, (fiber, frame, phi, gens, M) = b3_instance(q=7)
+    inp, (fiber, frame, phi, gens) = b3_instance(q=7)
     L = families.hyperelliptic_canonical_divisor(inp, fiber)
     pt0 = fiber.standard_point(0)
     pt1 = fiber.standard_point(1)
     shifted = L + SpecializedDivisor(fiber, [(0, pt0, 3), (1, pt1, -3)])
     assert any(d % 2 for d in shifted.multidegree)
-    verdict = divisibility_verdict(shifted, 2, frame, phi, gens, M)
+    verdict = divisibility_verdict(shifted, 2, frame, phi, gens)
     assert verdict.outcome in (DIVISIBLE, NOT_DIVISIBLE)
 
 
@@ -116,19 +116,19 @@ def test_verdict_stable_under_r_multiples():
         k = make_field(q)
         inp = random_hyperelliptic(k, 3, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         r = rng.choice([2, 3])
         D = random_divisor(fiber, gens, r, rng)
         E = random_divisor(fiber, gens, 1, rng)
-        v1 = divisibility_verdict(D, r, frame, phi, gens, M)
-        v2 = divisibility_verdict(D + E.scale(r), r, frame, phi, gens, M)
+        v1 = divisibility_verdict(D, r, frame, phi, gens)
+        v2 = divisibility_verdict(D + E.scale(r), r, frame, phi, gens)
         assert v1.outcome == v2.outcome
 
 
 def test_translate_to_degree_zero():
-    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    inp, (fiber, frame, phi, gens) = b3_instance()
     L = families.hyperelliptic_canonical_divisor(inp, fiber)
     D0 = translate_to_degree_zero(L, 2)
     assert D0.multidegree == (0, 0)
@@ -205,12 +205,12 @@ def test_frame_component_refuses_a_trivial_order():
 
 
 def test_failed_shift_is_a_typed_error(monkeypatch):
-    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    inp, (fiber, frame, phi, gens) = b3_instance()
     D = SpecializedDivisor(fiber, [(0, fiber.standard_point(0), 3),
                                    (1, fiber.standard_point(1), -1)])
     monkeypatch.setattr(descent.zmat, "solve_mod", lambda A, b, n: [0])
     with pytest.raises(NotDivRDivisor):
-        divisibility_verdict(D, 2, frame, phi, gens, M)
+        divisibility_verdict(D, 2, frame, phi, gens)
 
 
 def test_verdict_matches_the_rows_of_the_table():
@@ -222,12 +222,12 @@ def test_verdict_matches_the_rows_of_the_table():
         k = make_field(rng.choice([7, 13]))
         inp = random_hyperelliptic(k, rng.choice([3, 4]), rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         r = rng.choice([2, 3])
         D = random_divisor(fiber, gens, r, rng)
-        verdict = divisibility_verdict(D, r, frame, phi, gens, M)
+        verdict = divisibility_verdict(D, r, frame, phi, gens)
         rows = {}
         for element, powers, _rep in descent.phi_r_table(phi, gens, r, fiber):
             shifted = D + descent.compensating_divisor(gens, powers, fiber)
@@ -258,7 +258,7 @@ def test_mu_generator_is_cached_once(monkeypatch):
 
     monkeypatch.setattr(finite_field, "element_of_order", asking)
     monkeypatch.setattr(finite_field, "_element_of_order", searching)
-    inp, (fiber, frame, phi, gens, M) = b3_instance()
+    inp, (fiber, frame, phi, gens) = b3_instance()
     assert not hasattr(fiber, "mu_generator")
     L = families.hyperelliptic_canonical_divisor(inp, fiber)
     for _ in range(2):
@@ -278,7 +278,7 @@ def test_validated_sums_and_scales_equal_full_construction():
         k = make_field(rng.choice([5, 7, 13]))
         inp = random_hyperelliptic(k, rng.choice([3, 4]), rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         D = random_divisor(fiber, gens, 1, rng)

@@ -5,11 +5,9 @@ import pytest
 from conftest import project_with_base, rng_for
 from toricdescent import zmat
 from toricdescent.dual_graph import (
-    Cycle, Disconnected, DualGraph, GraphError, IntersectionMatrix,
-    NotSupported, chain_decomposition, component_group,
-    fibral_lattice_membership, h1_basis, phi_torsion_representatives,
-    principal_cycle_generators)
-from toricdescent.torus import frobenius_char_poly
+    Cycle, Disconnected, DualGraph, GraphError, NotSupported,
+    chain_decomposition, component_group, fibral_lattice_membership, h1_basis,
+    phi_torsion_representatives, principal_cycle_generators)
 
 GENUS4_M = [[-4, 2, 2], [2, -4, 2], [2, 2, -4]]
 
@@ -31,12 +29,12 @@ def test_h1_rank_and_tree():
 def test_galois_action_char_poly():
     g = banana(3, edge_perm=[1, 2, 0])
     _, lattice, _ = h1_basis(g)
-    assert frobenius_char_poly(lattice) == [1, 1, 1]
+    assert lattice.char_poly == [1, 1, 1]
     # full d-orbit on B_d: cyclotomic-like quotient polynomial
     for d in (3, 4, 5, 6):
         g = banana(d, edge_perm=[(i + 1) % d for i in range(d)])
         _, lattice, _ = h1_basis(g)
-        assert frobenius_char_poly(lattice) == [1] * d
+        assert lattice.char_poly == [1] * d
 
 
 def test_graph_validation():
@@ -96,25 +94,59 @@ def test_torsion_representatives():
 
 
 def test_fibral_membership_examples():
-    M = [[-3, 3], [3, -3]]
-    assert fibral_lattice_membership((1, 1), 2, M)
-    assert not fibral_lattice_membership((1, 0), 2, M)
-    assert fibral_lattice_membership((0, 0), 5, M)
+    phi = component_group([[-3, 3], [3, -3]])
+    assert fibral_lattice_membership((1, 1), 2, phi)
+    assert not fibral_lattice_membership((1, 0), 2, phi)
+    assert fibral_lattice_membership((0, 0), 5, phi)
+    assert fibral_lattice_membership((1, 0), 1, phi)
+    with pytest.raises(GraphError, match="multidegree length mismatch"):
+        fibral_lattice_membership((1, 0, 0), 2, phi)
+    with pytest.raises(GraphError, match="r must be positive"):
+        fibral_lattice_membership((1, 1), 0, phi)
+
+
+def in_fibral_lattice(deg, r, M):
+    """deg in r*Z^v + (row span of M), by search: deg - t M = 0 mod r for
+    some t in [0, r)^v, since r times a row lies in r*Z^v."""
+    v = len(M)
+    return any(all((deg[i] - sum(t[j] * M[j][i] for j in range(v))) % r == 0
+                   for i in range(v))
+               for t in itertools.product(range(r), repeat=v))
+
+
+def random_laplacian(v, rng, weight=4):
+    """Minus the weighted Laplacian of a random connected graph on v
+    vertices: a random spanning tree with positive weights, the other pairs
+    with weights in [0, weight]."""
+    M = [[0] * v for _ in range(v)]
+    for j in range(1, v):
+        i = rng.randrange(j)
+        M[i][j] = M[j][i] = rng.randint(1, weight)
+    for i in range(v):
+        for j in range(i + 1, v):
+            if not M[i][j]:
+                M[i][j] = M[j][i] = rng.randint(0, weight)
+    for i in range(v):
+        M[i][i] = -sum(M[i])
+    return M
 
 
 def test_fibral_membership_against_box_search():
     rng = rng_for("fibral-box")
     mats = [[[-3, 3], [3, -3]], [[-2, 2], [2, -2]], GENUS4_M]
+    mats += [random_laplacian(rng.randint(2, 4), rng) for _ in range(12)]
+    off_total = 0
     for M in mats:
+        phi = component_group(M)
         v = len(M)
         for r in range(2, 7):
-            for _ in range(40):
-                deg = [rng.randrange(-4, 5) for _ in range(v)]
-                expected = any(
-                    all((deg[i] - sum(t[j] * M[j][i] for j in range(v))) % r == 0
-                        for i in range(v))
-                    for t in itertools.product(range(-r, r + 1), repeat=v))
-                assert fibral_lattice_membership(deg, r, M) == expected, (M, r, deg)
+            for _ in range(20):
+                # any total degree: those not divisible by r are never members
+                deg = [rng.randrange(-6, 7) for _ in range(v)]
+                off_total += sum(deg) % r != 0
+                expected = in_fibral_lattice(deg, r, M)
+                assert fibral_lattice_membership(deg, r, phi) == expected, (M, r, deg)
+    assert off_total > 500
 
 
 def test_membership_equivalent_to_phi_divisibility():
@@ -130,7 +162,7 @@ def test_membership_equivalent_to_phi_divisibility():
                 deg.append(-sum(deg))
                 cls = phi.project(deg)
                 divisible = any(phi.scale(other, r) == cls for other in phi.elements())
-                assert fibral_lattice_membership(deg, r, M) == divisible
+                assert fibral_lattice_membership(deg, r, phi) == divisible
 
 
 def norm_cycle(cycle, graph):
@@ -157,13 +189,23 @@ def test_norm_cycle():
     assert norm_cycle(gamma3, g4) == gamma3 + gamma4
 
 
-def test_intersection_matrix_validation():
-    with pytest.raises(GraphError):
-        IntersectionMatrix([[-1, 2], [2, -1]])  # rows do not sum to zero
-    with pytest.raises(GraphError):
-        IntersectionMatrix([[0, 0], [0, 0]])
+@pytest.mark.parametrize("rows, message", [
+    ([[-1, 1, 0], [1, -1]], "intersection matrix must be square"),
+    ([[-2, 1], [2, -2]], "intersection matrix must be symmetric"),
+    ([[1, -1], [-1, 1]], "off-diagonal entries must be nonnegative"),
+    ([[0, 0], [0, 0]], "diagonal entries must be negative"),
+    ([[-1, 2], [2, -1]], "rows must sum to zero"),
+    ([[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 1, -1]],
+     "special fiber is not connected"),
+])
+def test_component_group_validates_the_matrix(rows, message):
+    with pytest.raises(GraphError, match=message):
+        component_group(rows)
+
+
+def test_component_group_keeps_the_rows():
     # two lines crossing four times
-    assert IntersectionMatrix([[-4, 4], [4, -4]]).rows == [[-4, 4], [4, -4]]
+    assert component_group([[-4, 4], [4, -4]]).matrix == [[-4, 4], [4, -4]]
 
 
 def test_principal_generators():

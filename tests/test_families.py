@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import random_genus4, random_hyperelliptic, rng_for, roots
-from toricdescent import descent, families
+from conftest import random_genus4, random_hyperelliptic, record_calls, rng_for, roots
+from toricdescent import descent, families, zmat
 from toricdescent.families import (
     CharDividesTwoD, CommonFactorGH, CubicForm, DegreeTooLarge,
     EpsVanishesAtNode, CharTooSmall, FamilyError, ROW_NAMES,
@@ -10,7 +10,7 @@ from toricdescent.families import (
     genus4_theta_engine, genus4_torsion, genus4_torsion_engine,
     hyperelliptic_report, theta_bd, theta_bd_engine, torsion_bd,
     torsion_bd_engine, validate_genus4, validate_hyperelliptic)
-from toricdescent.finite_field import Poly, factor, make_field, residue_field
+from toricdescent.finite_field import INF, Poly, factor, make_field, residue_field
 from toricdescent.descent import UNDETERMINED
 from toricdescent.zmat import group_invariants
 
@@ -280,6 +280,50 @@ def test_direct_table_row_multiplicativity():
         assert lhs == rhs
 
 
+def _derived_local_functions(field, i):
+    """The genus-4 local functions derived from their linear forms
+    (a, b, c, d) = aX + bY + cZ + dW: each ratio restricted to its component
+    and reduced by the gcd to c (t - a)/(t - b), as (component, a, b,
+    numerator of c, denominator of c)."""
+    one, zero = field.one(), field.zero()
+
+    def lf(component, num_form, den_form):
+        num = families._restrict_linear(field, num_form, component)
+        den = families._restrict_linear(field, den_form, component)
+        common = num.gcd(den)
+        if common.degree > 0:
+            num, den = num // common, den // common
+        assert num.degree <= 1 and den.degree <= 1 and num.degree + den.degree >= 1
+        if num.degree == 0:
+            return (component, INF, -den[0] / den[1], num[0], den[1])
+        if den.degree == 0:
+            return (component, -num[0] / num[1], INF, num[1], den[0])
+        return (component, -num[0] / num[1], -den[0] / den[1], num[1], den[1])
+
+    def gamma3(ii):
+        return [lf(0, (-ii, zero, one, zero), (-one, zero, one, zero)),  # (Z-iX)/(Z-X)
+                lf(1, (zero, -one, one, zero), (zero, zero, one, zero)),  # (Z-Y)/Z
+                lf(2, (one, zero, zero, zero), (-ii, zero, one, zero))]  # X/(Z-iX)
+
+    return {
+        1: [lf(0, (one, zero, one, zero), (-one, zero, one, zero)),   # (Z+X)/(Z-X)
+            lf(1, (-one, zero, one, zero), (one, zero, one, zero))],  # (Z-X)/(Z+X)
+        2: [lf(1, (zero, -one, one, zero), (-one, zero, one, zero)),  # (Z-Y)/(Z-X)
+            lf(2, (-one, zero, one, zero), (zero, one, one, zero))],  # (Z-X)/(Z+Y)
+        3: gamma3(i),
+        4: gamma3(-i),
+    }
+
+
+@pytest.mark.parametrize("q", [13, 7], ids=["i-in-k", "i-not-in-k"])
+def test_genus4_local_functions_match_their_linear_forms(q):
+    field, i = families._sqrt_of_minus_one(make_field(q))
+    written = {loop: [(f.component, f.enter, f.leave, f.scale_num, f.scale_den)
+                      for f in factors]
+               for loop, factors in families._genus4_local_functions(field, i).items()}
+    assert written == _derived_local_functions(field, i)
+
+
 def test_genus4_theta_example():
     K13 = make_field(13)
     assert genus4_theta(validate_genus4(K13, eps0(K13))) is True
@@ -465,3 +509,38 @@ def test_one_component_group_per_family_request(monkeypatch, capsys, line, engin
     assert cli.run_line(line.split() + ["--json"] + engine) == cli.EXIT_OK
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("line, forms", [
+    # the component group, one orbit recurrence per frame generator and the
+    # torsion presentation
+    ("hyperelliptic --p 7 --g x^3-x --h x+2", 4),
+    ("genus4 --q 7 --eps X^3+Y^3+W*Z^2", 6),
+])
+def test_smith_forms_per_family_request(monkeypatch, capsys, line, forms):
+    # the component group's one Smith form answers every fibral-lattice
+    # test, and its inverse certificate is never built for a report
+    from toricdescent import cli
+    calls = record_calls(monkeypatch, zmat.smith_normal_form)
+    assert cli.run_line(line.split() + ["--json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == forms
+
+
+def test_no_node_field_without_a_decomposition_rule(monkeypatch, capsys):
+    # two node orbits of degree 2 and no rational node: the graph is refused
+    # from the orbit degrees, before any node field is built
+    from toricdescent import cli
+    calls = record_calls(monkeypatch, residue_field)
+    argv = ["hyperelliptic", "--q", "9", "--g", "x^4+2*x^3+x^2+1", "--h", "2*x^2+x", "--json"]
+    assert cli.run_line(argv) == cli.EXIT_UNDETERMINED
+    assert capsys.readouterr().out == (
+        '{"dual_graph":{"node_orbit_degrees":[2,2],"nodes":4,"vertices":2},'
+        '"engine_check":{"agree":null,"theta":null},"family":"hyperelliptic",'
+        '"input":{"base_field":"local field with this residue field",'
+        '"g":"x^4+2*x^3+x^2+1","h":"2*x^2+x","p":3,"q":9,"r":2},"phi":[4],'
+        '"schema_version":1,"torsion":null,"torus":{"char_poly":"x^3+x^2-x-1",'
+        '"decomposition":null,"order":800},"undetermined_reasons":["no-rational-node: '
+        'no rational node and several edge orbits"],"valid":true,'
+        '"verdicts":{"theta":true},"warnings":[]}\n')
+    assert calls == []

@@ -88,7 +88,7 @@ def test_chain_equals_system_on_random_divisors():
         k = make_field(q)
         inp = random_hyperelliptic(k, d, rng)
         try:
-            fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+            fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         except dual_graph.NotSupported:
             continue
         D = random_divisor(fiber, gens, 1, rng)
@@ -125,7 +125,7 @@ def smoke_cases():
                     data = families.hyperelliptic_fiber(inp)
                 except dual_graph.NotSupported:
                     continue
-                fiber, _frame, phi, gens, _M = data
+                fiber, _frame, phi, gens = data
                 prepared = oracle.prepare(inp, phi, gens, r)
                 divisors = [oracle.random_divisor(fiber, r, rng, prepared[0])
                             for _ in range(4)]
@@ -134,10 +134,10 @@ def smoke_cases():
 
 def test_exhaustive_agreement_smoke():
     agree = total = 0
-    for (_fiber, frame, phi, gens, M), r, prepared, divisors in smoke_cases():
+    for (_fiber, frame, phi, gens), r, prepared, divisors in smoke_cases():
         _degree, ofiber, torus, subgroup = prepared
         for D in divisors:
-            engine = divisibility_verdict(D, r, frame, phi, gens, M)
+            engine = divisibility_verdict(D, r, frame, phi, gens)
             truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup)
             total += 1
             agree += ((engine.outcome == DIVISIBLE) == truth)
@@ -165,7 +165,7 @@ def closure_per_trial(torus, lifts, r):
 
 def test_subgroup_equals_per_trial_closure():
     cases = 0
-    for (fiber, _frame, phi, gens, _M), r, prepared, divisors in smoke_cases():
+    for (fiber, _frame, phi, gens), r, prepared, divisors in smoke_cases():
         _degree, ofiber, torus, subgroup = prepared
         lifts = oracle.nu_lift_vectors(ofiber, torus, phi, gens, r)
         reference = closure_per_trial(torus, lifts, r)
@@ -242,7 +242,7 @@ def test_enumerated_structure_matches_lattice_enumeration():
 
 
 def test_identity_and_r1_trivially_divisible():
-    inp, (fiber, frame, phi, gens, M) = build(5, (0, -1, 0, 1), (3, 1))
+    inp, (fiber, frame, phi, gens) = build(5, (0, -1, 0, 1), (3, 1))
     _degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
     # the zeros of h = x + 3 add nothing to the nodes' field k, where the
     # oracle builds a fiber of its own
@@ -265,7 +265,7 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
     h = Poly(k, [k.from_int(20), 1, 1])
     assert [f.degree for f, _ in factor(g) + factor(h)] == [3, 2]
     inp = families.validate_hyperelliptic(k, g, h)
-    fiber, frame, phi, gens, M = families.hyperelliptic_fiber(inp)
+    fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
     degree, ofiber, _torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
     assert (degree, fiber.E.m, ofiber.E.m) == (6, 6, 12)
     assert fiber.E.given_modulus and not ofiber.E.given_modulus
@@ -286,7 +286,7 @@ def test_lift_over_a_tower_keeps_the_nodes_on_g():
             D = oracle.random_divisor(fiber, r, rng, degree)
             quadratic_orbits += sum(1 for _c, H, _m in D.entries
                                     if H is not INF and H.degree == 2)
-            engine = divisibility_verdict(D, r, frame, phi, gens, M)
+            engine = divisibility_verdict(D, r, frame, phi, gens)
             truth = oracle.exhaustive_divisibility(D, r, ofiber, torus, subgroup)
             assert (engine.outcome == DIVISIBLE) == truth
             outcomes[r].add(truth)
@@ -467,7 +467,7 @@ def test_chain_evaluate_raises_at_a_node():
 
 
 def test_position_lookup_and_point_at_invert_each_other():
-    inp, (_fiber, _frame, phi, gens, _M) = build(5, (1, 1, 0, 1), (3, 1))
+    inp, (_fiber, _frame, phi, gens) = build(5, (1, 1, 0, 1), (3, 1))
     _degree, _ofiber, torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
     assert len(torus) == 31 and torus.orders == (31,)
     for index, point in enumerate(torus.points):
@@ -479,7 +479,7 @@ def test_position_lookup_and_point_at_invert_each_other():
 
 
 def test_tuples_outside_the_torus_raise(monkeypatch):
-    inp, (fiber, frame, phi, gens, M) = build(5, (1, 1, 0, 1), (3, 1))
+    inp, (fiber, frame, phi, gens) = build(5, (1, 1, 0, 1), (3, 1))
     degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
     E = ofiber.E
     # not equivariant: the same non-rational value on every cycle
@@ -499,7 +499,7 @@ def test_tuples_outside_the_torus_raise(monkeypatch):
     monkeypatch.setattr(
         oracle, "nu_lift_vectors",
         lambda *args: [(el, (E.gen(),) * len(vec)) for el, vec in lifts(*args)])
-    inp2, (_f, _fr, phi2, gens2, _M2) = build(5, (1, 1, 0, 1), (3, 1))
+    inp2, (_f, _fr, phi2, gens2) = build(5, (1, 1, 0, 1), (3, 1))
     with pytest.raises(oracle.NotATorusPoint):
         oracle.prepare(inp2, phi2, gens2, 2)
 

@@ -8,7 +8,7 @@ from conftest import (multiplicative_order, norm_lattice, random_unimodular, rng
 from toricdescent import torus, zmat
 from toricdescent.torus import (
     CharacterLattice, EnumerationLimitExceeded, NotPrincipal, TorusError,
-    enumerate_rational_points, frobenius_char_poly, mu_group,
+    enumerate_rational_points, mu_group,
     principal_component, principal_decomposition, torus_order,
     verify_principal_decomposition)
 
@@ -16,10 +16,10 @@ B3_IRRED = [[0, -1], [1, -1]]
 
 
 def test_char_poly_examples():
-    assert frobenius_char_poly(split_lattice(1)) == [-1, 1]
+    assert split_lattice(1).char_poly == [-1, 1]
     g = 3
-    assert frobenius_char_poly(norm_lattice(g)) == [-1, 0, 0, 1]
-    assert frobenius_char_poly(CharacterLattice(B3_IRRED)) == [1, 1, 1]
+    assert norm_lattice(g).char_poly == [-1, 0, 0, 1]
+    assert CharacterLattice(B3_IRRED).char_poly == [1, 1, 1]
 
 
 def test_torus_order_examples():
@@ -40,12 +40,12 @@ def test_order_invariant_under_basis_change():
     fixtures = [split_lattice(2), norm_lattice(3), CharacterLattice(B3_IRRED)]
     for lattice in fixtures:
         g = lattice.rank
-        f = frobenius_char_poly(lattice)
+        f = lattice.char_poly
         for _ in range(50):
             U = random_unimodular(g, rng)
             Uinv = zmat.mat_inverse_unimodular(U)
             conj = zmat.mat_mul(zmat.mat_mul(U, lattice.frobenius), Uinv)
-            assert frobenius_char_poly(CharacterLattice(conj)) == f
+            assert CharacterLattice(conj).char_poly == f
 
 
 def test_principal_component_and_verification():
