@@ -399,11 +399,22 @@ def component_group(matrix):
     return ComponentGroup(matrix)
 
 
+#: component-group --r lists at most this many elements of Phi[r]: 10^4 of
+#: them take about 0.1 s and 0.5 MB of JSON, where Z/10^6 at r = 10^6 took
+#: 13 s and 51 MB
+TORSION_LISTING_LIMIT = 10 ** 4
+
+
 def phi_torsion_representatives(phi, r):
     """One total-degree-zero multidegree representative per element of the
-    r-torsion subgroup."""
+    r-torsion subgroup.  GraphError, before anything is listed, when the
+    subgroup has more than TORSION_LISTING_LIMIT elements."""
     if r < 1:
         raise GraphError("torsion order must be positive")
+    size = math.prod(gcd(r, d) for d in phi.diag)
+    if size > TORSION_LISTING_LIMIT:
+        raise GraphError(f"the {r}-torsion has {size} elements, more than the "
+                         f"listing limit {TORSION_LISTING_LIMIT}")
     return [(el, phi.representative(el)) for el in phi.torsion_elements(r)]
 
 

@@ -4,8 +4,8 @@ algebra over them.
 Elements are tuples of m Python ints in [0, p): the coefficients over GF(p)
 with respect to the power basis of a fixed monic irreducible modulus, and the
 module needs nothing beyond the standard library.  An element product is a
-schoolbook product folded mod the modulus (in closed form for m = 2 and 3)
-until a field with the deterministic modulus, m > 1 and at most
+schoolbook product folded mod the modulus (in closed form for m = 2, 3
+and 4) until a field with the deterministic modulus, m > 1 and at most
 TABLE_LIMIT elements has done q of them.  That field then builds log/antilog
 tables over a generator of its unit group, once, and multiplies, inverts,
 raises to powers and applies Frobenius by lookups from then on.  The build
@@ -16,6 +16,10 @@ m = 1 and the coefficient tuple when m > 1.  Its loops multiply ints mod p,
 reducing once per output coefficient, or call the same tuple functions as
 FieldElement (_conv, _fold, _mul, _inv), so no FieldElement is made per term;
 coeffs, lead(), indexing and evaluation still hand out FieldElements.
+Poly.pow_mod over GF(p) modulo a polynomial of degree 2, 3 or 4 (the node
+orbits a factorization of g meets most) raises in the ring GF(p)[x]/(f)
+with the same closed-form products, on a _Ring that holds only p and the
+reduction rows; any other modulus multiplies and divides per step.
 
 The modulus for GF(p^m) is the lexicographically smallest monic irreducible
 of degree m, where candidates are ordered by the integer encoding
@@ -38,7 +42,8 @@ an r-th power in k iff x^((q-1)/gcd(r, q-1)) = 1.
 
 Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
 equal-degree splitting), and every root search goes through the same
-deterministic equal-degree splitter (see _shifts).  Together with the
+deterministic equal-degree splitter (see _shifts), which tries each shift
+once per factorization.  Together with the
 modulus search, which skips the binomials x^m + c whenever none of them can
 be irreducible, Miller-Rabin, and residue symbols, which need a primitive
 g-th root of unity and never factor q^s - 1, every operation the closed
@@ -256,17 +261,7 @@ class FiniteField:
         # elements of given orders (see element_of_order)
         self._embeddings = {}
         self._of_order = {}
-        # row j of _red is x^(m+j) reduced mod the modulus
-        rows = []
-        if m > 1:
-            xm = [(-c) % p for c in self.modulus[:m]]
-            cur = xm
-            for _ in range(m - 1):
-                rows.append(tuple(cur))
-                top = cur[m - 1]
-                shifted = [0] + cur[: m - 1]
-                cur = [(a + top * b) % p for a, b in zip(shifted, xm)]
-        self._red = tuple(rows)
+        self._red = _reduction_rows(self.modulus, p)
         self._zero = FieldElement(self, (0,) * m)
         self._one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._frob_mat = None
@@ -473,15 +468,7 @@ class FieldElement:
             if i < 0:
                 return f._zero if e else f._one
             return FieldElement(f, f._exp[i * e % (f.q - 1)])
-        result = f._one.coeffs
-        base = self.coeffs
-        while e:
-            if e & 1:
-                result = _mul(f, result, base)
-            e >>= 1
-            if e:
-                base = _mul(f, base, base)
-        return FieldElement(f, result)
+        return FieldElement(f, _power(f, self.coeffs, e))
 
     def inverse(self):
         if self.is_zero():
@@ -540,6 +527,22 @@ def _trim(c, zero=0):
 # result up once the field has tables, and otherwise compute it on tuples.
 
 
+def _reduction_rows(modulus, p):
+    """Rows j = 0, ..., m - 2 of x^(m+j) reduced mod a monic modulus of
+    degree m over GF(p) (ints low first, leading 1 included), as the tuples
+    _fold and the closed forms of _mul read."""
+    m = len(modulus) - 1
+    xm = [(-c) % p for c in modulus[:m]]
+    rows = []
+    cur = xm
+    for _ in range(m - 1):
+        rows.append(tuple(cur))
+        top = cur[m - 1]
+        shifted = [0] + cur[: m - 1]
+        cur = [(a + top * b) % p for a, b in zip(shifted, xm)]
+    return tuple(rows)
+
+
 def _conv(acc, a, b):
     """acc[i + j] += a[i] * b[j]: the unreduced product of two coefficient
     sequences, added into acc."""
@@ -578,8 +581,9 @@ def _mul(f, a, b):
         if not f._muls_to_tables:
             _build_tables(f)
     m = f.m
-    # m = 2 and 3, the usual node and k(i) fields, in closed form: about a
-    # fifth of the time of the loops below (0.7-1.0 against 3.3-5.8 us)
+    # m = 2, 3 and 4, the usual node and k(i) fields and the rings of
+    # _pow_mod, in closed form: a third to a sixth of the time of the loops
+    # below (m = 4: 1.2-1.7 against 6-8 us)
     if m == 2:
         a0, a1 = a
         b0, b1 = b
@@ -597,9 +601,35 @@ def _mul(f, a, b):
         return ((a0 * b0 + c3 * u0 + c4 * v0) % p,
                 (a0 * b1 + a1 * b0 + c3 * u1 + c4 * v1) % p,
                 (a0 * b2 + a1 * b1 + a2 * b0 + c3 * u2 + c4 * v2) % p)
+    if m == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        c4 = a1 * b3 + a2 * b2 + a3 * b1
+        c5 = a2 * b3 + a3 * b2
+        c6 = a3 * b3
+        (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3) = f._red
+        p = f.p
+        return ((a0 * b0 + c4 * u0 + c5 * v0 + c6 * w0) % p,
+                (a0 * b1 + a1 * b0 + c4 * u1 + c5 * v1 + c6 * w1) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + c4 * u2 + c5 * v2 + c6 * w2) % p,
+                (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+                 + c4 * u3 + c5 * v3 + c6 * w3) % p)
     acc = [0] * (2 * m - 1)
     _conv(acc, a, b)
     return _fold(f, acc)
+
+
+def _power(f, a, e):
+    """a^e for a coefficient tuple a of f (a field with m > 1, or a _Ring),
+    by repeated squaring with _mul."""
+    result = (1,) + (0,) * (f.m - 1)
+    while e:
+        if e & 1:
+            result = _mul(f, result, a)
+        e >>= 1
+        if e:
+            a = _mul(f, a, a)
+    return result
 
 
 def _build_tables(f):
@@ -722,11 +752,33 @@ def _mulmod(f, a, b, mod):
     return _divmod_t(f, _conv_t(f, a, b), mod)[1]
 
 
+class _Ring:
+    """GF(p)[x]/(mod) for a monic mod of degree m = 2, 3 or 4, as far as
+    _mul reads a field: p, m and the reduction rows, never tables.  It holds
+    no element and no field, so it is freed as soon as _pow_mod returns."""
+
+    __slots__ = ("p", "m", "_red")
+    _log = None
+    _muls_to_tables = 0
+
+    def __init__(self, p, mod):
+        self.p = p
+        self.m = len(mod) - 1
+        self._red = _reduction_rows(mod, p)
+
+
 def _pow_mod(f, base, e, mod):
     """base^e modulo a monic mod, raw coefficient lists over f, by repeated
-    squaring."""
-    result = [1 if f.m == 1 else f._one.coeffs]
+    squaring.  Over GF(p) with mod of degree 2, 3 or 4 the powers are
+    coefficient tuples of the ring GF(p)[x]/(mod), multiplied by the closed
+    forms of _mul; any other mod takes _mulmod, a product and a division per
+    step."""
     base = _divmod(f, base, mod)[1]
+    if f.m == 1 and 2 <= len(mod) - 1 <= 4:
+        ring = _Ring(f.p, mod)
+        base = tuple(base) + (0,) * (ring.m - len(base))
+        return _trim(list(_power(ring, base, e)))
+    result = [1 if f.m == 1 else f._one.coeffs]
     while e:
         if e & 1:
             result = _mulmod(f, result, base, mod)
@@ -983,6 +1035,9 @@ def _squarefree_parts(f):
             decompose(root.monic(), mult * p)
             return
         c = g.gcd(d)
+        if c.degree == 0:
+            accumulate(g, mult)
+            return
         w = (g // c).monic()
         k = 1
         while w.degree >= 1:
@@ -1055,16 +1110,20 @@ def _split(f, d, h):
     return f.gcd(s - Poly(field, [1]))
 
 
-def _equal_degree_split(f, d):
+def _equal_degree_split(f, d, shifts=None):
     """Irreducible factors of f when all have degree d, split by the shifts
-    of _shifts in order."""
+    of _shifts in order.  Both factors of a split continue the one sequence:
+    a shift tried on f puts all roots of each factor on one side of its
+    split, so it cannot split either of them."""
     if f.degree == d:
         return [f.monic()]
-    for h in _shifts(f.field):
+    if shifts is None:
+        shifts = _shifts(f.field)
+    for h in shifts:
         g = _split(f, d, h)
         if 0 < g.degree < f.degree:
-            return (_equal_degree_split(g, d)
-                    + _equal_degree_split((f // g).monic(), d))
+            return (_equal_degree_split(g, d, shifts)
+                    + _equal_degree_split((f // g).monic(), d, shifts))
 
 
 def factor(f):

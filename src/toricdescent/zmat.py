@@ -27,12 +27,21 @@ def mat_copy(A):
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(B)
+    k = len(B)
     m = len(B[0]) if B else 0
     if any(len(row) != k for row in A):
         raise ZmatError(f"A has a row whose length is not {k}, the row count of B")
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    # row by row, adding a multiple of row t of B for each nonzero entry of
+    # A: a permutation matrix costs one row per row, not n dot products
+    out = []
+    for row in A:
+        acc = [0] * m
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def mat_vec(A, v):

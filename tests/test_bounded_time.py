@@ -270,3 +270,38 @@ def test_frobenius_order_past_the_bound_is_undetermined():
     assert report["undetermined_reasons"] == [
         "frobenius order 13800 exceeds the bound 64"]
     assert report["engine_check"] == {"agree": None, "theta": None}
+
+
+def _cyclic_permutation(rank):
+    """A --lattice argument: the cyclic permutation of rank coordinates,
+    of Frobenius order rank and characteristic polynomial x^rank - 1."""
+    rows = [[int(j == (i + 1) % rank) for j in range(rank)] for i in range(rank)]
+    return json.dumps({"rank": rank, "frobenius": rows}, separators=(",", ":"))
+
+
+def test_torus_lattice_of_a_rank_64_cyclic_permutation_answers_promptly():
+    # 64 products for the order and 64 for the characteristic polynomial,
+    # each a row per row of the permutation (3.2 s as dot products)
+    code, text, dt = _run(f"torus --lattice {_cyclic_permutation(64)} --q 7 --json", 1.0)
+    assert code == 0
+    assert json.loads(text) == {"command": "torus", "schema_version": 1, "q": 7,
+                                "rank": 64, "char_poly": "x^64-1", "order": 7 ** 64 - 1}
+    assert dt < 1.0
+
+
+def test_torus_lattice_of_a_rank_80_cyclic_permutation_is_refused_promptly(capsys):
+    code, text, dt = _run(f"torus --lattice {_cyclic_permutation(80)} --q 7 --json", 1.0)
+    assert (code, text) == (cli.EXIT_SYNTAX, "")
+    assert "frobenius order exceeds the bound 64" in capsys.readouterr().err
+    assert dt < 1.0
+
+
+def test_oversized_torsion_listing_is_refused_before_listing(capsys):
+    # Z/10^6 at r = 10^6 took 13 s and wrote 51 MB when every element was
+    # listed; |Phi[r]| comes from the Smith diagonal first
+    n = 10 ** 6
+    code, text, dt = _run(f"component-group --matrix [[-{n},{n}],[{n},-{n}]] "
+                          f"--r {n} --json", 1.0)
+    assert (code, text) == (cli.EXIT_SYNTAX, "")
+    assert "more than the listing limit 10000" in capsys.readouterr().err
+    assert dt < 1.0

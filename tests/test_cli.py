@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import record_calls
-from toricdescent import cli, descent, oracle, torus, zmat
+from toricdescent import cli, descent, dual_graph, oracle, torus, zmat
 from toricdescent.parsing import (DEGREE_LIMIT, ParseError, format_univariate,
                                   parse_cubic_form, parse_univariate)
 
@@ -77,6 +77,30 @@ def test_component_group_example():
     code, rep = run_json(["component-group", "--matrix", "[[-3,3],[3,-3]]",
                           "--r", "3"])
     assert rep["phi"] == [3] and len(rep["torsion"]["elements"]) == 3
+
+
+def test_torsion_listing_limit_counts_phi_r_not_phi(tmp_path):
+    limit = dual_graph.TORSION_LISTING_LIMIT
+    code, rep = run_json(["component-group", "--matrix",
+                          f"[[-{limit},{limit}],[{limit},-{limit}]]", "--r", str(limit)])
+    assert code == 0 and len(rep["torsion"]["elements"]) == limit
+    # Phi = Z/10^6 is listed only as far as its 2-torsion
+    code, rep = run_json(["component-group", "--matrix",
+                          "[[-1000000,1000000],[1000000,-1000000]]", "--r", "2"])
+    assert code == 0 and [el["element"] for el in rep["torsion"]["elements"]] == [[0], [500000]]
+    # one past the limit is refused, and a batch keeps its other lines
+    n = limit + 1
+    path = tmp_path / "requests.txt"
+    path.write_text(f"component-group --matrix [[-{n},{n}],[{n},-{n}]] --r {n}\n"
+                    "component-group --matrix [[-3,3],[3,-3]] --r 3\n")
+    out = io.StringIO()
+    assert cli.run_line(["batch", str(path)], stream=out) == cli.EXIT_SYNTAX
+    refused, answered = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert refused["error"] == {
+        "kind": "invalid-input", "exit_code": cli.EXIT_SYNTAX,
+        "message": f"invalid input: the {n}-torsion has {n} elements, "
+                   f"more than the listing limit {limit}"}
+    assert len(answered["torsion"]["elements"]) == 3
 
 
 def test_genus4_command():

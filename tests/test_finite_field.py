@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from conftest import multiplicative_order, rng_for
@@ -644,7 +647,8 @@ def test_fields_with_different_moduli_are_different_fields():
     assert "mod [3, 1, 1]" in repr(other) and repr(default) == "GF(7^2)"
 
 
-@pytest.mark.parametrize("p, m", [(3, 2), (7, 2), (1048573, 2), (5, 3), (7, 3), (1000003, 3)])
+@pytest.mark.parametrize("p, m", [(3, 2), (7, 2), (1048573, 2), (5, 3), (7, 3), (1000003, 3),
+                                  (2, 4), (3, 4), (23, 4), (1048573, 4)])
 def test_closed_form_products_match_the_schoolbook_loops(p, m):
     rng = rng_for(f"closed-form-{p}-{m}")
     K = FiniteField(p, m)
@@ -665,3 +669,134 @@ def test_residue_fields_build_no_tables():
     for _ in range(3 * K.q):
         x = x * node
     assert K._log is None and x == node ** (3 * K.q + 1)
+
+
+def _pow_mod_by_mulmod(k, base, e, mod, mulmod=finite_field._mulmod):
+    """Reference for the ring power: square and multiply with _mulmod, a
+    product and a division per step."""
+    result = [1]
+    base = finite_field._divmod(k, base, mod)[1]
+    while e:
+        if e & 1:
+            result = mulmod(k, result, base, mod)
+        e >>= 1
+        base = mulmod(k, base, base, mod)
+    return result
+
+
+def _moduli(k, rng):
+    """Monic moduli of degree 2, 3 and 4 over a prime field k: random ones,
+    and reducible and non-squarefree products of random linear and
+    quadratic factors."""
+    x = Poly(k, [0, 1])
+
+    def linear():
+        return x - Poly(k, [rng.randrange(k.p)])
+
+    def monic(d):
+        return Poly(k, [rng.randrange(k.p) for _ in range(d)] + [1])
+
+    a, b = linear(), linear()
+    out = [monic(d) for d in (2, 3, 4) for _ in range(3)]
+    out += [a * a, a * a * a, a * a * b, a * a * b * b, a * monic(2), monic(2) * monic(2),
+            x * x, x * x * x * x]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 23, 1048573])
+def test_ring_power_matches_square_and_multiply(monkeypatch, p):
+    k = make_field(p)
+    rng = rng_for(f"ring-power-{p}")
+    mulmods = []
+    mulmod = finite_field._mulmod
+
+    def counted_mulmod(f, a, b, mod):
+        mulmods.append(len(mod) - 1)
+        return mulmod(f, a, b, mod)
+
+    monkeypatch.setattr(finite_field, "_mulmod", counted_mulmod)
+    for mod in _moduli(k, rng):
+        d = mod.degree
+        bases = [[], [1], [0, 1], [rng.randrange(p) for _ in range(2 * d + 2)],
+                 [rng.randrange(p) for _ in range(d)]]
+        exponents = [0, 1, 2, p, (p ** d - 1) // 2, p ** d, rng.getrandbits(64),
+                     rng.getrandbits(200)]
+        for base in bases:
+            for e in exponents:
+                assert (finite_field._pow_mod(k, base, e, list(mod._c))
+                        == _pow_mod_by_mulmod(k, base, e, list(mod._c))), (mod, base, e)
+    # degrees 2 to 4 run in the ring, with no product and division
+    assert mulmods == []
+    # a modulus of degree 5 keeps _mulmod
+    finite_field._pow_mod(k, [0, 1], p, [1, 1, 0, 0, 0, 1])
+    assert mulmods and set(mulmods) == {5}
+
+
+def test_no_shift_is_tried_twice_within_one_factorization(monkeypatch):
+    """Both factors of a split continue the splitter's one shift sequence:
+    a shift tried on f cannot split either factor, so it is not tried on
+    them again.  Squarefree inputs, so that each degree d has one part."""
+    tried = []
+    split = finite_field._split
+
+    def recording_split(f, d, h):
+        tried.append((d, h))
+        return split(f, d, h)
+
+    monkeypatch.setattr(finite_field, "_split", recording_split)
+    rng = rng_for("one-shift-sequence")
+    cases = []
+    for q in (2, 3, 5, 7, 9, 23):
+        k = make_field(*((3, 2) if q == 9 else (q, 1)))
+        # x^(q^n) - x: every monic irreducible of degree dividing n, once
+        n = 4 if q == 2 else 2 if q <= 9 else 1
+        cases.append(Poly(k, [0, -1] + [0] * (q ** n - 2) + [1]))
+    k = make_field(1048573)
+    x = Poly(k, [0, 1])
+    roots = rng.sample(range(1048573), 8)
+    f = Poly(k, [1])
+    for r in roots:
+        f = f * (x - Poly(k, [r]))
+    cases.append(f)
+    parts_split_twice = 0
+    for f in cases:
+        tried.clear()
+        factors = factor(f)
+        assert all(mult == 1 for _g, mult in factors)
+        assert sum(g.degree for g, _m in factors) == f.degree
+        assert len(tried) == len(set(tried)), f
+        counts = {}
+        for g, _m in factors:
+            counts[g.degree] = counts.get(g.degree, 0) + 1
+        parts_split_twice += any(c >= 3 for c in counts.values())
+    # parts with three or more factors split a factor again
+    assert parts_split_twice == len(cases)
+
+
+def _bench_checker():
+    """The benchmark's own arithmetic, which never imports the program."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("bench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p", [3, 5, 23, 1048573])
+def test_factor_degrees_match_the_benchmark_checker(p):
+    checker = _bench_checker()
+    k = make_field(p)
+    rng = rng_for(f"factor-vs-checker-{p}")
+    for _ in range(60):
+        # random polynomials of degree 1 to 8, and products with repeated
+        # factors, which exercise the squarefree decomposition
+        if rng.random() < 0.7:
+            d = rng.randrange(1, 9)
+            c = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        else:
+            a = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
+            b = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [rng.randrange(1, p)]
+            f = Poly(k, a) * Poly(k, a) * Poly(k, b)
+            c = [v.to_int() for v in f.coeffs]
+        degrees = sorted(g.degree for g, mult in factor(Poly(k, c)) for _ in range(mult))
+        assert degrees == checker.factor_degrees(c, p), c

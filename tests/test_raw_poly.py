@@ -181,10 +181,12 @@ def test_coefficients_from_another_field_raise_mixed_fields():
 # FieldElement.inverse calls plus divisions by a non-monic divisor.  The
 # genus-4 row is taken with i = +-element_of_order(k(i), 4), no root search,
 # and with the engine's local functions written out, not reduced by gcd.
+# The hyperelliptic row fell from 21 and 11 to 17 and 7 when the squarefree
+# decomposition stopped at gcd(g, g') = 1, which skips its monic quotients.
 PINNED = [
     (["genus4", "--p", "1000003", "--eps", "X^3+Y^3+W*Z^2"], 0, 85, 85),
     (["hyperelliptic", "--p", "1000121", "--g", "x^3-x-1", "--h", "x+2",
-      "--no-engine-check"], 1, 21, 11),
+      "--no-engine-check"], 1, 17, 7),
 ]
 
 
