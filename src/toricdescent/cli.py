@@ -170,7 +170,7 @@ def run_component_group(args):
         "phi": phi.invariant_factors,
         "order": phi.order,
     }
-    if args.r:
+    if args.r is not None:
         reps = phi_torsion_representatives(phi, args.r)
         report["torsion"] = {
             "r": args.r,

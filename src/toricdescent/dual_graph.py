@@ -322,6 +322,8 @@ class ComponentGroup:
     def __init__(self, rows):
         M = [list(map(int, row)) for row in rows]
         v = len(M)
+        if not v:
+            raise GraphError("intersection matrix must not be empty")
         if any(len(row) != v for row in M):
             raise GraphError("intersection matrix must be square")
         for i in range(v):

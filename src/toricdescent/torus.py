@@ -19,7 +19,8 @@ from functools import cached_property
 from itertools import product
 
 from . import zmat
-from .finite_field import MILLER_RABIN_BOUND, element_of_order, field_name, is_prime, make_field
+from .finite_field import (MILLER_RABIN_BOUND, FiniteField, element_of_order, extension,
+                           field_name, is_prime)
 from .zmat import charpoly, gcd, mat_vec, poly_eval_int, smith_normal_form, solve_int
 
 FROBENIUS_ORDER_BOUND = 64
@@ -283,9 +284,10 @@ class RationalPoints:
     @cached_property
     def zeta(self):
         """A primitive root of the host field GF(q^s), built on first use
-        (without the field-size limit: only its powers are taken)."""
+        (an extension, without the field-size limit: only its powers are
+        taken)."""
         p, a = prime_power(self.q)
-        host = make_field(p, a * self.lattice.order, limit=None)
+        host = extension(FiniteField(p), a * self.lattice.order)
         return element_of_order(host, self.modulus)
 
     @property

@@ -3,8 +3,7 @@ them small, the acceptance suite runs them at full scale."""
 
 from conftest import random_divisor, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, zmat
-from toricdescent.descent import (LocalFunctionSystem, SpecializedDivisor,
-                                  compensating_divisor, compute_nu,
+from toricdescent.descent import (SpecializedDivisor, compensating_divisor, compute_nu,
                                   divisibility_verdict, gamma_class, phi_r_table)
 from toricdescent.finite_field import INF, make_field
 
@@ -65,7 +64,7 @@ def run_principal_triviality(cases):
         D = SpecializedDivisor(fiber, pts)
         assert D.multidegree == (0, 0)
         for comp in frame.components:
-            assert comp.system.evaluate(D) == comp.field.one()
+            assert comp.evaluate(D) == comp.field.one()
             done += 1
     return done
 
@@ -112,13 +111,12 @@ def run_orientation_flip(cases):
             continue
         D = random_divisor(fiber, gens, 2, rng)
         for comp in frame.components:
-            flipped = LocalFunctionSystem(-comp.cycle, fiber)
-            v = comp.system.evaluate(D)
+            flipped = descent.FrameComponent(fiber, -comp.cycle, comp.char_poly)
+            v = comp.evaluate(D)
             w = flipped.evaluate(D)
             assert (v * w) ** comp.order == comp.field.one()
             cls = gamma_class(D, comp, 2)
-            flip_comp = descent.FrameComponent(fiber, -comp.cycle, comp.char_poly)
-            cls_flip = gamma_class(D, flip_comp, 2)
+            cls_flip = gamma_class(D, flipped, 2)
             assert (cls.residue + cls_flip.residue) % cls.modulus == 0
             done += 1
         flipped_frame = descent.TorusFrame(fiber, [-c.cycle for c in frame.components])

@@ -231,7 +231,7 @@ def test_criterion_7_oracle_agreement():
             points = oracle.divisor_points(D0, ofiber)
             for comp in oframe.components:
                 assert oracle.chain_evaluate(comp.cycle, points, ofiber) == \
-                    comp.system.evaluate(D0)
+                    comp.evaluate(D0)
                 comparisons += 1
     dt = time.time() - t0
     assert dt < 300.0

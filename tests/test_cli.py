@@ -401,6 +401,33 @@ def test_oracle_without_a_decomposition_rule_is_undetermined(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("r", ["0", "-3"])
+def test_torsion_order_that_is_not_positive_is_refused(r, capsys):
+    # --r 0 is refused like any other order below 1, not read as no --r
+    argv = ["component-group", "--matrix", "[[-3,3],[3,-3]]", "--r", r, "--json"]
+    out = io.StringIO()
+    assert cli.run_line(argv, stream=out) == cli.EXIT_SYNTAX
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "invalid input: torsion order must be positive\n"
+
+
+def test_refused_component_group_lines_keep_their_batch_neighbours(tmp_path, capsys):
+    path = tmp_path / "requests.txt"
+    path.write_text("component-group --matrix [[-3,3],[3,-3]] --r 0\n"
+                    "component-group --matrix [[-3,3],[3,-3]] --r -3\n"
+                    "component-group --matrix [] --r 2\n"
+                    "component-group --matrix [[-3,3],[3,-3]] --r 3\n")
+    out = io.StringIO()
+    assert cli.run_line(["batch", str(path)], stream=out) == cli.EXIT_SYNTAX
+    *refused, answered = [json.loads(line) for line in out.getvalue().splitlines()]
+    messages = ["torsion order must be positive"] * 2 + ["intersection matrix must not be empty"]
+    assert [record["error"] for record in refused] == [
+        {"kind": "invalid-input", "exit_code": cli.EXIT_SYNTAX,
+         "message": f"invalid input: {message}"} for message in messages]
+    assert len(answered["torsion"]["elements"]) == 3
+    capsys.readouterr()
+
+
 def test_p_zero_is_refused_not_an_internal_error(capsys):
     argv = ["hyperelliptic", "--p", "0", "--g", "x^3-x", "--h", "x+2"]
     assert cli.run_line(argv) == cli.EXIT_SYNTAX

@@ -190,6 +190,7 @@ def test_norm_cycle():
 
 
 @pytest.mark.parametrize("rows, message", [
+    ([], "intersection matrix must not be empty"),
     ([[-1, 1, 0], [1, -1]], "intersection matrix must be square"),
     ([[-2, 1], [2, -2]], "intersection matrix must be symmetric"),
     ([[1, -1], [-1, 1]], "off-diagonal entries must be nonnegative"),

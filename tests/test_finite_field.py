@@ -48,7 +48,7 @@ def test_make_field_rejects_bad_input():
         make_field(4, 1)
     with pytest.raises(SizeLimitExceeded):
         make_field(2, 25)
-    assert make_field(2, 25, limit=None).q == 2 ** 25
+    assert extension(make_field(2), 25).q == 2 ** 25
 
 
 def test_norm_of_generator_generates_subfield():
@@ -412,7 +412,7 @@ def test_prime_keyed_caches_stay_bounded():
 
     from toricdescent import cli, finite_field
 
-    caches = [finite_field._cached_field, finite_field._cached_embedding]
+    cache = finite_field._cached_field
     primes = [p for p in range(1000, 4000) if finite_field.is_prime(p)][:300]
 
     def report(p):
@@ -424,12 +424,10 @@ def test_prime_keyed_caches_stay_bounded():
     first = report(primes[0])
     for p in primes[1:]:
         report(p)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
-    # the fields of the first prime were evicted and come back unchanged
-    assert finite_field._cached_field.cache_info().currsize == \
-        finite_field.FIELD_CACHE_SIZE
+    # the embeddings live on the cached fields, so this one bound holds them
+    # too; the fields of the first prime were evicted and come back unchanged
+    info = cache.cache_info()
+    assert info.currsize == info.maxsize == finite_field.FIELD_CACHE_SIZE
     assert report(primes[0]) == first
 
 
@@ -438,7 +436,7 @@ def test_prime_keyed_caches_stay_bounded():
 
 @pytest.mark.parametrize("p, m", [(2, 4), (3, 3), (5, 2), (7, 1), (13, 6)])
 def test_element_arithmetic_matches_polynomials_over_the_prime_field(p, m):
-    K = make_field(p, m, limit=None)
+    K = extension(make_field(p), m)
     k = make_field(p)
     modulus = Poly(k, list(K.modulus))
 
@@ -462,7 +460,7 @@ def test_embedding_section_round_trips_and_refuses_off_the_image(p, m):
     """No section maps values back into a subfield; its image is recognized
     in place instead, as the fixed field of x -> x^|sub|.  The embedding is
     injective on it, and the generator of big lies outside it."""
-    K = make_field(p, m, limit=None)
+    K = extension(make_field(p), m)
     pairs = [(make_field(p, s), K) for s in range(1, m) if m % s == 0]
     if m <= 3:
         pairs.append((K, extension(K, 2)))
@@ -631,7 +629,7 @@ def test_conjugate_orbits_over_gf9_get_fields_of_their_own():
 
 def test_fields_with_different_moduli_are_different_fields():
     # GF(7^2) over x^2 + 1 (the deterministic modulus) and over x^2 + x + 3
-    default = make_field(7, 2, limit=None)
+    default = extension(make_field(7), 2)
     assert default.modulus == (1, 0, 1)
     other = FiniteField(7, modulus=(3, 1, 1))
     assert (other.p, other.m, other.q) == (default.p, default.m, default.q)
@@ -645,6 +643,27 @@ def test_fields_with_different_moduli_are_different_fields():
     with pytest.raises(MixedFields):
         default.gen() * other.gen()
     assert "mod [3, 1, 1]" in repr(other) and repr(default) == "GF(7^2)"
+
+
+def test_residue_field_embeds_into_a_plain_field_by_its_own_embedding():
+    # GF(5)[x]/(x^2 + 3) is a GF(25) whose modulus is not the deterministic
+    # x^2 + 2; GF(5^4) keeps an embedding of it apart from the plain GF(25)'s
+    from toricdescent.finite_field import residue_field
+    k = make_field(5)
+    g = Poly(k, [3, 0, 1])
+    K, node = residue_field(g)
+    assert K.modulus != make_field(5, 2).modulus
+    big = make_field(5, 4)
+    emb = embed(K, big)
+    assert emb is embed(K, big) and emb is not embed(make_field(5, 2), big)
+    assert g.map_coeffs(embed(k, big), big)(emb(node)).is_zero()
+    assert emb(K.one()) == big.one()
+    rng = rng_for("residue-field-into-plain")
+    for _ in range(20):
+        a, b = K.from_int(rng.randrange(K.q)), K.from_int(rng.randrange(K.q))
+        assert emb(a + b) == emb(a) + emb(b)
+        assert emb(a * b) == emb(a) * emb(b)
+        assert (emb(a) == emb(b)) == (a == b)
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (7, 2), (1048573, 2), (5, 3), (7, 3), (1000003, 3),

@@ -17,7 +17,6 @@ TRACER = ROOT / "bench" / "tracer.py"
 #: new one costs its fill on every request there.
 CACHE_ALLOWLIST = {
     "finite_field._cached_field": "GF(p^m) and its elements of given orders, per (p, m)",
-    "finite_field._cached_embedding": "the matrix of an embedding between plain fields",
     "oracle._orbit_roots": "the random divisors of one fiber draw the same orbits again",
 }
 

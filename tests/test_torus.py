@@ -187,9 +187,9 @@ def test_prime_power_of_large_numbers():
 
 def test_enumeration_builds_its_host_field_only_to_evaluate(monkeypatch):
     built = []
-    make_field = torus.make_field
-    monkeypatch.setattr(torus, "make_field",
-                        lambda *args, **kwargs: built.append(args) or make_field(*args, **kwargs))
+    extension = torus.extension
+    monkeypatch.setattr(torus, "extension",
+                        lambda field, s: built.append((field.p, s)) or extension(field, s))
     lattice = CharacterLattice(B3_IRRED)
     pts = enumerate_rational_points(lattice, 103)
     assert (len(pts), pts.invariants, built) == (10713, [10713], [])
