@@ -22,8 +22,9 @@ from .families import (CubicForm, FamilyError, genus4_report,
                        hyperelliptic_report, validate_genus4,
                        validate_hyperelliptic)
 from .finite_field import FieldError, Poly, SizeLimitExceeded, field_limit, make_field
-from .parsing import (DegreeLimitExceeded, ParseError, format_univariate, parse_cubic_form,
-                      parse_int_matrix, parse_lattice, parse_univariate)
+from .parsing import (DegreeLimitExceeded, MatrixLimitExceeded, ParseError,
+                      format_univariate, parse_cubic_form, parse_int_matrix,
+                      parse_lattice, parse_univariate)
 from .torus import (CharacterLattice, TorusError, enumerate_rational_points,
                     mu_group, prime_power, torus_order,
                     verify_principal_decomposition, EnumerationLimitExceeded)
@@ -47,7 +48,8 @@ REFUSALS = [
     # builds the engine's frame first): the same verdict as hyperelliptic's
     ((NotSupported,), "undetermined", EXIT_UNDETERMINED, "undetermined"),
     ((FieldError, TorusError, GraphError, EnumerationLimitExceeded,
-      oracle.TooLarge, oracle.TrialsOutOfRange, DegreeLimitExceeded),
+      oracle.TooLarge, oracle.TrialsOutOfRange, DegreeLimitExceeded,
+      MatrixLimitExceeded),
      "invalid-input", EXIT_SYNTAX, "invalid input"),
 ]
 REFUSAL_TYPES = tuple(cls for classes, *_ in REFUSALS for cls in classes)

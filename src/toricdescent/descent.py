@@ -25,7 +25,7 @@ import math
 from itertools import product
 
 from . import zmat
-from .dual_graph import chain_decomposition, fibral_lattice_membership, h1_basis
+from .dual_graph import chain_decomposition, fibral_lattice_membership
 from .finite_field import (INF, FieldElement, NotInSubgroup, Poly, embed,
                            residue_symbol)
 from .torus import principal_decomposition, NotPrincipal
@@ -76,12 +76,24 @@ def _identity(x):
     return x
 
 
+def _view(obj, **attrs):
+    """A shallow copy of obj with attrs set: it shares obj's other
+    attributes (the copy module would add to the import time)."""
+    view = object.__new__(type(obj))
+    view.__dict__.update(obj.__dict__)
+    view.__dict__.update(attrs)
+    return view
+
+
 class SpecialFiber:
     """Dual graph plus node coordinates.
 
     node_coords[i] = (coordinate on tail component, coordinate on head
     component) for edge i; entries are INF or elements of k or of a field
     over k that holds the node.  eval_field is the largest of those fields.
+
+    The memos of meets_nodes and standard_point belong to one request: a
+    fiber shared across requests hands each a view of its own (for_request).
     """
 
     def __init__(self, graph, base_field, eval_field, node_coords):
@@ -120,6 +132,12 @@ class SpecialFiber:
         # sequence standard_point scans, built on first use (kept: scanning
         # afresh per call was not shown to cost nothing)
         self._scans = [None] * graph.num_vertices
+
+    def for_request(self):
+        """This fiber with empty memos: the graph, the coordinates and the
+        orbit representatives are shared, and what a request memoizes stays
+        on the view and goes with it."""
+        return _view(self, _meets={}, _scans=[None] * self.graph.num_vertices)
 
     def frobq(self, x):
         """Arithmetic Frobenius over the residue field, in x's own field."""
@@ -342,6 +360,13 @@ class SpecializedDivisor:
         return SpecializedDivisor._validated(
             self.fiber, [(c, H, m * k) for c, H, m in self.entries])
 
+    def on_view(self, fiber):
+        """This divisor on a view of its fiber (SpecialFiber.for_request),
+        with no check repeated."""
+        if fiber.node_coords is not self.fiber.node_coords:
+            raise DescentError("on_view needs a view of the divisor's own fiber")
+        return SpecializedDivisor._validated(fiber, self.entries)
+
     def __repr__(self):
         body = ", ".join(
             f"C{c}:{'oo' if H is INF else [x.to_int() for x in H.coeffs]}^{m}"
@@ -481,6 +506,10 @@ class FrameComponent:
                     self._nodes[key] = c
         self._values = {}
 
+    def for_request(self):
+        """This component with an empty node_values memo."""
+        return _view(self, _values={})
+
     def node_values(self, H):
         """{encoding of a node of the cycle: H there, in the cycle's field}
         for a polynomial H over k (cached per H)."""
@@ -514,19 +543,36 @@ class FrameComponent:
 
 
 class TorusFrame:
-    """A verified principal decomposition bound to cycles on the fiber."""
+    """A verified principal decomposition bound to cycles on the fiber: the
+    given generator cycles, or by default the graph's principal generators,
+    whose decomposition the graph keeps (DualGraph.principal_components).
 
-    def __init__(self, fiber, generator_cycles):
+    The step_residues memo and the components' node_values memos belong to
+    one request: a frame shared across requests hands each a view of its
+    own (for_request)."""
+
+    def __init__(self, fiber, generator_cycles=None):
         self.fiber = fiber
-        _, lattice, coords = h1_basis(fiber.graph)
+        graph = fiber.graph
         try:
-            components = principal_decomposition(
-                lattice, [coords(c) for c in generator_cycles])
+            if generator_cycles is None:
+                generator_cycles = graph.principal_generators()
+                components = graph.principal_components
+            else:
+                _, lattice, coords = graph.h1
+                components = principal_decomposition(
+                    lattice, [coords(c) for c in generator_cycles])
         except NotPrincipal as exc:
             raise UnsupportedTorus(str(exc)) from exc
         self.components = [FrameComponent(fiber, cycle, comp.char_poly)
                            for cycle, comp in zip(generator_cycles, components)]
         self._steps = {}
+
+    def for_request(self, fiber):
+        """This frame, for the view fiber of its own fiber, with empty
+        memos: the components' local functions are shared."""
+        return _view(self, fiber=fiber, _steps={},
+                     components=[comp.for_request() for comp in self.components])
 
     def step_residues(self, generators, r):
         """Per generator, None when gcd(r, order) = 1 (its power in a

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import product
 
 from . import zmat
-from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice
+from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice, principal_decomposition
 from .zmat import factorize, gcd, lcm, mat_vec, smith_normal_form
 
 
@@ -144,6 +144,55 @@ class DualGraph:
             return tuple(cycle.vector[e] for e in cotree)
 
         return basis, coords
+
+    @cached_property
+    def h1(self):
+        """h1_basis(self): the cycle basis, the character lattice and the
+        coordinate map."""
+        return h1_basis(self)
+
+    @cached_property
+    def _principal_rule(self):
+        """(principal_cycle_generators(self), None), or (None, the
+        NotSupported message) for a shape no rule covers: the refusal is
+        kept as its message, since re-raising one exception object would
+        grow its traceback on every request."""
+        try:
+            return tuple(principal_cycle_generators(self)), None
+        except NotSupported as exc:
+            return None, str(exc)
+
+    def principal_generators(self):
+        """principal_cycle_generators(self), decided once per graph:
+        NotSupported for a shape that no rule covers."""
+        cycles, refusal = self._principal_rule
+        if refusal is not None:
+            raise NotSupported(refusal)
+        return list(cycles)
+
+    @cached_property
+    def principal_components(self):
+        """The principal decomposition of principal_generators, which a
+        TorusFrame built without explicit cycles reads: its Smith forms are
+        computed once per graph.  NotPrincipal (not kept) when their orbits
+        do not form a basis."""
+        cycles = self.principal_generators()
+        _basis, lattice, coords = self.h1
+        return principal_decomposition(lattice, [coords(c) for c in cycles])
+
+    @cached_property
+    def component_group(self):
+        """The component group of the intersection matrix: an entry off the
+        diagonal counts the nodes joining two components, and each row
+        sums to zero (a self-node adds nothing)."""
+        M = [[0] * self.num_vertices for _ in range(self.num_vertices)]
+        for t, h, _ in self.edges:
+            if t != h:
+                M[t][h] += 1
+                M[h][t] += 1
+                M[t][t] -= 1
+                M[h][h] -= 1
+        return ComponentGroup(M)
 
     @property
     def num_edges(self):

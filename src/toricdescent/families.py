@@ -13,21 +13,24 @@ Verdicts that the underlying theory does not cover are reported as
 "Undetermined", never guessed.
 
 A request's derived data (the factors of g, eps at the nodes, the table,
-the component group, the engine's fiber) lives on its validated input as
-cached properties, so the closed forms, the engine checks, the reports and
-the oracle compute each once per request.
+the engine's fiber) lives on its validated input as cached properties, so
+the closed forms, the engine checks, the reports and the oracle compute
+each once per request.  What depends on less than the curve is built once
+per process: the two-line dual graph per shape (_two_line_graph), with its
+component group and principal decomposition, and the genus-4 structure per
+residue field (_genus4_structure).  A request reads those and writes
+nothing to them.
 """
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import descent, dual_graph
 from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
                       SpecializedDivisor, divisibility_verdict,
                       product_of_factors, torsion_structure, DIVISIBLE,
                       UNDETERMINED)
-from .dual_graph import (DualGraph, FrobeniusOrderTooLarge, component_group,
-                         principal_cycle_generators)
+from .dual_graph import DualGraph, FrobeniusOrderTooLarge, component_group
 from .finite_field import (INF, Poly, element_of_order, embed, extension,
                            factor, power_residue, residue_field, residue_symbol)
 from .zmat import gcd, group_invariants
@@ -130,8 +133,15 @@ class HyperellipticInput:
                       key=lambda r: r.to_int())
 
     @cached_property
+    def graph(self):
+        """The shared dual graph of the reduction's shape (_two_line_graph)."""
+        return _two_line_graph(len(self.rational_nodes),
+                               tuple(f.degree for f in self.factors if f.degree > 1))
+
+    @property
     def phi(self):
-        return component_group([[-self.d, self.d], [self.d, -self.d]])
+        """The component group of [[-d, d], [d, -d]], kept by the graph."""
+        return self.graph.component_group
 
     @cached_property
     def fiber_data(self):
@@ -238,13 +248,36 @@ def torsion_bd(inp):
 # -- engine route -----------------------------------------------------------
 
 
+#: Two-line shapes kept; the small-q benchmark workload uses 9 (rounds
+#: -1..9, seed 1).  Measured in process: its hyperelliptic requests took
+#: 1.2 ms with the cache and 1.4 ms without (fastest of 5 runs).
+TWO_LINE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TWO_LINE_CACHE_SIZE)
+def _two_line_graph(rational, degrees):
+    """The dual graph of two lines crossing at `rational` rational nodes
+    and at one node orbit of each degree in degrees (ascending), so at
+    d = rational + sum(degrees) nodes; the Galois generator cycles each
+    orbit's edges.  The graph keeps, as cached properties, its cycle
+    basis, its principal generators or their refusal, their decomposition
+    and its component group."""
+    perm = list(range(rational))
+    for degree in degrees:
+        start = len(perm)
+        perm += [start + (j + 1) % degree for j in range(degree)]
+    return DualGraph(2, [(0, 1, i) for i in range(len(perm))],
+                     vertex_perm=[0, 1], edge_perm=perm)
+
+
 def hyperelliptic_fiber(inp):
     """Build the two-line special fiber, torus frame, component group, and
     descent generators for the generic engine.
 
     The dual graph and its principal generators depend only on the orbit
-    degrees, so they come first: a graph outside the decomposition rules
-    raises NotSupported before any node field is built.  Each node orbit
+    degrees, so they come first and are shared by every request of the
+    shape: a graph outside the decomposition rules raises NotSupported
+    before any node field is built.  Each node orbit
     keeps its own field.  A rational node is a point of k; the nodes of an
     orbit g_i of degree s > 1 are the root of g_i that residue_field gives
     in k[x]/(g_i) and its q-power conjugates, so no splitting field is built
@@ -254,13 +287,8 @@ def hyperelliptic_fiber(inp):
     k = inp.k
     nodes = list(inp.rational_nodes)
     orbits = [f for f in inp.factors if f.degree > 1]
-    perm = list(range(len(nodes)))
-    for f in orbits:
-        start = len(perm)
-        perm += [start + (j + 1) % f.degree for j in range(f.degree)]
-    graph = DualGraph(2, [(0, 1, i) for i in range(len(perm))],
-                      vertex_perm=[0, 1], edge_perm=perm)
-    cycles = principal_cycle_generators(graph)
+    graph = inp.graph
+    graph.principal_generators()  # NotSupported here, before any node field
     largest = k
     for f in orbits:
         field, node = residue_field(f)
@@ -270,7 +298,7 @@ def hyperelliptic_fiber(inp):
             nodes.append(node)
             node = node.frob(k.m)
     fiber = SpecialFiber(graph, k, largest, [(x, x) for x in nodes])
-    frame = descent.TorusFrame(fiber, cycles)
+    frame = descent.TorusFrame(fiber)
 
     d = inp.d
     phi = inp.phi
@@ -375,20 +403,18 @@ class CubicForm:
 
 class Genus4Input:
     """Validated data for the genus-4 family; the data derived from the
-    cubic are cached properties, computed once per input."""
+    cubic are cached properties, computed once per input, and what depends
+    on k alone is the field's shared Genus4Structure."""
 
     def __init__(self, k, eps, r=2, qp_mode=False):
         self.k = k
         self.eps = eps
         self.r = r
         self.qp_mode = qp_mode
-        self.i_in_k = (k.q % 4 == 1)
+        self.structure = _genus4_structure(k)
+        self.i_in_k = self.structure.i_in_k
         #: (k(i), i): the square root of -1 that every table uses
-        self.sqrt_minus_one = _sqrt_of_minus_one(k)
-        field = self.sqrt_minus_one[0]
-        #: the cubic over k(i), through k -> k(i) when i is not in k
-        lift = (lambda v: v) if self.i_in_k else embed(k, field)
-        self.eps_i = CubicForm(field, {e: lift(c) for e, c in eps.coeffs.items()})
+        self.sqrt_minus_one = self.structure.sqrt_minus_one
         self.warnings = []
         if qp_mode:
             self.warnings.append(
@@ -398,21 +424,43 @@ class Genus4Input:
                 "p >= 5)")
 
     @cached_property
+    def eps_i(self):
+        """The cubic over k(i), through k -> k(i) when i is not in k."""
+        return CubicForm(self.sqrt_minus_one[0],
+                         {e: self.structure.lift(c) for e, c in self.eps.coeffs.items()})
+
+    @cached_property
     def eps_at_nodes(self):
-        """The cubic over k(i) at the six nodes, in the order of NODES."""
-        field, i = self.sqrt_minus_one
-        one, zero = field.one(), field.zero()
-        points = [(one, one, one, one), (-one, -one, one, one), (i, i, -one, one),
-                  (-i, -i, -one, one), (one, zero, zero, zero), (zero, one, zero, zero)]
-        return [self.eps_i.evaluate(point) for point in points]
+        """The cubic at the six nodes, in the order of NODES, as elements
+        of k(i), from its coefficients: at [s:s:t:1] with s^4 = 1 and
+        t = +-1 a monomial X^a Y^b Z^c W^d takes s^((a+b) mod 4) t^(c mod 2),
+        so eight coefficient sums in k give the first four nodes, and the
+        last two read the X^3 and Y^3 coefficients."""
+        k = self.k
+        zero = k.zero()
+        sums = [[zero, zero] for _ in range(4)]
+        for (a, b, c, _d), coeff in self.eps.coeffs.items():
+            row = sums[(a + b) % 4]
+            row[c % 2] = row[c % 2] + coeff
+        plus = [even + odd for even, odd in sums]     # t = 1
+        minus = [even - odd for even, odd in sums]    # t = -1
+        # s = +-1 stays in k; s = +-i gives A +- i B with A, B in k
+        at_one = plus[0] + plus[1] + plus[2] + plus[3]
+        at_minus_one = plus[0] - plus[1] + plus[2] - plus[3]
+        lift = self.structure.lift
+        i = self.sqrt_minus_one[1]
+        real, imag = lift(minus[0] - minus[2]), i * lift(minus[1] - minus[3])
+        coeffs = self.eps.coeffs
+        return [lift(at_one), lift(at_minus_one), real + imag, real - imag,
+                lift(coeffs.get((3, 0, 0, 0), zero)), lift(coeffs.get((0, 3, 0, 0), zero))]
 
     @cached_property
     def rows(self):
         return genus4_table_eval(self)
 
-    @cached_property
+    @property
     def phi(self):
-        return component_group(GENUS4_MATRIX)
+        return self.structure.phi
 
     @cached_property
     def fiber_data(self):
@@ -425,6 +473,133 @@ def _sqrt_of_minus_one(k):
     field = k if k.q % 4 == 1 else extension(k, 2)
     i = element_of_order(field, 4)
     return field, min(i, -i, key=lambda x: x.to_int())
+
+
+class Genus4Structure:
+    """The part of the genus-4 family that depends on the residue field k
+    alone, shared by every request over k (_genus4_structure): k(i) and i
+    at once, and on first use the component group with its two generators,
+    the special fiber and torus frame, div(X+Y), and the local functions
+    and div(X+Y) row of the direct table.  A request reads these and never
+    writes to them: it evaluates on views of the fiber and the frame that
+    keep their own memos (SpecialFiber.for_request)."""
+
+    def __init__(self, k):
+        self.k = k
+        self.i_in_k = k.q % 4 == 1
+        self.sqrt_minus_one = _sqrt_of_minus_one(k)
+        field = self.sqrt_minus_one[0]
+        #: k -> k(i)
+        self.lift = (lambda v: v) if self.i_in_k else embed(k, field)
+
+    @cached_property
+    def phi(self):
+        return component_group(GENUS4_MATRIX)
+
+    @cached_property
+    def deltas(self):
+        """delta_1 and delta_2, the classes of (0, 1, -1) and (-1, -1, 2):
+        ComponentGroupMismatch unless they have orders 6 and 2 and span
+        the component group."""
+        phi = self.phi
+        delta1 = phi.project((0, 1, -1))
+        delta2 = phi.project((-1, -1, 2))
+        span = {phi.add(phi.scale(delta1, a), phi.scale(delta2, b))
+                for a in range(6) for b in range(2)}
+        if (phi.element_order(delta1), phi.element_order(delta2), len(span)) != (6, 2, 12):
+            raise ComponentGroupMismatch(
+                "the generators of orders 6 and 2 do not span the component group")
+        return delta1, delta2
+
+    @cached_property
+    def fiber(self):
+        """Three lines on the quadric in a triangle, two nodes per pair, over
+        k(i), the field of the nodes."""
+        E, i = self.sqrt_minus_one
+        one = E.one()
+        zero = E.zero()
+        # components: 0 = X=Y line pair, 1 = Z=W, 2 = Z=-W
+        # edges (tail, head, label): coordinates on (tail, head)
+        edges = [
+            (0, 1, 0),  # [1:1:1:1]
+            (0, 1, 1),  # [-1:-1:1:1]
+            (0, 2, 2),  # [i:i:-1:1]
+            (0, 2, 3),  # [-i:-i:-1:1]
+            (1, 2, 4),  # [1:0:0:0]
+            (1, 2, 5),  # [0:1:0:0]
+        ]
+        coords = [
+            (one, one),
+            (-one, -one),
+            (i, i),
+            (-i, -i),
+            (INF, INF),
+            (zero, zero),
+        ]
+        if self.i_in_k:
+            perm = [0, 1, 2, 3, 4, 5]
+        else:
+            perm = [0, 1, 3, 2, 4, 5]
+        graph = DualGraph(3, edges, vertex_perm=[0, 1, 2], edge_perm=perm)
+        return SpecialFiber(graph, self.k, E, coords)
+
+    @cached_property
+    def frame(self):
+        """The frame of the loops gamma_1..gamma_4, of gamma_1..gamma_3 when
+        i is not in k."""
+        graph = self.fiber.graph
+
+        def cyc(vec):
+            return dual_graph.Cycle(graph, vec)
+
+        cycles = [cyc([1, -1, 0, 0, 0, 0]), cyc([0, 0, 0, 0, -1, 1]),
+                  cyc([1, 0, -1, 0, 0, 1])]
+        if self.i_in_k:
+            cycles.append(cyc([1, 0, 0, -1, 0, 1]))
+        return descent.TorusFrame(self.fiber, cycles)
+
+    @cached_property
+    def div_xy(self):
+        """div(X+Y) on the fiber: t = 0 and infinity on the first line, the
+        roots of t^2 + 1 and of t^2 - 1 on the other two."""
+        k = self.k
+        return SpecializedDivisor(self.fiber, [
+            (0, Poly(k, [0, 1]), 1), (0, INF, 1),
+            (1, Poly(k, [1, 0, 1]), 1),
+            (2, Poly(k, [-1, 0, 1]), 1),
+        ])
+
+    @cached_property
+    def direct(self):
+        """(local functions, their finite nodes by encoding, the div(X+Y)
+        row) of genus4_direct_table."""
+        field, i = self.sqrt_minus_one
+        funcs = _genus4_local_functions(field, i)
+        nodes = {x.to_int(): x for factors in funcs.values() for f in factors
+                 for x in (f.enter, f.leave) if x is not INF}
+        one = field.one()
+        xy_form = (one, one, field.zero(), field.zero())
+        # every section meets each component in two points, X + Y partly at
+        # infinity
+        xy = []
+        for comp in range(3):
+            restricted = _restrict_linear(field, xy_form, comp)
+            xy.append((comp, restricted.monic(), 1))
+            xy += [(comp, INF, 1)] * (2 - restricted.degree)
+        return funcs, nodes, _direct_row(funcs, nodes, xy, one)
+
+
+#: Genus-4 structures kept, one per residue field; the small-q benchmark
+#: workload uses 6.  Measured in process: its genus-4 requests took 1.7 ms
+#: with the cache and 2.5 ms without (fastest of 5 runs).
+GENUS4_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=GENUS4_CACHE_SIZE)
+def _genus4_structure(k):
+    """The Genus4Structure of k, keyed by the field itself (p, modulus and
+    base), never by its size."""
+    return Genus4Structure(k)
 
 
 #: the six nodes of the special fiber, in the order of its edges
@@ -546,21 +721,17 @@ def genus4_direct_table(inp):
     product of its Mobius factors over them, by resultants at the known
     node coordinates (MobiusFactor.over_roots)."""
     field, i = inp.sqrt_minus_one
-    funcs = _genus4_local_functions(field, i)
+    funcs, nodes, row_xy = inp.structure.direct
     one = field.one()
-    xy_form = (one, one, field.zero(), field.zero())
-    # every section meets each component in two points, X + Y partly at
-    # infinity
-    xy = []
-    for comp in range(3):
-        restricted = _restrict_linear(field, xy_form, comp)
-        xy.append((comp, restricted.monic(), 1))
-        xy += [(comp, INF, 1)] * (2 - restricted.degree)
     zw = [(1, inp.eps_i.restrict_zw().monic(), 1)]
     mzw = [(2, inp.eps_i.restrict_mzw().monic(), 1)]
+    return field, i, _table_rows(row_xy, _direct_row(funcs, nodes, zw, one),
+                                 _direct_row(funcs, nodes, mzw, one))
 
-    nodes = {x.to_int(): x for factors in funcs.values() for f in factors
-             for x in (f.enter, f.leave) if x is not INF}
+
+def _direct_row(funcs, nodes, entries, one):
+    """The four loops' values on a divisor of orbit entries, by resultants
+    at the nodes (product_of_factors)."""
     values = {}
 
     def values_at_nodes(H):
@@ -568,11 +739,8 @@ def genus4_direct_table(inp):
             values[H] = {key: H(x) for key, x in nodes.items()}
         return values[H]
 
-    def row(entries):
-        return tuple(product_of_factors(funcs[gamma], entries, one, values_at_nodes)
-                     for gamma in (1, 2, 3, 4))
-
-    return field, i, _table_rows(row(xy), row(zw), row(mzw))
+    return tuple(product_of_factors(funcs[gamma], entries, one, values_at_nodes)
+                 for gamma in (1, 2, 3, 4))
 
 
 def _norm(inp, x):
@@ -679,49 +847,14 @@ def genus4_fiber(inp):
     component-group generators for the engine.
 
     The evaluation field is k(i), the field of the nodes, with the square
-    root of -1 the closed forms use; the sections enter as orbit entries."""
-    k = inp.k
-    E, i = inp.sqrt_minus_one
-    one = E.one()
-    zero = E.zero()
-    # components: 0 = X=Y line pair, 1 = Z=W, 2 = Z=-W
-    # edges (tail, head, label): coordinates on (tail, head)
-    edges = [
-        (0, 1, 0),  # [1:1:1:1]
-        (0, 1, 1),  # [-1:-1:1:1]
-        (0, 2, 2),  # [i:i:-1:1]
-        (0, 2, 3),  # [-i:-i:-1:1]
-        (1, 2, 4),  # [1:0:0:0]
-        (1, 2, 5),  # [0:1:0:0]
-    ]
-    coords = [
-        (one, one),
-        (-one, -one),
-        (i, i),
-        (-i, -i),
-        (INF, INF),
-        (zero, zero),
-    ]
-    if inp.i_in_k:
-        perm = [0, 1, 2, 3, 4, 5]
-    else:
-        perm = [0, 1, 3, 2, 4, 5]
-    graph = DualGraph(3, edges, vertex_perm=[0, 1, 2], edge_perm=perm)
-    fiber = SpecialFiber(graph, k, E, coords)
-
-    def cyc(vec):
-        return dual_graph.Cycle(graph, vec)
-
-    gamma1 = cyc([1, -1, 0, 0, 0, 0])
-    gamma2 = cyc([0, 0, 0, 0, -1, 1])
-    gamma3 = cyc([1, 0, -1, 0, 0, 1])
-    gamma4 = cyc([1, 0, 0, -1, 0, 1])
-    if inp.i_in_k:
-        cycles = [gamma1, gamma2, gamma3, gamma4]
-    else:
-        cycles = [gamma1, gamma2, gamma3]
-    frame = descent.TorusFrame(fiber, cycles)
-    phi = inp.phi
+    root of -1 the closed forms use; the sections enter as orbit entries.
+    The fiber, the frame, the component group and div(X+Y) are the field's
+    shared Genus4Structure, seen through views that keep this request's
+    memos; the request builds its two sections and two generators."""
+    structure = inp.structure
+    fiber = structure.fiber.for_request()
+    frame = structure.frame.for_request(fiber)
+    phi = structure.phi
 
     # specializations of the three sections
     h_zw = inp.eps.restrict_zw()
@@ -730,19 +863,8 @@ def genus4_fiber(inp):
         raise UnexpectedRootCount("a section does not meet its line in six finite points")
     div_zw = SpecializedDivisor(fiber, [(1, h_zw, 1)])
     div_mzw = SpecializedDivisor(fiber, [(2, h_mzw, 1)])
-    t = Poly(k, [0, 1])
-    div_xy = SpecializedDivisor(fiber, [
-        (0, t, 1), (0, INF, 1),
-        (1, Poly(k, [1, 0, 1]), 1),
-        (2, Poly(k, [-1, 0, 1]), 1),
-    ])
-    delta1 = phi.project((0, 1, -1))
-    delta2 = phi.project((-1, -1, 2))
-    span = {phi.add(phi.scale(delta1, a), phi.scale(delta2, b))
-            for a in range(6) for b in range(2)}
-    if (phi.element_order(delta1), phi.element_order(delta2), len(span)) != (6, 2, 12):
-        raise ComponentGroupMismatch(
-            "the generators of orders 6 and 2 do not span the component group")
+    div_xy = structure.div_xy.on_view(fiber)
+    delta1, delta2 = structure.deltas
     generators = [
         PhiGenerator(delta1, 6, (0, 1, -1), div_mzw - div_zw),
         PhiGenerator(delta2, 2, (-1, -1, 2), div_xy - div_mzw),

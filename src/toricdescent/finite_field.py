@@ -350,14 +350,13 @@ def _cached_field(p, m):
 def make_field(p, m=1):
     """GF(p^m) with the deterministic modulus, for a field a user names;
     cached per (p, m).  The size limit (default 2^20, env
-    TORICDESCENT_FIELD_LIMIT) applies here, before the primality test."""
+    TORICDESCENT_FIELD_LIMIT) applies here, before FiniteField's primality
+    test (NotPrime), which runs once per field built."""
     if m < 1:
         raise FieldError("extension degree must be >= 1")
     bound = field_limit()
     if p ** m > bound:
         raise SizeLimitExceeded(f"{p}^{m} exceeds the field-size limit {bound}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     return _cached_field(p, m)
 
 

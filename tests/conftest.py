@@ -3,6 +3,8 @@ tests need but the package does not."""
 
 import random
 
+import pytest
+
 from toricdescent import (cli, descent, dual_graph, families, finite_field, oracle,
                           parsing, torus, zmat)
 from toricdescent.finite_field import Poly, factor
@@ -122,3 +124,20 @@ def record_calls(monkeypatch, function):
             if value is function:
                 monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+#: the per-process caches of shared structure: two-line dual graphs per
+#: shape and genus-4 structures per residue field
+SHAPE_CACHES = (families._two_line_graph, families._genus4_structure)
+
+
+@pytest.fixture
+def cold_shape_caches():
+    """Empties the shape caches before and after the test, so that it sees
+    a cold request's work and a constant it patches (GENUS4_MATRIX) is not
+    kept past it."""
+    for cache in SHAPE_CACHES:
+        cache.cache_clear()
+    yield SHAPE_CACHES
+    for cache in SHAPE_CACHES:
+        cache.cache_clear()

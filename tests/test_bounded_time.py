@@ -211,7 +211,7 @@ def test_large_torus_orders_are_not_factored(line):
     assert dt < 2.0
 
 
-def test_only_small_numbers_are_factored(monkeypatch):
+def test_only_small_numbers_are_factored(monkeypatch, cold_shape_caches):
     # a class needs a primitive gcd(r, n)-th root of unity, not a generator
     # of the whole group of order n, so factorize sees small numbers only
     from toricdescent import finite_field
@@ -224,7 +224,8 @@ def test_only_small_numbers_are_factored(monkeypatch):
 
     original = finite_field.factorize
     monkeypatch.setattr(finite_field, "factorize", factorize)
-    # fresh fields: each keeps its own elements of given orders
+    # fresh fields and genus-4 structures: each field keeps its own elements
+    # of given orders
     finite_field._cached_field.cache_clear()
     for line in BIG_ORBIT_REQUESTS + ["genus4 --p 1000003 --eps X^3+Y^3+W*Z^2 --json"]:
         code, _text, _dt = _run(line, 10.0)
@@ -305,3 +306,40 @@ def test_oversized_torsion_listing_is_refused_before_listing(capsys):
     assert (code, text) == (cli.EXIT_SYNTAX, "")
     assert "more than the listing limit 10000" in capsys.readouterr().err
     assert dt < 1.0
+
+
+def _cycle_laplacian(vertices):
+    """A --matrix argument: the intersection matrix of a cycle of lines,
+    whose component group is Z/vertices."""
+    rows = [[-2 if j == i else int((j - i) % vertices in (1, vertices - 1))
+             for j in range(vertices)] for i in range(vertices)]
+    return json.dumps(rows, separators=(",", ":"))
+
+
+def test_largest_accepted_intersection_matrix_answers_promptly():
+    from toricdescent.parsing import MATRIX_ROW_LIMIT
+    n = MATRIX_ROW_LIMIT
+    code, text, dt = _run(f"component-group --matrix {_cycle_laplacian(n)} --json", 1.0)
+    assert code == 0
+    report = json.loads(text)
+    assert (report["phi"], report["order"]) == ([n], n)
+    assert dt < 1.0
+
+
+def test_intersection_matrix_past_the_row_limit_is_refused_before_arithmetic(
+        monkeypatch, capsys):
+    # 400 rows took 3.4 s and 800 rows 27.5 s; the row count is checked
+    # right after the JSON is read
+    from toricdescent import dual_graph
+    from toricdescent.parsing import MATRIX_ROW_LIMIT
+    calls = []
+    monkeypatch.setattr(dual_graph, "smith_normal_form",
+                        lambda *args: calls.append(args))
+    for n in (MATRIX_ROW_LIMIT + 1, 800):
+        code, text, dt = _run(f"component-group --matrix {_cycle_laplacian(n)} --json", 1.0)
+        assert (code, text) == (cli.EXIT_SYNTAX, "")
+        assert capsys.readouterr().err == (
+            f"invalid input: matrix has {n} rows, more than the row limit "
+            f"{MATRIX_ROW_LIMIT}\n")
+        assert dt < 1.0
+    assert calls == []

@@ -417,10 +417,12 @@ def test_genus4_fiber_section_degree_is_checked():
         families.genus4_fiber(families.Genus4Input(k, eps))
 
 
-def test_genus4_generator_check_is_a_typed_error(monkeypatch):
+def test_genus4_generator_check_is_a_typed_error(monkeypatch, cold_shape_caches):
     from toricdescent import cli
     # a triangle with three nodes per pair has component group Z/3 + Z/9:
-    # the generators of orders 6 and 2 no longer split it
+    # the generators of orders 6 and 2 no longer split it.  The component
+    # group is built once per field, so the caches are emptied around the
+    # patch
     monkeypatch.setattr(families, "GENUS4_MATRIX", [[-6, 3, 3], [3, -6, 3], [3, 3, -6]])
     k = make_field(7)
     with pytest.raises(families.ComponentGroupMismatch):
@@ -484,15 +486,41 @@ def _recording(monkeypatch, owner, name):
 @pytest.mark.parametrize("engine", [[], ["--no-engine-check"]], ids=["check", "no-check"])
 @pytest.mark.parametrize("q", ["7", "13"])
 def test_eps_is_evaluated_once_per_node(monkeypatch, capsys, q, engine):
-    # validation evaluates the cubic at the six nodes, and the table and the
-    # torsion (which needs eps at [i:i:-1:1] when i is not in k) read those
-    # values: at q = 7, i lies in the quadratic extension, at q = 13 in k
+    # validation computes the cubic at the six nodes from its coefficients
+    # (eps_at_nodes), and the table and the torsion (which needs eps at
+    # [i:i:-1:1] when i is not in k) read those values: at q = 7, i lies in
+    # the quadratic extension, at q = 13 in k.  No request evaluates the
+    # cubic term by term (CubicForm.evaluate is the reference only)
     from toricdescent import cli
     calls = _recording(monkeypatch, CubicForm, "evaluate")
     argv = ["genus4", "--q", q, "--eps", "X^3+Y^3+W*Z^2", "--json"] + engine
     assert cli.run_line(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 6
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [5, 13, 25, 7, 11, 27, 1031])
+def test_eps_at_nodes_matches_evaluate(q):
+    # the closed form against the term-by-term value of the cubic over k(i)
+    # at the six points, on seeded cubics (some coefficients zero, some
+    # cubics vanishing at a node), at q = 1 and q = 3 mod 4
+    p = {25: 5, 27: 3}.get(q, q)
+    k = make_field(p, {25: 2, 27: 3}.get(q, 1))
+    rng = rng_for(f"eps-at-nodes:{q}")
+    for trial in range(40):
+        coeffs = {e: rng.randrange(k.q) if rng.random() < 0.7 else 0
+                  for e in families.MONOMIALS}
+        if trial == 0:
+            coeffs = {(0, 3, 0, 0): 1}  # vanishes at [1:0:0:0]
+        inp = families.Genus4Input(k, CubicForm(k, {e: k.from_int(c)
+                                                    for e, c in coeffs.items()}))
+        field, i = inp.sqrt_minus_one
+        one, zero = field.one(), field.zero()
+        points = [(one, one, one, one), (-one, -one, one, one), (i, i, -one, one),
+                  (-i, -i, -one, one), (one, zero, zero, zero), (zero, one, zero, zero)]
+        expected = [inp.eps_i.evaluate(point) for point in points]
+        assert inp.eps_at_nodes == expected
+        assert all(value.field == field for value in inp.eps_at_nodes)
 
 
 @pytest.mark.parametrize("engine", [[], ["--no-engine-check"]], ids=["check", "no-check"])
@@ -502,13 +530,19 @@ def test_eps_is_evaluated_once_per_node(monkeypatch, capsys, q, engine):
     "hyperelliptic --p 5 --g x^4+x --h x+2",
     "genus4 --q 7 --eps X^3+Y^3+W*Z^2",
 ])
-def test_one_component_group_per_family_request(monkeypatch, capsys, line, engine):
-    # the fiber builder and the report share the input's component group
+def test_one_component_group_per_family_request(monkeypatch, capsys, cold_shape_caches,
+                                                line, engine):
+    # the fiber builder and the report share the component group, which the
+    # shape's graph or the field's genus-4 structure keeps: a cold request
+    # builds it once, a repeated shape or field not at all
     from toricdescent import cli, dual_graph
     calls = _recording(monkeypatch, dual_graph.ComponentGroup, "__init__")
-    assert cli.run_line(line.split() + ["--json"] + engine) == cli.EXIT_OK
+    counts = []
+    for _ in range(2):
+        assert cli.run_line(line.split() + ["--json"] + engine) == cli.EXIT_OK
+        counts.append(len(calls))
     capsys.readouterr()
-    assert len(calls) == 1
+    assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("line, forms", [
@@ -517,14 +551,97 @@ def test_one_component_group_per_family_request(monkeypatch, capsys, line, engin
     ("hyperelliptic --p 7 --g x^3-x --h x+2", 4),
     ("genus4 --q 7 --eps X^3+Y^3+W*Z^2", 6),
 ])
-def test_smith_forms_per_family_request(monkeypatch, capsys, line, forms):
+def test_smith_forms_per_family_request(monkeypatch, capsys, cold_shape_caches, line, forms):
     # the component group's one Smith form answers every fibral-lattice
-    # test, and its inverse certificate is never built for a report
+    # test, and its inverse certificate is never built for a report.  The
+    # component group and the frame's recurrences are kept per shape or
+    # field, so a repeated request computes only its torsion presentation
     from toricdescent import cli
     calls = record_calls(monkeypatch, zmat.smith_normal_form)
-    assert cli.run_line(line.split() + ["--json"]) == cli.EXIT_OK
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert cli.run_line(line.split() + ["--json"]) == cli.EXIT_OK
+        counts.append(len(calls))
     capsys.readouterr()
-    assert len(calls) == forms
+    assert counts == [forms, 1]
+
+
+def _genus4_memo_sizes(structure):
+    """The sizes of every memo on a genus-4 structure's shared objects."""
+    fiber, frame = structure.fiber, structure.frame
+    return (len(vars(structure)), len(vars(fiber.graph)), len(fiber._meets),
+            fiber._scans, [len(comp._values) for comp in frame.components],
+            len(frame._steps), len(vars(structure.phi)))
+
+
+def test_shared_structure_keeps_no_request_memo(cold_shape_caches):
+    # 200 genus-4 reports with distinct seeded cubics over one field, then
+    # 200 hyperelliptic reports and oracle runs of one orbit pattern: the
+    # shared fiber, frame and graph keep what the first request left, and
+    # each cache holds one entry
+    from toricdescent import oracle
+    graphs, structures = cold_shape_caches
+    k = make_field(11)
+    rng = rng_for("shared-structure-memos")
+    seen = set()
+    sizes = []
+    while len(seen) < 200:
+        inp = random_genus4(k, rng)
+        vector = tuple(c.to_int() for c in inp.eps.vector())
+        if vector in seen:
+            continue
+        seen.add(vector)
+        assert genus4_report(inp)["engine_check"]["agree"] is True
+        sizes.append(_genus4_memo_sizes(inp.structure))
+    assert sizes == sizes[:1] * 200
+    assert structures.cache_info().currsize == 1
+    assert graphs.cache_info().currsize == 0
+
+    k = make_field(13)
+    graph_sizes = []
+    done = 0
+    while done < 200:
+        inp = random_hyperelliptic(k, 4, rng)
+        if [f.degree for f in inp.factors] != [1, 1, 2]:
+            continue
+        assert hyperelliptic_report(inp)["engine_check"]["agree"] is True
+        fiber, frame, phi, gens = inp.fiber_data
+        for _ in range(2):
+            div = oracle.random_divisor(fiber, 2, rng, 2)
+            descent.divisibility_verdict(div, 2, frame, phi, gens)
+        graph_sizes.append((len(vars(inp.graph)), len(vars(phi))))
+        done += 1
+    assert graph_sizes == graph_sizes[:1] * 200
+    assert graphs.cache_info().currsize == 1
+    assert structures.cache_info().currsize == 1
+
+
+def test_repeated_shapes_and_fields_replay_the_pinned_reports(capsys, cold_shape_caches):
+    # the pinned genus-4, hyperelliptic and oracle lines, twice over in one
+    # process in a seeded shuffled order: requests that find their shape or
+    # field already built answer with the same bytes as cold ones
+    import io
+    import json
+    from pathlib import Path
+    from toricdescent import cli
+    records = []
+    for name in ("genus4_reports.jsonl", "hyperelliptic_reports.jsonl"):
+        with open(Path(__file__).parent / "data" / name) as fh:
+            records += [json.loads(line) for line in fh]
+    rng = rng_for("warm-replay")
+    answers = {}
+    for _ in range(2):
+        order = list(range(len(records)))
+        rng.shuffle(order)
+        for index in order:
+            record = records[index]
+            out = io.StringIO()
+            code = cli.run_line(record["line"].split(), stream=out)
+            answer = (code, out.getvalue(), capsys.readouterr().err)
+            assert answer[:2] == (record["exit"], record["output"]), record["line"]
+            assert answers.setdefault(index, answer) == answer, record["line"]
+    assert len(answers) == len(records)
 
 
 def test_no_node_field_without_a_decomposition_rule(monkeypatch, capsys):

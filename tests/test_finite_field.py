@@ -51,6 +51,31 @@ def test_make_field_rejects_bad_input():
     assert extension(make_field(2), 25).q == 2 ** 25
 
 
+def test_a_cold_field_build_tests_primality_once(monkeypatch):
+    # make_field leaves the primality test to FiniteField, which refuses a
+    # composite with the same NotPrime message
+    from toricdescent import finite_field
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    is_prime = finite_field.is_prime
+    monkeypatch.setattr(finite_field, "is_prime", counting)
+    finite_field._cached_field.cache_clear()
+    try:
+        make_field(1048573)
+        assert calls == [1048573]
+        make_field(1048573)
+        assert calls == [1048573]
+        with pytest.raises(NotPrime, match="^1048575 is not prime$"):
+            make_field(1048575)
+        assert calls == [1048573, 1048575]
+    finally:
+        finite_field._cached_field.cache_clear()
+
+
 def test_norm_of_generator_generates_subfield():
     # the norm from a quadratic extension of GF(q) is the power x^(q+1),
     # taken where x lives (the genus-4 closed forms take it so in k(i))

@@ -18,6 +18,12 @@ TRACER = ROOT / "bench" / "tracer.py"
 CACHE_ALLOWLIST = {
     "finite_field._cached_field": "GF(p^m) and its elements of given orders, per (p, m)",
     "oracle._orbit_roots": "the random divisors of one fiber draw the same orbits again",
+    "families._two_line_graph": "a two-line shape's graph, component group and "
+                                "principal decomposition: Smith forms per small-q "
+                                "request fell from 5.04 to 0.95",
+    "families._genus4_structure": "a residue field's genus-4 fiber, frame and "
+                                  "component group: small-q genus-4 requests took "
+                                  "1.7 ms with it, 2.5 ms without",
 }
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

@@ -226,9 +226,11 @@ def test_enumeration_count_mismatch_is_an_internal_error_in_the_cli():
     assert "invalid input" not in proc.stderr
 
 
-def test_each_principal_component_is_built_once(monkeypatch):
-    """Once per generator of a TorusFrame, and once per torus --lattice
-    component."""
+def test_each_principal_component_is_built_once(monkeypatch, cold_shape_caches):
+    """Once per generator of a graph's principal decomposition, which the
+    graph of a two-line shape keeps for every request of that shape; once
+    per generator of a TorusFrame given its cycles; and once per torus
+    --lattice component."""
     import io
     from toricdescent import cli, descent, families
     from toricdescent.dual_graph import principal_cycle_generators
@@ -245,7 +247,13 @@ def test_each_principal_component_is_built_once(monkeypatch):
     # g = x (x - 1) (x^3 - 2): two rational nodes and an orbit of degree 3
     inp = families.validate_hyperelliptic(k, Poly(k, [0, 2, -2, 0, -1, 1]), Poly(k, [2, 1]))
     fiber = families.hyperelliptic_fiber(inp)[0]
+    assert len(built) == 2
     built.clear()
+    # g = x (x - 3) (x^3 - 3): the same shape over the same field
+    again = families.validate_hyperelliptic(k, Poly(k, [0, 9, -3, 0, -3, 1]), Poly(k, [2, 1]))
+    assert again.graph is inp.graph
+    assert families.hyperelliptic_fiber(again)[1].components
+    assert built == []
     gens = principal_cycle_generators(fiber.graph)
     frame = descent.TorusFrame(fiber, gens)
     assert len(built) == len(gens) == len(frame.components) == 2
