@@ -4,13 +4,16 @@ Exit codes: 0 success; 2 invalid input syntax; 3 hypothesis violated by the
 input; 4 undetermined verdict.  Reports go to stdout as text or, with
 --json, as canonical JSON (sorted keys, no whitespace), so identical inputs
 produce byte-identical output.  `batch` writes exactly one line per request
-line: the report, or an error record naming the line.
+line: the report, or an error record naming the line.  A reader that closes
+stdout early (`| head`) gets no traceback: the rest of the output goes to
+the null device and the exit code stays the request's own.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import shlex
 import sys
@@ -271,13 +274,22 @@ def _render_text(report):
 
 def _emit(code, report, as_json, stream=None):
     stream = stream or sys.stdout
-    if as_json:
-        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        stream.write("\n")
-    else:
-        stream.write(_render_text(report))
-        stream.write("\n")
+    text = (json.dumps(report, sort_keys=True, separators=(",", ":")) if as_json
+            else _render_text(report))
+    try:
+        stream.write(text + "\n")
+    except BrokenPipeError:
+        _silence(stream)
     return code
+
+
+def _silence(stream):
+    """Point a stream whose reader has gone (`| head`) at the null device:
+    the rest of the output, and the flush at exit, go nowhere, and the
+    process exits with the request's own code, not with a traceback."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 RUNNERS = {
@@ -374,7 +386,12 @@ def main(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         raise SystemExit(EXIT_SYNTAX if exc.code else EXIT_OK)
-    raise SystemExit(dispatch(args))
+    code = dispatch(args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence(sys.stdout)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,20 @@ streamlined engine: torus points by direct enumeration of equivariant
 homomorphisms, cycle evaluation through the chain-of-ratios construction,
 and divisibility by literal subgroup closure.
 
-Cost, per request: prepare enumerates the torus (every point is checked for
-equivariance, with literal q-th powers) and closes the subgroup that r-th
-powers and the connecting-map lifts generate, once for the fiber and r.
-The closure runs element by element in exponent coordinates: each
-generator's value tuple is looked up among the enumerated points to find
-its exponent vector, and products add those vectors modulo the component
-orders (see EnumeratedTorus).  Each trial then pays for one chain
-evaluation per cycle on the divisor's points, along walks that the
-enumerated torus decomposes once, with one field inverse per cycle, and a
+Cost, per request: the enumerated torus reads no node coordinate, only k,
+the oracle's field and the dual graph with its Frobenius action (TorusKey),
+so it is built once per key and shared (_shared_torus): enumerate_torus
+lists the points and checks each for equivariance, with literal q-th
+powers, on the first request with that key, and a later one pays for none
+of it, nor for the orbit cycle basis and its Smith forms.  A request builds
+what reads its own fiber: the chain walks over its node coordinates
+(EnumeratedTorus.for_fiber), the connecting-map lifts, and the closure of
+the subgroup that r-th powers and the lifts generate.  The closure runs
+element by element in exponent coordinates: each generator's value tuple
+is looked up among the enumerated points to find its exponent vector, and
+products add those vectors modulo the component orders (see
+EnumeratedTorus).  Each trial then pays for one chain evaluation per cycle
+on the divisor's points, with one field inverse per cycle, and a
 dictionary lookup.
 
 Only the field layer, the combinatorial graph plumbing and the fiber
@@ -32,8 +37,9 @@ orbits over k.
 """
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, product
+from typing import NamedTuple
 
 from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
                       phi_r_table, translate_to_degree_zero)
@@ -132,6 +138,9 @@ def prepare(inp, phi, generators, r):
     GF(q^degree), where degree is the least common multiple of the nodes'
     degree and the field_degree of the generators' function divisors (the
     zeros of h).  random_divisor draws its orbits to split in this field.
+    The torus is the one shared for the fiber's TorusKey (_shared_torus),
+    or, past TORUS_CACHE_POINTS points, one enumerated for this request,
+    seen through this fiber (EnumeratedTorus.for_fiber).
     The subgroup is the frozenset of the positions (EnumeratedTorus.position)
     of the torus points that r-th powers and the connecting-map lifts
     generate: each generator is computed as a value tuple, looked up among
@@ -140,7 +149,10 @@ def prepare(inp, phi, generators, r):
     degree = lcm(node_degree(inp), field_degree(
         [H for gen in generators for _comp, H, _mult in gen.f_divisor.entries]))
     fiber = hyperelliptic_special_fiber(inp, degree)
-    torus = enumerate_torus(fiber)
+    torus = _shared_torus(TorusKey.of(fiber))
+    if torus is None:
+        torus = enumerate_torus(fiber)
+    torus = torus.for_fiber(fiber)
     powers = [torus.position(torus.power(pt, r)) for pt in torus.component_generators]
     lifts = [torus.position(vec)
              for _el, vec in nu_lift_vectors(fiber, torus, phi, generators, r)]
@@ -270,10 +282,41 @@ def orbit_cycle_basis(graph):
     return flat, layout, coords
 
 
+class TorusKey(NamedTuple):
+    """What enumerate_torus reads of a fiber, and so the key of a shared
+    enumerated torus: k, whose q-power map is the Frobenius, the oracle's
+    field E, and the dual graph's combinatorics, with each edge label
+    replaced by its rank (labels only fix the order of choices, see
+    dual_graph).  E alone is not enough: GF(5^12) is reached from GF(5) and
+    from GF(25) with one edge permutation, and the two tori differ."""
+
+    k: object
+    E: object
+    num_vertices: int
+    edges: tuple
+    vertex_perm: tuple
+    edge_perm: tuple
+
+    @classmethod
+    def of(cls, fiber):
+        """The key of a fiber's torus."""
+        graph = fiber.graph
+        rank = {label: i for i, label in enumerate(sorted(e[2] for e in graph.edges))}
+        return cls(fiber.k, fiber.E, graph.num_vertices,
+                   tuple((t, h, rank[label]) for t, h, label in graph.edges),
+                   graph.vertex_perm, graph.edge_perm)
+
+    @property
+    def graph(self):
+        """A dual graph with these combinatorics, labelled by rank."""
+        return DualGraph(self.num_vertices, self.edges, self.vertex_perm, self.edge_perm)
+
+
 class EnumeratedTorus:
     """Every equivariant homomorphism from the cycle lattice to the units of
-    the evaluation field, stored as value tuples along the orbit basis.
-    cycles, layout and coords are those of orbit_cycle_basis.
+    the field E, stored as value tuples along the orbit basis.  cycles,
+    layout and coords are those of orbit_cycle_basis on graph, and chains
+    the chain decomposition of each cycle.
 
     Orbit generator i takes the powers of one root of unity eta_i of order
     orders[i], and the points are listed in mixed radix, the last exponent
@@ -282,12 +325,22 @@ class EnumeratedTorus:
     orbits, so multiplying points adds positions modulo the orders.  The
     position of a value tuple is found by lookup (position), never by a
     logarithm; two enumerated points with one value tuple raise
-    NotATorusPoint."""
+    NotATorusPoint.
 
-    def __init__(self, fiber, cycles, layout, coords, orders, points,
+    None of this reads a node coordinate, so one torus serves every
+    request with its TorusKey (_shared_torus), and its fiber is None.  A
+    request evaluates through a view (for_fiber) that shares the points
+    and adds its fiber and the chain walks over that fiber's node
+    coordinates (walks, read by parameter_products)."""
+
+    def __init__(self, graph, k, E, cycles, layout, coords, orders, points,
                  component_generators):
-        self.fiber = fiber
+        self.fiber = None
+        self.graph = graph
+        self.k = k
+        self.E = E
         self.cycles = cycles
+        self.chains = [chain_decomposition(cycle) for cycle in cycles]
         self.layout = layout
         self.coords = coords
         self.orders = tuple(orders)
@@ -323,22 +376,27 @@ class EnumeratedTorus:
             index = index * n + e
         return self.points[index]
 
-    @cached_property
-    def walks(self):
-        """The chain walks of each cycle (_chain_steps), decomposed once per
-        enumerated torus."""
-        return [_chain_steps(cycle, self.fiber) for cycle in self.cycles]
+    def for_fiber(self, fiber):
+        """This torus seen through a fiber with its TorusKey: a view that
+        shares everything above and adds the fiber and walks, the chain
+        walks of each cycle over the fiber's node coordinates
+        (_node_walks)."""
+        view = object.__new__(EnumeratedTorus)
+        view.__dict__.update(self.__dict__)
+        view.fiber = fiber
+        view.walks = [_node_walks(walks, fiber) for walks in self.chains]
+        return view
 
     def parameter_products(self, points):
         """The unnormalized chain-parameter products of the points along the
-        cycles (_parameter_product): the scale-free companion of the engine's
-        normalized evaluation, used for the connecting-map lifts (whose
-        coherence across an orbit matters)."""
+        cycles (_parameter_product), on a view's fiber: the scale-free
+        companion of the engine's normalized evaluation, used for the
+        connecting-map lifts (whose coherence across an orbit matters)."""
         return tuple(_parameter_product(walks, points, self.fiber.E)
                      for walks in self.walks)
 
     def identity(self):
-        one = self.fiber.E.one()
+        one = self.E.one()
         return tuple(one for _ in self.cycles)
 
     def mul(self, a, b):
@@ -349,11 +407,13 @@ class EnumeratedTorus:
 
 
 def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
-    """All rational torus points: choose a root of unity of the right order
-    for each orbit generator and spread it along the orbit by the q-power
-    rule, applied as the q-th power Frobenius.  Every tuple is verified to be
+    """All rational torus points of a fiber, or of a TorusKey (the graph, k
+    and E are all it reads): choose a root of unity of the right order for
+    each orbit generator and spread it along the orbit by the q-power rule,
+    applied as the q-th power Frobenius.  Every tuple is verified to be
     equivariant for the Galois action on the cycle lattice, with q-th powers
-    taken literally."""
+    taken literally.  TooLarge, before any point is listed, past limit
+    points.  Not cached: prepare looks its tori up in _shared_torus."""
     graph = fiber.graph
     q = fiber.k.q
     m = fiber.k.m
@@ -387,16 +447,38 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
         component_generators.append(tuple(gen_point))
 
     points = [tuple(chain.from_iterable(parts)) for parts in product(*blocks)]
-    torus = EnumeratedTorus(fiber, cycles, layout, coords, orders, points,
-                            component_generators)
+    torus = EnumeratedTorus(graph, fiber.k, fiber.E, cycles, layout, coords,
+                            orders, points, component_generators)
     _verify_equivariance(torus)
     return torus
 
 
+#: Oracle tori kept, one per TorusKey; the oracle-crosscheck benchmark
+#: workload uses 24 keys (seeds 1-5), its largest torus has 342 points.
+TORUS_CACHE_SIZE = 32
+
+#: A torus of more points is enumerated for its request and not kept, so a
+#: request near ENUMERATION_LIMIT holds its points only while it runs.  A
+#: kept torus takes about 200-250 bytes per point (4096 points over GF(17),
+#: 0.85 MB), so a full cache holds at most about 16 MB.
+TORUS_CACHE_POINTS = 2048
+
+
+@lru_cache(maxsize=TORUS_CACHE_SIZE)
+def _shared_torus(key):
+    """The enumerated torus of a TorusKey, built once per process, or None
+    when it has more than TORUS_CACHE_POINTS points (found before any point
+    is listed): prepare then enumerates that torus for its own request."""
+    try:
+        return enumerate_torus(key, limit=TORUS_CACHE_POINTS)
+    except TooLarge:
+        return None
+
+
 def _verify_equivariance(torus):
     """Check e(sigma c) = e(c)^q on the whole orbit basis, for every point."""
-    graph = torus.fiber.graph
-    q = torus.fiber.k.q
+    graph = torus.graph
+    q = torus.k.q
     coords = torus.coords
     orbit_matrix = [list(row) for row in zip(*(coords(c) for c in torus.cycles))]
     sigma_in_basis = []
@@ -409,7 +491,7 @@ def _verify_equivariance(torus):
     # per basis cycle, the (index, coefficient) pairs of its image; a
     # coefficient 1 needs no power
     images = [[(i, c) for i, c in enumerate(sol) if c] for sol in sigma_in_basis]
-    one = torus.fiber.E.one()
+    one = torus.E.one()
     for point in torus.points:
         for j, image in enumerate(images):
             value = one
@@ -419,14 +501,14 @@ def _verify_equivariance(torus):
                 raise NotEquivariant("enumerated point is not equivariant")
 
 
-def _chain_steps(cycle, fiber):
-    """The walks of chain_decomposition(cycle), each occurrence given as
+def _node_walks(walks, fiber):
+    """The walks of a chain decomposition, each occurrence given as
     (component, coordinate of the entering node, coordinate of the leaving
-    node) on that component."""
+    node) on that component of the fiber."""
     return [[(comp, fiber.node_coordinate(enter_edge, comp),
               fiber.node_coordinate(leave_edge, comp))
              for comp, enter_edge, leave_edge in walk]
-            for walk in chain_decomposition(cycle)]
+            for walk in walks]
 
 
 def _parameter_product(walks, points, E):
@@ -479,7 +561,8 @@ def chain_evaluate(cycle, points, fiber):
     evaluation is the product of t(y)^mult over all occurrences and points,
     taken with one inverse per cycle (_parameter_product)."""
     _require_zero_multidegree(points, fiber)
-    return _parameter_product(_chain_steps(cycle, fiber), points, fiber.E)
+    return _parameter_product(_node_walks(chain_decomposition(cycle), fiber),
+                              points, fiber.E)
 
 
 def nu_lift_vectors(fiber, torus, phi, generators, r):

@@ -127,14 +127,16 @@ def record_calls(monkeypatch, function):
 
 
 #: the per-process caches of shared structure: two-line dual graphs per
-#: shape and genus-4 structures per residue field
-SHAPE_CACHES = (families._two_line_graph, families._genus4_structure)
+#: shape, genus-4 structures per residue field and oracle tori per TorusKey
+SHAPE_CACHES = (families._two_line_graph, families._genus4_structure,
+                oracle._shared_torus)
 
 
 @pytest.fixture
 def cold_shape_caches():
     """Empties the shape caches before and after the test, so that it sees
-    a cold request's work and a constant it patches (GENUS4_MATRIX) is not
+    a cold request's work and a constant it patches (GENUS4_MATRIX,
+    TORUS_CACHE_POINTS) or a function it patches (element_of_order) is not
     kept past it."""
     for cache in SHAPE_CACHES:
         cache.cache_clear()

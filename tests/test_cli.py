@@ -539,3 +539,38 @@ def test_torus_lattice_of_order_past_the_bound_stays_invalid_input(capsys):
                         stream=io.StringIO()) == cli.EXIT_SYNTAX
     assert capsys.readouterr().err == (
         "invalid input: frobenius order exceeds the bound 64\n")
+
+
+def _run_with_closed_stdout(argv, unbuffered):
+    """(exit code, stderr) of the CLI in a process whose stdout is a pipe
+    with no reader: every write to it fails with EPIPE."""
+    import os
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "toricdescent.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_keeps_the_request_exit_code(tmp_path, unbuffered):
+    # `... | head -c 10`: the reader goes before the report is written; the
+    # request still exits with its own code, and no traceback is printed
+    code, err = _run_with_closed_stdout(
+        ["hyperelliptic", "--q", "25", "--g", "x^3+x+1", "--h", "x+2", "--json"], unbuffered)
+    assert (code, err) == (cli.EXIT_OK, "")
+    path = tmp_path / "requests.txt"
+    path.write_text("hyperelliptic --q 25 --g x^3+x+1 --h x+2\n"
+                    "component-group --matrix [[-3,3],[3,-3]] --r 0\n"
+                    "component-group --matrix [[-3,3],[3,-3]]\n")
+    code, err = _run_with_closed_stdout(["batch", str(path)], unbuffered)
+    assert code == cli.EXIT_SYNTAX and "Traceback" not in err
+    assert err == "line 2: invalid input: torsion order must be positive\n"

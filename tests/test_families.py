@@ -581,7 +581,7 @@ def test_shared_structure_keeps_no_request_memo(cold_shape_caches):
     # shared fiber, frame and graph keep what the first request left, and
     # each cache holds one entry
     from toricdescent import oracle
-    graphs, structures = cold_shape_caches
+    graphs, structures, _tori = cold_shape_caches
     k = make_field(11)
     rng = rng_for("shared-structure-memos")
     seen = set()

@@ -324,7 +324,7 @@ def test_verify_equivariance_survives_python_O():
             "k = make_field(5)\n"
             "inp = families.validate_hyperelliptic(k, Poly(k, [1, 1, 0, 1]), Poly(k, [3, 1]))\n"
             "torus = oracle.enumerate_torus(families.hyperelliptic_fiber(inp)[0])\n"
-            "torus.points[-1] = (torus.fiber.E.gen(),) * len(torus.cycles)\n"
+            "torus.points[-1] = (torus.E.gen(),) * len(torus.cycles)\n"
             "try:\n"
             "    oracle._verify_equivariance(torus)\n"
             "except oracle.NotEquivariant:\n"
@@ -567,12 +567,16 @@ def test_one_factorization_of_gbar_per_request(monkeypatch, capsys, line, g):
     "oracle --q 7 --g x^3+x+1 --h x+2 --r 3",
     "oracle --q 3 --g x^4+x+2 --h x^2+1",
 ])
-def test_trials_add_no_per_request_work(monkeypatch, capsys, line):
+def test_trials_add_no_per_request_work(monkeypatch, capsys, cold_shape_caches, line):
+    # each run is a cold request: the shared tori and shapes are emptied
+    # before it, so its one enumeration and its Smith forms are counted
     from collections import Counter
     from toricdescent import cli
     from toricdescent import zmat
     counts = {}
     for trials in ("20", "1"):
+        for cache in cold_shape_caches:
+            cache.cache_clear()
         calls = Counter()
         with monkeypatch.context() as patch:
             _counting(patch, zmat, "smith_normal_form", calls)
@@ -608,3 +612,104 @@ def test_trial_counts_at_the_ends_of_the_range(capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["trials"] == report["agreements"] == trials
         assert report["torus_points"] == 16
+
+
+# ---------------------------------------------------------------------------
+# the shared tori: one per residue field, oracle field and graph
+
+
+@pytest.mark.parametrize("line", [
+    "oracle --q 5 --g x^3-x --h x+3",
+    "oracle --q 7 --g x^3+x+1 --h x+2 --r 3",
+    "oracle --q 3 --g x^4+x+2 --h x^2+1",
+])
+def test_a_repeated_oracle_line_builds_no_torus(monkeypatch, capsys, cold_shape_caches,
+                                                line):
+    # the second request finds its torus enumerated and verified: it lists
+    # no point and computes no cycle basis and no Smith form
+    from collections import Counter
+    from toricdescent import cli, zmat
+    argv = line.split() + ["--trials", "20", "--json"]
+    counted = [(oracle, "enumerate_torus"), (oracle, "orbit_cycle_basis"),
+               (dual_graph, "h1_basis"), (zmat, "smith_normal_form")]
+    runs = []
+    for _ in range(2):
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            for owner, name in counted:
+                _counting(patch, owner, name, calls)
+            assert cli.run_line(argv) == 0
+        runs.append((calls, capsys.readouterr().out))
+    (cold, cold_out), (warm, warm_out) = runs
+    assert warm_out == cold_out
+    assert all(cold[name] > 0 for _owner, name in counted)
+    assert warm == Counter()
+
+
+def _tower_inputs():
+    """Two inputs whose oracle fibers share GF(5^12) and the edge
+    permutation (2, 0, 1) but not k: an input of the acceptance oracle
+    check over GF(5) (nodes of degree 3, zeros of h of degree 4) and the
+    tower input over GF(25) (nodes of degree 3, zeros of h of degree 2)."""
+    k5 = make_field(5)
+    k25 = make_field(5, 2)
+    return [
+        families.validate_hyperelliptic(k5, Poly(k5, [1, 4, 3, 1]), Poly(k5, [3, 1, 4, 3, 1])),
+        families.validate_hyperelliptic(k25, Poly(k25, [k25.from_int(7), k25.gen(), 0, 1]),
+                                        Poly(k25, [k25.from_int(20), 1, 1])),
+    ]
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["GF(5) first", "GF(25) first"])
+def test_tori_are_keyed_by_the_residue_field(cold_shape_caches, first):
+    # the Frobenius is the q-power map, so the same field and permutation
+    # reached from different k give different tori; both agree with the
+    # engine, whichever comes first
+    inputs = _tower_inputs()
+    keys = []
+    rng = rng_for("torus-keys")
+    for inp in inputs[first:] + inputs[:first]:
+        fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
+        degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
+        keys.append(oracle.TorusKey.of(ofiber))
+        for _ in range(12):
+            D = oracle.random_divisor(fiber, 2, rng, degree)
+            engine = divisibility_verdict(D, 2, frame, phi, gens)
+            assert (engine.outcome == DIVISIBLE) == \
+                oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
+    a, b = keys
+    assert a.E == b.E and a.E.m == 12 and a.edge_perm == b.edge_perm == (2, 0, 1)
+    assert a.k != b.k and a._replace(k=b.k) == b
+    assert oracle._shared_torus.cache_info().currsize == 2
+
+
+def test_the_torus_cache_stops_growing_at_its_size(cold_shape_caches):
+    # split two-edge graphs over GF(p) for more primes than the cache keeps:
+    # rank-1 tori of p - 1 points each
+    from toricdescent.finite_field import is_prime
+    primes = [p for p in range(3, 1000) if is_prime(p)][:oracle.TORUS_CACHE_SIZE + 2]
+    for p in primes:
+        k = make_field(p)
+        key = oracle.TorusKey(k, k, 2, ((0, 1, 0), (0, 1, 1)), (0, 1), (0, 1))
+        assert len(oracle._shared_torus(key)) == p - 1
+    info = oracle._shared_torus.cache_info()
+    assert info.maxsize == info.currsize == oracle.TORUS_CACHE_SIZE
+    assert info.misses == len(primes)
+
+
+def test_a_torus_past_the_point_cap_is_built_but_not_kept(monkeypatch, cold_shape_caches):
+    # the split torus over GF(5) has 16 points: under a cap of 10 each
+    # request enumerates its own, above it the requests share one
+    inp, (_fiber, _frame, phi, gens) = build(5, (0, -1, 0, 1), (3, 1))
+    shared = [oracle.prepare(inp, phi, gens, 2)[2] for _ in range(2)]
+    assert shared[0].points is shared[1].points
+    for cache in cold_shape_caches:
+        cache.cache_clear()
+    monkeypatch.setattr(oracle, "TORUS_CACHE_POINTS", 10)
+    own = []
+    for _ in range(2):
+        _degree, ofiber, torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
+        assert len(torus) == 16 and oracle._shared_torus(oracle.TorusKey.of(ofiber)) is None
+        own.append(torus)
+    assert own[0].points is not own[1].points
+    assert oracle._shared_torus.cache_info().currsize == 1
