@@ -5,8 +5,9 @@ input; 4 undetermined verdict.  Reports go to stdout as text or, with
 --json, as canonical JSON (sorted keys, no whitespace), so identical inputs
 produce byte-identical output.  `batch` writes exactly one line per request
 line: the report, or an error record naming the line.  A reader that closes
-stdout early (`| head`) gets no traceback: the rest of the output goes to
-the null device and the exit code stays the request's own.
+stdout or stderr early (`| head`, `2>&1 | head`) gets no traceback: the rest
+of that stream goes to the null device and the exit code stays the
+request's own.
 """
 
 import argparse
@@ -273,14 +274,19 @@ def _render_text(report):
 
 
 def _emit(code, report, as_json, stream=None):
-    stream = stream or sys.stdout
     text = (json.dumps(report, sort_keys=True, separators=(",", ":")) if as_json
             else _render_text(report))
+    _write(stream or sys.stdout, text)
+    return code
+
+
+def _write(stream, text):
+    """Write a line to stdout or stderr, silencing a stream whose reader has
+    gone (_silence)."""
     try:
         stream.write(text + "\n")
     except BrokenPipeError:
         _silence(stream)
-    return code
 
 
 def _silence(stream):
@@ -309,34 +315,51 @@ def run_line(argv, stream=None):
     return dispatch(args, stream=stream)
 
 
-def _refusal(exc):
-    """(kind, exit code, message prefix) of a typed refusal."""
+def _refuse(exc, number=None, stream=None):
+    """Report a typed refusal, the first matching row of REFUSALS (_error)."""
     for classes, kind, code, prefix in REFUSALS:
         if isinstance(exc, classes):
-            return kind, code, prefix
+            return _error(kind, code, f"{prefix}: {exc}", number, stream)
     raise TypeError(f"{type(exc).__name__} is not a refusal")
+
+
+def _error(kind, code, message, number=None, stream=None):
+    """Report a request that gave no report and return code: the message on
+    stderr, and for line `number` of a batch, prefixed with the line, with
+    an error record on stream in place of the report."""
+    if number is None:
+        _write(sys.stderr, message)
+        return code
+    _write(sys.stderr, f"line {number}: {message}")
+    record = {"schema_version": 1, "line": number,
+              "error": {"kind": kind, "exit_code": code, "message": message}}
+    return _emit(code, record, True, stream=stream)
 
 
 def dispatch(args, stream=None):
     if args.command == "batch":
         return run_batch(args.path, stream=stream)
-    runner = RUNNERS[args.command]
     try:
-        code, report = runner(args)
+        code, report = RUNNERS[args.command](args)
     except REFUSAL_TYPES as exc:
-        _kind, code, prefix = _refusal(exc)
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
+        return _refuse(exc)
     return _emit(code, report, getattr(args, "json", False), stream=stream)
 
 
 def run_batch(path, stream=None):
     """One request per line of the file; blank lines and lines starting with
     # are skipped.  Writes exactly one JSON line per request line, the report
-    or an error record, and returns the largest exit code of the lines."""
+    or an error record, and returns the largest exit code of the lines.
+    Bytes that are not UTF-8 spoil only their own line (_batch_line), and a
+    file that cannot be opened is refused as invalid input."""
     stream = stream or sys.stdout
+    try:
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        return _error("invalid-input", EXIT_SYNTAX,
+                      f"invalid input: cannot read batch file {path}: {exc.strerror}")
     worst = EXIT_OK
-    with open(path) as handle:
+    with handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -347,11 +370,13 @@ def run_batch(path, stream=None):
 
 def _batch_line(number, line, stream):
     def error(kind, code, message):
-        print(f"line {number}: {message}", file=sys.stderr)
-        record = {"schema_version": 1, "line": number,
-                  "error": {"kind": kind, "exit_code": code, "message": message}}
-        return _emit(code, record, True, stream=stream)
+        return _error(kind, code, message, number, stream)
 
+    try:
+        line.encode("utf-8")  # the undecodable bytes, kept as surrogates
+    except UnicodeEncodeError as exc:
+        return error("syntax", EXIT_SYNTAX,
+                     f"syntax error: the line is not UTF-8 text (column {exc.start + 1})")
     try:
         argv = shlex.split(line)
     except ValueError as exc:
@@ -371,11 +396,10 @@ def _batch_line(number, line, stream):
     try:
         code, report = RUNNERS[args.command](args)
     except REFUSAL_TYPES as exc:
-        kind, code, prefix = _refusal(exc)
-        return error(kind, code, f"{prefix}: {exc}")
+        return _refuse(exc, number, stream)
     except Exception as exc:  # contained per line; the other lines still run
         import traceback  # only here: importing it costs startup time
-        traceback.print_exc()
+        _write(sys.stderr, traceback.format_exc().rstrip("\n"))
         return error("internal", EXIT_INTERNAL,
                      f"internal error: {type(exc).__name__}: {exc}")
     return _emit(code, report, True, stream=stream)

@@ -4,12 +4,14 @@ homomorphisms, cycle evaluation through the chain-of-ratios construction,
 and divisibility by literal subgroup closure.
 
 Cost, per request: the enumerated torus reads no node coordinate, only k,
-the oracle's field and the dual graph with its Frobenius action (TorusKey),
-so it is built once per key and shared (_shared_torus): enumerate_torus
-lists the points and checks each for equivariance, with literal q-th
-powers, on the first request with that key, and a later one pays for none
-of it, nor for the orbit cycle basis and its Smith forms.  A request builds
-what reads its own fiber: the chain walks over its node coordinates
+the oracle's field and the dual graph with its Frobenius action.  The
+oracle's fiber is built on the request's shared shape graph (inp.graph, one
+object per two-line shape), so the torus is built once per (graph, k, field)
+and shared (_shared_torus): enumerate_torus reads the orbit cycle basis off
+the principal decomposition the graph keeps, lists the points and checks
+each for equivariance, with literal q-th powers, on the first request with
+that key, and a later one pays for none of it.  A request builds what reads
+its own fiber: the chain walks over its node coordinates
 (EnumeratedTorus.for_fiber), the connecting-map lifts, and the closure of
 the subgroup that r-th powers and the lifts generate.  The closure runs
 element by element in exponent coordinates: each generator's value tuple
@@ -19,11 +21,12 @@ EnumeratedTorus).  Each trial then pays for one chain evaluation per cycle
 on the divisor's points, with one field inverse per cycle, and a
 dictionary lookup.
 
-Only the field layer, the combinatorial graph plumbing and the fiber
-builder are shared with the engine; evaluation and membership are re-derived
-from first principles.  The connecting-map lifts are shared input (the
-compensating-function recipe is the only route to them), and agreement
-claims are scoped accordingly.
+Only the field layer, the shape's dual graph (with the cycle basis and
+principal decomposition it keeps), the chain decomposition and the fiber
+builder are shared with the engine; the torus points, evaluation and
+membership are re-derived from first principles.  The connecting-map lifts
+are shared input (the compensating-function recipe is the only route to
+them), and agreement claims are scoped accordingly.
 
 The engine's divisors are Galois orbits given by polynomials over k, and
 its nodes lie in one field per node orbit.  The oracle works with points in
@@ -39,15 +42,13 @@ orbits over k.
 import math
 from functools import lru_cache
 from itertools import chain, product
-from typing import NamedTuple
 
-from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor,
+from .descent import (DivisorMeetsNode, SpecialFiber, SpecializedDivisor, _view,
                       phi_r_table, translate_to_degree_zero)
-from .dual_graph import (DualGraph, chain_decomposition, h1_basis,
-                         principal_cycle_generators)
+from .dual_graph import chain_decomposition
 from .finite_field import (INF, Poly, element_of_order, embed, extension, factor,
                            power_residue, roots_in_extension)
-from .torus import ENUMERATION_LIMIT, principal_component
+from .torus import ENUMERATION_LIMIT
 from .zmat import lcm, poly_eval_int, solve_int
 
 
@@ -116,19 +117,27 @@ def node_degree(inp):
 
 
 def hyperelliptic_special_fiber(inp, s):
-    """The two-line special fiber over GF(q^s): its nodes are the roots of
-    the reduction of g, found there, so s must be a multiple of node_degree."""
+    """The two-line special fiber over GF(q^s) on the shape graph
+    (inp.graph), with the nodes found there, so s must be a multiple of
+    node_degree.  In the graph's edge order: the rational nodes, embedded,
+    then for each node orbit the smallest-encoding root of its factor found
+    in GF(q^s), followed by that root's q-power conjugates.  SpecialFiber
+    checks the roots against the graph's Frobenius action."""
     k = inp.k
     big = extension(k, s)
-    g_roots = roots_in_extension(inp.g, s, factors=[(f, 1) for f in inp.factors])
-    if len(g_roots) != inp.d:
-        raise UnexpectedRootCount(
-            f"found {len(g_roots)} of the {inp.d} nodes in {big}")
-    edges = [(0, 1, rho.to_int()) for rho in g_roots]
-    key_to_index = {rho.to_int(): idx for idx, rho in enumerate(g_roots)}
-    perm = [key_to_index[rho.frob(k.m).to_int()] for rho in g_roots]
-    graph = DualGraph(2, edges, vertex_perm=[0, 1], edge_perm=perm)
-    return SpecialFiber(graph, k, big, [(rho, rho) for rho in g_roots])
+    nodes = [embed(k, big)(x) for x in inp.rational_nodes]
+    for f in inp.factors:
+        if f.degree == 1:
+            continue
+        roots = roots_in_extension(f, s, factors=[(f, 1)])
+        if len(roots) != f.degree:
+            raise UnexpectedRootCount(
+                f"found {len(roots)} of the {f.degree} nodes of an orbit in {big}")
+        node = roots[0]
+        for _ in range(f.degree):
+            nodes.append(node)
+            node = node.frob(k.m)
+    return SpecialFiber(inp.graph, k, big, [(x, x) for x in nodes])
 
 
 def prepare(inp, phi, generators, r):
@@ -138,9 +147,10 @@ def prepare(inp, phi, generators, r):
     GF(q^degree), where degree is the least common multiple of the nodes'
     degree and the field_degree of the generators' function divisors (the
     zeros of h).  random_divisor draws its orbits to split in this field.
-    The torus is the one shared for the fiber's TorusKey (_shared_torus),
-    or, past TORUS_CACHE_POINTS points, one enumerated for this request,
-    seen through this fiber (EnumeratedTorus.for_fiber).
+    The torus is the one shared for the shape graph, k and the fiber's
+    field (_shared_torus), or, past TORUS_CACHE_POINTS points, one
+    enumerated for this request, seen through this fiber
+    (EnumeratedTorus.for_fiber).
     The subgroup is the frozenset of the positions (EnumeratedTorus.position)
     of the torus points that r-th powers and the connecting-map lifts
     generate: each generator is computed as a value tuple, looked up among
@@ -149,9 +159,9 @@ def prepare(inp, phi, generators, r):
     degree = lcm(node_degree(inp), field_degree(
         [H for gen in generators for _comp, H, _mult in gen.f_divisor.entries]))
     fiber = hyperelliptic_special_fiber(inp, degree)
-    torus = _shared_torus(TorusKey.of(fiber))
+    torus = _shared_torus(fiber.graph, fiber.k, fiber.E)
     if torus is None:
-        torus = enumerate_torus(fiber)
+        torus = enumerate_torus(fiber.graph, fiber.k, fiber.E)
     torus = torus.for_fiber(fiber)
     powers = [torus.position(torus.power(pt, r)) for pt in torus.component_generators]
     lifts = [torus.position(vec)
@@ -261,62 +271,29 @@ def random_divisor(fiber, r, rng, degree):
 
 
 def orbit_cycle_basis(graph):
-    """Generator cycles of the principal decomposition together with their
-    Galois iterates: a basis of the cycle lattice organized orbit by orbit.
+    """Generator cycles of the graph's principal decomposition together with
+    their Galois iterates: a basis of the cycle lattice organized orbit by
+    orbit.  It reads the decomposition the graph keeps.
 
-    Returns (flat cycle list, layout, coords), layout entries being
-    (start index, orbit length, characteristic polynomial), and coords the
-    coordinate map of h1_basis."""
-    _, lattice, coords = h1_basis(graph)
-    generators = principal_cycle_generators(graph)
+    Returns (flat cycle list, layout), layout entries being (start index,
+    orbit length, characteristic polynomial)."""
     flat = []
     layout = []
-    for gen in generators:
-        comp = principal_component(lattice, coords(gen))
+    for gen, comp in zip(graph.principal_generators(), graph.principal_components):
         start = len(flat)
         cur = gen
         for _ in range(comp.rank):
             flat.append(cur)
             cur = graph.sigma_cycle(cur)
         layout.append((start, comp.rank, comp.char_poly))
-    return flat, layout, coords
-
-
-class TorusKey(NamedTuple):
-    """What enumerate_torus reads of a fiber, and so the key of a shared
-    enumerated torus: k, whose q-power map is the Frobenius, the oracle's
-    field E, and the dual graph's combinatorics, with each edge label
-    replaced by its rank (labels only fix the order of choices, see
-    dual_graph).  E alone is not enough: GF(5^12) is reached from GF(5) and
-    from GF(25) with one edge permutation, and the two tori differ."""
-
-    k: object
-    E: object
-    num_vertices: int
-    edges: tuple
-    vertex_perm: tuple
-    edge_perm: tuple
-
-    @classmethod
-    def of(cls, fiber):
-        """The key of a fiber's torus."""
-        graph = fiber.graph
-        rank = {label: i for i, label in enumerate(sorted(e[2] for e in graph.edges))}
-        return cls(fiber.k, fiber.E, graph.num_vertices,
-                   tuple((t, h, rank[label]) for t, h, label in graph.edges),
-                   graph.vertex_perm, graph.edge_perm)
-
-    @property
-    def graph(self):
-        """A dual graph with these combinatorics, labelled by rank."""
-        return DualGraph(self.num_vertices, self.edges, self.vertex_perm, self.edge_perm)
+    return flat, layout
 
 
 class EnumeratedTorus:
     """Every equivariant homomorphism from the cycle lattice to the units of
-    the field E, stored as value tuples along the orbit basis.  cycles,
-    layout and coords are those of orbit_cycle_basis on graph, and chains
-    the chain decomposition of each cycle.
+    the field E, stored as value tuples along the orbit basis.  cycles are
+    those of orbit_cycle_basis on graph, and chains the chain decomposition
+    of each cycle.
 
     Orbit generator i takes the powers of one root of unity eta_i of order
     orders[i], and the points are listed in mixed radix, the last exponent
@@ -328,21 +305,18 @@ class EnumeratedTorus:
     NotATorusPoint.
 
     None of this reads a node coordinate, so one torus serves every
-    request with its TorusKey (_shared_torus), and its fiber is None.  A
-    request evaluates through a view (for_fiber) that shares the points
+    request with its graph, k and E (_shared_torus), and its fiber is None.
+    A request evaluates through a view (for_fiber) that shares the points
     and adds its fiber and the chain walks over that fiber's node
     coordinates (walks, read by parameter_products)."""
 
-    def __init__(self, graph, k, E, cycles, layout, coords, orders, points,
-                 component_generators):
+    def __init__(self, graph, k, E, cycles, orders, points, component_generators):
         self.fiber = None
         self.graph = graph
         self.k = k
         self.E = E
         self.cycles = cycles
         self.chains = [chain_decomposition(cycle) for cycle in cycles]
-        self.layout = layout
-        self.coords = coords
         self.orders = tuple(orders)
         self.points = points
         self.component_generators = component_generators
@@ -377,15 +351,12 @@ class EnumeratedTorus:
         return self.points[index]
 
     def for_fiber(self, fiber):
-        """This torus seen through a fiber with its TorusKey: a view that
-        shares everything above and adds the fiber and walks, the chain
-        walks of each cycle over the fiber's node coordinates
+        """This torus seen through a fiber on its graph, over its k and E: a
+        view that shares everything above and adds the fiber and walks, the
+        chain walks of each cycle over the fiber's node coordinates
         (_node_walks)."""
-        view = object.__new__(EnumeratedTorus)
-        view.__dict__.update(self.__dict__)
-        view.fiber = fiber
-        view.walks = [_node_walks(walks, fiber) for walks in self.chains]
-        return view
+        return _view(self, fiber=fiber,
+                     walks=[_node_walks(walks, fiber) for walks in self.chains])
 
     def parameter_products(self, points):
         """The unnormalized chain-parameter products of the points along the
@@ -406,30 +377,30 @@ class EnumeratedTorus:
         return tuple(x ** e for x in a)
 
 
-def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
-    """All rational torus points of a fiber, or of a TorusKey (the graph, k
-    and E are all it reads): choose a root of unity of the right order for
-    each orbit generator and spread it along the orbit by the q-power rule,
-    applied as the q-th power Frobenius.  Every tuple is verified to be
-    equivariant for the Galois action on the cycle lattice, with q-th powers
-    taken literally.  TooLarge, before any point is listed, past limit
-    points.  Not cached: prepare looks its tori up in _shared_torus."""
-    graph = fiber.graph
-    q = fiber.k.q
-    m = fiber.k.m
-    cycles, layout, coords = orbit_cycle_basis(graph)
+def enumerate_torus(graph, k, E, limit=ENUMERATION_LIMIT):
+    """All rational torus points of a dual graph with its Frobenius action
+    over k, with values in the field E: choose a root of unity of the right
+    order for each orbit generator and spread it along the orbit by the
+    q-power rule, applied as the q-th power Frobenius.  Every tuple is
+    verified to be equivariant for the Galois action on the cycle lattice,
+    with q-th powers taken literally.  TooLarge, before any point is listed,
+    past limit points.  Not cached: prepare looks its tori up in
+    _shared_torus."""
+    q = k.q
+    m = k.m
+    cycles, layout = orbit_cycle_basis(graph)
     total = math.prod(poly_eval_int(fpoly, q) for _start, _rank, fpoly in layout)
     if total > limit:
         raise TooLarge(f"torus has {total} points, enumeration limit {limit}")
 
-    one = fiber.E.one()
+    one = E.one()
     blocks = []
     orders = []
     component_generators = []
     for idx, (start, rank, fpoly) in enumerate(layout):
         order = poly_eval_int(fpoly, q)
         orders.append(order)
-        eta = element_of_order(fiber.E, order)
+        eta = element_of_order(E, order)
         values = []
         cur = one
         for _ in range(order):
@@ -447,14 +418,14 @@ def enumerate_torus(fiber, limit=ENUMERATION_LIMIT):
         component_generators.append(tuple(gen_point))
 
     points = [tuple(chain.from_iterable(parts)) for parts in product(*blocks)]
-    torus = EnumeratedTorus(graph, fiber.k, fiber.E, cycles, layout, coords,
-                            orders, points, component_generators)
+    torus = EnumeratedTorus(graph, k, E, cycles, orders, points, component_generators)
     _verify_equivariance(torus)
     return torus
 
 
-#: Oracle tori kept, one per TorusKey; the oracle-crosscheck benchmark
-#: workload uses 24 keys (seeds 1-5), its largest torus has 342 points.
+#: Oracle tori kept, one per shape graph, k and oracle field; the
+#: oracle-crosscheck benchmark workload uses 14 (seeds 1-5), its largest
+#: torus has 342 points.
 TORUS_CACHE_SIZE = 32
 
 #: A torus of more points is enumerated for its request and not kept, so a
@@ -465,12 +436,17 @@ TORUS_CACHE_POINTS = 2048
 
 
 @lru_cache(maxsize=TORUS_CACHE_SIZE)
-def _shared_torus(key):
-    """The enumerated torus of a TorusKey, built once per process, or None
-    when it has more than TORUS_CACHE_POINTS points (found before any point
-    is listed): prepare then enumerates that torus for its own request."""
+def _shared_torus(graph, k, E):
+    """The enumerated torus of a dual graph over k with values in E, built
+    once per process, or None when it has more than TORUS_CACHE_POINTS
+    points (found before any point is listed): prepare then enumerates that
+    torus for its own request.  The graph is keyed by identity: the shape
+    graph (families._two_line_graph) is one object per shape, and a rebuilt
+    graph only misses.  k is in the key because the Frobenius is the q-power
+    map: GF(5^12) is reached from GF(5) and from GF(25) on one shape, with
+    different tori."""
     try:
-        return enumerate_torus(key, limit=TORUS_CACHE_POINTS)
+        return enumerate_torus(graph, k, E, limit=TORUS_CACHE_POINTS)
     except TooLarge:
         return None
 
@@ -479,7 +455,7 @@ def _verify_equivariance(torus):
     """Check e(sigma c) = e(c)^q on the whole orbit basis, for every point."""
     graph = torus.graph
     q = torus.k.q
-    coords = torus.coords
+    _basis, coords = graph.cycle_basis
     orbit_matrix = [list(row) for row in zip(*(coords(c) for c in torus.cycles))]
     sigma_in_basis = []
     for cyc in torus.cycles:

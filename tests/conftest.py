@@ -127,7 +127,8 @@ def record_calls(monkeypatch, function):
 
 
 #: the per-process caches of shared structure: two-line dual graphs per
-#: shape, genus-4 structures per residue field and oracle tori per TorusKey
+#: shape, genus-4 structures per residue field and oracle tori per shape
+#: graph, residue field and oracle field
 SHAPE_CACHES = (families._two_line_graph, families._genus4_structure,
                 oracle._shared_torus)
 

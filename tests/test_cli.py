@@ -541,9 +541,11 @@ def test_torus_lattice_of_order_past_the_bound_stays_invalid_input(capsys):
         "invalid input: frobenius order exceeds the bound 64\n")
 
 
-def _run_with_closed_stdout(argv, unbuffered):
-    """(exit code, stderr) of the CLI in a process whose stdout is a pipe
-    with no reader: every write to it fails with EPIPE."""
+def _run_with_closed_pipes(argv, unbuffered, closed=("stdout",)):
+    """(exit code, stdout, stderr) of the CLI in a process whose streams
+    named in closed ("stdout", "stderr") are a pipe with no reader, so that
+    every write to them fails with EPIPE; the other stream is captured, and
+    a closed one reads None."""
     import os
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
@@ -551,26 +553,70 @@ def _run_with_closed_stdout(argv, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {name: write_end if name in closed else subprocess.PIPE
+               for name in ("stdout", "stderr")}
     try:
         proc = subprocess.run([sys.executable, "-m", "toricdescent.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True,
-                              env=env, timeout=60)
+                              text=True, env=env, timeout=60, **streams)
     finally:
         os.close(write_end)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_closed_stdout_keeps_the_request_exit_code(tmp_path, unbuffered):
     # `... | head -c 10`: the reader goes before the report is written; the
     # request still exits with its own code, and no traceback is printed
-    code, err = _run_with_closed_stdout(
+    code, _out, err = _run_with_closed_pipes(
         ["hyperelliptic", "--q", "25", "--g", "x^3+x+1", "--h", "x+2", "--json"], unbuffered)
     assert (code, err) == (cli.EXIT_OK, "")
     path = tmp_path / "requests.txt"
     path.write_text("hyperelliptic --q 25 --g x^3+x+1 --h x+2\n"
                     "component-group --matrix [[-3,3],[3,-3]] --r 0\n"
                     "component-group --matrix [[-3,3],[3,-3]]\n")
-    code, err = _run_with_closed_stdout(["batch", str(path)], unbuffered)
+    code, _out, err = _run_with_closed_pipes(["batch", str(path)], unbuffered)
     assert code == cli.EXIT_SYNTAX and "Traceback" not in err
     assert err == "line 2: invalid input: torsion order must be positive\n"
+    # the same for a refusal whose message has no reader, alone or with
+    # stdout (`2>&1 | head`): each exits with its own code, and a batch
+    # still writes one line per request line
+    refusals = [(["component-group", "--matrix", "[[-3,3],[3,-3]]", "--r", "0"],
+                 cli.EXIT_SYNTAX),
+                (["hyperelliptic", "--q", "5", "--g", "x^5+1", "--h", "x"],
+                 cli.EXIT_HYPOTHESIS)]
+    for argv, expected in refusals:
+        for closed in (("stderr",), ("stdout", "stderr")):
+            code, out, _err = _run_with_closed_pipes(argv, unbuffered, closed)
+            assert (code, out) == (expected, "" if closed == ("stderr",) else None)
+    path.write_text("component-group --matrix [[-3,3],[3,-3]] --r 0\n"
+                    "component-group --matrix [[-3,3],[3,-3]]\n")
+    code, out, _err = _run_with_closed_pipes(["batch", str(path)], unbuffered, ("stderr",))
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == cli.EXIT_SYNTAX and len(lines) == 2
+    assert lines[0]["error"]["kind"] == "invalid-input" and lines[1]["phi"] == [3]
+
+
+def test_an_unreadable_batch_file_is_invalid_input(tmp_path, capsys):
+    # a missing path and a directory are refused, with no traceback
+    for path in (tmp_path / "missing.txt", tmp_path):
+        out = io.StringIO()
+        assert cli.run_line(["batch", str(path)], stream=out) == cli.EXIT_SYNTAX
+        err = capsys.readouterr().err
+        assert out.getvalue() == "" and "Traceback" not in err
+        assert err.startswith(f"invalid input: cannot read batch file {path}: ")
+
+
+def test_a_line_that_is_not_utf8_gets_its_own_record(tmp_path, capsys):
+    # the bytes of line 2 do not decode; lines 1 and 3 are still answered
+    path = tmp_path / "requests.txt"
+    path.write_bytes(b"component-group --matrix [[-3,3],[3,-3]]\n"
+                     b"\xff\xfe\n"
+                     b"component-group --matrix [[-2,2],[2,-2]]\n")
+    out = io.StringIO()
+    assert cli.run_line(["batch", str(path)], stream=out) == cli.EXIT_SYNTAX
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [line.get("phi") for line in lines] == [[3], None, [2]]
+    assert lines[1]["line"] == 2
+    assert (lines[1]["error"]["kind"], lines[1]["error"]["exit_code"]) == \
+        ("syntax", cli.EXIT_SYNTAX)
+    assert capsys.readouterr().err.startswith("line 2: syntax error: ")

@@ -16,7 +16,7 @@ def build(q, gcoeffs, hcoeffs):
 def test_enumerate_counts():
     # split three-node curve over GF(5): (q-1)^2 = 16 points
     _, (fiber, frame, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
-    torus = oracle.enumerate_torus(fiber)
+    torus = oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)
     assert len(torus) == 16 == frame.torus_order()
     # two lines joined at the full orbit of an irreducible cubic over GF(2):
     # 4 + 2 + 1 = 7 points
@@ -30,14 +30,14 @@ def test_enumerate_counts():
     graph = DualGraph(2, edges, edge_perm=perm)
     fiber = SpecialFiber(graph, k2, rts[0].field, [(r, r) for r in rts])
     frame = TorusFrame(fiber, principal_cycle_generators(graph))
-    torus = oracle.enumerate_torus(fiber)
+    torus = oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)
     assert len(torus) == 7 == frame.torus_order()
 
 
 def test_enumerate_rejects_large():
     _, (fiber, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
     with pytest.raises(oracle.TooLarge):
-        oracle.enumerate_torus(fiber, limit=10)
+        oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E, limit=10)
 
 
 def test_exponent_divides_order():
@@ -48,7 +48,7 @@ def test_exponent_divides_order():
         except families.FamilyError:
             continue
         fiber, frame, *_ = families.hyperelliptic_fiber(inp)
-        torus = oracle.enumerate_torus(fiber)
+        torus = oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)
         n = frame.torus_order()
         for pt in torus.points:
             assert torus.key(torus.power(pt, n)) == torus.key(torus.identity())
@@ -226,7 +226,7 @@ def test_enumerated_structure_matches_lattice_enumeration():
         except families.FamilyError:
             continue
         fiber, frame, *_ = families.hyperelliptic_fiber(inp)
-        torus = oracle.enumerate_torus(fiber)
+        torus = oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)
         _, lattice, _ = h1_basis(fiber.graph)
         pts = enumerate_rational_points(lattice, q)
         assert len(torus) == len(pts)
@@ -323,7 +323,8 @@ def test_verify_equivariance_survives_python_O():
             "from toricdescent.finite_field import Poly, make_field\n"
             "k = make_field(5)\n"
             "inp = families.validate_hyperelliptic(k, Poly(k, [1, 1, 0, 1]), Poly(k, [3, 1]))\n"
-            "torus = oracle.enumerate_torus(families.hyperelliptic_fiber(inp)[0])\n"
+            "fiber = families.hyperelliptic_fiber(inp)[0]\n"
+            "torus = oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)\n"
             "torus.points[-1] = (torus.E.gen(),) * len(torus.cycles)\n"
             "try:\n"
             "    oracle._verify_equivariance(torus)\n"
@@ -509,7 +510,7 @@ def test_a_repeated_enumerated_point_raises(monkeypatch):
     _, (fiber, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
     monkeypatch.setattr(oracle, "element_of_order", lambda field, n: -field.one())
     with pytest.raises(oracle.NotATorusPoint):
-        oracle.enumerate_torus(fiber)
+        oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +648,8 @@ def test_a_repeated_oracle_line_builds_no_torus(monkeypatch, capsys, cold_shape_
 
 
 def _tower_inputs():
-    """Two inputs whose oracle fibers share GF(5^12) and the edge
-    permutation (2, 0, 1) but not k: an input of the acceptance oracle
+    """Two inputs whose oracle fibers share GF(5^12) and the shape graph of
+    one node orbit of degree 3 but not k: an input of the acceptance oracle
     check over GF(5) (nodes of degree 3, zeros of h of degree 4) and the
     tower input over GF(25) (nodes of degree 3, zeros of h of degree 2)."""
     k5 = make_field(5)
@@ -671,27 +672,27 @@ def test_tori_are_keyed_by_the_residue_field(cold_shape_caches, first):
     for inp in inputs[first:] + inputs[:first]:
         fiber, frame, phi, gens = families.hyperelliptic_fiber(inp)
         degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
-        keys.append(oracle.TorusKey.of(ofiber))
+        keys.append((ofiber.graph, ofiber.k, ofiber.E))
         for _ in range(12):
             D = oracle.random_divisor(fiber, 2, rng, degree)
             engine = divisibility_verdict(D, 2, frame, phi, gens)
             assert (engine.outcome == DIVISIBLE) == \
                 oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
-    a, b = keys
-    assert a.E == b.E and a.E.m == 12 and a.edge_perm == b.edge_perm == (2, 0, 1)
-    assert a.k != b.k and a._replace(k=b.k) == b
+    (graph_a, k_a, E_a), (graph_b, k_b, E_b) = keys
+    assert graph_a is graph_b and graph_a.edge_perm == (1, 2, 0)
+    assert E_a == E_b and E_a.m == 12 and k_a != k_b
     assert oracle._shared_torus.cache_info().currsize == 2
 
 
 def test_the_torus_cache_stops_growing_at_its_size(cold_shape_caches):
-    # split two-edge graphs over GF(p) for more primes than the cache keeps:
-    # rank-1 tori of p - 1 points each
+    # the split two-edge shape over GF(p) for more primes than the cache
+    # keeps: rank-1 tori of p - 1 points each
     from toricdescent.finite_field import is_prime
     primes = [p for p in range(3, 1000) if is_prime(p)][:oracle.TORUS_CACHE_SIZE + 2]
+    graph = families._two_line_graph(2, ())
     for p in primes:
         k = make_field(p)
-        key = oracle.TorusKey(k, k, 2, ((0, 1, 0), (0, 1, 1)), (0, 1), (0, 1))
-        assert len(oracle._shared_torus(key)) == p - 1
+        assert len(oracle._shared_torus(graph, k, k)) == p - 1
     info = oracle._shared_torus.cache_info()
     assert info.maxsize == info.currsize == oracle.TORUS_CACHE_SIZE
     assert info.misses == len(primes)
@@ -709,7 +710,68 @@ def test_a_torus_past_the_point_cap_is_built_but_not_kept(monkeypatch, cold_shap
     own = []
     for _ in range(2):
         _degree, ofiber, torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
-        assert len(torus) == 16 and oracle._shared_torus(oracle.TorusKey.of(ofiber)) is None
+        assert len(torus) == 16
+        assert oracle._shared_torus(ofiber.graph, ofiber.k, ofiber.E) is None
         own.append(torus)
     assert own[0].points is not own[1].points
+    assert oracle._shared_torus.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("g, shape", [
+    ((0, -1, 0, 1), (1, 1, 1)),
+    ((0, 2, 0, 1), (1, 2)),
+    ((1, 1, 0, 1), (3,)),
+    ((1, 0, 0, 0, 1), (2, 2)),
+], ids=["1+1+1", "1+2", "3", "2+2"])
+def test_the_oracle_fiber_is_built_on_the_shape_graph(g, shape):
+    # the oracle lists its own nodes in the edge order of the engine's
+    # shape graph: the rational nodes, then each orbit from its
+    # smallest-encoding root on by q-th powers (SpecialFiber checks them
+    # against the graph's Frobenius action); (2, 2) is a shape no
+    # decomposition rule covers, but its fiber is built all the same
+    k = make_field(5)
+    inp = families.validate_hyperelliptic(k, Poly(k, list(g)), Poly(k, [3, 1]))
+    assert tuple(f.degree for f in inp.factors) == shape
+    ofiber = oracle.hyperelliptic_special_fiber(inp, oracle.node_degree(inp))
+    assert ofiber.graph is inp.graph
+    nodes = [a for a, _b in ofiber.node_coords]
+    start = len(inp.rational_nodes)
+    for degree in shape[start:]:
+        orbit = nodes[start:start + degree]
+        assert orbit[0].to_int() == min(x.to_int() for x in orbit)
+        assert [x.frob(1) for x in orbit] == orbit[1:] + orbit[:1]
+        start += degree
+
+
+@pytest.mark.parametrize("line, g, h", [
+    ("oracle --q 5 --g x^3-x --h x+3", (0, -1, 0, 1), (3, 1)),
+    ("oracle --q 7 --g x^3+x+1 --h x+2 --r 3", (1, 1, 0, 1), (2, 1)),
+    ("oracle --q 3 --g x^4+x+2 --h x^2+1", (2, 1, 0, 0, 1), (1, 0, 1)),
+], ids=["q5-split", "q7-cubic", "q3-quartic"])
+def test_a_cold_oracle_request_builds_each_principal_component_once(
+        monkeypatch, capsys, cold_shape_caches, line, g, h):
+    # the engine's frame and the oracle's torus read one decomposition, the
+    # one the shape graph keeps
+    from collections import Counter
+    from toricdescent import cli, torus
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        _counting(patch, torus, "principal_component", calls)
+        assert cli.run_line(line.split() + ["--json"]) == 0
+    capsys.readouterr()
+    inp, _data = build(int(line.split()[2]), g, h)
+    assert calls["principal_component"] == len(inp.graph.principal_generators()) > 0
+
+
+def test_two_curves_of_one_shape_share_one_torus(cold_shape_caches):
+    # x^3 + x^2 + 1 and x^3 + 4x^2 + x + 1 are irreducible over GF(5); their
+    # roots in GF(125), ranked by encoding, are permuted by the Frobenius in
+    # different orders, yet the torus reads only the shape, k and the field
+    tori = []
+    for g in ((1, 0, 1, 1), (1, 1, 4, 1)):
+        inp, (_fiber, _frame, phi, gens) = build(5, g, (3, 1))
+        _degree, ofiber, torus, _subgroup = oracle.prepare(inp, phi, gens, 2)
+        assert ofiber.E.m == 3
+        tori.append(torus)
+    assert tori[0].points is tori[1].points and len(tori[0]) == 31
     assert oracle._shared_torus.cache_info().currsize == 1

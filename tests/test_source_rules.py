@@ -1,7 +1,8 @@
 """Rules on the package source, read with ast: no assert statements, no
 hasattr calls, no module-level functools cache outside a named allowlist,
 every cache of shared structure emptied by the cold_shape_caches fixture,
-and every program name the benchmark's tracer groups or rebinds exists."""
+the oracle's imports from the engine named, and every program name the
+benchmark's tracer groups or rebinds exists."""
 
 import ast
 import importlib
@@ -27,7 +28,7 @@ CACHE_ALLOWLIST = {
     "families._genus4_structure": "a residue field's genus-4 fiber, frame and "
                                   "component group: small-q genus-4 requests took "
                                   "1.7 ms with it, 2.5 ms without",
-    "oracle._shared_torus": "an oracle torus per k, oracle field and graph, "
+    "oracle._shared_torus": "an oracle torus per shape graph, k and oracle field, "
                             "enumerated and verified once: oracle-crosscheck "
                             "requests took 8.0 ms of CPU with it, 9.9 ms without",
 }
@@ -118,6 +119,58 @@ def test_cache_detection_sees_each_form():
                      "def e(x): return x\n"
                      "class F:\n    @lru_cache\n    def g(self): return 1\n")
     assert caches_in(tree) == {"a", "b", "c", "d"}
+
+
+#: the names oracle.py imports from the engine's modules, "*" standing for
+#: the module itself: the oracle re-derives the torus points, evaluation and
+#: membership, so a new engine import needs an edit here
+ORACLE_ENGINE_IMPORTS = {
+    "descent": {"DivisorMeetsNode", "SpecialFiber", "SpecializedDivisor", "_view",
+                "phi_r_table", "translate_to_degree_zero"},
+    "dual_graph": {"chain_decomposition"},
+    "torus": {"ENUMERATION_LIMIT"},
+    "families": set(),
+}
+
+
+def imported_names(tree, modules):
+    """The names a module imports from each of the package's modules given,
+    by relative or absolute import; "*" stands for the module itself
+    (from . import m, import toricdescent.m) and for a star import."""
+    found = {module: set() for module in modules}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("toricdescent").lstrip(".")
+            if node.level == 0 and not (node.module or "").startswith("toricdescent"):
+                continue
+            if source in found:
+                found[source].update(alias.name for alias in node.names)
+            elif not source:
+                for alias in node.names:
+                    if alias.name in found:
+                        found[alias.name].add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.removeprefix("toricdescent.")
+                if alias.name.startswith("toricdescent.") and module in found:
+                    found[module].add("*")
+    return found
+
+
+def test_the_oracle_engine_imports_are_named():
+    path = ROOT / "src" / "toricdescent" / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert imported_names(tree, ORACLE_ENGINE_IMPORTS) == ORACLE_ENGINE_IMPORTS
+
+
+def test_import_detection_sees_each_form():
+    tree = ast.parse("from .descent import a, b\nfrom . import families\n"
+                     "import toricdescent.torus\nfrom toricdescent.dual_graph import c\n"
+                     "from .finite_field import d\nimport math\n"
+                     "def f():\n    from .torus import e\n")
+    assert imported_names(tree, ORACLE_ENGINE_IMPORTS) == {
+        "descent": {"a", "b"}, "dual_graph": {"c"}, "torus": {"*", "e"},
+        "families": {"*"}}
 
 
 #: names the tracer reads that the program no longer has, each with its
