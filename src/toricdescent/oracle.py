@@ -17,9 +17,12 @@ the subgroup that r-th powers and the lifts generate.  The closure runs
 element by element in exponent coordinates: each generator's value tuple
 is looked up among the enumerated points to find its exponent vector, and
 products add those vectors modulo the component orders (see
-EnumeratedTorus).  Each trial then pays for one chain evaluation per cycle
-on the divisor's points, with one field inverse per cycle, and a
-dictionary lookup.
+EnumeratedTorus).  A trial reads its torus point off orbit entry by orbit
+entry: the view takes each entry's literal chain-parameter products over
+that entry's roots once per request (EnumeratedTorus.entry_products), since
+the random divisors of tiny fields keep redrawing the same orbits, and the
+trial multiplies its entries' products to their multiplicities, with one
+field inverse per cycle, and makes one dictionary lookup.
 
 Only the field layer, the shape's dual graph (with the cycle basis and
 principal decomposition it keeps), the chain decomposition and the fiber
@@ -32,7 +35,7 @@ The engine's divisors are Galois orbits given by polynomials over k, and
 its nodes lie in one field per node orbit.  The oracle works with points in
 one absolute field: prepare builds its own fiber over a field that holds
 every point it needs (field_degree), with the nodes found there
-(hyperelliptic_special_fiber), and divisor_points finds the roots of each
+(hyperelliptic_special_fiber), and entry_points finds the roots of each
 orbit in that field, which is affordable only at its tiny q.  No value moves
 between the engine's fields and the oracle's: both embed only k.  The random
 divisors both are checked on come from random_divisor, which draws its
@@ -90,9 +93,10 @@ class EvenCharacteristic(OracleError):
 
 
 #: the most random divisors one request checks: every trial costs one
-#: engine verdict and one chain evaluation, so the count bounds the loop
-#: (1000 trials on a 2380-point torus over GF(13) take about 1.5 s on a
-#: 2-vCPU Xeon VM with Python 3.11.7)
+#: engine verdict and one product of per-entry chain products, so the count
+#: bounds the loop (1000 trials on the 2380-point torus of
+#: `oracle --q 13 --g x^4+2 --h x+2` take 0.6-0.7 s of CPU, the package
+#: import included, on a 2-vCPU Xeon VM with Python 3.11.7)
 TRIALS_LIMIT = 1000
 
 
@@ -129,7 +133,7 @@ def hyperelliptic_special_fiber(inp, s):
     for f in inp.factors:
         if f.degree == 1:
             continue
-        roots = roots_in_extension(f, s, factors=[(f, 1)])
+        roots = _orbit_roots(f, s, factors=((f, 1),))
         if len(roots) != f.degree:
             raise UnexpectedRootCount(
                 f"found {len(roots)} of the {f.degree} nodes of an orbit in {big}")
@@ -189,36 +193,39 @@ def _closure(orders, generators):
 def divisor_points(divisor, fiber):
     """The points of an orbit divisor, as (component, point, multiplicity)
     with the points in the fiber's field: the roots of every orbit
-    polynomial, found there, with multiplicity."""
-    s = fiber.E.m // fiber.k.m
-    out = []
-    for comp, H, mult in divisor.entries:
-        if H is INF:
-            out.append((comp, INF, mult))
-            continue
-        points = _orbit_roots(H, s)
-        if len(points) != H.degree:
-            raise PointsOutsideField(
-                f"{len(points)} of the {H.degree} roots of an orbit lie in {fiber.E}")
-        out.extend((comp, point, mult) for point in points)
-    return out
+    polynomial, found there, with multiplicity (entry_points)."""
+    return [(comp, point, mult) for comp, H, mult in divisor.entries
+            for point in entry_points(H, fiber)]
+
+
+def entry_points(H, fiber):
+    """The points of one orbit entry in the fiber's field: INF alone for
+    INF, else the roots of H found there (PointsOutsideField unless all of
+    them lie there)."""
+    if H is INF:
+        return (INF,)
+    points = _orbit_roots(H, fiber.E.m // fiber.k.m)
+    if len(points) != H.degree:
+        raise PointsOutsideField(
+            f"{len(points)} of the {H.degree} roots of an orbit lie in {fiber.E}")
+    return points
 
 
 @lru_cache(maxsize=512)
-def _orbit_roots(H, s):
-    """The roots of a monic orbit polynomial in GF(q^s); cached, since the
-    random divisors of one fiber draw the same orbits again and again."""
+def _orbit_roots(H, s, factors=None):
+    """The roots of a monic orbit polynomial in GF(q^s), given its
+    factorization (a tuple, as factor returns it) when the caller has it;
+    cached, since the random divisors of one fiber draw the same orbits
+    again and again, and the oracle fibers of one curve find the same
+    nodes."""
     if H.degree == 1:
         return (embed(H.field, extension(H.field, s))(-H.coeffs[0]),)
-    return tuple(roots_in_extension(H, s))
+    return tuple(roots_in_extension(H, s, factors=factors))
 
 
-def _require_zero_multidegree(points, fiber):
-    """NonzeroMultidegree unless the points' multiplicities sum to zero on
-    every component, as chain evaluation needs (see chain_evaluate)."""
-    deg = [0] * fiber.graph.num_vertices
-    for comp, _point, mult in points:
-        deg[comp] += mult
+def _require_zero_multidegree(deg):
+    """NonzeroMultidegree unless the degrees per component are all zero, as
+    chain evaluation needs (see chain_evaluate)."""
     if any(deg):
         raise NonzeroMultidegree(
             f"chain evaluation needs zero multidegree, got {tuple(deg)}")
@@ -252,7 +259,8 @@ def random_divisor(fiber, r, rng, degree):
     if k.p == 2:
         raise EvenCharacteristic(f"random orbits over {k} need odd characteristic")
     entries = []
-    for comp in range(fiber.graph.num_vertices):
+    deg = [0] * fiber.graph.num_vertices
+    for comp in range(len(deg)):
         for _ in range(rng.randrange(0, 3)):
             t = rng.choice([1, 2])
             if degree % t:
@@ -260,14 +268,14 @@ def random_divisor(fiber, r, rng, degree):
             H = _random_orbit(k, t, rng)
             if fiber.meets_nodes(comp, H):
                 continue
-            entries.append((comp, H, rng.choice([-2, -1, 1, 2])))
-    div = SpecializedDivisor(fiber, entries)
-    fix = []
-    for comp, dcomp in enumerate(div.multidegree):
+            mult = rng.choice([-2, -1, 1, 2])
+            entries.append((comp, H, mult))
+            deg[comp] += mult * t
+    for comp, dcomp in enumerate(deg):
         rem = (-dcomp) % r
         if rem:
-            fix.append((comp, fiber.standard_point(comp), rem))
-    return div + SpecializedDivisor(fiber, fix)
+            entries.append((comp, fiber.standard_point(comp), rem))
+    return SpecializedDivisor(fiber, entries)
 
 
 def orbit_cycle_basis(graph):
@@ -307,8 +315,9 @@ class EnumeratedTorus:
     None of this reads a node coordinate, so one torus serves every
     request with its graph, k and E (_shared_torus), and its fiber is None.
     A request evaluates through a view (for_fiber) that shares the points
-    and adds its fiber and the chain walks over that fiber's node
-    coordinates (walks, read by parameter_products)."""
+    and adds its fiber, the chain walks over that fiber's node coordinates
+    (walks, read by parameter_products) and the memo of each orbit entry's
+    products (entry_products)."""
 
     def __init__(self, graph, k, E, cycles, orders, points, component_generators):
         self.fiber = None
@@ -354,17 +363,42 @@ class EnumeratedTorus:
         """This torus seen through a fiber on its graph, over its k and E: a
         view that shares everything above and adds the fiber and walks, the
         chain walks of each cycle over the fiber's node coordinates
-        (_node_walks)."""
-        return _view(self, fiber=fiber,
+        (_node_walks), with an empty entry_products memo."""
+        # with FrameComponent's entry memos, oracle-crosscheck CPU fell 18%
+        return _view(self, fiber=fiber, _entry_products={},
                      walks=[_node_walks(walks, fiber) for walks in self.chains])
 
-    def parameter_products(self, points):
-        """The unnormalized chain-parameter products of the points along the
-        cycles (_parameter_product), on a view's fiber: the scale-free
-        companion of the engine's normalized evaluation, used for the
-        connecting-map lifts (whose coherence across an orbit matters)."""
-        return tuple(_parameter_product(walks, points, self.fiber.E)
-                     for walks in self.walks)
+    def entry_products(self, component, H):
+        """The unnormalized chain-parameter products along the cycles
+        (_parameter_product) of the points of one orbit entry with
+        multiplicity 1 (entry_points), on a view's fiber; cached per
+        (component, H), since a request's trials, translations and lifts
+        draw the same orbits again."""
+        key = (component, H)
+        products = self._entry_products.get(key)
+        if products is None:
+            points = [(component, y, 1) for y in entry_points(H, self.fiber)]
+            products = tuple(_parameter_product(walks, points, self.fiber.E)
+                             for walks in self.walks)
+            self._entry_products[key] = products
+        return products
+
+    def parameter_products(self, entries):
+        """The unnormalized chain-parameter products along the cycles of the
+        orbit entries (component, H, multiplicity), on a view's fiber: per
+        cycle, the product of the entries' products (entry_products) to
+        their multiplicities, with one inverse.  This is the scale-free
+        companion of the engine's normalized evaluation, used for the trials
+        and the connecting-map lifts (whose coherence across an orbit
+        matters)."""
+        one = self.E.one()
+        nums = [one] * len(self.walks)
+        dens = [one] * len(self.walks)
+        for comp, H, mult in entries:
+            side = nums if mult > 0 else dens
+            for i, value in enumerate(self.entry_products(comp, H)):
+                side[i] = side[i] * (value if abs(mult) == 1 else value ** abs(mult))
+        return tuple(num / den for num, den in zip(nums, dens))
 
     def identity(self):
         one = self.E.one()
@@ -536,33 +570,40 @@ def chain_evaluate(cycle, points, fiber):
     Around a closed walk every occurrence is the next one once, so the
     evaluation is the product of t(y)^mult over all occurrences and points,
     taken with one inverse per cycle (_parameter_product)."""
-    _require_zero_multidegree(points, fiber)
+    deg = [0] * fiber.graph.num_vertices
+    for comp, _point, mult in points:
+        deg[comp] += mult
+    _require_zero_multidegree(deg)
     return _parameter_product(_node_walks(chain_decomposition(cycle), fiber),
                               points, fiber.E)
 
 
 def nu_lift_vectors(fiber, torus, phi, generators, r):
     """Value tuples, along the orbit basis, of the compensating principal
-    divisors for every element of the r-torsion of the component group."""
-    gen_points = [divisor_points(gen.f_divisor, fiber) for gen in generators]
+    divisors for every element of the r-torsion of the component group, on
+    the orbit entries of the generators' function divisors."""
     out = []
     for element, powers, _rep in phi_r_table(phi, generators, r, fiber):
-        points = [(c, pt, m * power) for power, pts in zip(powers, gen_points)
-                  if power for c, pt, m in pts]
-        out.append((element, torus.parameter_products(points)))
+        entries = [(c, H, m * power) for power, gen in zip(powers, generators)
+                   if power for c, H, m in gen.f_divisor.entries]
+        out.append((element, torus.parameter_products(entries)))
     return out
 
 
 def exhaustive_divisibility(divisor, r, fiber, torus, subgroup):
     """Literal membership test: translate the orbit divisor to multidegree
     zero, read its torus point off by chain evaluation on its points in the
-    oracle's fiber, and look its position up in the subgroup generated by
-    r-th powers and the connecting-map lifts (see prepare).  NotATorusPoint
-    when the evaluation is no enumerated point."""
+    oracle's fiber (that of the torus view, from prepare): the product of its
+    orbit entries' chain-parameter products (parameter_products).  Then look
+    its position up in the subgroup generated by r-th powers and the
+    connecting-map lifts (see prepare).  NotATorusPoint when the evaluation
+    is no enumerated point."""
     if r == 1:
         return True
     if any(d % r for d in divisor.multidegree):
         raise NonzeroMultidegree("the oracle needs an r-divisible multidegree")
-    points = divisor_points(translate_to_degree_zero(divisor, r), fiber)
-    _require_zero_multidegree(points, fiber)
-    return torus.position(torus.parameter_products(points)) in subgroup
+    if torus.fiber.node_coords != fiber.node_coords:
+        raise OracleError("the torus is seen through a fiber with other nodes")
+    shifted = translate_to_degree_zero(divisor, r)
+    _require_zero_multidegree(shifted.multidegree)
+    return torus.position(torus.parameter_products(shifted.entries)) in subgroup

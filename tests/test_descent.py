@@ -33,9 +33,9 @@ def test_gamma_class_canonical_example():
         cls = gamma_class(L, comp, 2)
         classes.append(cls)
         # the class is trivial exactly when the evaluation is a square
-        assert (cls.residue == 0) == power_residue(cls.value, 2)
+        assert (cls.residue == 0) == power_residue(comp.evaluate(L), 2)
     assert sorted(c.residue == 0 for c in classes) == [False, True]
-    values = sorted(power_residue(c.value, 2) for c in classes)
+    values = sorted(power_residue(comp.evaluate(L), 2) for comp in frame.components)
     assert values == [False, True]
 
 
@@ -107,6 +107,10 @@ def test_nu_additivity():
 
 def test_orientation_flip():
     assert properties.run_orientation_flip(60) >= 60
+
+
+def test_classes_add_over_orbit_entries():
+    assert properties.run_entry_classes(5) >= 200
 
 
 def test_verdict_stable_under_r_multiples():
@@ -240,10 +244,37 @@ def test_verdict_matches_the_rows_of_the_table():
         checked += 1
 
 
+def test_each_entry_keeps_its_zero_pole_and_membership_checks(monkeypatch):
+    # a class takes every entry's value, so an entry at a zero or pole of a
+    # local function raises DivisorMeetsNode also when gcd(r, order) = 1 and
+    # no residue symbol is taken; when gcd(r, order) > 1, an entry whose
+    # value leaves the mu group raises DescentError.  g = x^3 + x + 1 is
+    # irreducible over GF(7): one cycle, mu of order 57 in GF(7^3)
+    inp, (fiber, frame, phi, gens) = b3_instance(gcoeffs=(1, 1, 0, 1), hcoeffs=(2, 1))
+    (comp,) = frame.components
+    assert comp.order == 57
+    k = fiber.k
+    D = SpecializedDivisor(fiber, [(0, k.from_int(2), 1), (0, k.from_int(3), -1)])
+    assert gamma_class(D, comp.for_request(), 2).modulus == 1
+    zero = comp.field.zero()
+    view = comp.for_request()
+    monkeypatch.setattr(view, "node_values", lambda H: dict.fromkeys(comp._nodes, zero))
+    with pytest.raises(DivisorMeetsNode):
+        gamma_class(D, view, 2)
+    outside = comp.field.gen()
+    assert outside ** comp.order != comp.field.one()
+    view = comp.for_request()
+    monkeypatch.setattr(view, "entry_value", lambda c, H: outside)
+    with pytest.raises(descent.DescentError, match="left the mu group"):
+        gamma_class(D, view, 3)
+
+
 def test_mu_generator_is_cached_once(monkeypatch):
     # the field keeps its elements of given orders: every residue symbol of
     # a frame component asks element_of_order again, the search runs at most
-    # once per field and order, and the fiber keeps no copy
+    # once per field and order, and the fiber keeps no copy.  A component
+    # takes each entry's symbol once per request, so the three entries of L
+    # ask once per component, and the second pass asks nothing
     from toricdescent import finite_field
     asked, searched = [], []
     ask, search = finite_field.element_of_order, finite_field._element_of_order
@@ -264,7 +295,8 @@ def test_mu_generator_is_cached_once(monkeypatch):
     for _ in range(2):
         for comp in frame.components:
             gamma_class(L, comp, 2)
-    assert len(asked) == 2 * len(frame.components)
+    assert len(L.entries) == 3
+    assert len(asked) == len(L.entries) * len(frame.components) == 6
     assert len(searched) == len(set(searched)) <= len(set(asked))
 
 

@@ -571,17 +571,18 @@ def _genus4_memo_sizes(structure):
     """The sizes of every memo on a genus-4 structure's shared objects."""
     fiber, frame = structure.fiber, structure.frame
     return (len(vars(structure)), len(vars(fiber.graph)), len(fiber._meets),
-            fiber._scans, [len(comp._values) for comp in frame.components],
+            fiber._scans, [(len(comp._values), len(comp._entry_values),
+                            len(comp._entry_symbols)) for comp in frame.components],
             len(frame._steps), len(vars(structure.phi)))
 
 
 def test_shared_structure_keeps_no_request_memo(cold_shape_caches):
     # 200 genus-4 reports with distinct seeded cubics over one field, then
     # 200 hyperelliptic reports and oracle runs of one orbit pattern: the
-    # shared fiber, frame and graph keep what the first request left, and
-    # each cache holds one entry
+    # shared fiber, frame, graph and torus keep what the first request left,
+    # and each cache holds one entry
     from toricdescent import oracle
-    graphs, structures, _tori = cold_shape_caches
+    graphs, structures, tori = cold_shape_caches
     k = make_field(11)
     rng = rng_for("shared-structure-memos")
     seen = set()
@@ -600,12 +601,14 @@ def test_shared_structure_keeps_no_request_memo(cold_shape_caches):
 
     k = make_field(13)
     graph_sizes = []
+    inputs = []
     done = 0
     while done < 200:
         inp = random_hyperelliptic(k, 4, rng)
         if [f.degree for f in inp.factors] != [1, 1, 2]:
             continue
         assert hyperelliptic_report(inp)["engine_check"]["agree"] is True
+        inputs.append(inp)
         fiber, frame, phi, gens = inp.fiber_data
         for _ in range(2):
             div = oracle.random_divisor(fiber, 2, rng, 2)
@@ -615,6 +618,26 @@ def test_shared_structure_keeps_no_request_memo(cold_shape_caches):
     assert graph_sizes == graph_sizes[:1] * 200
     assert graphs.cache_info().currsize == 1
     assert structures.cache_info().currsize == 1
+
+    # oracle runs on the first 20 of those inputs whose oracle field is
+    # GF(13^2): the one shared torus keeps no entry_products memo
+    torus_vars = []
+    for inp in inputs:
+        fiber, frame, phi, gens = inp.fiber_data
+        if oracle.field_degree([H for gen in gens for _c, H, _m in gen.f_divisor.entries]) > 2:
+            continue
+        degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
+        for _ in range(2):
+            div = oracle.random_divisor(fiber, 2, rng, degree)
+            oracle.exhaustive_divisibility(div, 2, ofiber, torus, subgroup)
+        assert torus._entry_products
+        shared = oracle._shared_torus(inp.graph, ofiber.k, ofiber.E)
+        torus_vars.append(sorted(vars(shared)))
+        if len(torus_vars) == 20:
+            break
+    assert torus_vars == torus_vars[:1] * 20
+    assert "_entry_products" not in torus_vars[0]
+    assert tori.cache_info().currsize == 1
 
 
 def test_repeated_shapes_and_fields_replay_the_pinned_reports(capsys, cold_shape_caches):

@@ -313,6 +313,28 @@ def test_random_divisor_refuses_characteristic_2():
         oracle.random_divisor(fiber, 2, rng_for("char-2"), 2)
 
 
+def test_random_divisor_draws_are_pinned():
+    # the entries (component, coefficients of H or None for INF,
+    # multiplicity) of the first 20 seeded divisors on three fibers, and the
+    # generator's next 32 bits after them: building the divisor once keeps
+    # both the draws and the divisor
+    import json
+    from pathlib import Path
+    with open(Path(__file__).parent / "data" / "random_divisor_pin.json") as fh:
+        cases = json.load(fh)
+    assert [case["q"] for case in cases] == [3, 7, 11]
+    for case in cases:
+        inp, (fiber, *_rest) = build(case["q"], case["g"], case["h"])
+        rng = rng_for(f"random-divisor-pin-{case['q']}")
+        drawn = []
+        for _ in range(20):
+            D = oracle.random_divisor(fiber, case["r"], rng, case["degree"])
+            drawn.append([[c, None if H is INF else [x.to_int() for x in H.coeffs], m]
+                          for c, H, m in D.entries])
+        assert drawn == case["divisors"]
+        assert rng.getrandbits(32) == case["next_bits"]
+
+
 def test_verify_equivariance_survives_python_O():
     # over GF(5) with g irreducible, Frobenius permutes the cycles, and a
     # point with the same non-rational value on every cycle is not
@@ -491,7 +513,7 @@ def test_tuples_outside_the_torus_raise(monkeypatch):
     # an evaluation outside the torus
     D = oracle.random_divisor(fiber, 2, rng_for("outside"), degree)
     monkeypatch.setattr(torus, "parameter_products",
-                        lambda points: (E.zero(),) * len(torus.cycles))
+                        lambda entries: (E.zero(),) * len(torus.cycles))
     with pytest.raises(oracle.NotATorusPoint):
         oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
     monkeypatch.undo()
@@ -503,6 +525,21 @@ def test_tuples_outside_the_torus_raise(monkeypatch):
     inp2, (_f, _fr, phi2, gens2) = build(5, (1, 1, 0, 1), (3, 1))
     with pytest.raises(oracle.NotATorusPoint):
         oracle.prepare(inp2, phi2, gens2, 2)
+
+
+def test_a_fiber_with_other_nodes_than_the_torus_view_is_refused():
+    # a trial reads its points off the torus view's fiber, so the fiber it
+    # is given must have the same nodes: x^3+x+1 and x^3+x^2+1 over GF(5)
+    # share one torus but not their nodes
+    inp, (fiber, _frame, phi, gens) = build(5, (1, 1, 0, 1), (3, 1))
+    degree, ofiber, torus, subgroup = oracle.prepare(inp, phi, gens, 2)
+    inp2, (_fiber2, _frame2, phi2, gens2) = build(5, (1, 0, 1, 1), (3, 1))
+    _degree2, ofiber2, torus2, _subgroup2 = oracle.prepare(inp2, phi2, gens2, 2)
+    assert torus2.points is torus.points and ofiber2.node_coords != ofiber.node_coords
+    D = oracle.random_divisor(fiber, 2, rng_for("other-nodes"), degree)
+    oracle.exhaustive_divisibility(D, 2, ofiber, torus, subgroup)
+    with pytest.raises(oracle.OracleError, match="other nodes"):
+        oracle.exhaustive_divisibility(D, 2, ofiber2, torus, subgroup)
 
 
 def test_a_repeated_enumerated_point_raises(monkeypatch):
@@ -589,6 +626,61 @@ def test_trials_add_no_per_request_work(monkeypatch, capsys, cold_shape_caches, 
     assert counts["20"] == counts["1"]
     assert counts["20"]["enumerate_torus"] == 1
     assert counts["20"]["smith_normal_form"] > 0 and counts["20"]["chain_decomposition"] > 0
+
+
+@pytest.mark.parametrize("line", [
+    "oracle --q 5 --g x^3-x --h x+3",
+    "oracle --q 7 --g x^3+x+1 --h x+2 --r 3",
+    "oracle --q 3 --g x^4+x+2 --h x^2+1",
+])
+def test_a_request_evaluates_each_orbit_entry_once(monkeypatch, capsys, line):
+    # a class is the sum over the orbit entries of its divisor: one request
+    # takes each (frame component, entry) value once by resultants, its
+    # residue symbol once per g, and each entry's chain products once in
+    # the oracle, whatever the verdicts, shifts and lifts share.  The memos
+    # go with the request: a second identical line does the same work and
+    # prints the same bytes
+    from collections import Counter
+    from math import gcd
+    from toricdescent import cli
+    argv = line.split() + ["--trials", "20", "--json"]
+    classes, products = [], []
+    gamma_class = descent.gamma_class
+    parameter_products = oracle.EnumeratedTorus.parameter_products
+
+    def recorded_class(divisor, component, r):
+        classes.append((component, divisor.entries, r))
+        return gamma_class(divisor, component, r)
+
+    def recorded_products(torus, entries):
+        products.append((len(torus.walks), list(entries)))
+        return parameter_products(torus, entries)
+
+    runs = []
+    for _ in range(2):
+        calls = Counter()
+        classes.clear()
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(descent, "gamma_class", recorded_class)
+            patch.setattr(oracle.EnumeratedTorus, "parameter_products", recorded_products)
+            for owner, name in ((descent, "product_of_factors"), (descent, "residue_symbol"),
+                                (oracle, "_parameter_product")):
+                _counting(patch, owner, name, calls)
+            assert cli.run_line(argv) == 0
+        values = {(id(comp), c, H) for comp, entries, _r in classes for c, H, _m in entries}
+        symbols = {(id(comp), c, H, gcd(r, comp.order)) for comp, entries, r in classes
+                   for c, H, _m in entries if gcd(r, comp.order) > 1}
+        (cycles,) = {n for n, _entries in products}
+        chains = {(c, H) for _n, entries in products for c, H, _m in entries}
+        assert calls == Counter({"product_of_factors": len(values),
+                                 "residue_symbol": len(symbols),
+                                 "_parameter_product": cycles * len(chains)})
+        # the trials redraw orbits: fewer values than entries classed
+        assert len(values) < sum(len(entries) for _comp, entries, _r in classes)
+        runs.append((calls, capsys.readouterr().out))
+    (first, first_out), (second, second_out) = runs
+    assert second == first and second_out == first_out
 
 
 def test_trial_counts_outside_the_range_are_refused_before_any_work(monkeypatch, capsys):
