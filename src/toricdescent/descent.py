@@ -95,8 +95,9 @@ class SpecialFiber:
     component) for edge i; entries are INF or elements of k or of a field
     over k that holds the node.  eval_field is the largest of those fields.
 
-    The memos of meets_nodes and standard_point belong to one request: a
-    fiber shared across requests hands each a view of its own (for_request).
+    The memos of value, meets_nodes and standard_point belong to one
+    request: a fiber shared across requests hands each a view of its own
+    (for_request).
     """
 
     def __init__(self, graph, base_field, eval_field, node_coords):
@@ -130,6 +131,7 @@ class SpecialFiber:
                         seen.add(c)
                         c = self.frobq(c)
             self._orbit_reps.append(reps)
+        self._values = {}
         self._meets = {}
         # per component, (values drawn, iterator of the rest) of the
         # sequence standard_point scans, built on first use (kept: scanning
@@ -140,7 +142,7 @@ class SpecialFiber:
         """This fiber with empty memos: the graph, the coordinates and the
         orbit representatives are shared, and what a request memoizes stays
         on the view and goes with it."""
-        return _view(self, _meets={}, _scans=[None] * self.graph.num_vertices)
+        return _view(self, _values={}, _meets={}, _scans=[None] * self.graph.num_vertices)
 
     def frobq(self, x):
         """Arithmetic Frobenius over the residue field, in x's own field."""
@@ -162,16 +164,24 @@ class SpecialFiber:
 
     def value(self, H, c):
         """H(c) for a polynomial H over k at a finite node coordinate c, in
-        c's field.  At the node of a residue field of k = GF(p), the class of
-        x, that is H mod the field's modulus; elsewhere H with its
-        coefficients embedded, evaluated at c."""
-        field = c.field
-        # measured: without this shortcut the small-q workload took 20% more CPU
-        if (self.k.m == 1 and field.given_modulus and field != self.k
-                and c == field.gen()):
-            rem = H % Poly(self.k, list(field.modulus))
-            return field.from_coeffs([a.to_int() for a in rem.coeffs])
-        return self.lift_poly(H, field)(c)
+        c's field (cached per (H, c): meets_nodes and
+        FrameComponent.node_values read the same nodes).  At the node of a
+        residue field of k = GF(p), the class of x, that is H mod the
+        field's modulus; elsewhere H with its coefficients embedded,
+        evaluated at c."""
+        key = (H, c)
+        value = self._values.get(key)
+        if value is None:
+            field = c.field
+            # measured: without this shortcut the small-q workload took 20% more CPU
+            if (self.k.m == 1 and field.given_modulus and field != self.k
+                    and c == field.gen()):
+                rem = H % Poly(self.k, list(field.modulus))
+                value = field.from_coeffs([a.to_int() for a in rem.coeffs])
+            else:
+                value = self.lift_poly(H, field)(c)
+            self._values[key] = value
+        return value
 
     def node_coordinate(self, edge_index, component):
         t, h, _ = self.graph.edges[edge_index]
@@ -507,27 +517,21 @@ class FrameComponent:
             for key, c in ((factor.enter_key, a), (factor.leave_key, b)):
                 if c is not INF:
                     self._nodes[key] = c
-        self._values = {}
         # one value per orbit entry and one symbol per (entry, g) per request:
         # with EnumeratedTorus.entry_products, oracle-crosscheck CPU fell 18%
         self._entry_values = {}
         self._entry_symbols = {}
 
-    def for_request(self):
-        """This component with empty node_values, entry_value and
-        entry_symbol memos."""
-        return _view(self, _values={}, _entry_values={}, _entry_symbols={})
+    def for_request(self, fiber):
+        """This component on fiber, a view of its own fiber (whose memo
+        node_values reads), with empty entry_value and entry_symbol memos."""
+        return _view(self, fiber=fiber, _entry_values={}, _entry_symbols={})
 
     def node_values(self, H):
         """{encoding of a node of the cycle: H there, in the cycle's field}
-        for a polynomial H over k (cached per H)."""
-        values = self._values.get(H)
-        if values is None:
-            fiber, field = self.fiber, self.field
-            values = {key: fiber.lift(fiber.value(H, c), field)
-                      for key, c in self._nodes.items()}
-            self._values[H] = values
-        return values
+        for a polynomial H over k (the fiber keeps the values)."""
+        fiber, field = self.fiber, self.field
+        return {key: fiber.lift(fiber.value(H, c), field) for key, c in self._nodes.items()}
 
     def entry_value(self, component, H):
         """Product of the parameters over the roots of one orbit entry, with
@@ -585,8 +589,8 @@ class TorusFrame:
     given generator cycles, or by default the graph's principal generators,
     whose decomposition the graph keeps (DualGraph.principal_components).
 
-    The step_residues memo and the components' node_values, entry_value
-    and entry_symbol memos belong to one request: a frame shared across
+    The frame itself keeps no memo; its components' entry_value and
+    entry_symbol memos belong to one request, so a frame shared across
     requests hands each a view of its own (for_request)."""
 
     def __init__(self, fiber, generator_cycles=None):
@@ -604,36 +608,12 @@ class TorusFrame:
             raise UnsupportedTorus(str(exc)) from exc
         self.components = [FrameComponent(fiber, cycle, comp.char_poly)
                            for cycle, comp in zip(generator_cycles, components)]
-        self._steps = {}
 
     def for_request(self, fiber):
         """This frame, for the view fiber of its own fiber, with empty
         memos: the components' local functions are shared."""
-        return _view(self, fiber=fiber, _steps={},
-                     components=[comp.for_request() for comp in self.components])
-
-    def step_residues(self, generators, r):
-        """Per generator, None when gcd(r, order) = 1 (its power in a
-        Phi[r] row is always 0), else the residues of (r / gcd(r, order))
-        times its function divisor along every component: the classes a
-        verdict at r adds per unit of that generator's power.  That multiple
-        has multidegree -lcm(r, order) times the representative, so
-        gamma_class takes it.  Computed once per generators and r, since
-        every verdict at r reuses them."""
-        key = (tuple(generators), r)
-        steps = self._steps.get(key)
-        if steps is None:
-            steps = []
-            for gen in generators:
-                unit = r // gcd(r, gen.order)
-                if unit == r:
-                    steps.append(None)
-                    continue
-                step = gen.f_divisor.scale(unit)
-                steps.append([gamma_class(step, comp, r).residue
-                              for comp in self.components])
-            self._steps[key] = steps
-        return steps
+        return _view(self, fiber=fiber,
+                     components=[comp.for_request(fiber) for comp in self.components])
 
     def torus_order(self):
         return math.prod(c.order for c in self.components)
@@ -680,36 +660,24 @@ class PhiGenerator:
                 f"function divisor degree {f_divisor.multidegree}, expected {expected}")
 
 
-def compute_nu(rep_multidegree, f_divisor, frame, r):
-    """Row of the connecting map: classes of the function divisor along every
-    component generator, modulo r-th powers."""
-    expected = tuple(-r * int(v) for v in rep_multidegree)
-    if f_divisor.multidegree != expected:
-        raise DegreeMismatch(
-            f"function divisor degree {f_divisor.multidegree}, expected {expected}")
-    return tuple(gamma_class(f_divisor, comp, r) for comp in frame.components)
-
-
-def phi_r_table(phi, generators, r, fiber):
+def phi_r_table(phi, generators, r):
     """Every element of Phi[r] with its compensating principal divisor, given
     as the exponents of the generators' functions.
 
-    Returns a list of (element, powers, representative multidegree); the
-    compensating divisor is compensating_divisor(generators, powers, fiber).
-    The element with coefficient a_t = k * order_t / gcd(r, order_t) on
-    generator t takes the power a_t * r / order_t = k * r / gcd(r, order_t)."""
+    Returns a list of (element, powers); the compensating divisor is
+    compensating_divisor(generators, powers, fiber).  The element with
+    coefficient a_t = k * order_t / gcd(r, order_t) on generator t takes the
+    power a_t * r / order_t = k * r / gcd(r, order_t)."""
     entries = []
     choices = [range(0, gen.order, gen.order // gcd(r, gen.order)) for gen in generators]
     for coeffs in product(*choices):
         element = phi.identity()
         powers = []
-        rep = [0] * fiber.graph.num_vertices
         for a, gen in zip(coeffs, generators):
             powers.append(a * r // gen.order)
             if a:
                 element = phi.add(element, phi.scale(gen.element, a))
-                rep = [u + a * v for u, v in zip(rep, gen.rep_multidegree)]
-        entries.append((element, tuple(powers), tuple(rep)))
+        entries.append((element, tuple(powers)))
     return entries
 
 
@@ -739,19 +707,20 @@ def divisibility_verdict(divisor, r, frame, phi, generators):
 
     The divisor's class must be rational, which every orbit divisor is.  The
     obstruction in the component group (fibral_lattice_membership against
-    phi) is checked first; then the divisor is shifted into
-    the r-divisible-multidegree range using the generators' principal
-    functions, and the arithmetic criterion is tested against every element
-    of Phi[r].  The classes are additive, gamma(D + sum_t c_t u_t) =
-    gamma(D) + sum_t c_t gamma(u_t) with u_t = (r / gcd(r, order_t)) f_t,
-    so D is classed once per frame component, each u_t once per frame and
-    r (TorusFrame.step_residues), and the rows of the table combine
-    residues.  Each class is itself the sum over the divisor's orbit
-    entries of mult times the entry's residue symbol, and a frame
-    component evaluates each entry once per request and takes its symbol
-    once per entry and g (FrameComponent.entry_value, entry_symbol), so
-    the orbits that D, its shift, the steps and the request's earlier
-    verdicts share are paid for once.
+    phi) is checked first.  When the multidegree is not divisible by r, the
+    congruence on the generators' function divisors gives the coefficients
+    sol of a principal shift into r * Z^v (_shift_to_div_r).  The
+    arithmetic criterion is then tested against every element of Phi[r]
+    with powers p_t: the class of D + sum_t (sol_t + p_t) f_t along frame
+    component i vanishes in mu_i / mu_i^r.  The class is a homomorphism, so
+    that row is S_i(D) + sum_t (sol_t + p_t) S_i(f_t) mod gcd(r, order_i),
+    with S_i = FrameComponent.gamma; no shifted divisor is built.  S_i(f_t)
+    is needed only where sol_t or some p_t is nonzero, that is where sol_t
+    is nonzero or gcd(r, order_t) > 1.  Each S_i is itself the sum over the
+    orbit entries of mult times the entry's residue symbol, taken once per
+    request (FrameComponent.entry_value, entry_symbol), so the orbits that
+    D, the function divisors and the request's earlier verdicts share are
+    paid for once.
     """
     fiber = divisor.fiber
     if r < 1:
@@ -764,95 +733,85 @@ def divisibility_verdict(divisor, r, frame, phi, generators):
     if not fibral_lattice_membership(deg, r, phi):
         return DescentVerdict(NOT_IN_PIC_R,
                               reason="multidegree outside r*Z^v + fibral lattice")
+    sol = [0] * len(generators)
     if any(d % r for d in deg):
-        divisor = _shift_to_div_r(divisor, r, generators)
-        if divisor is None:
+        sol = _shift_to_div_r(divisor, r, generators)
+        if sol is None:
             return DescentVerdict(
                 UNDETERMINED,
                 reason="no available principal function reaches an r-divisible multidegree")
-    table = phi_r_table(phi, generators, r, fiber)
-    base = [gamma_class(divisor, comp, r) for comp in frame.components]
-    # a generator with gcd(r, order) = 1 only ever takes the power 0
-    units = [r // gcd(r, gen.order) for gen in generators]
-    steps = frame.step_residues(generators, r)
+    base = [comp.gamma(divisor, r) for comp in frame.components]
+    # S_i(f_t) where sol_t + p_t can be nonzero: a generator with
+    # gcd(r, order) = 1 only ever takes the power 0
+    f_classes = [[comp.gamma(gen.f_divisor, r).residue for comp in frame.components]
+                 if s or gcd(r, gen.order) > 1 else None
+                 for s, gen in zip(sol, generators)]
     failures = {}
-    for element, powers, _rep in table:
-        residues = []
-        for i, cls in enumerate(base):
-            acc = cls.residue
-            for power, unit, step in zip(powers, units, steps):
-                if power:
-                    acc += (power // unit) * step[i]
-            residues.append(acc % cls.modulus if cls.modulus else 0)
+    for element, powers in phi_r_table(phi, generators, r):
+        residues = tuple(
+            (cls.residue + sum((s + power) * f_class[i] for s, power, f_class
+                               in zip(sol, powers, f_classes) if f_class))
+            % cls.modulus
+            for i, cls in enumerate(base))
         if not any(residues):
             return DescentVerdict(DIVISIBLE, witness=element)
-        failures[element] = tuple(residues)
+        failures[element] = residues
     return DescentVerdict(NOT_DIVISIBLE, failure_table=failures)
 
 
 def _shift_to_div_r(divisor, r, generators):
-    """Add a principal power product of the generator functions so that the
-    multidegree becomes divisible by r; None when unreachable."""
-    fiber = divisor.fiber
-    v = fiber.graph.num_vertices
+    """Coefficients sol of the generators' function divisors such that
+    D + sum_t sol_t f_t has a multidegree divisible by r; None when
+    unreachable."""
     if not generators:
         return None
     cols = [gen.f_divisor.multidegree for gen in generators]
-    A = [[cols[t][i] for t in range(len(generators))] for i in range(v)]
+    A = [list(row) for row in zip(*cols)]
     b = [-d for d in divisor.multidegree]
     sol = zmat.solve_mod(A, b, r)
     if sol is None:
         return None
-    out = divisor + compensating_divisor(generators, sol, fiber)
-    if any(d % r for d in out.multidegree):
+    shifted = [d + sum(s * col[i] for s, col in zip(sol, cols))
+               for i, d in enumerate(divisor.multidegree)]
+    if any(d % r for d in shifted):
         raise NotDivRDivisor(
-            f"the compensating shift left multidegree {out.multidegree}, "
+            f"the compensating shift left multidegree {tuple(shifted)}, "
             f"not divisible by {r}")
-    return out
+    return sol
 
 
-def torsion_structure(frame, phi, generators):
+def torsion_structure(frame, generators):
     """Invariant factors of the prime-to-p rational torsion of the Jacobian,
     resolved from the extension of the component group by the torus points.
 
     Presentation: one generator per mu summand (order n_i) plus one lift per
     cyclic generator of the prime-to-p component group; the lift of a
-    generator of order n satisfies n * lift = an explicit torus element read
-    off from the connecting map at r = n.  The supplied generators must split
-    the component group as a direct sum of the cyclic subgroups they generate
+    generator whose order has prime-to-p part n > 1 (the generator times
+    the p-part of its order) satisfies n * lift = an explicit torus
+    element, the connecting map at r = n: minus the classes of the
+    generator's function divisor.  The supplied generators must split the
+    component group as a direct sum of the cyclic subgroups they generate
     (the family builders construct exactly such sets).
     """
     p = frame.fiber.k.p
-    torus_orders = [comp.order for comp in frame.components]
+    components = frame.components
     reduced = []
     for gen in generators:
-        order = gen.order
-        ppart = 1
-        while order % p == 0:
-            order //= p
-            ppart *= p
-        if order == 1:
-            continue
-        if ppart == 1:
-            reduced.append((gen, order, gen.rep_multidegree))
-        else:
-            elem = phi.scale(gen.element, ppart)
-            rep = tuple(ppart * x for x in gen.rep_multidegree)
-            reduced.append((PhiGenerator(elem, order, rep, gen.f_divisor), order, rep))
-    k = len(torus_orders)
-    rows = []
-    for i, n in enumerate(torus_orders):
-        rows.append([n if j == i else 0 for j in range(k + len(reduced))])
-    for t, (gen, order, rep) in enumerate(reduced):
-        row = [0] * (k + len(reduced))
-        nu_row = compute_nu(rep, gen.f_divisor, frame, order)
-        for i, cls in enumerate(nu_row):
-            row[i] = -cls.residue
-        row[k + t] = order
+        n = gen.order
+        while n % p == 0:
+            n //= p
+        if n > 1:
+            reduced.append((gen, n))
+    width = len(components) + len(reduced)
+    rows = [[comp.order if j == i else 0 for j in range(width)]
+            for i, comp in enumerate(components)]
+    for t, (gen, n) in enumerate(reduced):
+        row = [-gamma_class(gen.f_divisor, comp, n).residue for comp in components]
+        row += [0] * len(reduced)
+        row[len(components) + t] = n
         rows.append(row)
     diag = zmat.snf_diagonal(rows)
-    invariants = sorted(d for d in diag if d > 1)
-    return invariants
+    return sorted(d for d in diag if d > 1)
 
 
 def translate_to_degree_zero(divisor, r):
@@ -861,10 +820,11 @@ def translate_to_degree_zero(divisor, r):
     fiber = divisor.fiber
     if any(d % r for d in divisor.multidegree):
         raise NotDivRDivisor("translation needs an r-divisible multidegree")
-    shift = []
+    # standard points avoid the nodes, so the shift needs no node check
+    entries = list(divisor.entries)
     for comp, d in enumerate(divisor.multidegree):
         if d:
             support = [H for c, H, _ in divisor.entries if c == comp]
             point = fiber.standard_point(comp, extra_avoid=support)
-            shift.append((comp, point, -d))
-    return divisor + SpecializedDivisor(fiber, shift)
+            entries.append((comp, _as_orbit(fiber.k, point), -d))
+    return SpecializedDivisor._validated(fiber, entries)

@@ -341,14 +341,14 @@ def theta_bd_engine(inp):
 def torsion_bd_engine(inp):
     """Torsion through the generic descent engine (kept as inp.engine_torsion)."""
     try:
-        _fiber, frame, phi, generators = inp.fiber_data
+        _fiber, frame, _phi, generators = inp.fiber_data
     except FrobeniusOrderTooLarge as exc:
         raise descent.UnsupportedTorus(str(exc)) from exc
     except dual_graph.NotSupported as exc:
         # the decomposition rules cover two lines with a rational node or
         # with one node orbit
         raise descent.UnsupportedTorus("no-rational-node: " + str(exc)) from exc
-    return torsion_structure(frame, phi, generators)
+    return torsion_structure(frame, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +886,8 @@ def genus4_cuberoot_engine(inp):
 
 
 def genus4_torsion_engine(inp):
-    fiber, frame, phi, generators, _ = inp.fiber_data
-    return torsion_structure(frame, phi, generators)
+    _fiber, frame, _phi, generators, _ = inp.fiber_data
+    return torsion_structure(frame, generators)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def prepare(inp, phi, generators, r):
     torus = torus.for_fiber(fiber)
     powers = [torus.position(torus.power(pt, r)) for pt in torus.component_generators]
     lifts = [torus.position(vec)
-             for _el, vec in nu_lift_vectors(fiber, torus, phi, generators, r)]
+             for _el, vec in nu_lift_vectors(torus, phi, generators, r)]
     return degree, fiber, torus, _closure(torus.orders, list(dict.fromkeys(powers + lifts)))
 
 
@@ -578,12 +578,12 @@ def chain_evaluate(cycle, points, fiber):
                               points, fiber.E)
 
 
-def nu_lift_vectors(fiber, torus, phi, generators, r):
+def nu_lift_vectors(torus, phi, generators, r):
     """Value tuples, along the orbit basis, of the compensating principal
     divisors for every element of the r-torsion of the component group, on
     the orbit entries of the generators' function divisors."""
     out = []
-    for element, powers, _rep in phi_r_table(phi, generators, r, fiber):
+    for element, powers in phi_r_table(phi, generators, r):
         entries = [(c, H, m * power) for power, gen in zip(powers, generators)
                    if power for c, H, m in gen.f_divisor.entries]
         out.append((element, torus.parameter_products(entries)))

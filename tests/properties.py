@@ -3,7 +3,7 @@ them small, the acceptance suite runs them at full scale."""
 
 from conftest import random_divisor, random_genus4, random_hyperelliptic, rng_for
 from toricdescent import descent, dual_graph, families, oracle, zmat
-from toricdescent.descent import (SpecializedDivisor, compensating_divisor, compute_nu,
+from toricdescent.descent import (SpecializedDivisor, compensating_divisor,
                                   divisibility_verdict, gamma_class, phi_r_table)
 from toricdescent.finite_field import INF, make_field, residue_symbol
 
@@ -82,9 +82,9 @@ def run_nu_additivity(cases):
             continue
         r = 3
         rows = {}
-        for element, powers, rep in phi_r_table(phi, gens, r, fiber):
+        for element, powers in phi_r_table(phi, gens, r):
             fdiv = compensating_divisor(gens, powers, fiber)
-            rows[element] = compute_nu(rep, fdiv, frame, r)
+            rows[element] = [gamma_class(fdiv, comp, r) for comp in frame.components]
         for el1 in rows:
             for el2 in rows:
                 el3 = phi.add(el1, el2)

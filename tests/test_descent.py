@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
 import properties
 from conftest import random_divisor, random_hyperelliptic, rng_for
-from toricdescent import descent, dual_graph, families
+from toricdescent import descent, dual_graph, families, zmat
 from toricdescent.descent import (
     DIVISIBLE, NOT_DIVISIBLE, NOT_IN_PIC_R, SpecializedDivisor,
     DivisorMeetsNode, NotDivRDivisor, divisibility_verdict, gamma_class,
@@ -11,7 +13,7 @@ from toricdescent.descent import MobiusFactor
 from toricdescent.finite_field import (INF, Poly, embed, extension,
                                        factor, make_field, power_residue,
                                        roots_in_extension)
-from toricdescent.zmat import factorize, lcm
+from toricdescent.zmat import factorize, gcd, lcm
 
 
 def b3_instance(q=7, gcoeffs=(0, -1, 0, 1), hcoeffs=(2, 1)):
@@ -217,12 +219,40 @@ def test_failed_shift_is_a_typed_error(monkeypatch):
         divisibility_verdict(D, 2, frame, phi, gens)
 
 
+def _literal_rows(D, r, frame, phi, gens):
+    """{element of Phi[r]: the residues of D + sum_t (sol_t + p_t) f_t along
+    every frame component}, by gamma_class of that divisor.  sol solves the
+    multidegree congruence that the verdict's shift solves; the element
+    with coefficient a_t on generator t, a multiple of order_t / gcd(r,
+    order_t), takes the power p_t = a_t r / order_t."""
+    cols = [gen.f_divisor.multidegree for gen in gens]
+    sol = [0] * len(gens)
+    if any(d % r for d in D.multidegree):
+        sol = zmat.solve_mod([list(row) for row in zip(*cols)],
+                             [-d for d in D.multidegree], r)
+    rows = {}
+    for coeffs in product(*[range(0, gen.order, gen.order // gcd(r, gen.order))
+                            for gen in gens]):
+        element = phi.identity()
+        for a, gen in zip(coeffs, gens):
+            if a:
+                element = phi.add(element, phi.scale(gen.element, a))
+        coefficients = [s + a * r // gen.order for s, a, gen in zip(sol, coeffs, gens)]
+        divisor = D + descent.compensating_divisor(gens, coefficients, D.fiber)
+        rows[element] = tuple(gamma_class(divisor, comp, r).residue
+                              for comp in frame.components)
+    return rows
+
+
 def test_verdict_matches_the_rows_of_the_table():
-    # the verdict combines residues by additivity; evaluating every row's
-    # shifted divisor directly must give the same failure table
+    # the verdict adds the classes of D and of the generators' functions;
+    # evaluating every row's divisor directly must give the same failure
+    # table.  Every other divisor is moved by m times the multidegree of a
+    # function divisor (standard points, not the function), so that r need
+    # not divide its multidegree and the verdict shifts it first
     rng = rng_for("verdict-rows")
-    checked = 0
-    while checked < 20:
+    checked = shifted = 0
+    while checked < 40:
         k = make_field(rng.choice([7, 13]))
         inp = random_hyperelliptic(k, rng.choice([3, 4]), rng)
         try:
@@ -231,17 +261,40 @@ def test_verdict_matches_the_rows_of_the_table():
             continue
         r = rng.choice([2, 3])
         D = random_divisor(fiber, gens, r, rng)
+        if checked % 2:
+            m = rng.randrange(1, r)
+            D = D + SpecializedDivisor(fiber, [
+                (comp, fiber.standard_point(comp), m * d)
+                for comp, d in enumerate(rng.choice(gens).f_divisor.multidegree)])
         verdict = divisibility_verdict(D, r, frame, phi, gens)
-        rows = {}
-        for element, powers, _rep in descent.phi_r_table(phi, gens, r, fiber):
-            shifted = D + descent.compensating_divisor(gens, powers, fiber)
-            rows[element] = tuple(gamma_class(shifted, comp, r).residue
-                                  for comp in frame.components)
+        rows = _literal_rows(D, r, frame, phi, gens)
         if verdict.outcome == NOT_DIVISIBLE:
             assert verdict.failure_table == rows
         else:
-            assert not any(rows[verdict.witness])
+            assert verdict.outcome == DIVISIBLE and not any(rows[verdict.witness])
+        shifted += any(d % r for d in D.multidegree)
         checked += 1
+    assert shifted >= 10
+
+
+def test_torsion_presents_the_prime_to_p_part_of_each_generator():
+    # when p divides the order of a component-group generator, the lift of
+    # the generator times that p-part has the prime-to-p order n and reads
+    # the connecting map at r = n.  No validated input gets there (p | 2d
+    # is refused), so the inputs are built as they stand: d = 5 over GF(5),
+    # the generator of order 5 drops out; d = 10 over GF(25), order 10
+    # gives n = 2
+    k = make_field(5)
+    inp = families.HyperellipticInput(k, Poly(k, [0, -1, 0, 0, 0, 1]), Poly(k, [2, 0, 1]))
+    assert families.torsion_bd_engine(inp) == [4, 4, 4, 4]
+    k = make_field(5, 2)
+    g = Poly(k, [1])
+    for n in range(10):
+        g = g * Poly(k, [-k.from_int(n), k.one()])
+    inp = families.HyperellipticInput(k, g, Poly(k, [k.from_int(10), k.one()]))
+    (gen,) = inp.fiber_data[3]
+    assert gen.order == 10
+    assert families.torsion_bd_engine(inp) == [24] * 8 + [48]
 
 
 def test_each_entry_keeps_its_zero_pole_and_membership_checks(monkeypatch):
@@ -255,15 +308,15 @@ def test_each_entry_keeps_its_zero_pole_and_membership_checks(monkeypatch):
     assert comp.order == 57
     k = fiber.k
     D = SpecializedDivisor(fiber, [(0, k.from_int(2), 1), (0, k.from_int(3), -1)])
-    assert gamma_class(D, comp.for_request(), 2).modulus == 1
+    assert gamma_class(D, comp.for_request(fiber), 2).modulus == 1
     zero = comp.field.zero()
-    view = comp.for_request()
+    view = comp.for_request(fiber)
     monkeypatch.setattr(view, "node_values", lambda H: dict.fromkeys(comp._nodes, zero))
     with pytest.raises(DivisorMeetsNode):
         gamma_class(D, view, 2)
     outside = comp.field.gen()
     assert outside ** comp.order != comp.field.one()
-    view = comp.for_request()
+    view = comp.for_request(fiber)
     monkeypatch.setattr(view, "entry_value", lambda c, H: outside)
     with pytest.raises(descent.DescentError, match="left the mu group"):
         gamma_class(D, view, 3)

@@ -570,10 +570,10 @@ def test_smith_forms_per_family_request(monkeypatch, capsys, cold_shape_caches, 
 def _genus4_memo_sizes(structure):
     """The sizes of every memo on a genus-4 structure's shared objects."""
     fiber, frame = structure.fiber, structure.frame
-    return (len(vars(structure)), len(vars(fiber.graph)), len(fiber._meets),
-            fiber._scans, [(len(comp._values), len(comp._entry_values),
-                            len(comp._entry_symbols)) for comp in frame.components],
-            len(frame._steps), len(vars(structure.phi)))
+    return (len(vars(structure)), len(vars(fiber.graph)), len(fiber._values),
+            len(fiber._meets), fiber._scans,
+            [(len(comp._entry_values), len(comp._entry_symbols)) for comp in frame.components],
+            len(vars(structure.phi)))
 
 
 def test_shared_structure_keeps_no_request_memo(cold_shape_caches):

@@ -167,7 +167,7 @@ def test_subgroup_equals_per_trial_closure():
     cases = 0
     for (fiber, _frame, phi, gens), r, prepared, divisors in smoke_cases():
         _degree, ofiber, torus, subgroup = prepared
-        lifts = oracle.nu_lift_vectors(ofiber, torus, phi, gens, r)
+        lifts = oracle.nu_lift_vectors(torus, phi, gens, r)
         reference = closure_per_trial(torus, lifts, r)
         # the subgroup is closed on exponent vectors; mapped back through
         # the enumeration it must be the field-tuple closure, point for point
@@ -645,12 +645,12 @@ def test_a_request_evaluates_each_orbit_entry_once(monkeypatch, capsys, line):
     from toricdescent import cli
     argv = line.split() + ["--trials", "20", "--json"]
     classes, products = [], []
-    gamma_class = descent.gamma_class
+    gamma = descent.FrameComponent.gamma
     parameter_products = oracle.EnumeratedTorus.parameter_products
 
-    def recorded_class(divisor, component, r):
+    def recorded_class(component, divisor, r):
         classes.append((component, divisor.entries, r))
-        return gamma_class(divisor, component, r)
+        return gamma(component, divisor, r)
 
     def recorded_products(torus, entries):
         products.append((len(torus.walks), list(entries)))
@@ -662,7 +662,7 @@ def test_a_request_evaluates_each_orbit_entry_once(monkeypatch, capsys, line):
         classes.clear()
         products.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(descent, "gamma_class", recorded_class)
+            patch.setattr(descent.FrameComponent, "gamma", recorded_class)
             patch.setattr(oracle.EnumeratedTorus, "parameter_products", recorded_products)
             for owner, name in ((descent, "product_of_factors"), (descent, "residue_symbol"),
                                 (oracle, "_parameter_product")):
