@@ -459,7 +459,10 @@ def test_genus4_report_is_pinned(record):
     """Reports at q = 3 mod 4, where i lies outside k, as the closed forms
     gave them when they pulled values back into k through a section of
     k -> k(i): at q = 343 and 1331 that section solved a linear system over
-    GF(p).  The k-rationality tests now run in k(i) by powers."""
+    GF(p).  The k-rationality tests now run in k(i) by powers.  The lines
+    at q = 5, 13, 25, 29, 49 and 121 have i in k: the four split loops,
+    loop 4 and the first branch of genus4_torsion.  At q = 5 and 25 the
+    other cubics vanish at a node, so those lines use another."""
     import io
     from toricdescent import cli
     out = io.StringIO()
