@@ -424,12 +424,6 @@ class Genus4Input:
                 "p >= 5)")
 
     @cached_property
-    def eps_i(self):
-        """The cubic over k(i), through k -> k(i) when i is not in k."""
-        return CubicForm(self.sqrt_minus_one[0],
-                         {e: self.structure.lift(c) for e, c in self.eps.coeffs.items()})
-
-    @cached_property
     def eps_at_nodes(self):
         """The cubic at the six nodes, in the order of NODES, as elements
         of k(i), from its coefficients: at [s:s:t:1] with s^4 = 1 and
@@ -479,10 +473,10 @@ class Genus4Structure:
     """The part of the genus-4 family that depends on the residue field k
     alone, shared by every request over k (_genus4_structure): k(i) and i
     at once, and on first use the component group with its two generators,
-    the special fiber and torus frame, div(X+Y), and the local functions
-    and div(X+Y) row of the direct table.  A request reads these and never
-    writes to them: it evaluates on views of the fiber and the frame that
-    keep their own memos (SpecialFiber.for_request)."""
+    the special fiber and torus frame, div(X+Y), and the local functions of
+    the direct table.  A request reads these and never writes to them: it
+    evaluates on views of the fiber and the frame that keep their own memos
+    (SpecialFiber.for_request)."""
 
     def __init__(self, k):
         self.k = k
@@ -570,23 +564,10 @@ class Genus4Structure:
         ])
 
     @cached_property
-    def direct(self):
-        """(local functions, their finite nodes by encoding, the div(X+Y)
-        row) of genus4_direct_table."""
-        field, i = self.sqrt_minus_one
-        funcs = _genus4_local_functions(field, i)
-        nodes = {x.to_int(): x for factors in funcs.values() for f in factors
-                 for x in (f.enter, f.leave) if x is not INF}
-        one = field.one()
-        xy_form = (one, one, field.zero(), field.zero())
-        # every section meets each component in two points, X + Y partly at
-        # infinity
-        xy = []
-        for comp in range(3):
-            restricted = _restrict_linear(field, xy_form, comp)
-            xy.append((comp, restricted.monic(), 1))
-            xy += [(comp, INF, 1)] * (2 - restricted.degree)
-        return funcs, nodes, _direct_row(funcs, nodes, xy, one)
+    def local_functions(self):
+        """The loops' local functions of genus4_direct_table, written out
+        independently of the frame (_genus4_local_functions)."""
+        return _genus4_local_functions(*self.sqrt_minus_one)
 
 
 #: Genus-4 structures kept, one per residue field; the small-q benchmark
@@ -676,6 +657,7 @@ def _table_rows(row_xy, row_zw, row_mzw):
 #   component 0 (X = Y): [t : t : t^2 : 1]      -> c t^2 + (a+b) t + d
 #   component 1 (Z = W): [t^2 : 1 : t : t]      -> a t^2 + (c+d) t + b
 #   component 2 (Z = -W): [t^2 : -1 : -t : t]   -> a t^2 + (d-c) t - b
+# (the tests derive the local functions below and div(X+Y) from it)
 def _restrict_linear(field, form, component):
     a, b, c, d = form
     if component == 0:
@@ -715,32 +697,22 @@ def _genus4_local_functions(field, i):
 
 
 def genus4_direct_table(inp):
-    """The same eight rows computed through the local functions: each
-    section is a divisor of orbits, the zeros of the restricted form on every
-    component plus infinity for a degree deficit, and each loop is the
-    product of its Mobius factors over them, by resultants at the known
-    node coordinates (MobiusFactor.over_roots)."""
+    """The same eight rows computed through the local functions: each loop
+    is the product of its Mobius factors over the engine's section divisors
+    (genus4_fiber), by resultants at the node coordinates
+    (MobiusFactor.over_roots), with H at a node read from the request's
+    fiber (SpecialFiber.value)."""
     field, i = inp.sqrt_minus_one
-    funcs, nodes, row_xy = inp.structure.direct
+    fiber, _frame, _phi, _generators, divisors = inp.fiber_data
+    funcs = inp.structure.local_functions
     one = field.one()
-    zw = [(1, inp.eps_i.restrict_zw().monic(), 1)]
-    mzw = [(2, inp.eps_i.restrict_mzw().monic(), 1)]
-    return field, i, _table_rows(row_xy, _direct_row(funcs, nodes, zw, one),
-                                 _direct_row(funcs, nodes, mzw, one))
 
+    def row(name):
+        entries = divisors[name].entries
+        return tuple(product_of_factors(funcs[loop], entries, one, fiber.value)
+                     for loop in (1, 2, 3, 4))
 
-def _direct_row(funcs, nodes, entries, one):
-    """The four loops' values on a divisor of orbit entries, by resultants
-    at the nodes (product_of_factors)."""
-    values = {}
-
-    def values_at_nodes(H):
-        if H not in values:
-            values[H] = {key: H(x) for key, x in nodes.items()}
-        return values[H]
-
-    return tuple(product_of_factors(funcs[gamma], entries, one, values_at_nodes)
-                 for gamma in (1, 2, 3, 4))
+    return field, i, _table_rows(row("div(X+Y)"), row("div(Z-W)"), row("div(Z+W)"))
 
 
 def _norm(inp, x):

@@ -507,7 +507,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.to_int()))
+        # equal elements have equal coefficients; __eq__ also compares fields
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"{self.field}({self.to_int()})"

@@ -227,7 +227,7 @@ def _check_entry_classes(D, frame, r):
         one = comp.field.one()
         for c, H, _m in D.entries:
             assert comp.entry_value(c, H) ** comp.order == one
-        whole = descent.product_of_factors(comp.factors, D.entries, one, comp.node_values)
+        whole = descent.product_of_factors(comp.factors, D.entries, one, comp.node_value)
         assert comp.evaluate(D) == whole
         g = zmat.gcd(r, comp.order)
         expected = residue_symbol(whole, comp.order, g) if g > 1 else 0

@@ -280,6 +280,54 @@ def test_direct_table_row_multiplicativity():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("q", [13, 7], ids=["i-in-k", "i-not-in-k"])
+def test_genus4_sections_have_one_definition(q):
+    # the direct table and the engine read the same section divisors, so
+    # each is derived here once more: div(X+Y) from the linear form X + Y on
+    # each component, padded with INF to the two points a section meets a
+    # line in, and Z -+ W from the cubic along the parametrizations
+    # [t^2 : 1 : t : t] and [t^2 : -1 : -t : t], at all q > 6 points of k
+    k = make_field(q)
+    structure = families._genus4_structure(k)
+    xy = []
+    for comp in range(3):
+        restricted = families._restrict_linear(k, (k.one(), k.one(), k.zero(), k.zero()), comp)
+        xy += [(comp, restricted.monic(), 1)] + [(comp, INF, 1)] * (2 - restricted.degree)
+    assert descent.SpecializedDivisor(structure.fiber, xy).entries == structure.div_xy.entries
+    rng = rng_for(f"genus4-sections:{q}")
+    one = k.one()
+    for _ in range(5):
+        inp = random_genus4(k, rng)
+        divisors = inp.fiber_data[4]
+        assert divisors["div(X+Y)"].entries == structure.div_xy.entries
+        lead = inp.eps.coeffs[(3, 0, 0, 0)]
+        for name, comp, sign in (("div(Z-W)", 1, one), ("div(Z+W)", 2, -one)):
+            ((c, H, m),) = divisors[name].entries
+            assert (c, m, H.degree, H.lead()) == (comp, 1, 6, one)
+            for t in k.elements():
+                assert inp.eps.evaluate((t * t, sign, sign * t, t)) == lead * H(t)
+
+
+def test_direct_table_reads_the_engine_node_values(monkeypatch):
+    # at q = 13 (i in k) the engine's verdicts and torsion have evaluated
+    # every section at every node its frame's four loops pass, and the
+    # direct table's loops pass the same nodes: it reads H at a node from
+    # the request's fiber and adds nothing to that memo
+    k = make_field(13)
+    rng = rng_for("direct-table-node-values")
+    for _ in range(5):
+        inp = random_genus4(k, rng)
+        for engine in (genus4_theta_engine, genus4_cuberoot_engine, genus4_torsion_engine):
+            engine(inp)
+        fiber = inp.fiber_data[0]
+        memo = dict(fiber._values)
+        calls = _recording(monkeypatch, descent.SpecialFiber, "value")
+        _, _, direct = genus4_direct_table(inp)
+        monkeypatch.undo()
+        assert calls and fiber._values == memo
+        assert direct == genus4_table_eval(inp)[2]
+
+
 def _derived_local_functions(field, i):
     """The genus-4 local functions derived from their linear forms
     (a, b, c, d) = aX + bY + cZ + dW: each ratio restricted to its component
@@ -521,7 +569,8 @@ def test_eps_at_nodes_matches_evaluate(q):
         one, zero = field.one(), field.zero()
         points = [(one, one, one, one), (-one, -one, one, one), (i, i, -one, one),
                   (-i, -i, -one, one), (one, zero, zero, zero), (zero, one, zero, zero)]
-        expected = [inp.eps_i.evaluate(point) for point in points]
+        lifted = CubicForm(field, {e: inp.structure.lift(c) for e, c in inp.eps.coeffs.items()})
+        expected = [lifted.evaluate(point) for point in points]
         assert inp.eps_at_nodes == expected
         assert all(value.field == field for value in inp.eps_at_nodes)
 

@@ -670,6 +670,33 @@ def test_fields_with_different_moduli_are_different_fields():
     assert "mod [3, 1, 1]" in repr(other) and repr(default) == "GF(7^2)"
 
 
+def test_element_hash_agrees_with_equality_across_fields():
+    # memos key node values by element: an element of one build of a field
+    # finds its equal in another build of that field, and the same
+    # coefficients in an unequal field (the two conjugate residue fields over
+    # GF(9), which share a modulus) are another key
+    from toricdescent.finite_field import residue_field
+    k = make_field(3, 2)
+    g1, g2 = [g for g, _ in factor(Poly(k, [-1, -1, 0, 0, 1]))]
+    (K1, n1), (K1b, n1b) = residue_field(g1), residue_field(g1)
+    assert K1 is not K1b and K1 == K1b
+    memo = {x: n for n, x in enumerate(K1.elements())}
+    for (x, n), y in zip(memo.items(), K1b.elements()):
+        assert y == x and hash(y) == hash(x) and memo[y] == n
+    assert memo[n1b] == memo[n1] and n1b ** 5 + 1 in memo
+    K2, _n2 = residue_field(g2)
+    assert K2 != K1
+    for c in ((0, 1, 0, 0), (2, 0, 1, 1)):
+        a, b = K1.from_coeffs(c), K2.from_coeffs(c)
+        assert a.coeffs == b.coeffs and a != b
+        keyed = {a: "K1", b: "K2"}
+        assert len(keyed) == 2 and (keyed[a], keyed[b]) == ("K1", "K2")
+        assert b not in {a: "K1"} and K1b.from_coeffs(c) in keyed
+    small, large = make_field(7).from_int(3), make_field(11).from_int(3)
+    assert small.coeffs == large.coeffs and small != large
+    assert len({small: 7, large: 11}) == 2
+
+
 def test_residue_field_embeds_into_a_plain_field_by_its_own_embedding():
     # GF(5)[x]/(x^2 + 3) is a GF(25) whose modulus is not the deterministic
     # x^2 + 2; GF(5^4) keeps an embedding of it apart from the plain GF(25)'s
