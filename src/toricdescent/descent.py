@@ -204,17 +204,9 @@ class SpecialFiber:
                 raise MissingNodeCoordinates(
                     f"coincident node coordinates on component {comp}")
         # Galois generator must act on coordinates through the q-power map
-        g = self.graph
-        for i in range(g.num_edges):
-            j = g.edge_perm[i]
-            t, h, _ = g.edges[i]
-            img_tail = self.frobq(self.node_coords[i][0])
-            img_head = self.frobq(self.node_coords[i][1])
-            if g.edge_sign[i] == 1:
-                expect = (img_tail, img_head)
-            else:
-                expect = (img_head, img_tail)
-            if self.node_coords[j] != expect:
+        for i, j in enumerate(self.graph.edge_perm):
+            tail, head = self.node_coords[i]
+            if self.node_coords[j] != (self.frobq(tail), self.frobq(head)):
                 raise MissingNodeCoordinates(
                     f"node coordinates are not Galois-equivariant at edge {i}")
 

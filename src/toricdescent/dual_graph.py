@@ -6,6 +6,10 @@ Edges are oriented (tail, head, label) triples; labels must be unique and
 sortable, and fix every deterministic choice (spanning tree, basis order).
 A 1-cycle is an integer vector indexed by edges, +1 meaning traversal from
 tail to head; its boundary must vanish at every vertex.
+
+The Galois generator fixes every component (every family here has rational
+components) and permutes the nodes: an edge permutation that keeps each
+edge's tail and head, so it maps cycles to cycles with no signs.
 """
 
 import math
@@ -14,7 +18,7 @@ from itertools import product
 
 from . import zmat
 from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice, principal_decomposition
-from .zmat import factorize, gcd, lcm, mat_vec, smith_normal_form
+from .zmat import gcd, lcm, mat_vec, smith_normal_form
 
 
 class GraphError(Exception):
@@ -36,9 +40,11 @@ class FrobeniusOrderTooLarge(NotSupported):
 
 class DualGraph:
     """Vertices are components of the special fiber, edges are nodes; the
-    Galois action is a permutation pair respecting incidence."""
+    Galois action is an edge permutation that fixes every component, so it
+    sends each edge to one with the same tail and head (GraphError
+    otherwise)."""
 
-    def __init__(self, num_vertices, edges, vertex_perm=None, edge_perm=None):
+    def __init__(self, num_vertices, edges, edge_perm=None):
         self.num_vertices = num_vertices
         self.edges = [(int(t), int(h), label) for (t, h, label) in edges]
         labels = [e[2] for e in self.edges]
@@ -47,23 +53,12 @@ class DualGraph:
         for t, h, _ in self.edges:
             if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                 raise GraphError("edge endpoint out of range")
-        self.vertex_perm = tuple(vertex_perm) if vertex_perm else tuple(range(num_vertices))
         self.edge_perm = tuple(edge_perm) if edge_perm else tuple(range(len(self.edges)))
-        if sorted(self.vertex_perm) != list(range(num_vertices)):
-            raise GraphError("vertex permutation is not a permutation")
         if sorted(self.edge_perm) != list(range(len(self.edges))):
             raise GraphError("edge permutation is not a permutation")
-        # orientation sign of each edge under the Galois generator
-        self.edge_sign = []
-        for i, (t, h, _) in enumerate(self.edges):
-            t2, h2 = self.vertex_perm[t], self.vertex_perm[h]
-            it, ih, _ = self.edges[self.edge_perm[i]]
-            if (it, ih) == (t2, h2):
-                self.edge_sign.append(1)
-            elif (it, ih) == (h2, t2):
-                self.edge_sign.append(-1)
-            else:
-                raise GraphError(f"galois action breaks incidence at edge {i}")
+        for i, j in enumerate(self.edge_perm):
+            if self.edges[j][:2] != self.edges[i][:2]:
+                raise GraphError(f"galois action moves the ends of edge {i}")
         if not self._connected():
             raise Disconnected("dual graph must be connected")
 
@@ -203,11 +198,10 @@ class DualGraph:
 
     def sigma_cycle(self, cycle):
         """Image of a cycle under the Galois generator."""
-        vec = list(cycle.vector) if isinstance(cycle, Cycle) else list(cycle)
+        vec = cycle.vector if isinstance(cycle, Cycle) else cycle
         out = [0] * self.num_edges
         for i, c in enumerate(vec):
-            if c:
-                out[self.edge_perm[i]] += self.edge_sign[i] * c
+            out[self.edge_perm[i]] = c
         return Cycle(self, out)
 
     def edge_orbits(self):
@@ -274,57 +268,13 @@ class Cycle:
         return f"Cycle{self.vector}"
 
 
-def _signed_power(graph, n):
-    """sigma^n on the edges, as (image, sign) lists: sigma^n sends edge i to
-    sign[i] times edge image[i]; by repeated squaring."""
-    count = graph.num_edges
-    image, sign = list(range(count)), [1] * count
-    base, base_sign = list(graph.edge_perm), list(graph.edge_sign)
-    while n:
-        if n & 1:
-            image, sign = ([base[j] for j in image],
-                           [s * base_sign[j] for s, j in zip(sign, image)])
-        n >>= 1
-        if n:
-            base, base_sign = ([base[j] for j in base],
-                               [s * base_sign[j] for s, j in zip(base_sign, base)])
-    return image, sign
-
-
 def frobenius_order(graph):
-    """Order of the Galois generator on the cycle space, read off the signed
-    edge permutation with no matrix product: it divides the permutation's
-    order (the lcm of its cycle lengths, a cycle doubled when its signs
-    multiply to -1), and each prime is stripped while sigma^(n/l) still
-    fixes every basis cycle."""
-    basis, _coords = graph.cycle_basis
-    n = 1
-    seen = set()
-    for i in range(graph.num_edges):
-        length, sign, j = 0, 1, i
-        while j not in seen:
-            seen.add(j)
-            sign *= graph.edge_sign[j]
-            j = graph.edge_perm[j]
-            length += 1
-        if length:
-            n = lcm(n, length if sign == 1 else 2 * length)
-
-    def fixes(e):
-        image, sign = _signed_power(graph, e)
-        for b in basis:
-            out = [0] * graph.num_edges
-            for i, c in enumerate(b.vector):
-                if c:
-                    out[image[i]] += sign[i] * c
-            if tuple(out) != b.vector:
-                return False
-        return True
-
-    for ell in factorize(n):
-        while n % ell == 0 and fixes(n // ell):
-            n //= ell
-    return n
+    """Order of the Galois generator on the cycle space: the lcm of the edge
+    orbit lengths, with no matrix product.  An orbit of length l >= 2 is a
+    set of parallel edges or of loops at one vertex, and their differences
+    (or the loops themselves) span a block on which the generator has order
+    l."""
+    return lcm(*(len(orbit) for orbit in graph.edge_orbits()))
 
 
 def h1_basis(graph):

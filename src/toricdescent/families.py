@@ -266,8 +266,7 @@ def _two_line_graph(rational, degrees):
     for degree in degrees:
         start = len(perm)
         perm += [start + (j + 1) % degree for j in range(degree)]
-    return DualGraph(2, [(0, 1, i) for i in range(len(perm))],
-                     vertex_perm=[0, 1], edge_perm=perm)
+    return DualGraph(2, [(0, 1, i) for i in range(len(perm))], edge_perm=perm)
 
 
 def hyperelliptic_fiber(inp):
@@ -534,7 +533,7 @@ class Genus4Structure:
             perm = [0, 1, 2, 3, 4, 5]
         else:
             perm = [0, 1, 3, 2, 4, 5]
-        graph = DualGraph(3, edges, vertex_perm=[0, 1, 2], edge_perm=perm)
+        graph = DualGraph(3, edges, edge_perm=perm)
         return SpecialFiber(graph, self.k, E, coords)
 
     @cached_property

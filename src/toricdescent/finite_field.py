@@ -430,9 +430,6 @@ class FieldElement:
             return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % p,))
         return FieldElement(f, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         p = self.field.p
         return FieldElement(self.field, tuple([-a % p for a in self.coeffs]))
@@ -454,9 +451,6 @@ class FieldElement:
         if o is NotImplemented:
             return o
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, e):
         if e < 0:

@@ -238,12 +238,12 @@ def solve_mod(A, b, n):
     c = [v % n for v in mat_vec(U, b)]
     y = [0] * cols
     for i in range(rows):
-        d = D[i][i] % n if i < min(rows, cols) else 0
         ci = c[i]
         if i >= cols:
-            if ci % n != 0:
+            if ci:
                 return None
             continue
+        d = D[i][i] % n
         g = gcd(d, n)
         if ci % g != 0:
             return None

@@ -521,8 +521,9 @@ def test_hyperelliptic_and_oracle_report_is_pinned(record, capsys):
     """hyperelliptic and oracle lines with their exit code and report, as
     the engine in the splitting field of the nodes gave them: the lines of
     the benchmark's snapshot at seeds 1 and 7 (rounds 0 and 1 of every
-    workload, fault rows included) and the degree sweep x^D - x - 1 over
-    GF(23) at D = 16 and 24."""
+    workload, fault rows included), the degree sweep x^D - x - 1 over
+    GF(23) at D = 16 and 24, and an oracle line whose h = x^5 + 2 = (x + 2)^5
+    over GF(5) is factored through the p-th root of _squarefree_parts."""
     out = io.StringIO()
     code = cli.run_line(record["line"].split(), stream=out)
     assert (code, out.getvalue()) == (record["exit"], record["output"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -44,6 +45,18 @@ def test_graph_validation():
         DualGraph(2, [(0, 1, 0), (0, 1, 0)])  # duplicate labels
     with pytest.raises(GraphError):
         DualGraph(2, [(0, 1, 0), (0, 1, 1)], edge_perm=[0, 0])
+    # the Galois action fixes every component, so it keeps each edge's ends:
+    # refused are a reversed parallel edge, a triangle's edges rotated, two
+    # edges with one tail and different heads swapped, and two loops at
+    # different vertices swapped
+    for v, edges, perm in [
+            (2, [(0, 1, 0), (1, 0, 1)], [1, 0]),
+            (3, [(0, 1, 0), (1, 2, 1), (2, 0, 2)], [1, 2, 0]),
+            (3, [(0, 1, 0), (0, 2, 1), (1, 2, 2)], [1, 0, 2]),
+            (2, [(0, 0, 0), (1, 1, 1), (0, 1, 2)], [1, 0, 2])]:
+        with pytest.raises(GraphError, match="galois action moves the ends of edge 0"):
+            DualGraph(v, edges, edge_perm=perm)
+    assert DualGraph(2, [(0, 1, 0), (1, 1, 1), (1, 1, 2)], edge_perm=[0, 2, 1]).edge_perm == (0, 2, 1)
     with pytest.raises(GraphError):
         Cycle(banana(3), [1, 0, 0])  # nonzero boundary
 
@@ -288,6 +301,32 @@ def _matrix_order(F):
     return n
 
 
+def _component_fixing_multigraph(rng):
+    """A random connected multigraph with loops and parallel edges, and a
+    random Galois permutation inside each class of edges with one tail and
+    head.  At most five edges share their ends, so the order stays at most
+    60, under FROBENIUS_ORDER_BOUND."""
+    v = rng.randrange(1, 5)
+    ends = [(rng.randrange(i), i) for i in range(1, v)]  # a spanning tree
+    for _ in range(rng.randrange(1, 9)):
+        t = rng.randrange(v)
+        ends.append((t, t) if rng.random() < 0.3 else (t, rng.randrange(v)))
+    classes = {}
+    for i, pair in enumerate(ends):
+        classes.setdefault(pair, []).append(i)
+    classes = [members[:5] for members in classes.values()]
+    kept = sorted(i for members in classes for i in members)
+    index = {i: n for n, i in enumerate(kept)}
+    perm = [0] * len(kept)
+    for members in classes:
+        images = members[:]
+        rng.shuffle(images)
+        for i, j in zip(members, images):
+            perm[index[i]] = index[j]
+    edges = [(*ends[i], n) for n, i in enumerate(kept)]
+    return DualGraph(v, edges, edge_perm=perm)
+
+
 def test_frobenius_order_from_the_edge_permutation():
     from toricdescent.dual_graph import frobenius_order
     rng = rng_for("frobenius-order")
@@ -295,22 +334,19 @@ def test_frobenius_order_from_the_edge_permutation():
         # the genus-4 triangle with the edges of +-i swapped
         DualGraph(3, [(0, 1, 0), (0, 1, 1), (0, 2, 2), (0, 2, 3), (1, 2, 4), (1, 2, 5)],
                   edge_perm=[0, 1, 3, 2, 4, 5]),
-        # two lines swapped by Frobenius: every edge reverses its orientation
-        DualGraph(2, [(0, 1, i) for i in range(3)], vertex_perm=[1, 0],
-                  edge_perm=[1, 2, 0]),
-        # a bridge permuted along with a cycle: the cycle space sees less
+        # two parallel pairs swapped on either side of a fixed bridge
         DualGraph(4, [(0, 1, 0), (0, 1, 1), (1, 2, 2), (2, 3, 3), (2, 3, 4)],
                   edge_perm=[1, 0, 2, 4, 3]),
     ]
-    for _ in range(30):
-        d = rng.randrange(3, 9)
-        perm = list(range(d))
-        rng.shuffle(perm)
-        graphs.append(banana(d, edge_perm=perm))
+    graphs += [_component_fixing_multigraph(rng) for _ in range(200)]
     for g in graphs:
         order = frobenius_order(g)
-        assert order == _matrix_order(h1_basis(g)[1].frobenius) == h1_basis(g)[1].order
-    assert frobenius_order(graphs[2]) == 2
+        orbit_lcm = math.lcm(*(len(orbit) for orbit in g.edge_orbits()))
+        lattice = h1_basis(g)[1]
+        assert order == orbit_lcm == _matrix_order(lattice.frobenius) == lattice.order
+    # the order is the permutation's
+    assert frobenius_order(graphs[1]) == 2
+    assert max(map(frobenius_order, graphs)) > 2
 
 
 def test_frobenius_order_past_the_bound_is_refused_before_the_matrix():

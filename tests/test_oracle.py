@@ -38,6 +38,10 @@ def test_enumerate_rejects_large():
     _, (fiber, *_rest) = build(5, (0, -1, 0, 1), (3, 1))
     with pytest.raises(oracle.TooLarge):
         oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E, limit=10)
+    # the cap is inclusive: (5 - 1)^2 = 16 points enumerate at limit 16
+    assert len(oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E, limit=16)) == 16
+    with pytest.raises(oracle.TooLarge, match="torus has 16 points, enumeration limit 15"):
+        oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E, limit=15)
 
 
 def test_exponent_divides_order():

@@ -178,6 +178,16 @@ def test_solve_int_edge_shapes():
         zmat.solve_int([[1, 2]], [1, 2])
 
 
+def test_solve_mod_edge_shapes():
+    # modulo 1 every system is solved, by zero
+    assert zmat.solve_mod([[2]], [3], 1) == [0]
+    assert zmat.solve_mod([[2]], [1], 4) is None  # 2x = 1 mod 4
+    assert zmat.solve_mod([[2]], [2], 4) in ([1], [3])
+    # more rows than columns: the extra row of U b must vanish mod n
+    assert zmat.solve_mod([[1], [1]], [0, 1], 5) is None
+    assert zmat.solve_mod([[1], [1]], [2, 2], 5) == [2]
+
+
 def test_unimodular_inverse():
     rng = rng_for("unimodular-inverse")
     for _ in range(300):
