@@ -1,8 +1,9 @@
 """The descent machinery: specialized divisors on a chain-of-lines special
-fiber, the torus frame (one component per generator cycle, with its
-normalized local functions, its evaluation and its classes in the mu
-group), the connecting map out of the component group, r-divisibility
-verdicts, and assembly of the prime-to-p rational torsion.
+fiber, the torus frame (one component per principal generator that the dual
+graph reads off its edge orbits, with its normalized local functions, its
+evaluation and its classes in the mu group), the connecting map out of the
+component group, r-divisibility verdicts, and assembly of the prime-to-p
+rational torsion.
 
 A special fiber here is a dual graph whose components are projective lines
 with an affine coordinate; every node carries its coordinate on each incident
@@ -28,10 +29,10 @@ import math
 from itertools import product
 
 from . import zmat
-from .dual_graph import chain_decomposition, fibral_lattice_membership
+from .dual_graph import (chain_decomposition, fibral_lattice_membership,
+                         frobenius_order)
 from .finite_field import (INF, FieldElement, NotInSubgroup, Poly, embed,
                            residue_symbol)
-from .torus import principal_decomposition, NotPrincipal
 from .zmat import gcd, poly_eval_int
 
 
@@ -568,29 +569,23 @@ class FrameComponent:
 
 
 class TorusFrame:
-    """A verified principal decomposition bound to cycles on the fiber: the
-    given generator cycles, or by default the graph's principal generators,
-    whose decomposition the graph keeps (DualGraph.principal_components).
+    """The principal decomposition of the fiber's graph bound to cycles on
+    the fiber: one component per (cycle, char_poly) pair of the graph's
+    principal generators (DualGraph.principal_generators), which the graph
+    reads off its edge orbits.  NotSupported for a graph that no rule
+    covers, and then FrobeniusOrderTooLarge past the Frobenius-order bound
+    (dual_graph.frobenius_order).
 
     The frame itself keeps no memo; its components' entry_value and
     entry_symbol memos belong to one request, so a frame shared across
     requests hands each a view of its own (for_request)."""
 
-    def __init__(self, fiber, generator_cycles=None):
+    def __init__(self, fiber):
         self.fiber = fiber
-        graph = fiber.graph
-        try:
-            if generator_cycles is None:
-                generator_cycles = graph.principal_generators()
-                components = graph.principal_components
-            else:
-                _, lattice, coords = graph.h1
-                components = principal_decomposition(
-                    lattice, [coords(c) for c in generator_cycles])
-        except NotPrincipal as exc:
-            raise UnsupportedTorus(str(exc)) from exc
-        self.components = [FrameComponent(fiber, cycle, comp.char_poly)
-                           for cycle, comp in zip(generator_cycles, components)]
+        pairs = fiber.graph.principal_generators()
+        frobenius_order(fiber.graph)
+        self.components = [FrameComponent(fiber, cycle, char_poly)
+                           for cycle, char_poly in pairs]
 
     def for_request(self, fiber):
         """This frame, for the view fiber of its own fiber, with empty

@@ -1,6 +1,7 @@
 """Dual graphs of totally degenerate special fibers with Galois action:
-cycle space, induced Frobenius matrix, component groups of intersection
-matrices, and fibral-lattice membership.
+cycle space, induced Frobenius matrix, the torus read off the edge orbits
+(its characteristic polynomial and principal generators), component groups
+of intersection matrices, and fibral-lattice membership.
 
 Edges are oriented (tail, head, label) triples; labels must be unique and
 sortable, and fix every deterministic choice (spanning tree, basis order).
@@ -9,7 +10,12 @@ tail to head; its boundary must vanish at every vertex.
 
 The Galois generator fixes every component (every family here has rational
 components) and permutes the nodes: an edge permutation that keeps each
-edge's tail and head, so it maps cycles to cycles with no signs.
+edge's tail and head, so it maps cycles to cycles with no signs.  So the
+edge-orbit lengths alone give the torus, whose character group is the cycle
+lattice: DualGraph.char_poly, and the principal generators with their
+characteristic polynomials (principal_cycle_generators), which the torus
+frame, the oracle's torus and the reports all read.  h1_basis builds the
+Frobenius matrix itself, for checks against those.
 """
 
 import math
@@ -17,8 +23,9 @@ from functools import cached_property
 from itertools import product
 
 from . import zmat
-from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice, principal_decomposition
-from .zmat import gcd, lcm, mat_vec, smith_normal_form
+from .torus import FROBENIUS_ORDER_BOUND, CharacterLattice
+from .zmat import (gcd, lcm, mat_vec, poly_divexact_int, poly_mul_int,
+                   smith_normal_form)
 
 
 class GraphError(Exception):
@@ -87,7 +94,10 @@ class DualGraph:
                 x = parent[x]
             return x
 
-        order = sorted(range(self.num_edges), key=lambda i: self.edges[i][2])
+        # the fixed edges first: a tree of them makes the Galois generator
+        # permute the fundamental cycles as it permutes the cotree edges
+        order = sorted(range(self.num_edges),
+                       key=lambda i: (self.edge_perm[i] != i, self.edges[i][2]))
         tree = []
         cotree = []
         for i in order:
@@ -141,10 +151,19 @@ class DualGraph:
         return basis, coords
 
     @cached_property
-    def h1(self):
-        """h1_basis(self): the cycle basis, the character lattice and the
-        coordinate map."""
-        return h1_basis(self)
+    def char_poly(self):
+        """Characteristic polynomial of the Galois generator on the cycle
+        space, coefficients low degree first: the product over the edge
+        orbits of x^l - 1, divided by (x - 1)^(v - 1).  The cycle space is
+        the kernel of the boundary map from the edges onto the degree-0
+        multidegrees, and the generator acts trivially on those, as it fixes
+        every component."""
+        poly = [1]
+        for orbit in self.edge_orbits():
+            poly = poly_mul_int(poly, _x_power_minus_one(len(orbit)))
+        for _ in range(self.num_vertices - 1):
+            poly = poly_divexact_int(poly, [-1, 1])
+        return poly
 
     @cached_property
     def _principal_rule(self):
@@ -158,22 +177,14 @@ class DualGraph:
             return None, str(exc)
 
     def principal_generators(self):
-        """principal_cycle_generators(self), decided once per graph:
-        NotSupported for a shape that no rule covers."""
-        cycles, refusal = self._principal_rule
+        """principal_cycle_generators(self), decided once per graph: the
+        (cycle, char_poly) pairs that the torus frame, the oracle's torus
+        and the reports read, or NotSupported for a shape that no rule
+        covers."""
+        pairs, refusal = self._principal_rule
         if refusal is not None:
             raise NotSupported(refusal)
-        return list(cycles)
-
-    @cached_property
-    def principal_components(self):
-        """The principal decomposition of principal_generators, which a
-        TorusFrame built without explicit cycles reads: its Smith forms are
-        computed once per graph.  NotPrincipal (not kept) when their orbits
-        do not form a basis."""
-        cycles = self.principal_generators()
-        _basis, lattice, coords = self.h1
-        return principal_decomposition(lattice, [coords(c) for c in cycles])
+        return list(pairs)
 
     @cached_property
     def component_group(self):
@@ -273,28 +284,32 @@ def frobenius_order(graph):
     orbit lengths, with no matrix product.  An orbit of length l >= 2 is a
     set of parallel edges or of loops at one vertex, and their differences
     (or the loops themselves) span a block on which the generator has order
-    l."""
-    return lcm(*(len(orbit) for orbit in graph.edge_orbits()))
+    l.  FrobeniusOrderTooLarge when the order exceeds FROBENIUS_ORDER_BOUND:
+    h1_basis and the torus frame both check it here."""
+    order = lcm(*(len(orbit) for orbit in graph.edge_orbits()))
+    if order > FROBENIUS_ORDER_BOUND:
+        raise FrobeniusOrderTooLarge(
+            f"frobenius order {order} exceeds the bound {FROBENIUS_ORDER_BOUND}")
+    return order
 
 
 def h1_basis(graph):
     """Basis of the cycle space from the deterministic spanning tree, plus the
     matrix of the Galois generator on that basis.
 
-    Tree edges are chosen greedily in label order.  Each remaining edge e
-    yields the fundamental cycle that traverses e tail-to-head and returns
-    through the tree; basis order follows the labels of the non-tree edges.
-    The coordinate of any cycle along basis element i is its entry at the
-    i-th non-tree edge.
+    Tree edges are chosen greedily, the edges the Galois generator fixes
+    first, each kind in label order.  Each remaining edge e yields the
+    fundamental cycle that traverses e tail-to-head and returns through the
+    tree; basis order follows that order of the non-tree edges.  The
+    coordinate of any cycle along basis element i is its entry at the i-th
+    non-tree edge.  When the fixed edges span the graph, the tree is fixed
+    and the generator permutes the basis.
 
     FrobeniusOrderTooLarge, before any matrix is built, when the Galois
     generator's order (frobenius_order) exceeds FROBENIUS_ORDER_BOUND.
     """
     basis, coords = graph.cycle_basis
     order = frobenius_order(graph)
-    if order > FROBENIUS_ORDER_BOUND:
-        raise FrobeniusOrderTooLarge(
-            f"frobenius order {order} exceeds the bound {FROBENIUS_ORDER_BOUND}")
     # DualGraph refuses a disconnected graph, so the tree spans all v vertices
     # with v - 1 edges and the e - v + 1 cotree edges give exactly h1_rank
     # basis cycles
@@ -436,57 +451,50 @@ def fibral_lattice_membership(deg, r, phi):
 
 
 def principal_cycle_generators(graph):
-    """Generator cycles of a principal decomposition of the cycle lattice.
+    """Generators of a principal decomposition of the cycle lattice, read
+    off the edge orbits, as (cycle, char_poly) pairs: char_poly is the
+    characteristic polynomial of the Galois generator on the span of the
+    cycle's orbit, coefficients low degree first.
 
-    Supported shapes: trivial Galois action on the cycle space (split torus,
-    one generator per basis cycle); two-vertex graphs with either a rational
-    node or a single full edge orbit.  Anything else raises NotSupported,
-    mirroring the open gap for graphs without a distinguished rational node.
+    When the generator permutes the cycle basis (as it does whenever the
+    fixed edges span the graph, see h1_basis): one basis cycle per orbit of
+    basis cycles, with x^l - 1 for an orbit of length l.  Two components
+    joined by one full edge orbit e_0, e_1, ..., e_(l-1) (in sigma order):
+    e_1 - e_0, with 1 + x + ... + x^(l-1).  Anything else raises
+    NotSupported, mirroring the open gap for graphs without a distinguished
+    rational node.
     """
     basis, _coords = graph.cycle_basis
-    if not basis:
-        return []
-    if all(graph.sigma_cycle(b) == b for b in basis):
-        return list(basis)
-    if graph.num_vertices == 2:
-        return _banana_generators(graph)
-    raise NotSupported("no principal decomposition rule for this graph")
-
-
-def _banana_generators(graph):
-    orbits = graph.edge_orbits()
-    if any(graph.edges[i][0] == graph.edges[i][1] for i in range(graph.num_edges)):
-        raise NotSupported("self-nodes are outside the supported families")
-    # normalize orientation bookkeeping: cycles are differences of edges
-    fixed = [orb[0] for orb in orbits if len(orb) == 1]
-    if fixed:
-        base = min(fixed, key=lambda i: graph.edges[i][2])
-        generators = []
-        for orb in orbits:
-            rep = orb[0]
-            if rep == base and len(orb) == 1:
+    index = {b: i for i, b in enumerate(basis)}
+    images = [index.get(graph.sigma_cycle(b)) for b in basis]
+    if None not in images:
+        pairs = []
+        seen = set()
+        for start, b in enumerate(basis):
+            if start in seen:
                 continue
-            generators.append(_edge_difference(graph, rep, base))
-        return generators
-    if len(orbits) == 1 and len(orbits[0]) == graph.num_edges:
-        orb = orbits[0]
-        return [_edge_difference(graph, orb[1], orb[0])]
-    raise NotSupported("no rational node and several edge orbits")
-
-
-def _edge_difference(graph, e1, e0):
-    """The cycle e1 - e0 for two edges joining the same vertex pair."""
+            i, length = start, 0
+            while i not in seen:
+                seen.add(i)
+                i, length = images[i], length + 1
+            pairs.append((b, _x_power_minus_one(length)))
+        return pairs
+    if graph.num_vertices != 2:
+        raise NotSupported("no principal decomposition rule for this graph")
+    if any(t == h for t, h, _ in graph.edges):
+        raise NotSupported("self-nodes are outside the supported families")
+    orbits = graph.edge_orbits()
+    if len(orbits) != 1:
+        raise NotSupported("no rational node and several edge orbits")
+    e0, e1 = orbits[0][:2]
     vec = [0] * graph.num_edges
-    t1, h1, _ = graph.edges[e1]
-    t0, h0, _ = graph.edges[e0]
-    vec[e1] += 1
-    if (t0, h0) == (t1, h1):
-        vec[e0] -= 1
-    elif (t0, h0) == (h1, t1):
-        vec[e0] += 1
-    else:
-        raise NotSupported("edges do not join the same component pair")
-    return Cycle(graph, vec)
+    vec[e1], vec[e0] = 1, -1
+    return [(Cycle(graph, vec), [1] * len(orbits[0]))]
+
+
+def _x_power_minus_one(length):
+    """x^length - 1, coefficients low degree first."""
+    return [-1] + [0] * (length - 1) + [1]
 
 
 def chain_decomposition(cycle):

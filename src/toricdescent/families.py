@@ -17,9 +17,13 @@ the engine's fiber) lives on its validated input as cached properties, so
 the closed forms, the engine checks, the reports and the oracle compute
 each once per request.  What depends on less than the curve is built once
 per process: the two-line dual graph per shape (_two_line_graph), with its
-component group and principal decomposition, and the genus-4 structure per
+component group and principal generators, and the genus-4 structure per
 residue field (_genus4_structure).  A request reads those and writes
 nothing to them.
+
+Both families' tori, in the engine's frame and in the reports alike, are
+read off the dual graph's edge orbits (DualGraph.char_poly and
+principal_generators).
 """
 
 import itertools
@@ -33,7 +37,7 @@ from .descent import (MobiusFactor, PhiGenerator, SpecialFiber,
 from .dual_graph import DualGraph, FrobeniusOrderTooLarge, component_group
 from .finite_field import (INF, Poly, element_of_order, embed, extension,
                            factor, power_residue, residue_field, residue_symbol)
-from .zmat import gcd, group_invariants
+from .zmat import gcd, group_invariants, poly_eval_int
 
 
 class FamilyError(Exception):
@@ -260,8 +264,8 @@ def _two_line_graph(rational, degrees):
     and at one node orbit of each degree in degrees (ascending), so at
     d = rational + sum(degrees) nodes; the Galois generator cycles each
     orbit's edges.  The graph keeps, as cached properties, its cycle
-    basis, its principal generators or their refusal, their decomposition
-    and its component group."""
+    basis, its characteristic polynomial, its principal generators or their
+    refusal, and its component group."""
     perm = list(range(rational))
     for degree in degrees:
         start = len(perm)
@@ -472,10 +476,10 @@ class Genus4Structure:
     """The part of the genus-4 family that depends on the residue field k
     alone, shared by every request over k (_genus4_structure): k(i) and i
     at once, and on first use the component group with its two generators,
-    the special fiber and torus frame, div(X+Y), and the local functions of
-    the direct table.  A request reads these and never writes to them: it
-    evaluates on views of the fiber and the frame that keep their own memos
-    (SpecialFiber.for_request)."""
+    the dual graph, the special fiber and torus frame, div(X+Y), and the
+    local functions of the direct table.  A request reads these and never
+    writes to them: it evaluates on views of the fiber and the frame that
+    keep their own memos (SpecialFiber.for_request)."""
 
     def __init__(self, k):
         self.k = k
@@ -505,22 +509,21 @@ class Genus4Structure:
         return delta1, delta2
 
     @cached_property
+    def graph(self):
+        """Three lines on the quadric in a triangle, two nodes per pair; the
+        Galois generator swaps the nodes of +-i when i is not in k."""
+        # components: 0 = X=Y line pair, 1 = Z=W, 2 = Z=-W
+        # edges (tail, head, label), nodes in the order of NODES
+        edges = [(0, 1, 0), (0, 1, 1), (0, 2, 2), (0, 2, 3), (1, 2, 4), (1, 2, 5)]
+        return DualGraph(3, edges, edge_perm=None if self.i_in_k else [0, 1, 3, 2, 4, 5])
+
+    @cached_property
     def fiber(self):
-        """Three lines on the quadric in a triangle, two nodes per pair, over
-        k(i), the field of the nodes."""
+        """The graph's nodes on the three lines, over k(i), the field of the
+        nodes: coordinates on (tail, head) per edge."""
         E, i = self.sqrt_minus_one
         one = E.one()
         zero = E.zero()
-        # components: 0 = X=Y line pair, 1 = Z=W, 2 = Z=-W
-        # edges (tail, head, label): coordinates on (tail, head)
-        edges = [
-            (0, 1, 0),  # [1:1:1:1]
-            (0, 1, 1),  # [-1:-1:1:1]
-            (0, 2, 2),  # [i:i:-1:1]
-            (0, 2, 3),  # [-i:-i:-1:1]
-            (1, 2, 4),  # [1:0:0:0]
-            (1, 2, 5),  # [0:1:0:0]
-        ]
         coords = [
             (one, one),
             (-one, -one),
@@ -529,27 +532,14 @@ class Genus4Structure:
             (INF, INF),
             (zero, zero),
         ]
-        if self.i_in_k:
-            perm = [0, 1, 2, 3, 4, 5]
-        else:
-            perm = [0, 1, 3, 2, 4, 5]
-        graph = DualGraph(3, edges, edge_perm=perm)
-        return SpecialFiber(graph, self.k, E, coords)
+        return SpecialFiber(self.graph, self.k, E, coords)
 
     @cached_property
     def frame(self):
-        """The frame of the loops gamma_1..gamma_4, of gamma_1..gamma_3 when
-        i is not in k."""
-        graph = self.fiber.graph
-
-        def cyc(vec):
-            return dual_graph.Cycle(graph, vec)
-
-        cycles = [cyc([1, -1, 0, 0, 0, 0]), cyc([0, 0, 0, 0, -1, 1]),
-                  cyc([1, 0, -1, 0, 0, 1])]
-        if self.i_in_k:
-            cycles.append(cyc([1, 0, 0, -1, 0, 1]))
-        return descent.TorusFrame(self.fiber, cycles)
+        """The torus frame of the graph's principal generators: four split
+        loops, or two split loops and the norm loop through the nodes of
+        +-i when i is not in k."""
+        return descent.TorusFrame(self.fiber)
 
     @cached_property
     def div_xy(self):
@@ -865,22 +855,48 @@ def genus4_torsion_engine(inp):
 # structured reports
 
 
+def _graph_report(graph, q):
+    """The report's dual_graph and torus entries, read off the graph's edge
+    orbits: its shape, and over GF(q) its torus's characteristic polynomial
+    and order with one summand per principal generator (split for x - 1,
+    norm for x^l - 1, principal otherwise), or no decomposition for a graph
+    that no rule covers."""
+    from .parsing import format_univariate
+
+    try:
+        pairs = graph.principal_generators()
+    except dual_graph.NotSupported:
+        decomposition = None
+    else:
+        decomposition = [{"kind": _summand_kind(poly), "rank": len(poly) - 1,
+                          "order": poly_eval_int(poly, q)} for _cycle, poly in pairs]
+    return {
+        "dual_graph": {
+            "vertices": graph.num_vertices,
+            "nodes": graph.num_edges,
+            "node_orbit_degrees": sorted(len(orbit) for orbit in graph.edge_orbits()),
+        },
+        "torus": {
+            "char_poly": format_univariate(graph.char_poly),
+            "order": poly_eval_int(graph.char_poly, q),
+            "decomposition": decomposition,
+        },
+    }
+
+
+def _summand_kind(poly):
+    """split for x - 1, norm for x^l - 1 (l > 1), principal otherwise."""
+    if poly[0] != -1 or any(poly[1:-1]):
+        return "principal"
+    return "split" if len(poly) == 2 else "norm"
+
+
 def hyperelliptic_report(inp, engine_check=True):
     """JSON-ready verdict report for the two-line family."""
     from .parsing import format_univariate
-    from .zmat import poly_divexact_int, poly_mul_int, poly_eval_int
 
     k = inp.k
     q = k.q
-    facs, rational = inp.factors, inp.rational_nodes
-    orbit_degrees = sorted(f.degree for f in facs)
-    # characteristic polynomial of the Galois action on the cycle space:
-    # product of x^deg - 1 over the node orbits, divided by x - 1
-    fpoly = [1]
-    for degree in orbit_degrees:
-        fpoly = poly_mul_int(fpoly, [-1] + [0] * (degree - 1) + [1])
-    fpoly = poly_divexact_int(fpoly, [-1, 1])
-    order = poly_eval_int(fpoly, q)
 
     warnings = list(inp.warnings)
     reasons = []
@@ -892,29 +908,6 @@ def hyperelliptic_report(inp, engine_check=True):
     except descent.UnsupportedTorus as exc:
         torsion = None
         reasons.append(str(exc))
-
-    decomposition = None
-    if rational or len(facs) == 1:
-        decomposition = []
-        if rational:
-            base_removed = False
-            for f in facs:
-                d = f.degree
-                if d == 1 and not base_removed and -f.coeffs[0] == rational[0]:
-                    base_removed = True
-                    continue
-                decomposition.append({
-                    "kind": "norm" if d > 1 else "split",
-                    "rank": d,
-                    "order": q ** d - 1,
-                })
-        else:
-            d = orbit_degrees[0]
-            decomposition.append({
-                "kind": "principal",
-                "rank": d - 1,
-                "order": (q ** d - 1) // (q - 1),
-            })
 
     checks = None
     if engine_check:
@@ -944,17 +937,8 @@ def hyperelliptic_report(inp, engine_check=True):
             "base_field": "Q_p" if inp.qp_mode else "local field with this residue field",
         },
         "valid": True,
-        "dual_graph": {
-            "vertices": 2,
-            "nodes": inp.d,
-            "node_orbit_degrees": orbit_degrees,
-        },
+        **_graph_report(inp.graph, q),
         "phi": inp.phi.invariant_factors,
-        "torus": {
-            "char_poly": format_univariate(fpoly),
-            "order": order,
-            "decomposition": decomposition,
-        },
         "verdicts": {
             "theta": theta,
         },
@@ -968,27 +952,12 @@ def hyperelliptic_report(inp, engine_check=True):
 
 def genus4_report(inp, engine_check=True):
     """JSON-ready verdict report for the genus-4 family."""
-    from .parsing import format_univariate
-
     k = inp.k
     q = k.q
     field, i, rows = inp.rows
     theta = genus4_theta(inp)
     cube = genus4_cuberoot(inp)
     torsion = genus4_torsion(inp)
-    if inp.i_in_k:
-        torus_info = {
-            "char_poly": format_univariate([1, -4, 6, -4, 1]),
-            "order": (q - 1) ** 4,
-            "decomposition": [{"kind": "split", "rank": 1, "order": q - 1}] * 4,
-        }
-    else:
-        torus_info = {
-            "char_poly": format_univariate([1, -2, 0, 2, -1]),
-            "order": (q - 1) ** 2 * (q * q - 1),
-            "decomposition": [{"kind": "split", "rank": 1, "order": q - 1}] * 2
-            + [{"kind": "norm", "rank": 2, "order": q * q - 1}],
-        }
 
     checks = None
     if engine_check:
@@ -1012,13 +981,8 @@ def genus4_report(inp, engine_check=True):
             "base_field": "Q_p" if inp.qp_mode else "local field with this residue field",
         },
         "valid": True,
-        "dual_graph": {
-            "vertices": 3,
-            "nodes": 6,
-            "node_orbit_degrees": [1, 1, 1, 1] + ([2] if not inp.i_in_k else [1, 1]),
-        },
+        **_graph_report(inp.structure.graph, q),
         "phi": inp.phi.invariant_factors,
-        "torus": torus_info,
         "verdicts": {
             "theta": theta,
             "cube_root": cube,

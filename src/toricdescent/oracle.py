@@ -6,17 +6,17 @@ and divisibility by literal subgroup closure.
 Cost, per request: the enumerated torus reads no node coordinate, only k,
 the oracle's field and the dual graph with its Frobenius action.  The
 oracle's fiber is built on the request's shared shape graph (inp.graph, one
-object per two-line shape), so the torus is built once per (graph, k, field)
-and shared (_shared_torus): enumerate_torus reads the orbit cycle basis off
-the principal decomposition the graph keeps, lists the points and checks
-each for equivariance, with literal q-th powers, on the first request with
-that key, and a later one pays for none of it.  A request builds what reads
-its own fiber: the chain walks over its node coordinates
-(EnumeratedTorus.for_fiber), the connecting-map lifts, and the closure of
-the subgroup that r-th powers and the lifts generate.  The closure runs
-element by element in exponent coordinates: each generator's value tuple
-is looked up among the enumerated points to find its exponent vector, and
-products add those vectors modulo the component orders (see
+object per two-line shape), so the torus is built once per (graph, k,
+field) and shared (_shared_torus): enumerate_torus reads the orbit cycle
+basis off the principal generators the graph reads off its edge orbits,
+lists the points and checks each for equivariance, with literal q-th
+powers, on the first request with that key, and a later one pays for none
+of it.  A request builds what reads its own fiber: the chain walks over its
+node coordinates (EnumeratedTorus.for_fiber), the connecting-map lifts, and
+the closure of the subgroup that r-th powers and the lifts generate.  The
+closure runs element by element in exponent coordinates: each generator's
+value tuple is looked up among the enumerated points to find its exponent
+vector, and products add those vectors modulo the component orders (see
 EnumeratedTorus).  A trial reads its torus point off orbit entry by orbit
 entry: the view takes each entry's literal chain-parameter products over
 that entry's roots once per request (EnumeratedTorus.entry_products), since
@@ -25,7 +25,7 @@ trial multiplies its entries' products to their multiplicities, with one
 field inverse per cycle, and makes one dictionary lookup.
 
 Only the field layer, the shape's dual graph (with the cycle basis and
-principal decomposition it keeps), the chain decomposition and the fiber
+principal generators it keeps), the chain decomposition and the fiber
 builder are shared with the engine; the torus points, evaluation and
 membership are re-derived from first principles.  The connecting-map lifts
 are shared input (the compensating-function recipe is the only route to
@@ -279,21 +279,24 @@ def random_divisor(fiber, r, rng, degree):
 
 
 def orbit_cycle_basis(graph):
-    """Generator cycles of the graph's principal decomposition together with
-    their Galois iterates: a basis of the cycle lattice organized orbit by
-    orbit.  It reads the decomposition the graph keeps.
+    """The graph's principal generator cycles together with their Galois
+    iterates: a basis of the cycle lattice organized orbit by orbit.  It
+    reads the (cycle, char_poly) pairs the graph reads off its edge orbits
+    (DualGraph.principal_generators); an orbit's length is the degree of its
+    characteristic polynomial.
 
     Returns (flat cycle list, layout), layout entries being (start index,
     orbit length, characteristic polynomial)."""
     flat = []
     layout = []
-    for gen, comp in zip(graph.principal_generators(), graph.principal_components):
+    for gen, char_poly in graph.principal_generators():
         start = len(flat)
+        rank = len(char_poly) - 1
         cur = gen
-        for _ in range(comp.rank):
+        for _ in range(rank):
             flat.append(cur)
             cur = graph.sigma_cycle(cur)
-        layout.append((start, comp.rank, comp.char_poly))
+        layout.append((start, rank, char_poly))
     return flat, layout
 
 

@@ -1,6 +1,8 @@
-"""Character lattices with Frobenius action: orders, principal
-decompositions, mu-group structure, and rational points of principally
-decomposable tori over finite fields.
+"""Character lattices with Frobenius action: orders, the check of a
+principal decomposition, mu-group structure, and rational points of
+principally decomposable tori over finite fields.  A dual graph reads its
+own torus off its edge orbits (dual_graph); the lattices here serve the
+torus command and the checks against it.
 
 All of it is integer linear algebra on zmat's one kernel: the Frobenius
 characteristic polynomial gives the orders, the Smith form (through
@@ -28,10 +30,6 @@ ENUMERATION_LIMIT = 10 ** 6
 
 
 class TorusError(Exception):
-    pass
-
-
-class NotPrincipal(TorusError):
     pass
 
 
@@ -161,15 +159,6 @@ def verify_principal_decomposition(lattice, generators):
     cert = [[columns[j][i] for j in range(len(columns))] for i in range(lattice.rank)]
     ok = abs(zmat.det(cert)) == 1
     return ok, cert, comps
-
-
-def principal_decomposition(lattice, generators):
-    """The principal components of the generators; NotPrincipal unless their
-    sigma-orbits jointly form a Z-basis."""
-    ok, _, comps = verify_principal_decomposition(lattice, generators)
-    if not ok:
-        raise NotPrincipal("orbits of the generators do not form a Z-basis")
-    return comps
 
 
 class MuGroup:

@@ -225,7 +225,7 @@ def test_criterion_7_oracle_agreement():
         degree = lcm(oracle.node_degree(inp), oracle.field_degree(
             [H for gen in gens for _c, H, _m in gen.f_divisor.entries]))
         ofiber = oracle.hyperelliptic_special_fiber(inp, degree)
-        oframe = descent.TorusFrame(ofiber, dual_graph.principal_cycle_generators(ofiber.graph))
+        oframe = descent.TorusFrame(ofiber)
         for _ in range(5):
             D0 = translate_to_degree_zero(oracle.random_divisor(ofiber, 1, rng, degree), 1)
             points = oracle.divisor_points(D0, ofiber)

@@ -185,6 +185,43 @@ def test_mobius_product_over_roots_is_a_resultant(q):
         checks += 1
 
 
+def _factor_at(fiber, factor, field, x):
+    """The factor s (t - a)/(t - b) at a rational coordinate x, an element
+    of k or INF, computed from its definition in field."""
+    if x is INF:
+        num, den = factor.at_infinity()
+        return num / den
+    t = fiber.lift(x, field)
+    num, den = factor.scale_num, factor.scale_den
+    if factor.enter is not INF:
+        num = num * (t - fiber.lift(factor.enter, field))
+    if factor.leave is not INF:
+        den = den * (t - fiber.lift(factor.leave, field))
+    return num / den
+
+
+def test_every_frame_factor_is_one_at_its_base_point():
+    # the two-line frames of three shapes and the genus-4 frames with i in
+    # k (q = 13) and outside it (q = 7, 11): each normalized factor takes
+    # the value 1 at the first rational coordinate that avoids its nodes,
+    # factors whose entering or leaving node is at INF included
+    frames = [b3_instance()[1][:2],
+              b3_instance(q=7, gcoeffs=(1, 1, 0, 1))[1][:2],
+              b3_instance(q=5, gcoeffs=(0, 2, 0, 0, 1))[1][:2]]
+    for q in (7, 11, 13):
+        k = make_field(q)
+        eps = families.CubicForm(k, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 2, 1): 1})
+        frames.append(families.validate_genus4(k, eps).fiber_data[:2])
+    seen = {"enter": 0, "leave": 0, "finite": 0}
+    for fiber, frame in frames:
+        for comp in frame.components:
+            for f in comp.factors:
+                base = next(fiber.rational_coordinates(f.component, avoid=[f.enter, f.leave]))
+                assert _factor_at(fiber, f, comp.field, base) == comp.field.one()
+                seen["enter" if f.enter is INF else "leave" if f.leave is INF else "finite"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_divisor_meets_node_exactly_when_h_vanishes_there():
     # g = x (x^2 + 1) over GF(7): the nodes 0 and +-i, the latter in GF(49)
     k = make_field(7)

@@ -9,6 +9,7 @@ from toricdescent.dual_graph import (
     Cycle, Disconnected, DualGraph, GraphError, NotSupported,
     chain_decomposition, component_group, fibral_lattice_membership, h1_basis,
     phi_torsion_representatives, principal_cycle_generators)
+from toricdescent.torus import verify_principal_decomposition
 
 GENUS4_M = [[-4, 2, 2], [2, -4, 2], [2, 2, -4]]
 
@@ -222,19 +223,36 @@ def test_component_group_keeps_the_rows():
     assert component_group([[-4, 4], [4, -4]]).matrix == [[-4, 4], [4, -4]]
 
 
+def _pairs(graph):
+    return [(cycle.vector, poly) for cycle, poly in principal_cycle_generators(graph)]
+
+
 def test_principal_generators():
-    gens = principal_cycle_generators(banana(3))
-    assert [g.vector for g in gens] == [(-1, 1, 0), (-1, 0, 1)]
-    gens = principal_cycle_generators(banana(3, edge_perm=[1, 2, 0]))
-    assert len(gens) == 1
-    # rational node present: one generator per other orbit
-    g = banana(3, edge_perm=[0, 2, 1])
-    gens = principal_cycle_generators(g)
-    assert len(gens) == 1 and gens[0].vector == (-1, 1, 0)
-    # no rational node, two orbits
-    g = banana(4, edge_perm=[1, 0, 3, 2])
-    with pytest.raises(NotSupported):
-        principal_cycle_generators(g)
+    assert _pairs(banana(3)) == [((-1, 1, 0), [-1, 1]), ((-1, 0, 1), [-1, 1])]
+    # one full orbit: e_1 - e_0, with 1 + x + x^2
+    assert _pairs(banana(3, edge_perm=[1, 2, 0])) == [((-1, 1, 0), [1, 1, 1])]
+    # rational node present: one generator per other orbit, with x^l - 1
+    assert _pairs(banana(3, edge_perm=[0, 2, 1])) == [((-1, 1, 0), [-1, 0, 1])]
+    # the genus-4 triangle with the nodes of +-i swapped: the tree is the
+    # fixed edges 0 and 4, and the norm loop passes the swapped nodes
+    g4 = DualGraph(3, [(0, 1, 0), (0, 1, 1), (0, 2, 2), (0, 2, 3), (1, 2, 4), (1, 2, 5)],
+                   edge_perm=[0, 1, 3, 2, 4, 5])
+    assert _pairs(g4) == [((-1, 1, 0, 0, 0, 0), [-1, 1]), ((0, 0, 0, 0, -1, 1), [-1, 1]),
+                          ((-1, 0, 1, 0, -1, 0), [-1, 0, 1])]
+    assert g4.char_poly == [-1, 2, 0, -2, 1]
+    # tree: no generator, char poly 1
+    assert _pairs(DualGraph(2, [(0, 1, 0)])) == [] and DualGraph(2, [(0, 1, 0)]).char_poly == [1]
+    # the refusals
+    for graph, message in [
+            (banana(4, edge_perm=[1, 0, 3, 2]), "no rational node and several edge orbits"),
+            (DualGraph(2, [(0, 1, 0), (0, 1, 1), (0, 0, 2)], edge_perm=[1, 0, 2]),
+             "self-nodes are outside the supported families"),
+            (DualGraph(3, [(0, 1, 0), (0, 1, 1), (1, 2, 2), (1, 2, 3)], edge_perm=[1, 0, 3, 2]),
+             "no principal decomposition rule for this graph")]:
+        with pytest.raises(NotSupported, match=message):
+            principal_cycle_generators(graph)
+        with pytest.raises(NotSupported, match=message):
+            graph.principal_generators()
 
 
 def test_chain_decomposition_consumes_cycle():
@@ -339,14 +357,26 @@ def test_frobenius_order_from_the_edge_permutation():
                   edge_perm=[1, 0, 2, 4, 3]),
     ]
     graphs += [_component_fixing_multigraph(rng) for _ in range(200)]
+    covered = 0
     for g in graphs:
         order = frobenius_order(g)
         orbit_lcm = math.lcm(*(len(orbit) for orbit in g.edge_orbits()))
-        lattice = h1_basis(g)[1]
+        _basis, lattice, coords = h1_basis(g)
         assert order == orbit_lcm == _matrix_order(lattice.frobenius) == lattice.order
+        # the torus read off the edge orbits is the matrix's
+        assert g.char_poly == lattice.char_poly
+        try:
+            pairs = principal_cycle_generators(g)
+        except NotSupported:
+            continue
+        ok, _cert, comps = verify_principal_decomposition(
+            lattice, [coords(cycle) for cycle, _poly in pairs])
+        assert ok and [c.char_poly for c in comps] == [poly for _cycle, poly in pairs]
+        covered += 1
     # the order is the permutation's
     assert frobenius_order(graphs[1]) == 2
     assert max(map(frobenius_order, graphs)) > 2
+    assert 150 < covered < len(graphs)
 
 
 def test_frobenius_order_past_the_bound_is_refused_before_the_matrix():

@@ -599,16 +599,16 @@ def test_one_component_group_per_family_request(monkeypatch, capsys, cold_shape_
 
 
 @pytest.mark.parametrize("line, forms", [
-    # the component group, one orbit recurrence per frame generator and the
-    # torsion presentation
-    ("hyperelliptic --p 7 --g x^3-x --h x+2", 4),
-    ("genus4 --q 7 --eps X^3+Y^3+W*Z^2", 6),
+    # the component group and the torsion presentation: the frame reads its
+    # generators off the edge orbits, with no orbit recurrence
+    ("hyperelliptic --p 7 --g x^3-x --h x+2", 2),
+    ("genus4 --q 7 --eps X^3+Y^3+W*Z^2", 2),
 ])
 def test_smith_forms_per_family_request(monkeypatch, capsys, cold_shape_caches, line, forms):
     # the component group's one Smith form answers every fibral-lattice
     # test, and its inverse certificate is never built for a report.  The
-    # component group and the frame's recurrences are kept per shape or
-    # field, so a repeated request computes only its torsion presentation
+    # component group is kept per shape or field, so a repeated request
+    # computes only its torsion presentation
     from toricdescent import cli
     calls = record_calls(monkeypatch, zmat.smith_normal_form)
     counts = []
@@ -691,6 +691,36 @@ def test_shared_structure_keeps_no_request_memo(cold_shape_caches):
     assert torus_vars == torus_vars[:1] * 20
     assert "_entry_products" not in torus_vars[0]
     assert tori.cache_info().currsize == 1
+
+
+def test_pinned_char_polys_count_the_torus_points():
+    # every pinned hyperelliptic and genus-4 report: the characteristic
+    # polynomial at q is the torus order, and a decomposition's orders
+    # multiply to it
+    import json
+    import math
+    from pathlib import Path
+    from toricdescent.parsing import parse_univariate
+    from toricdescent.zmat import poly_eval_int
+    families_seen = {"hyperelliptic": 0, "genus4": 0}
+    decomposed = 0
+    for name in ("genus4_reports.jsonl", "hyperelliptic_reports.jsonl"):
+        with open(Path(__file__).parent / "data" / name) as fh:
+            outputs = [json.loads(line)["output"] for line in fh]
+        for output in outputs:
+            if not output.startswith("{"):
+                continue
+            report = json.loads(output)
+            if report.get("family") not in families_seen:
+                continue
+            families_seen[report["family"]] += 1
+            torus, q = report["torus"], report["input"]["q"]
+            assert poly_eval_int(parse_univariate(torus["char_poly"]), q) == torus["order"]
+            if torus["decomposition"] is not None:
+                orders = [summand["order"] for summand in torus["decomposition"]]
+                assert math.prod(orders) == torus["order"]
+                decomposed += 1
+    assert min(families_seen.values()) > 20 and decomposed > 100, (families_seen, decomposed)
 
 
 def test_repeated_shapes_and_fields_replay_the_pinned_reports(capsys, cold_shape_caches):

@@ -21,7 +21,7 @@ def test_enumerate_counts():
     # two lines joined at the full orbit of an irreducible cubic over GF(2):
     # 4 + 2 + 1 = 7 points
     from toricdescent.descent import SpecialFiber, TorusFrame
-    from toricdescent.dual_graph import DualGraph, principal_cycle_generators
+    from toricdescent.dual_graph import DualGraph
     from toricdescent.finite_field import roots_in_extension
     k2 = make_field(2)
     rts = roots_in_extension(Poly(k2, [1, 1, 0, 1]), 3)
@@ -29,7 +29,7 @@ def test_enumerate_counts():
     perm = [next(j for j, s in enumerate(rts) if s == r.frob(1)) for r in rts]
     graph = DualGraph(2, edges, edge_perm=perm)
     fiber = SpecialFiber(graph, k2, rts[0].field, [(r, r) for r in rts])
-    frame = TorusFrame(fiber, principal_cycle_generators(graph))
+    frame = TorusFrame(fiber)
     torus = oracle.enumerate_torus(fiber.graph, fiber.k, fiber.E)
     assert len(torus) == 7 == frame.torus_order()
 
@@ -102,7 +102,7 @@ def test_chain_equals_system_on_random_divisors():
         D0 = descent.translate_to_degree_zero(D, 1)
         degree = oracle.field_degree([inp.g] + [H for _c, H, _m in D0.entries])
         big = oracle.hyperelliptic_special_fiber(inp, degree)
-        big_frame = descent.TorusFrame(big, dual_graph.principal_cycle_generators(big.graph))
+        big_frame = descent.TorusFrame(big)
         points = oracle.divisor_points(D0, big)
         D0 = SpecializedDivisor(big, D0.entries)
         for comp in big_frame.components:
@@ -728,7 +728,7 @@ def test_a_repeated_oracle_line_builds_no_torus(monkeypatch, capsys, cold_shape_
     from toricdescent import cli, zmat
     argv = line.split() + ["--trials", "20", "--json"]
     counted = [(oracle, "enumerate_torus"), (oracle, "orbit_cycle_basis"),
-               (dual_graph, "h1_basis"), (zmat, "smith_normal_form")]
+               (zmat, "smith_normal_form")]
     runs = []
     for _ in range(2):
         calls = Counter()
@@ -837,26 +837,6 @@ def test_the_oracle_fiber_is_built_on_the_shape_graph(g, shape):
         assert orbit[0].to_int() == min(x.to_int() for x in orbit)
         assert [x.frob(1) for x in orbit] == orbit[1:] + orbit[:1]
         start += degree
-
-
-@pytest.mark.parametrize("line, g, h", [
-    ("oracle --q 5 --g x^3-x --h x+3", (0, -1, 0, 1), (3, 1)),
-    ("oracle --q 7 --g x^3+x+1 --h x+2 --r 3", (1, 1, 0, 1), (2, 1)),
-    ("oracle --q 3 --g x^4+x+2 --h x^2+1", (2, 1, 0, 0, 1), (1, 0, 1)),
-], ids=["q5-split", "q7-cubic", "q3-quartic"])
-def test_a_cold_oracle_request_builds_each_principal_component_once(
-        monkeypatch, capsys, cold_shape_caches, line, g, h):
-    # the engine's frame and the oracle's torus read one decomposition, the
-    # one the shape graph keeps
-    from collections import Counter
-    from toricdescent import cli, torus
-    calls = Counter()
-    with monkeypatch.context() as patch:
-        _counting(patch, torus, "principal_component", calls)
-        assert cli.run_line(line.split() + ["--json"]) == 0
-    capsys.readouterr()
-    inp, _data = build(int(line.split()[2]), g, h)
-    assert calls["principal_component"] == len(inp.graph.principal_generators()) > 0
 
 
 def test_two_curves_of_one_shape_share_one_torus(cold_shape_caches):

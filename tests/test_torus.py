@@ -7,9 +7,8 @@ from conftest import (multiplicative_order, norm_lattice, random_unimodular, rng
                       split_lattice)
 from toricdescent import torus, zmat
 from toricdescent.torus import (
-    CharacterLattice, EnumerationLimitExceeded, NotPrincipal, TorusError,
-    enumerate_rational_points, mu_group,
-    principal_component, principal_decomposition, torus_order,
+    CharacterLattice, EnumerationLimitExceeded, TorusError,
+    enumerate_rational_points, mu_group, principal_component, torus_order,
     verify_principal_decomposition)
 
 B3_IRRED = [[0, -1], [1, -1]]
@@ -82,8 +81,8 @@ def test_mu_group_names_hosts_past_the_field_limit():
 
 def test_not_principal():
     # rank-2 trivial action is not generated by a single character
-    with pytest.raises(NotPrincipal):
-        principal_decomposition(split_lattice(2), [[1, 1]])
+    ok, rows, _ = verify_principal_decomposition(split_lattice(2), [[1, 1]])
+    assert not ok and rows == [[1, 1]]
 
 
 def test_enumeration_matches_order():
@@ -118,7 +117,8 @@ def test_sum_of_characters_is_isomorphism():
     F = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     lattice = CharacterLattice(F)
     gens = [[1, 0, 0], [0, 1, 0]]
-    comps = principal_decomposition(lattice, gens)
+    ok, _, comps = verify_principal_decomposition(lattice, gens)
+    assert ok
     for q in (2, 3, 5):
         pts = enumerate_rational_points(lattice, q)
         images = {tuple(pts.value(p, chi).to_int() for chi in gens)
@@ -226,39 +226,31 @@ def test_enumeration_count_mismatch_is_an_internal_error_in_the_cli():
     assert "invalid input" not in proc.stderr
 
 
-def test_each_principal_component_is_built_once(monkeypatch, cold_shape_caches):
-    """Once per generator of a graph's principal decomposition, which the
-    graph of a two-line shape keeps for every request of that shape; once
-    per generator of a TorusFrame given its cycles; and once per torus
-    --lattice component."""
-    import io
-    from toricdescent import cli, descent, families
-    from toricdescent.dual_graph import principal_cycle_generators
-    from toricdescent.finite_field import Poly, make_field
-    built = []
-
-    def counting(lattice, chi):
-        built.append(tuple(chi))
-        return original(lattice, chi)
-
-    original = torus.principal_component
-    monkeypatch.setattr(torus, "principal_component", counting)
-    k = make_field(7)
+@pytest.mark.parametrize("line, recurrences", [
     # g = x (x - 1) (x^3 - 2): two rational nodes and an orbit of degree 3
-    inp = families.validate_hyperelliptic(k, Poly(k, [0, 2, -2, 0, -1, 1]), Poly(k, [2, 1]))
-    fiber = families.hyperelliptic_fiber(inp)[0]
-    assert len(built) == 2
-    built.clear()
-    # g = x (x - 3) (x^3 - 3): the same shape over the same field
-    again = families.validate_hyperelliptic(k, Poly(k, [0, 9, -3, 0, -3, 1]), Poly(k, [2, 1]))
-    assert again.graph is inp.graph
-    assert families.hyperelliptic_fiber(again)[1].components
-    assert built == []
-    gens = principal_cycle_generators(fiber.graph)
-    frame = descent.TorusFrame(fiber, gens)
-    assert len(built) == len(gens) == len(frame.components) == 2
-    built.clear()
-    line = ('torus --lattice {"frobenius":[[1,0,0],[0,0,1],[0,1,0]],'
-            '"components":[[1,0,0],[0,1,0]]} --q 7 --json')
-    assert cli.run_line(line.split(), stream=io.StringIO()) == 0
-    assert built == [(1, 0, 0), (0, 1, 0)]
+    ("hyperelliptic --p 7 --g x^5-x^4-2*x^2+2*x --h x+2", 0),
+    # one full node orbit of degree 3
+    ("hyperelliptic --p 7 --g x^3+x+1 --h x+2", 0),
+    ("genus4 --q 7 --eps X^3+Y^3+W*Z^2", 0),
+    ("genus4 --q 13 --eps X^3+Y^3+W*Z^2", 0),
+    ("oracle --q 5 --g x^3-x --h x+3", 0),
+    ("oracle --q 7 --g x^3+x+1 --h x+2 --r 3", 0),
+    ("oracle --q 3 --g x^4+x+2 --h x^2+1", 0),
+    # the torus command checks the decomposition of the lattice it is given
+    ('torus --lattice {"frobenius":[[1,0,0],[0,0,1],[0,1,0]],'
+     '"components":[[1,0,0],[0,1,0]]} --q 7', 2),
+])
+def test_a_cold_request_reads_its_torus_off_the_edge_orbits(
+        monkeypatch, capsys, cold_shape_caches, line, recurrences):
+    # the frame, the oracle's torus and the reports read the dual graph's
+    # (cycle, char_poly) pairs: no family or oracle request builds the
+    # Frobenius matrix on the cycle space or an orbit recurrence; the torus
+    # command builds one recurrence per component
+    from conftest import record_calls
+    from toricdescent import cli
+    from toricdescent.dual_graph import h1_basis
+    components = record_calls(monkeypatch, torus.principal_component)
+    bases = record_calls(monkeypatch, h1_basis)
+    assert cli.run_line(line.split() + ["--json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (len(components), len(bases)) == (recurrences, 0)
