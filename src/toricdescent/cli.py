@@ -115,6 +115,8 @@ def build_parser():
 
     bat = sub.add_parser("batch", help="process one request per line of a file")
     bat.add_argument("path")
+    # the subcommand parsers by name, which _parse calls directly
+    parser.commands = sub.choices
     return parser
 
 
@@ -127,6 +129,23 @@ def _parser():
     if _PARSER is None:
         _PARSER = build_parser()
     return _PARSER
+
+
+def _parse(argv):
+    """_parser().parse_args(argv), with the subcommand's parser called
+    directly when argv[0] names one: 40-44 us in place of 75-81 us for a
+    hyperelliptic line (fastest of 5 x 2000 parses).  Its leftover arguments
+    go to the top-level parser's error, as parse_args sends them, so every
+    message stays the same."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _field_from_args(args):
@@ -309,7 +328,7 @@ RUNNERS = {
 
 def run_line(argv, stream=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_SYNTAX if exc.code else EXIT_OK
     return dispatch(args, stream=stream)
@@ -388,7 +407,7 @@ def _batch_line(number, line, stream):
     captured = io.StringIO()
     try:
         with contextlib.redirect_stderr(captured), contextlib.redirect_stdout(captured):
-            args = _parser().parse_args(argv)
+            args = _parse(argv)
     except SystemExit:
         lines = captured.getvalue().strip().splitlines()
         return error("syntax", EXIT_SYNTAX,
@@ -407,7 +426,7 @@ def _batch_line(number, line, stream):
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         raise SystemExit(EXIT_SYNTAX if exc.code else EXIT_OK)
     code = dispatch(args)

@@ -187,6 +187,16 @@ class DualGraph:
         return list(pairs)
 
     @cached_property
+    def _frobenius_order(self):
+        """(frobenius_order(self), None), or (None, the
+        FrobeniusOrderTooLarge message) past the bound, decided once per
+        graph as _principal_rule is."""
+        order = lcm(*(len(orbit) for orbit in self.edge_orbits()))
+        if order > FROBENIUS_ORDER_BOUND:
+            return None, f"frobenius order {order} exceeds the bound {FROBENIUS_ORDER_BOUND}"
+        return order, None
+
+    @cached_property
     def component_group(self):
         """The component group of the intersection matrix: an entry off the
         diagonal counts the nodes joining two components, and each row
@@ -285,11 +295,10 @@ def frobenius_order(graph):
     set of parallel edges or of loops at one vertex, and their differences
     (or the loops themselves) span a block on which the generator has order
     l.  FrobeniusOrderTooLarge when the order exceeds FROBENIUS_ORDER_BOUND:
-    h1_basis and the torus frame both check it here."""
-    order = lcm(*(len(orbit) for orbit in graph.edge_orbits()))
-    if order > FROBENIUS_ORDER_BOUND:
-        raise FrobeniusOrderTooLarge(
-            f"frobenius order {order} exceeds the bound {FROBENIUS_ORDER_BOUND}")
+    h1_basis, the torus frame and the two-line fiber all check it here."""
+    order, refusal = graph._frobenius_order
+    if refusal is not None:
+        raise FrobeniusOrderTooLarge(refusal)
     return order
 
 

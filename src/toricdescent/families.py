@@ -279,8 +279,9 @@ def hyperelliptic_fiber(inp):
 
     The dual graph and its principal generators depend only on the orbit
     degrees, so they come first and are shared by every request of the
-    shape: a graph outside the decomposition rules raises NotSupported
-    before any node field is built.  Each node orbit
+    shape: a graph outside the decomposition rules raises NotSupported,
+    and one past the Frobenius-order bound FrobeniusOrderTooLarge, before
+    any node field is built.  Each node orbit
     keeps its own field.  A rational node is a point of k; the nodes of an
     orbit g_i of degree s > 1 are the root of g_i that residue_field gives
     in k[x]/(g_i) and its q-power conjugates, so no splitting field is built
@@ -291,7 +292,9 @@ def hyperelliptic_fiber(inp):
     nodes = list(inp.rational_nodes)
     orbits = [f for f in inp.factors if f.degree > 1]
     graph = inp.graph
-    graph.principal_generators()  # NotSupported here, before any node field
+    # NotSupported here, before any node field, in TorusFrame's order
+    graph.principal_generators()
+    dual_graph.frobenius_order(graph)
     largest = k
     for f in orbits:
         field, node = residue_field(f)

@@ -43,9 +43,15 @@ known to lie in k (|k| = q) is tested where it is held: it is an r-th power
 in k iff x^((q-1)/gcd(r, q-1)) = 1.
 
 Factorization is Cantor-Zassenhaus (squarefree, distinct-degree, then
-equal-degree splitting), and every root search goes through the same
-deterministic equal-degree splitter (see _shifts), which tries each shift
-once per factorization.  Together with the
+equal-degree splitting; von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 14) on raw coefficient lists: each polynomial is made monic once, and a
+Poly is built only for each factor returned.  In odd characteristic the
+degree-1 distinct-degree step raises the first splitting shift h = x + t
+to (q-1)/2 in place of x to q, and reads x^q = h s^2 - t off that power s,
+which also makes the first split of the linear part: a polynomial with two
+or more roots in k saves one power.  factor, roots_in_extension and
+Embedding all go through one deterministic equal-degree splitter (see
+_shifts), which tries each shift once per factorization.  Together with the
 modulus search, which skips the binomials x^m + c whenever none of them can
 be irreducible, Miller-Rabin, and residue symbols, which need a primitive
 g-th root of unity and never factor q^s - 1, every operation the closed
@@ -748,6 +754,66 @@ def _mulmod(f, a, b, mod):
     return _divmod_t(f, _conv_t(f, a, b), mod)[1]
 
 
+def _raw_zero(f):
+    return 0 if f.m == 1 else f._zero.coeffs
+
+
+def _raw_one(f):
+    return 1 if f.m == 1 else f._one.coeffs
+
+
+def _element(f, v):
+    """The FieldElement of f with the raw value v."""
+    return FieldElement(f, (v,) if f.m == 1 else v)
+
+
+def _add(f, a, b, sign=1):
+    """a + sign * b for raw coefficient sequences over f, a trimmed list."""
+    zero = _raw_zero(f)
+    n = max(len(a), len(b))
+    a, b = list(a) + [zero] * (n - len(a)), list(b) + [zero] * (n - len(b))
+    p = f.p
+    if f.m == 1:
+        return _trim([(x + sign * y) % p for x, y in zip(a, b)])
+    return _trim([tuple([(u + sign * v) % p for u, v in zip(x, y)])
+                  for x, y in zip(a, b)], zero)
+
+
+def _sub(f, a, b):
+    return _add(f, a, b, -1)
+
+
+def _monic(f, a):
+    """The raw coefficient sequence a over f divided by its leading
+    coefficient: a itself when that is 1 (or a is zero), else a new list
+    made with one inversion."""
+    if not a or a[-1] == _raw_one(f):
+        return a
+    p = f.p
+    if f.m == 1:
+        inv = pow(a[-1], -1, p)
+        return [v * inv % p for v in a]
+    inv = _inv(f, a[-1])
+    return [_mul(f, v, inv) for v in a]
+
+
+def _gcd(f, a, b):
+    """The monic gcd of raw coefficient sequences over f (zero when both
+    are)."""
+    while b:
+        a, b = b, _divmod(f, a, b)[1]
+    return _monic(f, a)
+
+
+def _derivative(f, a):
+    """The derivative of a raw coefficient sequence over f, a trimmed list."""
+    p = f.p
+    if f.m == 1:
+        return _trim([v * i % p for i, v in enumerate(a) if i])
+    return _trim([tuple([u * i % p for u in v]) for i, v in enumerate(a) if i],
+                 f._zero.coeffs)
+
+
 class _Ring:
     """GF(p)[x]/(mod) for a monic mod of degree m = 2, 3 or 4, as far as
     _mul reads a field: p, m and the reduction rows, never tables.  It holds
@@ -774,7 +840,7 @@ def _pow_mod(f, base, e, mod):
         ring = _Ring(f.p, mod)
         base = tuple(base) + (0,) * (ring.m - len(base))
         return _trim(list(_power(ring, base, e)))
-    result = [1 if f.m == 1 else f._one.coeffs]
+    result = [_raw_one(f)]
     while e:
         if e & 1:
             result = _mulmod(f, result, base, mod)
@@ -838,13 +904,9 @@ class Poly:
             raise MixedFields(f"mixed fields {f} and {other.field}")
         return f
 
-    def _elem(self, v):
-        f = self.field
-        return FieldElement(f, (v,) if f.m == 1 else v)
-
     @property
     def coeffs(self):
-        return tuple([self._elem(v) for v in self._c])
+        return tuple([_element(self.field, v) for v in self._c])
 
     @property
     def degree(self):
@@ -856,10 +918,10 @@ class Poly:
     def lead(self):
         if not self._c:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self._elem(self._c[-1])
+        return _element(self.field, self._c[-1])
 
     def __getitem__(self, i):
-        return self._elem(self._c[i]) if 0 <= i < len(self._c) else self.field.zero()
+        return _element(self.field, self._c[i]) if 0 <= i < len(self._c) else self.field.zero()
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
@@ -872,32 +934,13 @@ class Poly:
             self._hash = hash((f.p, f.m, enc))
         return self._hash
 
-    def _padded(self, other):
-        """Both raw coefficient tuples, padded with zeros to one length."""
-        a, b = self._c, other._c
-        zero = 0 if self.field.m == 1 else self.field._zero.coeffs
-        n = max(len(a), len(b))
-        return a + (zero,) * (n - len(a)), b + (zero,) * (n - len(b)), zero
-
     def __add__(self, other):
         f = self._same(other)
-        a, b, zero = self._padded(other)
-        p = f.p
-        if f.m == 1:
-            c = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            c = [tuple([(u + v) % p for u, v in zip(x, y)]) for x, y in zip(a, b)]
-        return _poly(f, _trim(c, zero))
+        return _poly(f, _add(f, self._c, other._c))
 
     def __sub__(self, other):
         f = self._same(other)
-        a, b, zero = self._padded(other)
-        p = f.p
-        if f.m == 1:
-            c = [(x - y) % p for x, y in zip(a, b)]
-        else:
-            c = [tuple([(u - v) % p for u, v in zip(x, y)]) for x, y in zip(a, b)]
-        return _poly(f, _trim(c, zero))
+        return _poly(f, _sub(f, self._c, other._c))
 
     def __neg__(self):
         f = self.field
@@ -942,24 +985,14 @@ class Poly:
     def monic(self):
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial cannot be made monic")
-        return self.scale(self.lead().inverse())
+        return _poly(self.field, _monic(self.field, self._c))
 
     def gcd(self, other):
         f = self._same(other)
-        a, b = self._c, other._c
-        while b:
-            a, b = b, _divmod(f, a, b)[1]
-        out = _poly(f, a)
-        return out.monic() if a else out
+        return _poly(f, _gcd(f, self._c, other._c))
 
     def derivative(self):
-        f = self.field
-        p = f.p
-        if f.m == 1:
-            c = [v * i % p for i, v in enumerate(self._c) if i]
-            return _poly(f, _trim(c))
-        c = [tuple([u * i % p for u in v]) for i, v in enumerate(self._c) if i]
-        return _poly(f, _trim(c, f._zero.coeffs))
+        return _poly(self.field, _derivative(self.field, self._c))
 
     def __call__(self, x):
         """Horner evaluation at a point of the same field."""
@@ -1009,66 +1042,80 @@ def poly_from_int(field, n):
 
 
 # ---------------------------------------------------------------------------
-# factorization
+# factorization, on raw coefficient sequences (lists or tuples of the values
+# a Poly holds): each polynomial is made monic once, and quotients and gcds
+# of monic polynomials are monic already.  factor builds a Poly for each
+# factor it returns.
 
 
-def _squarefree_parts(f):
-    """(squarefree monic factor, multiplicity) pairs with product f.monic()."""
-    field = f.field
+def _squarefree_parts(field, f):
+    """(squarefree monic factor, multiplicity) pairs with product f, a monic
+    raw sequence; each factor a tuple."""
     p = field.p
     out = {}
 
     def accumulate(g, mult):
-        if g.degree >= 1:
-            out[g] = out.get(g, 0) + mult
+        if len(g) > 1:
+            key = tuple(g)
+            out[key] = out.get(key, 0) + mult
 
     def decompose(g, mult):
-        d = g.derivative()
-        if d.is_zero():
+        d = _derivative(field, g)
+        if not d:
             # g is a polynomial in x^p; p-th root of a coefficient is c^(p^(m-1))
-            root = Poly(field, [g[i * p].frob(field.m - 1)
-                                for i in range(g.degree // p + 1)])
-            decompose(root.monic(), mult * p)
+            root = g[::p]
+            if field.m > 1:
+                root = [FieldElement(field, v).frob(field.m - 1).coeffs for v in root]
+            decompose(root, mult * p)
             return
-        c = g.gcd(d)
-        if c.degree == 0:
+        c = _gcd(field, g, d)
+        if len(c) == 1:
             accumulate(g, mult)
             return
-        w = (g // c).monic()
+        w = _divmod(field, g, c)[0]
         k = 1
-        while w.degree >= 1:
-            y = w.gcd(c)
-            z = (w // y).monic()
-            accumulate(z, mult * k)
+        while len(w) > 1:
+            y = _gcd(field, w, c)
+            accumulate(_divmod(field, w, y)[0], mult * k)
             w = y
-            c = (c // y).monic()
+            c = _divmod(field, c, y)[0]
             k += 1
-        if c.degree >= 1:
+        if len(c) > 1:
             decompose(c, mult)
 
-    decompose(f.monic(), 1)
-    return sorted(out.items(), key=lambda kv: (kv[0].degree, kv[0].encoding()))
+    decompose(f, 1)
+    return out.items()
 
 
-def _distinct_degree(f):
-    """Split monic squarefree f into (d, product of degree-d irreducibles)."""
-    field = f.field
-    x = Poly(field, [0, 1])
+def _distinct_degree(field, g):
+    """(d, product of the degree-d irreducible factors, power) for a monic
+    squarefree raw sequence g.  In odd characteristic the degree-1 step raises
+    the first shift h = x + t of _shifts, not x: s = h^((q-1)/2) mod g gives
+    x^q = h s^2 - t (h^q = x^q + t, as t lies in k), and power is that s
+    for d = 1, which makes the first split of the linear part (see
+    _equal_degree_split); otherwise power is None."""
+    x = [_raw_zero(field), _raw_one(field)]
     out = []
     xq = x
-    g = f
+    s = None
     d = 0
-    while g.degree > 0:
+    while len(g) > 1:
         d += 1
-        if 2 * d > g.degree:
-            out.append((g.degree, g))
+        if 2 * d > len(g) - 1:
+            out.append((len(g) - 1, g, None))
             break
-        xq = xq.pow_mod(field.q, g)
-        h = g.gcd(xq - x)
-        if h.degree > 0:
-            out.append((d, h))
-            g = (g // h).monic()
-            xq = xq % g
+        if d == 1 and field.p != 2:
+            h = next(_shifts(field))._c
+            s = _pow_mod(field, h, (field.q - 1) // 2, g)
+            # h[:1] is [t]
+            xq = _sub(field, _mulmod(field, h, _mulmod(field, s, s, g), g), h[:1])
+        else:
+            xq = _pow_mod(field, xq, field.q, g)
+        part = _gcd(field, g, _sub(field, xq, x))
+        if len(part) > 1:
+            out.append((d, part, s if d == 1 else None))
+            g = _divmod(field, g, part)[0]
+            xq = _divmod(field, xq, g)[1]
     return out
 
 
@@ -1092,34 +1139,38 @@ def _shifts(field):
 
 
 def _split(f, d, h):
-    """The factor of f, all of whose irreducible factors have degree d, on
-    which h^((q^d-1)/2) is 1 (odd p) or the trace of h is 0 (p = 2)."""
-    field = f.field
+    """The factor of f, a monic raw sequence all of whose irreducible factors
+    have degree d, on which h^((q^d-1)/2) is 1 (odd p) or the trace of h is
+    0 (p = 2); h is a shift of _shifts, whose field f lies over."""
+    field = h.field
     if field.p == 2:
-        t = h % f
+        t = _divmod(field, h._c, f)[1]
         acc = t
         for _ in range(d * field.m - 1):
-            t = (t * t) % f
-            acc = (acc + t) % f
-        return f.gcd(acc)
-    s = h.pow_mod((field.q ** d - 1) // 2, f)
-    return f.gcd(s - Poly(field, [1]))
+            t = _mulmod(field, t, t, f)
+            acc = _add(field, acc, t)
+        return _gcd(field, f, acc)
+    s = _pow_mod(field, h._c, (field.q ** d - 1) // 2, f)
+    return _gcd(field, f, _sub(field, s, [_raw_one(field)]))
 
 
-def _equal_degree_split(f, d, shifts=None):
-    """Irreducible factors of f when all have degree d, split by the shifts
-    of _shifts in order.  Both factors of a split continue the one sequence:
-    a shift tried on f puts all roots of each factor on one side of its
-    split, so it cannot split either of them."""
-    if f.degree == d:
-        return [f.monic()]
-    if shifts is None:
-        shifts = _shifts(f.field)
+def _equal_degree_split(field, f, d, shifts, power=None):
+    """Irreducible factors of f, a monic raw sequence, when all have degree d,
+    split by shifts, a sequence of _shifts, in order.  power, when given, is
+    h^((q^d-1)/2) modulo a multiple of f for the sequence's next shift h,
+    which then splits f with no power raised.  Both factors of a split
+    continue the one sequence: a shift tried on f puts all roots of each
+    factor on one side of its split, so it cannot split either of them."""
+    if len(f) - 1 == d:
+        return [f]
     for h in shifts:
-        g = _split(f, d, h)
-        if 0 < g.degree < f.degree:
-            return (_equal_degree_split(g, d, shifts)
-                    + _equal_degree_split((f // g).monic(), d, shifts))
+        if power is None:
+            g = _split(f, d, h)
+        else:
+            g, power = _gcd(field, f, _sub(field, power, [_raw_one(field)])), None
+        if 0 < len(g) - 1 < len(f) - 1:
+            return (_equal_degree_split(field, g, d, shifts)
+                    + _equal_degree_split(field, _divmod(field, f, g)[0], d, shifts))
 
 
 def factor(f):
@@ -1132,11 +1183,12 @@ def factor(f):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
+    field = f.field
     out = []
-    for sqfree, mult in _squarefree_parts(f):
-        for d, part in _distinct_degree(sqfree):
-            for irr in _equal_degree_split(part, d):
-                out.append((irr, mult))
+    for sqfree, mult in _squarefree_parts(field, _monic(field, f._c)):
+        for d, part, power in _distinct_degree(field, sqfree):
+            for irr in _equal_degree_split(field, part, d, _shifts(field), power):
+                out.append((_poly(field, irr), mult))
     out.sort(key=lambda pair: (pair[0].degree, pair[0].encoding()))
     return out
 
@@ -1150,13 +1202,15 @@ def _one_root(f):
     field: the splitter of _equal_degree_split at d = 1, keeping the smaller
     side of each split."""
     # measured: splitting fully took 610 _pow_mod calls, not 526, on the oracle workload
-    work = f.monic()
-    shifts = _shifts(work.field)
-    while work.degree > 1:
+    field = f.field
+    work = _monic(field, f._c)
+    shifts = _shifts(field)
+    while len(work) > 2:
         g = _split(work, 1, next(shifts))
-        if 0 < g.degree < work.degree:
-            work = g if g.degree <= work.degree - g.degree else (work // g).monic()
-    return -work.coeffs[0]
+        n, k = len(work) - 1, len(g) - 1
+        if 0 < k < n:
+            work = g if k <= n - k else _divmod(field, work, g)[0]
+    return -_element(field, work[0])
 
 
 class Embedding:

@@ -273,6 +273,25 @@ def test_frobenius_order_past_the_bound_is_undetermined():
     assert report["engine_check"] == {"agree": None, "theta": None}
 
 
+def test_frobenius_order_is_refused_before_any_node_field(monkeypatch):
+    # the orbits of degree 6, 8, 23 and 25 would each build a residue field
+    # (twice: the theta verdict and the torsion each ask for the fiber)
+    line = "hyperelliptic --p 23 --g x^64-x-1 --h x+2 --json"
+    _code, text, _dt = _run(line, 2.0)
+    degrees = []
+    residue_field = families.residue_field
+
+    def counted(g):
+        degrees.append(g.degree)
+        return residue_field(g)
+
+    monkeypatch.setattr(families, "residue_field", counted)
+    code, counted_text, _dt = _run(line, 2.0)
+    assert code == cli.EXIT_UNDETERMINED
+    assert degrees == []
+    assert counted_text == text
+
+
 def _cyclic_permutation(rank):
     """A --lattice argument: the cyclic permutation of rank coordinates,
     of Frobenius order rank and characteristic polynomial x^rank - 1."""

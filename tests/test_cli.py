@@ -326,6 +326,71 @@ def test_parser_is_built_once_and_keeps_no_request_state():
     assert two["engine_check"]["agree"] is True
 
 
+PARSED_LINES = [
+    ["hyperelliptic", "--q", "7", "--g", "x^3-x", "--h", "x+2", "--r", "3",
+     "--no-engine-check", "--json"],
+    ["hyperelliptic", "--p=5", "--g", "x^3-x", "--h", "x+2", "--no-eng"],
+    ["genus4", "--q", "7", "--eps", "X^3+Y^3+W*Z^2", "--r", "3"],
+    ["component-group", "--matrix", "[[-3,3],[3,-3]]", "--r", "3", "--json"],
+    ["torus", "--lattice", '{"rank":1,"frobenius":[[1]]}', "--q", "7", "--enumerate"],
+    ["oracle", "--q", "7", "--g", "x^3-x", "--h", "x+2", "--trials", "3", "--seed", "1"],
+    ["batch", "requests.txt"],
+]
+
+REFUSED_LINES = [
+    # an unknown flag, and a stray positional
+    ["hyperelliptic", "--q", "7", "--g", "x^3-x", "--h", "x+2", "--bogus"],
+    ["torus", "--lattice", "{}", "--q", "7", "extra", "more"],
+    # a missing required option
+    ["hyperelliptic", "--q", "7", "--g", "x^3-x"],
+    ["genus4", "--eps", "X^3"],
+    # a bad int, and a bad choice
+    ["hyperelliptic", "--q", "seven", "--g", "x^3-x", "--h", "x+2"],
+    ["oracle", "--q", "7", "--g", "x", "--h", "1", "--trials", "2.5"],
+    ["genus4", "--q", "7", "--eps", "X^3", "--r", "5"],
+    # help, at the top and for a subcommand
+    ["-h"],
+    ["hyperelliptic", "-h"],
+    # an unknown command, and none
+    ["frobnicate", "--q", "7"],
+    [],
+]
+
+
+def _full_parse(argv):
+    return cli._parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", PARSED_LINES)
+def test_a_subcommand_line_parses_as_the_full_parser_parses_it(argv):
+    assert cli._parse(argv) == _full_parse(argv)
+    assert cli._parse(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("argv", REFUSED_LINES)
+def test_a_refused_line_gets_the_full_parsers_refusal(monkeypatch, capsys, argv):
+    """The exit code, stdout and stderr of run_line and main, and the
+    batch error record, are those of the full top-level parse."""
+    import shlex
+
+    def outcomes():
+        code = cli.run_line(list(argv), stream=io.StringIO())
+        out = [(code, *capsys.readouterr())]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out.append((exc.value.code, *capsys.readouterr()))
+        if argv:
+            record = io.StringIO()
+            code = cli._batch_line(1, shlex.join(argv), record)
+            out.append((code, record.getvalue(), *capsys.readouterr()))
+        return out
+
+    direct = outcomes()
+    monkeypatch.setattr(cli, "_parse", _full_parse)
+    assert direct == outcomes()
+    assert direct[0][0] == (cli.EXIT_OK if "-h" in argv else cli.EXIT_SYNTAX)
+
+
 TORUS_RANK_ONE = ["torus", "--lattice", '{"rank":1,"frobenius":[[1]]}']
 
 

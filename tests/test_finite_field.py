@@ -150,6 +150,61 @@ def test_factor_remultiplies():
             assert prod == f
 
 
+def _random_monic(K, rng, low, high):
+    d = rng.randrange(low, high + 1)
+    return Poly(K, [K.from_int(rng.randrange(K.q)) for _ in range(d)] + [K.one()])
+
+
+def factor_property_input(K, rng):
+    """A random polynomial over K with a random leading coefficient, a
+    repeated factor and, when p is small enough for its degree, a part in
+    x^p, which is a p-th power: the derivative of that part is zero."""
+    f = Poly(K, [K.from_int(rng.randrange(1, K.q))]) * _random_monic(K, rng, 1, 6)
+    a = _random_monic(K, rng, 1, 3)
+    for _ in range(rng.randrange(2, 4)):
+        f = f * a
+    if K.p <= 7:
+        c = _random_monic(K, rng, 1, 14 // K.p)
+        f = f * Poly(K, [c[i // K.p] if i % K.p == 0 else K.zero()
+                         for i in range(c.degree * K.p + 1)])
+    return f
+
+
+def rabin_irreducible(g):
+    """Rabin's test: g of degree n is irreducible iff x^(q^n) = x mod g and
+    gcd(x^(q^(n/l)) - x, g) = 1 for every prime l | n."""
+    K, n = g.field, g.degree
+    x = Poly(K, [0, 1])
+    frob = [x % g]
+    for _ in range(n):
+        frob.append(frob[-1].pow_mod(K.q, g))
+    return (frob[n] == frob[0]
+            and all(g.gcd(frob[n // ell] - x).degree == 0 for ell in factorize(n)))
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (1048571, 1), (1048573, 1),
+                                  (3, 2), (5, 2), (1048573, 2), (3, 3), (5, 3),
+                                  (2, 1), (2, 2), (2, 3), (2, 4)])
+def test_factor_properties(p, m):
+    """The product of the factors with multiplicity is f.monic(); every
+    factor is monic and irreducible; the list is sorted by (degree,
+    encoding) with each factor once."""
+    K = extension(make_field(p), m)
+    rng = rng_for(f"factor-properties-{p}-{m}")
+    for _ in range(12):
+        f = factor_property_input(K, rng)
+        factors = factor(f)
+        prod = Poly(K, [1])
+        for g, mult in factors:
+            assert g.lead() == K.one()
+            assert rabin_irreducible(g), (f, g)
+            for _ in range(mult):
+                prod = prod * g
+        assert prod == f.monic()
+        keys = [(g.degree, g.encoding()) for g, _ in factors]
+        assert keys == sorted(set(keys))
+
+
 def test_roots_in_extension():
     K3 = make_field(3)
     f = Poly(K3, [1, 0, 1])

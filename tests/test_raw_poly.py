@@ -175,12 +175,14 @@ def test_coefficients_from_another_field_raise_mixed_fields():
 
 
 # Call counts on cold caches, taken on the FieldElement-coefficient Poly
-# this replaced: (Poly.pow_mod calls, field inversions).  That Poly divided
+# this replaced: (raw _pow_mod calls, field inversions).  That Poly divided
 # by a non-monic divisor through FieldElement.inverse; the raw one inverts
 # the leading coefficient inside the division, so its inversions are
-# FieldElement.inverse calls plus divisions by a non-monic divisor.  The
-# genus-4 row is taken with i = +-element_of_order(k(i), 4), no root search,
-# and with the engine's local functions written out, not reduced by gcd.
+# FieldElement.inverse calls plus divisions by a non-monic divisor, plus
+# non-monic lists made monic (_monic, which Poly.monic and the raw
+# factorization share).  The genus-4 row is taken with i =
+# +-element_of_order(k(i), 4), no root search, and with the engine's local
+# functions written out, not reduced by gcd.
 # The hyperelliptic row fell from 21 and 11 to 17 and 7 when the squarefree
 # decomposition stopped at gcd(g, g') = 1, which skips its monic quotients.
 # The genus-4 row fell from 85 to 82 when the engine's classes went entry by
@@ -189,11 +191,21 @@ def test_coefficients_from_another_field_raise_mixed_fields():
 # 82 to 77 when the direct table came to evaluate the engine's section
 # divisors, whose entries the fiber already holds monic, in place of five
 # monic restrictions of its own.
+# The powers were Poly.pow_mod calls (0 and 1) until factor came to raise
+# raw lists; the raw count is 1 and 1 both before and after that change
+# (the genus-4 power is the modulus search of GF(p^2)).  The hyperelliptic
+# inversions fell from 17 and 7 to 14 and 0 then: factor makes each list
+# monic once and no longer copies quotients of monic lists, and Poly.monic
+# inverts through _monic, not FieldElement.inverse.
 PINNED = [
-    (["genus4", "--p", "1000003", "--eps", "X^3+Y^3+W*Z^2"], 0, 77, 77),
+    (["genus4", "--p", "1000003", "--eps", "X^3+Y^3+W*Z^2"], 1, 77, 77),
     (["hyperelliptic", "--p", "1000121", "--g", "x^3-x-1", "--h", "x+2",
-      "--no-engine-check"], 1, 17, 7),
+      "--no-engine-check"], 1, 14, 0),
 ]
+
+
+def _raw_one(f):
+    return 1 if f.m == 1 else f.one().coeffs
 
 
 @pytest.mark.parametrize("argv, pow_mods, inversions, inverse_calls", PINNED)
@@ -204,26 +216,50 @@ def test_pow_mod_and_inversion_counts_are_pinned(monkeypatch, argv, pow_mods,
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
     counts = {"pow_mod": 0, "inverse": 0, "non_monic": 0}
-    pow_mod, inverse, divmod_raw = (finite_field.Poly.pow_mod, FieldElement.inverse,
-                                    finite_field._divmod)
+    pow_mod, inverse, divmod_raw, monic = (finite_field._pow_mod, FieldElement.inverse,
+                                           finite_field._divmod, finite_field._monic)
 
-    def counted_pow_mod(self, e, modulus):
+    def counted_pow_mod(f, base, e, mod):
         counts["pow_mod"] += 1
-        return pow_mod(self, e, modulus)
+        return pow_mod(f, base, e, mod)
 
     def counted_inverse(self):
         counts["inverse"] += 1
         return inverse(self)
 
     def counted_divmod(f, a, b):
-        raw_one = 1 if f.m == 1 else f.one().coeffs
-        counts["non_monic"] += b[-1] != raw_one
+        counts["non_monic"] += b[-1] != _raw_one(f)
         return divmod_raw(f, a, b)
 
-    monkeypatch.setattr(finite_field.Poly, "pow_mod", counted_pow_mod)
+    def counted_monic(f, a):
+        counts["non_monic"] += bool(a) and a[-1] != _raw_one(f)
+        return monic(f, a)
+
+    monkeypatch.setattr(finite_field, "_pow_mod", counted_pow_mod)
     monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
     monkeypatch.setattr(finite_field, "_divmod", counted_divmod)
+    monkeypatch.setattr(finite_field, "_monic", counted_monic)
     assert cli.run_line(argv, stream=io.StringIO()) == cli.EXIT_OK
     assert counts["pow_mod"] == pow_mods
     assert counts["inverse"] == inverse_calls
     assert counts["inverse"] + counts["non_monic"] == inversions
+
+
+def test_rational_roots_split_off_the_distinct_degree_power(monkeypatch):
+    """x^3 - x over GF(1000121) takes two raw powers: x^q = h s^2 - t comes
+    from the first shift's power s = h^((q-1)/2) mod g, which also splits
+    the linear part, then one power splits the quadratic left.  Raising x^q
+    and then h^((q-1)/2) separately took three."""
+    k = make_field(1000121)
+    degrees = []
+    pow_mod = finite_field._pow_mod
+
+    def counted_pow_mod(f, base, e, mod):
+        degrees.append(len(mod) - 1)
+        return pow_mod(f, base, e, mod)
+
+    monkeypatch.setattr(finite_field, "_pow_mod", counted_pow_mod)
+    factors = finite_field.factor(Poly(k, [0, -1, 0, 1]))
+    assert [(g.degree, -g[0].to_int() % k.p, mult) for g, mult in factors] == \
+        [(1, 0, 1), (1, k.p - 1, 1), (1, 1, 1)]
+    assert degrees == [3, 2]
